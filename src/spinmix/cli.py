@@ -84,11 +84,7 @@ def _stamp_lines(model: ModelSpec) -> str:
 
 def cmd_critical(args) -> int:
     model = _load(args)
-    report = criticality.verdict(
-        model,
-        tol_zero=args.tol_zero if args.tol_zero is not None else landscape.TOL_ZERO,
-        tol_sing=args.tol_sing if args.tol_sing is not None else criticality.TOL_SING,
-    )
+    report = criticality.verdict(model, tol_zero=args.tol_zero, tol_sing=args.tol_sing)
     text = report.to_json(model_hash=model_hash(model), tool_version=__version__)
     _write(args.out, text)
     if args.out:
@@ -175,35 +171,49 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"spinmix {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, model_required: bool):
-        p.add_argument("--model", required=model_required, default=None,
-                       help="model JSON file" + ("" if model_required else " (default: built-in SK)"))
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--N", type=int, default=40)
-        p.add_argument("--samples", type=int, default=20000)
+    def model_flag(p, *, required: bool):
+        p.add_argument("--model", required=required, default=None,
+                       help="model JSON file" + ("" if required else " (default: built-in SK)"))
+
+    def out_flag(p):
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+
+    def beta_flags(p):
         p.add_argument("--beta", type=float, default=None)
         p.add_argument("--beta-min", type=float, default=None)
         p.add_argument("--beta-max", type=float, default=None)
         p.add_argument("--beta-step", type=float, default=None)
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--tol-sing", type=float, default=None)
-        p.add_argument("--tol-zero", type=float, default=None)
-        p.add_argument("--verbose", "-v", action="store_true")
+
+    def monte_carlo_flags(p):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--N", type=int, default=40)
+        p.add_argument("--samples", type=int, default=20000)
 
     p = sub.add_parser("critical", help="threshold report for a model file")
-    common(p, model_required=True)
+    model_flag(p, required=True)
+    out_flag(p)
+    p.add_argument("--tol-sing", type=float, default=criticality.TOL_SING)
+    p.add_argument("--tol-zero", type=float, default=landscape.TOL_ZERO)
     p.set_defaults(func=cmd_critical)
 
     p = sub.add_parser("scan", help="landscape scan over a beta grid (CSV)")
-    common(p, model_required=True)
+    model_flag(p, required=True)
+    beta_flags(p)
+    out_flag(p)
+    p.add_argument("--verbose", "-v", action="store_true")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="Monte Carlo verification battery")
-    common(p, model_required=False)
+    model_flag(p, required=False)
+    monte_carlo_flags(p)
+    out_flag(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("band-probe", help="band free energy vs prediction (CSV)")
-    common(p, model_required=False)
+    model_flag(p, required=False)
+    monte_carlo_flags(p)
+    beta_flags(p)
+    out_flag(p)
     p.set_defaults(func=cmd_band_probe)
     return parser
 
@@ -219,7 +229,7 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError, montecarlo.BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (criticality.BracketError, montecarlo.CoefficientLawError, QuadratureError) as exc:
+    except (montecarlo.CoefficientLawError, QuadratureError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

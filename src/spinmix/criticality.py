@@ -2,22 +2,33 @@
 
 Three thresholds are computed per model:
 
-  beta_m        largest beta with max_{r in [0,1)^S} f_beta(r) = 0
+  beta_m        largest beta with max_{r in [0,1)^S} f_beta(r) <= tol_zero
   beta_m_tilde  same with the truncated functional (always >= beta_m)
   beta_H        smallest beta at which M(beta) = -diag(lam) + beta^2 Q
                 acquires a nonnegative eigenvalue (closed form)
+
+f_beta = -E(r) + beta^2 xi(r), with E(r) = -1/2 sum_s lam_s log(1 - r_s^2),
+is affine in beta^2, so max f <= t holds exactly when beta^2 is at most an
+infimum over the points with xi(r) > 0 (t = tol_zero):
+
+  beta_m^2            inf (E(r) + t) / xi(r)
+  beta_m_tilde^2      inf (E(r) + t) * (1/xi(r) + 1/xi(1))
+  beta_c_talagrand^2  inf (-(log(1 - r) + r) + t) / xi(r)      (one species)
+
+Each infimum is one minimization: a dense grid, then a bounded L-BFGS
+polish with the analytic gradient.  Each threshold is capped at beta_H,
+the r -> 0 limit of the same ratio; above beta_H the origin is unstable,
+so the cap is exact and lands origin-driven models (SK) on beta_H.
 
 The verdict is EQUAL when M(beta_m) is singular to within tolerance (then
 beta_m is the critical inverse-temperature and is reported as such),
 STRICTLY_LESS when its top eigenvalue is clearly negative, and
 INCONCLUSIVE when the mixture is not strictly positive off the origin on
-the unit box (the hypothesis under which the verdict is meaningful) or
-the eigenvalue cannot be classified.
-
-The bisection thresholds are additionally capped at beta_H: above beta_H
-the origin is unstable and the maximum is strictly positive, so beta_H is
-an exact upper bound that removes the quadratic flattening bias of the
-value predicate in origin-driven models.
+the unit box (the hypothesis under which the verdict is meaningful), the
+eigenvalue cannot be classified, or the certificate fails: one global
+maximization of f at beta_m, whose value must not exceed tol_zero.  The
+report's witnesses give the ratio argmin and minimum and the certificate's
+argmax, value, convergence and grid certification.
 """
 
 from __future__ import annotations
@@ -28,9 +39,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize
 
-from .landscape import DOMAIN_CLAMP, TOL_ZERO, g_beta, hessian_at_zero, maximize_f
+from .landscape import _GRID_POINTS, DOMAIN_CLAMP, TOL_ZERO, _grid, _starts
+from .landscape import hessian_at_zero, maximize_f
 from .model import ModelSpec
 
 __all__ = [
@@ -42,19 +54,15 @@ __all__ = [
     "beta_c_talagrand",
     "check_nsd",
     "verdict",
-    "BracketError",
     "TOL_SING",
     "BISECT_TOL",
-    "BETA_CAP",
 ]
 
 TOL_SING = 1e-6     # singularity band, relative to the scale of M
-BISECT_TOL = 1e-9   # absolute tolerance on beta
-BETA_CAP = 1e6      # predicate holding beyond this reports +inf
-
-
-class BracketError(RuntimeError):
-    """Bisection invariant violated (predicate not monotone as evaluated)."""
+BISECT_TOL = 1e-9   # stated absolute accuracy of every threshold in beta
+# beta^2 is taken this fraction below the ratio infimum, so that rounding in
+# f cannot lift max f_beta above tol_zero at the reported threshold
+_ROUND_DOWN = 1e-12
 
 
 class Verdict(str, enum.Enum):
@@ -95,109 +103,95 @@ def check_nsd(model: ModelSpec, beta: float) -> tuple[float, bool]:
     return lam_max, lam_max <= TOL_SING * _sing_scale(model, beta)
 
 
-def _bisect(predicate, *, tol: float, cap: float = BETA_CAP):
-    """Largest beta with predicate true, by doubling then bisection.
+@dataclass(frozen=True)
+class _RatioMin:
+    beta: float           # sqrt of the infimum, capped at beta_H
+    ratio: float          # the infimum, before the cap
+    argmin: np.ndarray
+    grid_certified: bool  # located on a dense grid (|S| <= 3)
 
-    ``predicate`` returns (bool, witness).  Returns (beta, lo_witness,
-    hi_witness); beta is +inf when the predicate still holds at the cap.
+
+def _ratio_min(model: ModelSpec, objective: str, tol_zero: float) -> _RatioMin:
+    """Infimum of (cost(r) + tol_zero) * (1/xi(r) + c) over xi(r) > 0.
+
+    cost is E with c = 0 ("plain") or c = 1/xi(1) ("tilde"), or
+    -(log(1 - r) + r) with c = 0 ("talagrand").  The grid argmin (4001
+    points for one species, 201 per axis for two or three) is polished by
+    one L-BFGS run; four to six species run L-BFGS from each of
+    maximize_f's starts instead.
     """
-    lo = 0.0
-    ok, w_lo = predicate(lo)
-    if not ok:
-        raise BracketError("predicate must hold at beta = 0")
-    hi = 1.0
-    w_hi = None
-    while True:
-        ok, w = predicate(hi)
-        if not ok:
-            w_hi = w
-            break
-        lo, w_lo = hi, w
-        hi *= 2.0
-        if hi > cap:
-            return float("inf"), w_lo, None
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        ok, w = predicate(mid)
-        if ok:
-            lo, w_lo = mid, w
-        else:
-            hi, w_hi = mid, w
-    return 0.5 * (lo + hi), w_lo, w_hi
-
-
-def _threshold(
-    model: ModelSpec,
-    objective: str,
-    *,
-    tol: float,
-    tol_zero: float,
-    return_witnesses: bool,
-):
     if model.xi1() <= 0.0:
         raise ValueError("threshold computation requires xi(1) > 0")
+    S = model.n_species
+    lam = model.species.lam
+    mix = model.mixture
+    if objective == "talagrand":
+        def cost(s, r):
+            return -(np.log1p(-r) + r)
 
-    def predicate(beta):
-        res = maximize_f(model, beta, objective)
-        return res.value <= tol_zero, res
+        def dcost(r):
+            return r / (1.0 - r)
+    else:
+        def cost(s, r):
+            return -0.5 * lam[s] * np.log1p(-r * r)
 
-    b, w_lo, w_hi = _bisect(predicate, tol=tol)
-    b = min(b, beta_hessian_singular(model))
-    if return_witnesses:
-        return b, w_lo, w_hi
-    return b
+        def dcost(r):
+            return lam * r / (1.0 - r * r)
+    c = 1.0 / model.xi1() if objective == "tilde" else 0.0
 
+    def ratio(r):
+        xir = float(mix.eval(r))
+        if xir <= 0.0:
+            return np.inf, np.zeros(S)
+        num = sum(float(cost(s, r[s])) for s in range(S)) + tol_zero
+        w = 1.0 / xir + c
+        return num * w, dcost(r) * w - num * mix.grad(r) / (xir * xir)
 
-def beta_m(model: ModelSpec, *, tol: float = BISECT_TOL, tol_zero: float = TOL_ZERO) -> float:
-    """Second-moment threshold: largest beta with max f_beta = 0."""
-    return _threshold(model, "plain", tol=tol, tol_zero=tol_zero, return_witnesses=False)
-
-
-def beta_m_tilde(model: ModelSpec, *, tol: float = BISECT_TOL, tol_zero: float = TOL_ZERO) -> float:
-    """Threshold of the truncated functional; upper-bounds beta_m."""
-    return _threshold(model, "tilde", tol=tol, tol_zero=tol_zero, return_witnesses=False)
-
-
-def _sup_g(model: ModelSpec, beta: float) -> float:
-    """sup of g_beta over [0, 1), by dense scan plus local refinement."""
     hi = 1.0 - DOMAIN_CLAMP
-    rs = np.linspace(0.0, hi, 4001)
-    vals = np.log1p(-rs) + rs + beta * beta * np.asarray(model.mixture.eval(rs[:, None]))
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-    a = rs[max(i - 1, 0)]
-    b = rs[min(i + 1, len(rs) - 1)]
-    if b > a:
-        res = minimize_scalar(
-            lambda r: -g_beta(model, beta, float(np.clip(r, 0.0, hi))),
-            bounds=(a, b),
-            method="bounded",
-            options={"xatol": 1e-13},
-        )
-        best = max(best, -float(res.fun))
-    return best
+    if S <= 3:
+        axis, xi_grid, num = _grid(model, 4001 if S == 1 else _GRID_POINTS, cost)
+        num += tol_zero
+        with np.errstate(divide="ignore", invalid="ignore"):
+            num *= 1.0 / xi_grid + c
+        num[xi_grid <= 0.0] = np.inf
+        idx = np.unravel_index(int(np.argmin(num)), num.shape)
+        starts = [axis[list(idx)]]
+        best, argmin = float(num[idx]), starts[0]
+    else:
+        starts = _starts(S)
+        best, argmin = np.inf, starts[0]
+    for x0 in starts:
+        res = minimize(ratio, x0, jac=True, method="L-BFGS-B", bounds=[(0.0, hi)] * S,
+                       options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 500})
+        x = np.clip(res.x, 0.0, hi)
+        value = ratio(x)[0]
+        if value < best:
+            best, argmin = value, x
+    beta = min(math.sqrt(best * (1.0 - _ROUND_DOWN)), beta_hessian_singular(model))
+    return _RatioMin(beta, best, argmin, S <= 3)
 
 
-def beta_c_talagrand(
-    model: ModelSpec, *, tol: float = BISECT_TOL, tol_zero: float = TOL_ZERO
-) -> float:
+def beta_m(model: ModelSpec, *, tol_zero: float = TOL_ZERO) -> float:
+    """Second-moment threshold: largest beta with max f_beta <= tol_zero."""
+    return _ratio_min(model, "plain", tol_zero).beta
+
+
+def beta_m_tilde(model: ModelSpec, *, tol_zero: float = TOL_ZERO) -> float:
+    """Threshold of the truncated functional; upper-bounds beta_m."""
+    return _ratio_min(model, "tilde", tol_zero).beta
+
+
+def beta_c_talagrand(model: ModelSpec, *, tol_zero: float = TOL_ZERO) -> float:
     """Single-species critical inverse-temperature via the g criterion.
 
-    Bisection on [sup_r g_beta(r) <= 0], capped at the origin-instability
-    threshold (g''(0) = lambda_max of M(beta) when |S| = 1).  Serves as an
-    independent oracle for beta_c in the single-species case.
+    Largest beta with sup_r g_beta(r) <= tol_zero, capped at the
+    origin-instability threshold (g''(0) = lambda_max of M(beta) when
+    |S| = 1).  Serves as an independent oracle for beta_c in the
+    single-species case.
     """
     if model.n_species != 1:
         raise ValueError("the g criterion applies to single-species models only")
-    if model.xi1() <= 0.0:
-        raise ValueError("requires xi(1) > 0")
-
-    def predicate(beta):
-        s = _sup_g(model, beta)
-        return s <= tol_zero, s
-
-    b, _, _ = _bisect(predicate, tol=tol)
-    return min(b, beta_hessian_singular(model))
+    return _ratio_min(model, "talagrand", tol_zero).beta
 
 
 @dataclass(frozen=True)
@@ -236,7 +230,6 @@ class CritReport:
 def verdict(
     model: ModelSpec,
     *,
-    tol: float = BISECT_TOL,
     tol_zero: float = TOL_ZERO,
     tol_sing: float = TOL_SING,
 ) -> CritReport:
@@ -245,17 +238,19 @@ def verdict(
     EQUAL means beta_c equals beta_m and is reported; STRICTLY_LESS means
     beta_m < beta_c and beta_c itself is not computed (beta_m_tilde is a
     certified lower bound on beta_c); INCONCLUSIVE withholds the verdict.
+    One global maximization of f at beta_m certifies the ratio infimum:
+    its value must not exceed tol_zero.
     """
     positive = model.mixture.positive_off_origin()
-    b_m, w_lo, w_hi = _threshold(
-        model, "plain", tol=tol, tol_zero=tol_zero, return_witnesses=True
-    )
-    b_t = beta_m_tilde(model, tol=tol, tol_zero=tol_zero)
+    plain = _ratio_min(model, "plain", tol_zero)
+    b_m = plain.beta
+    b_t = beta_m_tilde(model, tol_zero=tol_zero)
     b_H = beta_hessian_singular(model)
+    cert = maximize_f(model, b_m)
     spectrum = tuple(float(v) for v in np.linalg.eigvalsh(hessian_at_zero(model, b_m)))
     lam_max = spectrum[-1]
     band = tol_sing * _sing_scale(model, b_m)
-    if not positive:
+    if not positive or cert.value > tol_zero:
         v = Verdict.INCONCLUSIVE
     elif abs(lam_max) <= band:
         v = Verdict.EQUAL
@@ -264,18 +259,15 @@ def verdict(
     else:
         v = Verdict.INCONCLUSIVE
 
-    def _witness(tag, res):
-        if res is None:
-            return {}
-        return {
-            f"argmax_{tag}": [float(x) for x in res.argmax],
-            f"value_{tag}": float(res.value),
-            f"converged_{tag}": bool(res.converged),
-        }
-
-    witnesses = {}
-    witnesses.update(_witness("lo", w_lo))
-    witnesses.update(_witness("hi", w_hi))
+    witnesses = {
+        "argmin_ratio": [float(x) for x in plain.argmin],
+        "min_ratio": float(plain.ratio),
+        "grid_certified_ratio": plain.grid_certified,
+        "argmax_certificate": [float(x) for x in cert.argmax],
+        "value_certificate": float(cert.value),
+        "converged_certificate": bool(cert.converged),
+        "grid_certified_certificate": bool(cert.grid_certified),
+    }
     return CritReport(
         beta_m=float(b_m),
         beta_m_tilde=float(b_t),
@@ -285,5 +277,5 @@ def verdict(
         xi_positive_off_origin=positive,
         beta_c=float(b_m) if v is Verdict.EQUAL else None,
         witnesses=witnesses,
-        tolerances={"tol_zero": tol_zero, "tol_sing": tol_sing, "bisect_tol": tol},
+        tolerances={"tol_zero": tol_zero, "tol_sing": tol_sing, "bisect_tol": BISECT_TOL},
     )

@@ -44,7 +44,8 @@ TOL_MAX = 1e-9
 # values at or below this count as "the maximum is zero"
 TOL_ZERO = 1e-10
 
-_GRID_PITCH = 1.0 / 200.0  # certification grid pitch per axis, |S| <= 3
+# certification grid points per axis (pitch 1/200), |S| <= 3
+_GRID_POINTS = 201
 
 
 def _coerce_r(model: ModelSpec, r, *, signed: bool = False) -> np.ndarray:
@@ -185,19 +186,31 @@ def _xi_on_grid(model: ModelSpec, axes: list[np.ndarray]) -> np.ndarray:
     raise ValueError("tensor-product grid supports at most 3 species")
 
 
-def _grid_scan(model: ModelSpec, beta: float, objective: str):
-    """Dense certification grid over [0, 1)^S for |S| <= 3."""
+def _grid(model: ModelSpec, n: int, per_axis):
+    """Tensor-product grid of n points per axis over [0, 1 - DOMAIN_CLAMP]^S.
+
+    Returns the axis, xi on the grid and the separable sum
+    sum_s per_axis(s, axis), broadcast one axis at a time so that only the
+    final sum has the full grid's size.
+    """
     S = model.n_species
-    lam = model.species.lam
-    n = int(round(1.0 / _GRID_PITCH)) + 1
     axis = np.linspace(0.0, 1.0 - DOMAIN_CLAMP, n)
     xi_grid = _xi_on_grid(model, [axis] * S)
-    ent = None
+    total = None
     for s in range(S):
         shape = [1] * S
         shape[s] = n
-        piece = (0.5 * lam[s] * np.log1p(-axis * axis)).reshape(shape)
-        ent = piece if ent is None else ent + piece
+        piece = per_axis(s, axis).reshape(shape)
+        total = piece if total is None else total + piece
+    return axis, xi_grid, total
+
+
+def _grid_scan(model: ModelSpec, beta: float, objective: str):
+    """Dense certification grid over [0, 1)^S for |S| <= 3."""
+    lam = model.species.lam
+    axis, xi_grid, ent = _grid(
+        model, _GRID_POINTS, lambda s, a: 0.5 * lam[s] * np.log1p(-a * a)
+    )
     if objective == "plain":
         F = ent + beta * beta * xi_grid
     else:
@@ -210,6 +223,24 @@ def _grid_scan(model: ModelSpec, beta: float, objective: str):
     near_idx = np.argwhere(F >= fmax - TOL_ZERO)
     near = tuple(np.array([axis[i] for i in row]) for row in near_idx[:32])
     return best, fmax, near, F.size
+
+
+def _starts(S: int, n_random_starts: int = 32) -> list[np.ndarray]:
+    """Deterministic local-search starts in [0, 1)^S.
+
+    Origin-perturbed points, then a coarse 3^S grid for |S| <= 3, or the
+    2^S corners of an inner box plus seeded uniform points for |S| >= 4.
+    """
+    starts = [np.full(S, eps) for eps in (1e-4, 1e-2, 0.1)]
+    if S <= 3:
+        for combo in np.ndindex(*([3] * S)):
+            starts.append(np.array([0.15 + 0.3 * c for c in combo]))
+    else:
+        for combo in np.ndindex(*([2] * S)):
+            starts.append(np.array([0.2 + 0.4 * c for c in combo]))
+        rng = np.random.Generator(np.random.Philox(key=2 + S))
+        starts.extend(rng.uniform(0.0, 0.95, size=(n_random_starts, S)))
+    return starts
 
 
 def maximize_f(
@@ -235,18 +266,7 @@ def maximize_f(
     hi = 1.0 - DOMAIN_CLAMP
     bounds = [(0.0, hi)] * S
 
-    starts: list[np.ndarray] = []
-    for eps in (1e-4, 1e-2, 0.1):
-        starts.append(np.full(S, eps))
-    if S <= 3:
-        for combo in np.ndindex(*([3] * S)):
-            starts.append(np.array([0.15 + 0.3 * c for c in combo]))
-    else:
-        for combo in np.ndindex(*([2] * S)):
-            starts.append(np.array([0.2 + 0.4 * c for c in combo]))
-        rng = np.random.Generator(np.random.Philox(key=2 + S))
-        starts.extend(rng.uniform(0.0, 0.95, size=(n_random_starts, S)))
-
+    starts = _starts(S, n_random_starts)
     grid_certified = False
     near: tuple = ()
     fun_evals = 0

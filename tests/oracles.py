@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 finite differences instead of analytic derivatives, 1-d tangency root
-finding instead of bisection on the maximized functional, and direct
+finding instead of the ratio minimization over the overlap box, and direct
 substitution instead of the binomial coefficient transform.
 """
 

@@ -121,3 +121,16 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["critical", "--model", SK, "--N", "5"],
+    ["verify", "--tol-sing", "1e-3"],
+])
+def test_flags_of_other_subcommands_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "unrecognized arguments" in err

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,10 +15,14 @@ from spinmix import (
     beta_m,
     beta_m_tilde,
     check_nsd,
+    criticality,
+    f_beta,
+    maximize_f,
     verdict,
 )
-from spinmix.criticality import BracketError, _bisect
+from spinmix.landscape import TOL_ZERO
 
+from conftest import random_model
 from oracles import pure_beta_c_talagrand, pure_beta_m
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -184,19 +190,67 @@ def test_check_nsd_below_threshold(sk, two_quad, cubic_two_species):
 
 
 # ----------------------------------------------------------------------
-# bisection plumbing
+# ratio infimum against the max-f predicate
 
 
-def test_bisect_requires_true_at_zero():
-    with pytest.raises(BracketError):
-        _bisect(lambda b: (False, None), tol=1e-6)
+def _oracle_models(sk, pure3, pure4, two_quad):
+    models = [sk, pure3, pure4, two_quad]
+    rng = np.random.default_rng(20211)
+    while len(models) < 7:
+        model = random_model(rng, 2)
+        if model.xi1() > 0.0:
+            models.append(model)
+    return models
 
 
-def test_bisect_recovers_known_threshold():
-    b, _, _ = _bisect(lambda beta: (beta <= 2.75, None), tol=1e-9)
-    assert b == pytest.approx(2.75, abs=1e-8)
+@pytest.mark.parametrize("objective, threshold", [("plain", beta_m), ("tilde", beta_m_tilde)])
+def test_threshold_is_the_edge_of_the_max_f_predicate(sk, pure3, pure4, two_quad,
+                                                      objective, threshold):
+    # the predicate the thresholds are defined by: max f <= TOL_ZERO holds
+    # just below the threshold and, unless the beta_H cap binds, fails just above
+    for model in _oracle_models(sk, pure3, pure4, two_quad):
+        b = threshold(model)
+        assert maximize_f(model, b * (1.0 - 1e-6), objective).value <= TOL_ZERO
+        if b < beta_hessian_singular(model) - 1e-6:
+            assert maximize_f(model, b * (1.0 + 1e-6), objective).value > TOL_ZERO
 
 
-def test_bisect_reports_infinity_when_predicate_never_fails():
-    b, _, _ = _bisect(lambda beta: (True, None), tol=1e-9, cap=1e6)
-    assert math.isinf(b)
+def test_four_species_quadratic_mixture_is_equal_at_beta_H():
+    names = ("a", "b", "c", "d")
+    terms = {(2, 0, 0, 0): 0.9, (0, 2, 0, 0): 0.5, (0, 0, 2, 0): 1.3, (0, 0, 0, 2): 0.7,
+             (1, 1, 0, 0): 0.4, (0, 1, 1, 0): 0.6, (0, 0, 1, 1): 0.3}
+    model = ModelSpec(SpeciesSet(names, np.array([0.1, 0.2, 0.3, 0.4])),
+                      Mixture.from_terms(names, terms))
+    t0 = time.perf_counter()
+    rep = verdict(model)
+    elapsed = time.perf_counter() - t0
+    assert rep.verdict is Verdict.EQUAL
+    assert rep.beta_m == pytest.approx(rep.beta_H, abs=1e-9)
+    assert not rep.witnesses["grid_certified_ratio"]
+    assert elapsed < 5.0
+
+
+def test_certificate_rejects_an_infimum_one_percent_too_large(pure3, monkeypatch):
+    exact = criticality._ratio_min
+
+    def too_large(model, objective, tol_zero):
+        res = exact(model, objective, tol_zero)
+        return dataclasses.replace(res, beta=res.beta * math.sqrt(1.01))
+
+    monkeypatch.setattr(criticality, "_ratio_min", too_large)
+    rep = verdict(pure3)
+    assert rep.witnesses["value_certificate"] > rep.tolerances["tol_zero"]
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.beta_c is None
+
+
+def test_verdict_witnesses_the_ratio_argmin_and_certificate(pure3):
+    rep = verdict(pure3)
+    w = rep.witnesses
+    assert w["grid_certified_ratio"] and w["grid_certified_certificate"]
+    assert w["converged_certificate"]
+    assert w["value_certificate"] <= rep.tolerances["tol_zero"]
+    assert rep.beta_m == pytest.approx(math.sqrt(w["min_ratio"]), abs=1e-12)
+    # beta_m^2 xi(r*) = E(r*) + tol_zero at the argmin, so f sits at tol_zero there
+    r = w["argmin_ratio"]
+    assert f_beta(pure3, rep.beta_m, r) == pytest.approx(rep.tolerances["tol_zero"], abs=1e-12)
