@@ -108,7 +108,7 @@ def cmd_scan(args) -> int:
         )
         if args.verbose:
             print(f"beta={beta!r}: starts={plain.starts_used} evals={plain.fun_evals} "
-                  f"converged={plain.converged}")
+                  f"converged={plain.converged}", file=sys.stderr)
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

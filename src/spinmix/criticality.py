@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .landscape import _GRID_POINTS, DOMAIN_CLAMP, TOL_ZERO, _grid, _starts
+from .landscape import _GRID_POINTS, DOMAIN_CLAMP, TOL_ZERO, _box_axis, _grid, _starts
 from .landscape import hessian_at_zero, maximize_f
 from .model import ModelSpec
 
@@ -149,7 +149,8 @@ def _ratio_min(model: ModelSpec, objective: str, tol_zero: float) -> _RatioMin:
 
     hi = 1.0 - DOMAIN_CLAMP
     if S <= 3:
-        axis, xi_grid, num = _grid(model, 4001 if S == 1 else _GRID_POINTS, cost)
+        axis = _box_axis(4001 if S == 1 else _GRID_POINTS)
+        xi_grid, num = _grid(model, axis, cost)
         num += tol_zero
         with np.errstate(divide="ignore", invalid="ignore"):
             num *= 1.0 / xi_grid + c

@@ -12,6 +12,12 @@ derivatives, and the Hessian of f_beta at the origin
     M(beta) = -diag(lam) + beta^2 * Q
 
 with Q the degree-2 coefficient matrix of the mixture.
+
+Both functionals are defined once, as the separable entropy plus an energy
+term in x = xi(r) (`_energy`, `_objective`): the pointwise functions, the
+maximizer and its certification grid all evaluate that one definition.  The
+tensor-product kernel `_grid` (xi and a separable per-axis sum on the grid
+axis^S) is defined once as well; `criticality` and `quadrature` share it.
 """
 
 from __future__ import annotations
@@ -48,37 +54,65 @@ TOL_ZERO = 1e-10
 _GRID_POINTS = 201
 
 
-def _coerce_r(model: ModelSpec, r, *, signed: bool = False) -> np.ndarray:
+def _coerce_r(n_species: int, r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.ndim == 0:
-        r = np.full(model.n_species, float(r))
-    if r.shape != (model.n_species,):
-        raise ValueError(f"overlap vector must have shape ({model.n_species},)")
-    lo = -1.0 if signed else 0.0
-    if np.any(r < lo) or np.any(r >= 1.0):
-        box = "[-1, 1)" if signed else "[0, 1)"
-        raise ValueError(f"overlap vector {r} outside {box}^S")
+        r = np.full(n_species, float(r))
+    if r.shape != (n_species,):
+        raise ValueError(f"overlap vector must have shape ({n_species},)")
+    if np.any(r < 0.0) or np.any(r >= 1.0):
+        raise ValueError(f"overlap vector {r} outside [0, 1)^S")
     return r
 
 
-def _entropy(model: ModelSpec, r: np.ndarray) -> float:
-    return 0.5 * float(np.sum(model.species.lam * np.log1p(-r * r)))
+def _energy(model: ModelSpec, beta: float, objective: str):
+    """Energy term as a function of x = xi(r), and its slope dE/dx at r.
+
+    "plain" is beta^2 x, whose slope needs no xi; "tilde" is
+    beta^2 xi(1) x / (xi(1) + x).
+    """
+    b2 = beta * beta
+    if objective == "plain":
+        return (lambda x: b2 * x), (lambda r: b2)
+    if objective != "tilde":
+        raise ValueError(f"unknown objective {objective!r}, expected 'plain' or 'tilde'")
+    xi1 = model.xi1()
+    if xi1 <= 0.0:
+        raise ValueError("truncated functional requires xi(1) > 0")
+    mix = model.mixture
+
+    def energy(x):
+        return b2 * xi1 * x / (xi1 + x)
+
+    def slope(r):
+        return b2 * xi1 * xi1 / (xi1 + float(mix.eval(r))) ** 2
+
+    return energy, slope
+
+
+def _objective(model: ModelSpec, beta: float, objective: str):
+    """Return (f, grad f) callables on the clamped box."""
+    lam = model.species.lam
+    mix = model.mixture
+    energy, slope = _energy(model, beta, objective)
+
+    def fun(r):
+        return 0.5 * float(np.sum(lam * np.log1p(-r * r))) + energy(float(mix.eval(r)))
+
+    def grad(r):
+        return -lam * r / (1.0 - r * r) + slope(r) * mix.grad(r)
+
+    return fun, grad
 
 
 def f_beta(model: ModelSpec, beta: float, r) -> float:
     """Entropy-plus-energy functional; equals 0 at r = 0."""
-    r = _coerce_r(model, r)
-    return _entropy(model, r) + beta * beta * float(model.mixture.eval(r))
+    return _objective(model, beta, "plain")[0](_coerce_r(model.n_species, r))
 
 
 def f_tilde_beta(model: ModelSpec, beta: float, r) -> float:
     """Truncated variant with energy beta^2 xi(1) xi(r) / (xi(1) + xi(r))."""
-    r = _coerce_r(model, r)
-    xi1 = model.xi1()
-    if xi1 <= 0.0:
-        raise ValueError("truncated functional requires xi(1) > 0")
-    xir = float(model.mixture.eval(r))
-    return _entropy(model, r) + beta * beta * xi1 * xir / (xi1 + xir)
+    return _objective(model, beta, "tilde")[0](_coerce_r(model.n_species, r))
 
 
 def g_beta(model: ModelSpec, beta: float, r: float) -> float:
@@ -93,14 +127,12 @@ def g_beta(model: ModelSpec, beta: float, r: float) -> float:
 
 def f_grad(model: ModelSpec, beta: float, r) -> np.ndarray:
     """Analytic gradient: -lam*r/(1-r^2) + beta^2 * grad xi."""
-    r = _coerce_r(model, r)
-    lam = model.species.lam
-    return -lam * r / (1.0 - r * r) + beta * beta * model.mixture.grad(r)
+    return _objective(model, beta, "plain")[1](_coerce_r(model.n_species, r))
 
 
 def f_hessian(model: ModelSpec, beta: float, r) -> np.ndarray:
     """Analytic Hessian; the entropy part is diagonal."""
-    r = _coerce_r(model, r)
+    r = _coerce_r(model.n_species, r)
     lam = model.species.lam
     H = beta * beta * model.mixture.hessian(r)
     H[np.diag_indices_from(H)] += -lam * (1.0 + r * r) / (1.0 - r * r) ** 2
@@ -130,94 +162,46 @@ class MaximizeResult:
     near_maximizers: tuple = ()
 
 
-def _tilde_parts(model: ModelSpec, beta: float):
-    xi1 = model.xi1()
-    if xi1 <= 0.0:
-        raise ValueError("truncated objective requires xi(1) > 0")
-    b2 = beta * beta
-
-    def value(xir):
-        return b2 * xi1 * xir / (xi1 + xir)
-
-    def dvalue(xir):
-        return b2 * xi1 * xi1 / (xi1 + xir) ** 2
-
-    return value, dvalue
-
-
-def _objective(model: ModelSpec, beta: float, objective: str):
-    """Return (f, grad f) callables on the clamped box."""
-    lam = model.species.lam
+def _xi_on_grid(model: ModelSpec, axis: np.ndarray) -> np.ndarray:
+    """xi on the tensor-product grid axis^S via per-axis power tables."""
     mix = model.mixture
-    b2 = beta * beta
-    if objective == "plain":
-        def fun(r):
-            return 0.5 * float(np.sum(lam * np.log1p(-r * r))) + b2 * float(mix.eval(r))
-
-        def grad(r):
-            return -lam * r / (1.0 - r * r) + b2 * mix.grad(r)
-    elif objective == "tilde":
-        energy, denergy = _tilde_parts(model, beta)
-
-        def fun(r):
-            return 0.5 * float(np.sum(lam * np.log1p(-r * r))) + energy(float(mix.eval(r)))
-
-        def grad(r):
-            xir = float(mix.eval(r))
-            return -lam * r / (1.0 - r * r) + denergy(xir) * mix.grad(r)
-    else:
-        raise ValueError(f"unknown objective {objective!r}, expected 'plain' or 'tilde'")
-    return fun, grad
-
-
-def _xi_on_grid(model: ModelSpec, axes: list[np.ndarray]) -> np.ndarray:
-    """xi evaluated on a tensor-product grid via per-axis power tables."""
-    mix = model.mixture
-    S = len(axes)
+    S = model.n_species
     if mix.n_terms == 0:
-        return np.zeros(tuple(len(a) for a in axes))
-    pows = [axes[s][:, None] ** mix.exponents[None, :, s] for s in range(S)]
-    if S == 1:
+        return np.zeros((len(axis),) * S)
+    pows = [axis[:, None] ** mix.exponents[None, :, s] for s in range(S)]
+    if S == 1:  # a matrix-vector product; einsum would round differently
         return pows[0] @ mix.coeffs
-    if S == 2:
-        return np.einsum("at,bt,t->ab", pows[0], pows[1], mix.coeffs)
-    if S == 3:
-        return np.einsum("at,bt,ct,t->abc", pows[0], pows[1], pows[2], mix.coeffs)
-    raise ValueError("tensor-product grid supports at most 3 species")
+    axes = "abcdef"[:S]
+    return np.einsum(",".join(c + "t" for c in axes) + ",t->" + axes, *pows, mix.coeffs)
 
 
-def _grid(model: ModelSpec, n: int, per_axis):
-    """Tensor-product grid of n points per axis over [0, 1 - DOMAIN_CLAMP]^S.
+def _box_axis(n: int) -> np.ndarray:
+    """n points on [0, 1 - DOMAIN_CLAMP], the axis of the certification grids."""
+    return np.linspace(0.0, 1.0 - DOMAIN_CLAMP, n)
 
-    Returns the axis, xi on the grid and the separable sum
-    sum_s per_axis(s, axis), broadcast one axis at a time so that only the
-    final sum has the full grid's size.
+
+def _grid(model: ModelSpec, axis: np.ndarray, per_axis):
+    """xi and the separable sum sum_s per_axis(s, axis) on the grid axis^S.
+
+    The sum is broadcast one axis at a time, so that only the final sum
+    has the full grid's size.
     """
     S = model.n_species
-    axis = np.linspace(0.0, 1.0 - DOMAIN_CLAMP, n)
-    xi_grid = _xi_on_grid(model, [axis] * S)
+    xi_grid = _xi_on_grid(model, axis)
     total = None
     for s in range(S):
-        shape = [1] * S
-        shape[s] = n
-        piece = per_axis(s, axis).reshape(shape)
+        piece = per_axis(s, axis).reshape([len(axis) if t == s else 1 for t in range(S)])
         total = piece if total is None else total + piece
-    return axis, xi_grid, total
+    return xi_grid, total
 
 
 def _grid_scan(model: ModelSpec, beta: float, objective: str):
     """Dense certification grid over [0, 1)^S for |S| <= 3."""
     lam = model.species.lam
-    axis, xi_grid, ent = _grid(
-        model, _GRID_POINTS, lambda s, a: 0.5 * lam[s] * np.log1p(-a * a)
-    )
-    if objective == "plain":
-        F = ent + beta * beta * xi_grid
-    else:
-        energy, _ = _tilde_parts(model, beta)
-        F = ent + energy(xi_grid)
-    flat = int(np.argmax(F))
-    idx = np.unravel_index(flat, F.shape)
+    axis = _box_axis(_GRID_POINTS)
+    xi_grid, ent = _grid(model, axis, lambda s, a: 0.5 * lam[s] * np.log1p(-a * a))
+    F = ent + _energy(model, beta, objective)[0](xi_grid)
+    idx = np.unravel_index(int(np.argmax(F)), F.shape)
     best = np.array([axis[i] for i in idx])
     fmax = float(F[idx])
     near_idx = np.argwhere(F >= fmax - TOL_ZERO)
@@ -225,11 +209,11 @@ def _grid_scan(model: ModelSpec, beta: float, objective: str):
     return best, fmax, near, F.size
 
 
-def _starts(S: int, n_random_starts: int = 32) -> list[np.ndarray]:
+def _starts(S: int) -> list[np.ndarray]:
     """Deterministic local-search starts in [0, 1)^S.
 
     Origin-perturbed points, then a coarse 3^S grid for |S| <= 3, or the
-    2^S corners of an inner box plus seeded uniform points for |S| >= 4.
+    2^S corners of an inner box plus 32 seeded uniform points for |S| >= 4.
     """
     starts = [np.full(S, eps) for eps in (1e-4, 1e-2, 0.1)]
     if S <= 3:
@@ -239,17 +223,11 @@ def _starts(S: int, n_random_starts: int = 32) -> list[np.ndarray]:
         for combo in np.ndindex(*([2] * S)):
             starts.append(np.array([0.2 + 0.4 * c for c in combo]))
         rng = np.random.Generator(np.random.Philox(key=2 + S))
-        starts.extend(rng.uniform(0.0, 0.95, size=(n_random_starts, S)))
+        starts.extend(rng.uniform(0.0, 0.95, size=(32, S)))
     return starts
 
 
-def maximize_f(
-    model: ModelSpec,
-    beta: float,
-    objective: str = "plain",
-    *,
-    n_random_starts: int = 32,
-) -> MaximizeResult:
+def maximize_f(model: ModelSpec, beta: float, objective: str = "plain") -> MaximizeResult:
     """Global maximum of f_beta (or the truncated variant) over [0, 1)^S.
 
     Multi-start projected quasi-Newton ascent from origin-perturbed and
@@ -266,15 +244,13 @@ def maximize_f(
     hi = 1.0 - DOMAIN_CLAMP
     bounds = [(0.0, hi)] * S
 
-    starts = _starts(S, n_random_starts)
-    grid_certified = False
+    starts = _starts(S)
+    grid_certified = S <= 3
     near: tuple = ()
     fun_evals = 0
-    if S <= 3:
-        g_best, g_val, near, g_evals = _grid_scan(model, beta, objective)
+    if grid_certified:
+        g_best, g_val, near, fun_evals = _grid_scan(model, beta, objective)
         starts.append(g_best)
-        grid_certified = True
-        fun_evals += g_evals
 
     # (value, norm, coordinates) candidates; the origin anchors value 0
     candidates: list[tuple[float, float, np.ndarray, bool]] = [

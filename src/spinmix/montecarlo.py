@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .landscape import _coerce_r
 from .model import ModelSpec
 from .rng import BAND, DISORDER, LEVELSET, UNIFORM, philox_key, stream, substream
 
@@ -145,17 +146,6 @@ def sample_uniform(fm: FiniteModel, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def _coerce_band_r(fm: FiniteModel, r) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if r.ndim == 0:
-        r = np.full(fm.n_species, float(r))
-    if r.shape != (fm.n_species,):
-        raise ValueError(f"overlap vector must have shape ({fm.n_species},)")
-    if np.any(r < 0.0) or np.any(r >= 1.0):
-        raise ValueError(f"band overlap {r} outside [0, 1)^S")
-    return r
-
-
 def sample_on_band(fm: FiniteModel, center: np.ndarray, r, rng: np.random.Generator) -> np.ndarray:
     """Uniform point with exact per-species overlap r against ``center``.
 
@@ -163,7 +153,7 @@ def sample_on_band(fm: FiniteModel, center: np.ndarray, r, rng: np.random.Genera
     the sphere orthogonal to the center block, so the overlap constraint
     holds to machine precision.
     """
-    r = _coerce_band_r(fm, r)
+    r = _coerce_r(fm.n_species, r)
     center = validate_configuration(fm, center)
     out = np.empty(fm.N)
     for s, (idx, n_s) in enumerate(zip(fm.block_indices, fm.block_sizes)):
@@ -439,7 +429,7 @@ def estimate_band_free_energy(
     """
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
-    r = _coerce_band_r(fm, r)
+    r = _coerce_r(fm.n_species, r)
     center = validate_configuration(fm, center)
     key = philox_key(seed, BAND)
     vals = np.empty(n_samples)
@@ -459,7 +449,7 @@ def band_prediction(fm: FiniteModel, beta: float, r, h_center: float) -> float:
 
         beta * (xi(r)/xi(1)) * h_center / N + beta^2 xi(1) / 2.
     """
-    r = _coerce_band_r(fm, r)
+    r = _coerce_r(fm.n_species, r)
     xi1 = fm.model.xi1()
     xir = float(fm.model.mixture.eval(r))
     return beta * (xir / xi1) * (h_center / fm.N) + 0.5 * beta * beta * xi1

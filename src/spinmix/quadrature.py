@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln, logsumexp, roots_legendre
 
+from .landscape import _grid
 from .montecarlo import FiniteModel
 
 __all__ = ["QuadratureError", "log_sphere_surface", "log_overlap_density", "log_E_Z2_exact"]
@@ -51,33 +52,13 @@ def log_overlap_density(r: np.ndarray, d: int) -> np.ndarray:
 
 
 def _log_integral(fm: FiniteModel, beta: float, n_nodes: int) -> float:
-    model = fm.model
-    S = model.n_species
     nodes, weights = roots_legendre(n_nodes)
-    # per-axis log(weight) + log(density)
-    log_axis = [
-        np.log(weights) + log_overlap_density(nodes, fm.block_sizes[s])
-        for s in range(S)
-    ]
-    mix = model.mixture
-    pows = [nodes[:, None] ** mix.exponents[None, :, s] for s in range(S)]
-    if S == 1:
-        xi = pows[0] @ mix.coeffs
-        base = log_axis[0]
-    elif S == 2:
-        xi = np.einsum("at,bt,t->ab", pows[0], pows[1], mix.coeffs)
-        base = log_axis[0][:, None] + log_axis[1][None, :]
-    elif S == 3:
-        xi = np.einsum("at,bt,ct,t->abc", pows[0], pows[1], pows[2], mix.coeffs)
-        base = (
-            log_axis[0][:, None, None]
-            + log_axis[1][None, :, None]
-            + log_axis[2][None, None, :]
-        )
-    else:
-        raise ValueError("tensor-product quadrature supports at most 3 species")
-    xi1 = model.xi1()
-    log_integrand = base + fm.N * beta * beta * (xi1 + xi)
+    # xi and the per-axis log(weight) + log(density) on the node grid
+    xi, base = _grid(
+        fm.model, nodes,
+        lambda s, a: np.log(weights) + log_overlap_density(a, fm.block_sizes[s]),
+    )
+    log_integrand = base + fm.N * beta * beta * (fm.model.xi1() + xi)
     return float(logsumexp(log_integrand)) / fm.N
 
 

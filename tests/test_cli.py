@@ -82,6 +82,17 @@ def test_scan_requires_beta_flags(tmp_path, capsys):
     assert code == 1
 
 
+def test_scan_verbose_keeps_stdout_csv(capsys):
+    # with no --out the CSV is stdout, so the verbose lines go to stderr
+    assert main(["scan", "--model", SK, "--beta", "0.5", "-v"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("# model_hash=")
+    assert lines[2] == "beta,max_f,argmax,lambda_max_M,max_f_tilde"
+    assert len(lines) == 4
+    assert captured.err.startswith("beta=0.5: starts=")
+
+
 def test_verify_deterministic(tmp_path):
     out1 = tmp_path / "v1.json"
     out2 = tmp_path / "v2.json"

@@ -156,9 +156,14 @@ def test_maximize_zero_beta_any_model(cubic_two_species):
 
 
 def test_maximize_value_reevaluates(two_quad):
-    for beta in (0.3, 0.45, 0.8):
-        res = maximize_f(two_quad, beta)
-        assert res.value == pytest.approx(f_beta(two_quad, beta, res.argmax), abs=1e-10)
+    # both objectives, through the certification grid of two and three species
+    three = random_model(np.random.default_rng(3), 3)
+    for model in (two_quad, three):
+        for objective, f in (("plain", f_beta), ("tilde", f_tilde_beta)):
+            for beta in (0.3, 0.45, 0.8):
+                res = maximize_f(model, beta, objective)
+                assert res.grid_certified
+                assert res.value == pytest.approx(f(model, beta, res.argmax), abs=1e-10)
 
 
 def test_maximize_stays_inside_clamped_box(pure3):

@@ -56,6 +56,43 @@ def test_matches_high_precision_reference(sk):
     assert log_E_Z2_exact(fm, beta) == pytest.approx(reference, abs=1e-10)
 
 
+def _log_factor(N, d, beta, c):
+    # (1/N) log of the 1-D integral of p_d(r) exp(N beta^2 c r^2) over [-1, 1],
+    # with the overlap density p_d written out independently of the package
+    from scipy.integrate import quad
+
+    log_norm = math.lgamma(d / 2) - math.lgamma((d - 1) / 2) - 0.5 * math.log(math.pi)
+    peak = N * beta * beta * c
+    val, _ = quad(
+        lambda r: math.exp(log_norm + (d - 3) / 2 * math.log1p(-r * r) + peak * (r * r - 1)),
+        -1, 1, points=[0.0], epsabs=0.0, epsrel=1e-13, limit=200,
+    )
+    return (math.log(val) + peak) / N
+
+
+@pytest.mark.parametrize("lam, coeffs, N, blocks", [
+    ((0.4, 0.6), (1.0, 0.5), 60, (24, 36)),
+    ((0.2, 0.3, 0.5), (0.8, 0.5, 1.2), 90, (18, 27, 45)),
+])
+@pytest.mark.parametrize("beta", [0.3, 0.7])
+def test_pure_quadratic_mixture_factorizes(lam, coeffs, N, blocks, beta):
+    # for xi = sum_s c_s r_s^2 the integral is a product of 1-D integrals, so
+    # log_E_Z2_exact = beta^2 xi(1) + sum_s (1/N) log int p_{N_s} e^{N beta^2 c_s r^2};
+    # unequal blocks and coefficients make a swap of axes show
+    import spinmix as sm
+
+    S = len(lam)
+    names = ("a", "b", "c")[:S]
+    terms = {tuple(2 * (t == s) for t in range(S)): c for s, c in enumerate(coeffs)}
+    model = sm.ModelSpec(sm.SpeciesSet(names, np.array(lam)), sm.Mixture.from_terms(names, terms))
+    fm = build_finite_model(model, N)
+    assert fm.block_sizes == blocks
+    expected = beta * beta * sum(coeffs) + sum(
+        _log_factor(N, d, beta, c) for d, c in zip(blocks, coeffs)
+    )
+    assert log_E_Z2_exact(fm, beta) == pytest.approx(expected, abs=1e-12)
+
+
 def test_residual_positive_and_shrinking(sk):
     # At fixed beta < beta_m the exact finite-N value sits strictly above
     # the large-N limit beta^2 xi(1): Jensen applied to the overlap density
