@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .landscape import _GRID_POINTS, DOMAIN_CLAMP, TOL_ZERO, _box_axis, _grid, _starts
-from .landscape import hessian_at_zero, maximize_f
+from .landscape import _GRID_POINTS, DOMAIN_CLAMP, TOL_ZERO, _box_axis, _entropy
+from .landscape import _entropy_grad, _grid, _starts, hessian_at_zero, maximize_f
 from .model import ModelSpec
 
 __all__ = [
@@ -133,10 +133,10 @@ def _ratio_min(model: ModelSpec, objective: str, tol_zero: float) -> _RatioMin:
             return r / (1.0 - r)
     else:
         def cost(s, r):
-            return -0.5 * lam[s] * np.log1p(-r * r)
+            return _entropy(lam[s], r)
 
         def dcost(r):
-            return lam * r / (1.0 - r * r)
+            return _entropy_grad(lam, r)
     c = 1.0 / model.xi1() if objective == "tilde" else 0.0
 
     def ratio(r):

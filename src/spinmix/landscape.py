@@ -13,11 +13,13 @@ derivatives, and the Hessian of f_beta at the origin
 
 with Q the degree-2 coefficient matrix of the mixture.
 
-Both functionals are defined once, as the separable entropy plus an energy
-term in x = xi(r) (`_energy`, `_objective`): the pointwise functions, the
-maximizer and its certification grid all evaluate that one definition.  The
-tensor-product kernel `_grid` (xi and a separable per-axis sum on the grid
-axis^S) is defined once as well; `criticality` and `quadrature` share it.
+Both functionals are defined once, as an energy term in x = xi(r) minus
+the separable entropy cost (`_energy`, `_entropy`, `_objective`): the
+pointwise functions, the maximizer and its certification grid all evaluate
+that one definition, and `criticality`'s ratio takes its entropy cost and
+gradient from here too.  The tensor-product kernel `_grid` (xi and a
+separable per-axis sum on the grid axis^S) is defined once as well;
+`criticality` and `quadrature` share it.
 """
 
 from __future__ import annotations
@@ -65,6 +67,17 @@ def _coerce_r(n_species: int, r) -> np.ndarray:
     return r
 
 
+def _entropy(lam, r):
+    """Per-axis entropy cost E_s(r) = -1/2 lam_s log(1 - r^2); f_beta is the
+    energy term minus its sum over species."""
+    return -0.5 * lam * np.log1p(-r * r)
+
+
+def _entropy_grad(lam, r):
+    """dE_s/dr, per axis."""
+    return lam * r / (1.0 - r * r)
+
+
 def _energy(model: ModelSpec, beta: float, objective: str):
     """Energy term as a function of x = xi(r), and its slope dE/dx at r.
 
@@ -97,10 +110,10 @@ def _objective(model: ModelSpec, beta: float, objective: str):
     energy, slope = _energy(model, beta, objective)
 
     def fun(r):
-        return 0.5 * float(np.sum(lam * np.log1p(-r * r))) + energy(float(mix.eval(r)))
+        return energy(float(mix.eval(r))) - float(np.sum(_entropy(lam, r)))
 
     def grad(r):
-        return -lam * r / (1.0 - r * r) + slope(r) * mix.grad(r)
+        return slope(r) * mix.grad(r) - _entropy_grad(lam, r)
 
     return fun, grad
 
@@ -199,8 +212,8 @@ def _grid_scan(model: ModelSpec, beta: float, objective: str):
     """Dense certification grid over [0, 1)^S for |S| <= 3."""
     lam = model.species.lam
     axis = _box_axis(_GRID_POINTS)
-    xi_grid, ent = _grid(model, axis, lambda s, a: 0.5 * lam[s] * np.log1p(-a * a))
-    F = ent + _energy(model, beta, objective)[0](xi_grid)
+    xi_grid, ent = _grid(model, axis, lambda s, a: _entropy(lam[s], a))
+    F = _energy(model, beta, objective)[0](xi_grid) - ent
     idx = np.unravel_index(int(np.argmax(F)), F.shape)
     best = np.array([axis[i] for i in idx])
     fmax = float(F[idx])

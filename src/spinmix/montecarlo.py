@@ -15,6 +15,26 @@ match the term's multi-index p, J_tuple are i.i.d. standard normals, and
 This scaling makes E H(a) H(b) = N * xi(R(a, b)) exactly, where R is the
 per-species overlap; ``covariance_exact`` certifies the bookkeeping by
 computing both sides through independent routes.
+
+Contraction order.  ``evaluate_H_batch`` takes each term's species
+assignments one at a time.  The modes of an assignment of degree k are split
+at m = k // 2; the block-sliced tensor is read as a (left, right) matrix J_a,
+with left the product of the first m block sizes and right that of the rest
+(a view for one species, one copy per call otherwise).  For a chunk of rows,
+L (rows, left) holds the row-wise outer products of the first m blocks, and
+L @ J_a is one dense matrix product; its right modes are then contracted
+with each row's blocks one mode at a time, last first.  Degree 1 has no left
+modes: J_a's single row meets each row's block directly.  ``evaluate_H`` is
+a batch of one.
+
+Memory bound.  The row chunk is _CONTRACT_BUDGET // max(left, right), so no
+intermediate holds more than _CONTRACT_BUDGET scalars and at most two are
+live at once (4 MB at most), whatever the batch size.  A smaller bound would
+re-read J_a, which for pure p = 4 at N = 50 is 50 MB, more often per row.
+
+Sampling.  Configuration i of an estimator is drawn from counter block i of
+the estimator's Philox key; one Philox is moved from block to block
+(``rng.seek``), so the draws equal those of a fresh generator per sample.
 """
 
 from __future__ import annotations
@@ -28,7 +48,7 @@ import numpy as np
 
 from .landscape import _coerce_r
 from .model import ModelSpec
-from .rng import BAND, DISORDER, LEVELSET, UNIFORM, philox_key, stream, substream
+from .rng import BAND, DISORDER, LEVELSET, UNIFORM, philox_key, seek, stream
 
 __all__ = [
     "FiniteModel",
@@ -55,6 +75,9 @@ __all__ = [
 TENSOR_BUDGET = 10**8   # scalars across all disorder tensors
 _CONFIG_TOL = 1e-9      # per-species sphere constraint tolerance (relative)
 _CHUNK = 1024           # samples per contraction batch
+# scalars in one row chunk of a contraction: rows * max(left, right) stays
+# within this bound (see the module docstring)
+_CONTRACT_BUDGET = 2**18
 
 
 class BudgetError(RuntimeError):
@@ -78,8 +101,10 @@ class FiniteModel:
     def n_species(self) -> int:
         return self.model.n_species
 
-    def blocks(self, sigma: np.ndarray) -> list[np.ndarray]:
-        return [sigma[idx] for idx in self.block_indices]
+    @property
+    def block_slices(self) -> tuple[slice, ...]:
+        """The contiguous block ranges as slices, so that indexing is a view."""
+        return tuple(slice(int(idx[0]), int(idx[-1]) + 1) for idx in self.block_indices)
 
 
 def build_finite_model(model: ModelSpec, N: int) -> FiniteModel:
@@ -228,27 +253,32 @@ def sample_disorder(fm: FiniteModel, seed: int, *, budget: int = TENSOR_BUDGET) 
 
 
 def evaluate_H(disorder: DisorderSample, sigma: np.ndarray) -> float:
-    """Contract the disorder tensors against sigma, term by term."""
-    fm = disorder.fm
-    sigma = validate_configuration(fm, sigma)
-    blocks = fm.blocks(sigma)
-    total = 0.0
-    for row, coeff, J in zip(
-        fm.model.mixture.exponents, fm.model.mixture.coeffs, disorder.tensors
-    ):
-        pref = _term_prefactor(float(coeff), row, fm)
-        acc = 0.0
-        for a in _assignments(row):
-            sub = J[np.ix_(*[fm.block_indices[s] for s in a])]
-            v = sub
-            for s in reversed(a):
-                v = v @ blocks[s]
-            acc += float(v)
-        total += pref * acc
-    return total
+    """H at one configuration: a batch of one."""
+    sigma = validate_configuration(disorder.fm, sigma)
+    return float(evaluate_H_batch(disorder, sigma[None])[0])
 
 
-_AXES = "ijklmn"
+def _row_outer(cols: list[np.ndarray]) -> np.ndarray:
+    """Row-wise outer product of (rows, n_j) factors: (rows, n_1 * ... * n_j),
+    flattened in C order like the tensor modes it meets."""
+    out = cols[0]
+    for c in cols[1:]:
+        out = (out[:, :, None] * c[:, None, :]).reshape(len(c), -1)
+    return out
+
+
+def _contract_chunk(left: list[np.ndarray], Ja: np.ndarray, right: list[np.ndarray]) -> np.ndarray:
+    """rowsum((L @ Ja) * R) for one row chunk, with L and R the row-wise outer
+    products of the ``left`` and ``right`` blocks.
+
+    R is never built: the right modes of L @ Ja are contracted one at a
+    time, last first, against each row's block.  Degree 1 has no left
+    modes; Ja's one row then broadcasts over the chunk.
+    """
+    v = _row_outer(left) @ Ja if left else Ja
+    for b in reversed(right):
+        v = np.matmul(v.reshape(len(v), -1, b.shape[1]), b[:, :, None])[:, :, 0]
+    return v[:, 0]
 
 
 def evaluate_H_batch(disorder: DisorderSample, sigmas: np.ndarray) -> np.ndarray:
@@ -257,19 +287,27 @@ def evaluate_H_batch(disorder: DisorderSample, sigmas: np.ndarray) -> np.ndarray
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.ndim != 2 or sigmas.shape[1] != fm.N:
         raise ValueError(f"expected shape (n, {fm.N})")
-    out = np.zeros(sigmas.shape[0])
+    n = sigmas.shape[0]
+    out = np.zeros(n)
+    slices = fm.block_slices
+    blocks = [sigmas[:, sl] for sl in slices]
     for row, coeff, J in zip(
         fm.model.mixture.exponents, fm.model.mixture.coeffs, disorder.tensors
     ):
-        k = int(row.sum())
-        pref = _term_prefactor(float(coeff), row, fm)
-        spec = ",".join([_AXES[:k]] + [f"a{_AXES[j]}" for j in range(k)]) + "->a"
-        acc = np.zeros(sigmas.shape[0])
+        m = int(row.sum()) // 2
+        acc = np.zeros(n)
         for a in _assignments(row):
-            sub = J[np.ix_(*[fm.block_indices[s] for s in a])]
-            cols = [sigmas[:, fm.block_indices[s]] for s in a]
-            acc += np.einsum(spec, sub, *cols, optimize=True)
-        out += pref * acc
+            left = math.prod(fm.block_sizes[s] for s in a[:m])
+            right = math.prod(fm.block_sizes[s] for s in a[m:])
+            # a view when one species spans every mode, else one copy
+            Ja = J[tuple(slices[s] for s in a)].reshape(left, right)
+            step = max(1, _CONTRACT_BUDGET // max(left, right))
+            for lo in range(0, n, step):
+                rows = slice(lo, lo + step)
+                acc[rows] += _contract_chunk(
+                    [blocks[s][rows] for s in a[:m]], Ja, [blocks[s][rows] for s in a[m:]]
+                )
+        out += _term_prefactor(float(coeff), row, fm) * acc
     return out
 
 
@@ -342,8 +380,21 @@ def estimator_record(fm: FiniteModel, result: EstimatorResult) -> dict:
     return doc
 
 
+def _stacked_draws(key: np.ndarray, indices: range, width: int, draw) -> np.ndarray:
+    """Rows draw(rng) for i in ``indices``, each with rng at counter block i
+    of ``key``: one Philox is moved from block to block, so row i equals the
+    draw made from ``substream(key, i)``."""
+    bitgen = np.random.Philox(key=key)
+    rng = np.random.Generator(bitgen)
+    out = np.empty((len(indices), width))
+    for j, i in enumerate(indices):
+        seek(bitgen, key, i)
+        out[j] = draw(rng)
+    return out
+
+
 def _sample_matrix(fm: FiniteModel, key: np.ndarray, indices: range) -> np.ndarray:
-    return np.stack([sample_uniform(fm, substream(key, i)) for i in indices])
+    return _stacked_draws(key, indices, fm.N, lambda rng: sample_uniform(fm, rng))
 
 
 def _hamiltonian_over_uniform(fm, disorder, key, n_samples) -> np.ndarray:
@@ -435,7 +486,7 @@ def estimate_band_free_energy(
     vals = np.empty(n_samples)
     for start in range(0, n_samples, _CHUNK):
         idx = range(start, min(start + _CHUNK, n_samples))
-        mat = np.stack([sample_on_band(fm, center, r, substream(key, i)) for i in idx])
+        mat = _stacked_draws(key, idx, fm.N, lambda rng: sample_on_band(fm, center, r, rng))
         vals[idx.start : idx.stop] = evaluate_H_batch(disorder, mat)
     lme, se, ess = _log_mean_exp(beta * vals)
     if ess < 10.0:

@@ -3,14 +3,16 @@
 All randomness flows through Philox keyed by (seed, role, index...) so the
 draw for a given object never depends on evaluation order or parallel
 schedule.  Per-sample streams use disjoint counter blocks of 2^128 under a
-single key.
+single key.  ``seek`` moves one Philox between blocks by setting its state,
+so a batch of per-sample draws reuses one generator and still draws
+exactly what a fresh ``Philox(key=key, counter=index << 128)`` would.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["philox_key", "stream", "substream", "DISORDER", "UNIFORM", "LEVELSET", "BAND"]
+__all__ = ["philox_key", "stream", "substream", "seek", "DISORDER", "UNIFORM", "LEVELSET", "BAND"]
 
 # role tags keep streams for different purposes disjoint
 DISORDER = 1
@@ -30,6 +32,31 @@ def stream(seed: int, *tags: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=philox_key(seed, *tags)))
 
 
+_WORD = (1 << 64) - 1
+
+
+def seek(bitgen: np.random.Philox, key: np.ndarray, index: int) -> None:
+    """Put ``bitgen`` at the start of counter block ``index`` under ``key``.
+
+    The 256-bit counter is ``index << 128`` (little-endian 64-bit words) and
+    the output buffer is empty, as in a freshly constructed Philox.
+    """
+    index = int(index)
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([0, 0, index & _WORD, index >> 64], dtype=np.uint64),
+            "key": key,
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def substream(key: np.ndarray, index: int) -> np.random.Generator:
     """Generator at counter block ``index`` of the stream with ``key``."""
-    return np.random.Generator(np.random.Philox(key=key, counter=int(index) << 128))
+    bitgen = np.random.Philox(key=key)
+    seek(bitgen, key, index)
+    return np.random.Generator(bitgen)

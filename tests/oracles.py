@@ -2,11 +2,16 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 finite differences instead of analytic derivatives, 1-d tangency root
-finding instead of the ratio minimization over the overlap box, and direct
-substitution instead of the binomial coefficient transform.
+finding instead of the ratio minimization over the overlap box, direct
+substitution instead of the binomial coefficient transform, and full-N
+tensor contractions with block-masked configurations instead of the blocked
+matrix products of the Hamiltonian.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 from scipy.optimize import brentq
@@ -64,3 +69,37 @@ def pure_beta_c_talagrand(p: int) -> float:
     fun = lambda r: np.log1p(-r) + r + r * r / (p * (1.0 - r))
     r = brentq(fun, 1e-6, 1.0 - 1e-12, xtol=1e-15, rtol=8.9e-16)
     return float(np.sqrt(r ** (2 - p) / (p * (1.0 - r))))
+
+
+def hamiltonian_by_masks(disorder, sigmas: np.ndarray) -> np.ndarray:
+    """H for each row of ``sigmas``, one row and one species pattern at a time.
+
+    A term of multi-index p sums over the distinct orderings of its species
+    pattern; each mode of the full (N,)*|p| tensor is contracted with sigma
+    zeroed outside that position's species block.  The prefactor sqrt(N) * D
+    comes from the coefficient law
+
+        D^2 = c_p * (prod_s p(s)!) / |p|! * prod_s N_s^{-p(s)}.
+    """
+    fm = disorder.fm
+    mix = fm.model.mixture
+    positions = np.arange(fm.N)
+    masks = [np.isin(positions, idx) for idx in fm.block_indices]
+    out = []
+    for sigma in np.atleast_2d(sigmas):
+        masked = [np.where(mask, sigma, 0.0) for mask in masks]
+        total = 0.0
+        for degrees, coeff, J in zip(mix.exponents, mix.coeffs, disorder.tensors):
+            pattern = [s for s, d in enumerate(degrees) for _ in range(int(d))]
+            d_sq = float(coeff) / math.factorial(len(pattern))
+            for s, d in enumerate(degrees):
+                d_sq *= math.factorial(int(d)) * float(fm.block_sizes[s]) ** -int(d)
+            acc = 0.0
+            for assign in set(itertools.permutations(pattern)):
+                v = J
+                for s in reversed(assign):
+                    v = v @ masked[s]
+                acc += float(v)
+            total += math.sqrt(fm.N * d_sq) * acc
+        out.append(total)
+    return np.array(out)

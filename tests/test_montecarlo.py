@@ -1,4 +1,7 @@
 import math
+import tracemalloc
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from spinmix import (
     evaluate_H,
     evaluate_H_batch,
     overlap,
+    pure_model,
     sample_disorder,
     sample_on_band,
     sample_uniform,
@@ -26,6 +30,7 @@ from spinmix import montecarlo
 from spinmix.rng import stream
 
 from conftest import random_model
+from oracles import hamiltonian_by_masks, rel_close
 
 
 # ----------------------------------------------------------------------
@@ -157,6 +162,61 @@ def test_evaluate_matches_batch(cubic_two_species):
     batch = evaluate_H_batch(d, sigmas)
     singles = [evaluate_H(d, s) for s in sigmas]
     assert batch == pytest.approx(singles, rel=1e-12)
+    assert rel_close(singles, hamiltonian_by_masks(d, sigmas), 1e-12)
+
+
+def _three_species_quartic() -> ModelSpec:
+    names = ("a", "b", "c")
+    return ModelSpec(
+        SpeciesSet(names, np.array([0.3, 0.3, 0.4])),
+        Mixture.from_terms(names, {(2, 1, 1): 0.8, (1, 1, 1): 0.5, (4, 0, 0): 0.3,
+                                   (0, 2, 2): 0.6, (1, 0, 1): 0.4}),
+    )
+
+
+def _finite_model_with_degree_one_terms(cubic_two_species) -> montecarlo.FiniteModel:
+    # ModelSpec admits base mixtures only; the recentred band mixture has
+    # degree-1 terms, so it rides on the base model's block layout
+    fm = build_finite_model(cubic_two_species, 20)
+    tilde = cubic_two_species.mixture.tilde_transform(np.array([0.3, 0.5]))
+    assert tilde.min_degree == 1 and int(tilde.exponents.sum(axis=1).min()) == 1
+    stand_in = SimpleNamespace(species=cubic_two_species.species, mixture=tilde, n_species=2)
+    return replace(fm, model=stand_in)
+
+
+@pytest.mark.parametrize("case", ["cubic_two_species", "three_species_quartic", "pure4",
+                                  "degree_one_terms"])
+@pytest.mark.parametrize("budget", [None, 1, 500])
+def test_batch_matches_masked_contraction_oracle(case, budget, cubic_two_species, monkeypatch):
+    # budget 1 contracts one row per chunk, 500 a few rows; None keeps the default
+    fm = {
+        "cubic_two_species": lambda: build_finite_model(cubic_two_species, 21),
+        "three_species_quartic": lambda: build_finite_model(_three_species_quartic(), 16),
+        "pure4": lambda: build_finite_model(pure_model(4), 17),
+        "degree_one_terms": lambda: _finite_model_with_degree_one_terms(cubic_two_species),
+    }[case]()
+    if budget is not None:
+        monkeypatch.setattr(montecarlo, "_CONTRACT_BUDGET", budget)
+    d = sample_disorder(fm, seed=31)
+    rng = stream(32)
+    sigmas = np.stack([sample_uniform(fm, rng) for _ in range(7)])
+    assert rel_close(evaluate_H_batch(d, sigmas), hamiltonian_by_masks(d, sigmas), 1e-12)
+
+
+def test_batch_contraction_memory_is_bounded():
+    # at most two (rows, N^2) intermediates of _CONTRACT_BUDGET scalars
+    # (2 MB) are live at once; all 1024 rows in one chunk would need ~40 MB
+    fm = build_finite_model(pure_model(4), 50)
+    d = sample_disorder(fm, seed=33)
+    rng = stream(34)
+    sigmas = np.stack([sample_uniform(fm, rng) for _ in range(1024)])
+    tracemalloc.start()
+    try:
+        evaluate_H_batch(d, sigmas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_hamiltonian_centered_over_disorder(sk):
@@ -219,10 +279,11 @@ def test_empirical_covariance_matches_exact(cubic_two_species):
     a = sample_uniform(fm, rng)
     b = sample_uniform(fm, rng)
     exact = covariance_exact(fm, a, b)
+    pair = np.stack([a, b])
     prods = np.array(
         [
-            evaluate_H(d, a) * evaluate_H(d, b)
-            for d in (sample_disorder(fm, seed=s) for s in range(2000))
+            np.prod(evaluate_H_batch(sample_disorder(fm, seed=s), pair))
+            for s in range(2000)
         ]
     )
     se = prods.std(ddof=1) / math.sqrt(len(prods))
