@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, criticality, landscape, montecarlo, verify as verify_mod
 from .model import ModelFormatError, ModelSpec, load_model, model_hash, sk_model
 from .quadrature import QuadratureError
-from .rng import stream
+from .rng import PROBE_CENTER, stream
 
 __all__ = ["main"]
 
@@ -147,14 +147,14 @@ def cmd_band_probe(args) -> int:
     grid = _beta_grid(args)
     fm = montecarlo.build_finite_model(model, args.N)
     disorder = montecarlo.sample_disorder(fm, seed=args.seed)
-    center = montecarlo.sample_uniform(fm, stream(args.seed, 104))
+    center = montecarlo.sample_uniform(fm, stream(args.seed, PROBE_CENTER))
     h_center = montecarlo.evaluate_H(disorder, center)
     r = np.full(model.n_species, 0.2)
     lines = [_stamp_lines(model) + PROBE_HEADER]
+    # the band draws do not depend on beta: draw and contract them once
+    h = montecarlo._band_hamiltonians(fm, disorder, center, r, args.samples, args.seed)
     for beta in grid:
-        est = montecarlo.estimate_band_free_energy(
-            fm, disorder, center, r, beta, args.samples, seed=args.seed
-        )
+        est = montecarlo._free_energy(fm, beta, h, args.seed)
         pred = montecarlo.band_prediction(fm, beta, r, h_center)
         lines.append(",".join(_float_cell(v) for v in (
             beta, fm.N, est.estimate, est.std_error, pred, est.estimate - pred)))

@@ -161,9 +161,8 @@ def hessian_at_zero(model: ModelSpec, beta: float) -> np.ndarray:
 class MaximizeResult:
     """Outcome of the global maximization of f over [0, 1)^S.
 
-    ``near_maximizers`` lists grid-certified points whose value is within
-    TOL_ZERO of the best (only when the certification grid ran); ties in
-    the final comparison are broken toward the smallest Euclidean norm.
+    Ties in the final comparison are broken toward the smallest Euclidean
+    norm.
     """
 
     argmax: np.ndarray
@@ -172,7 +171,6 @@ class MaximizeResult:
     converged: bool
     grid_certified: bool = False
     fun_evals: int = 0
-    near_maximizers: tuple = ()
 
 
 def _xi_on_grid(model: ModelSpec, axis: np.ndarray) -> np.ndarray:
@@ -216,10 +214,7 @@ def _grid_scan(model: ModelSpec, beta: float, objective: str):
     F = _energy(model, beta, objective)[0](xi_grid) - ent
     idx = np.unravel_index(int(np.argmax(F)), F.shape)
     best = np.array([axis[i] for i in idx])
-    fmax = float(F[idx])
-    near_idx = np.argwhere(F >= fmax - TOL_ZERO)
-    near = tuple(np.array([axis[i] for i in row]) for row in near_idx[:32])
-    return best, fmax, near, F.size
+    return best, float(F[idx]), F.size
 
 
 def _starts(S: int) -> list[np.ndarray]:
@@ -259,10 +254,9 @@ def maximize_f(model: ModelSpec, beta: float, objective: str = "plain") -> Maxim
 
     starts = _starts(S)
     grid_certified = S <= 3
-    near: tuple = ()
     fun_evals = 0
     if grid_certified:
-        g_best, g_val, near, fun_evals = _grid_scan(model, beta, objective)
+        g_best, g_val, fun_evals = _grid_scan(model, beta, objective)
         starts.append(g_best)
 
     # (value, norm, coordinates) candidates; the origin anchors value 0
@@ -289,7 +283,6 @@ def maximize_f(model: ModelSpec, beta: float, objective: str = "plain") -> Maxim
     if grid_certified and g_val > value + TOL_MAX:
         # ascent missed the grid optimum's basin; fall back to the grid point
         value, argmax, ok = g_val, g_best, False
-    near_kept = tuple(p for p in near if value - fun(p) <= TOL_ZERO) if grid_certified else ()
     return MaximizeResult(
         argmax=argmax,
         value=float(value),
@@ -297,5 +290,4 @@ def maximize_f(model: ModelSpec, beta: float, objective: str = "plain") -> Maxim
         converged=bool(ok),
         grid_certified=grid_certified,
         fun_evals=fun_evals,
-        near_maximizers=near_kept,
     )

@@ -32,9 +32,13 @@ intermediate holds more than _CONTRACT_BUDGET scalars and at most two are
 live at once (4 MB at most), whatever the batch size.  A smaller bound would
 re-read J_a, which for pure p = 4 at N = 50 is 50 MB, more often per row.
 
-Sampling.  Configuration i of an estimator is drawn from counter block i of
-the estimator's Philox key; one Philox is moved from block to block
-(``rng.seek``), so the draws equal those of a fresh generator per sample.
+Sampling.  Every estimator draws and contracts in one loop,
+``_hamiltonians``: configuration i comes from counter block i of the
+estimator's Philox key (one Philox moved by ``rng.seek``) and fills one
+reused (_CHUNK, N) matrix, contracted a chunk at a time.  Inputs are checked
+once, on entry: the sample count there, the band's center and overlap
+before its draws.  ``_free_energy`` is the shared log-mean-exp tail; H does
+not depend on beta, so a beta grid over one band draws and contracts once.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .landscape import _coerce_r
-from .model import ModelSpec
+from .model import ModelSpec, model_hash
 from .rng import BAND, DISORDER, LEVELSET, UNIFORM, philox_key, seek, stream
 
 __all__ = [
@@ -155,9 +159,13 @@ def overlap(fm: FiniteModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _normalized_block(rng: np.random.Generator, n_s: int) -> np.ndarray:
+def _sphere_block(rng: np.random.Generator, n_s: int, c: np.ndarray | None = None) -> np.ndarray:
+    """Uniform point on the sphere of radius sqrt(n_s), orthogonal to ``c``
+    when given: a normalized Gaussian with ``c`` projected out."""
     while True:
         g = rng.standard_normal(n_s)
+        if c is not None:
+            g -= (float(g @ c) / n_s) * c
         norm = float(np.linalg.norm(g))
         if norm > 1e-150:  # zero-norm draws have probability 0; redraw on underflow
             return g * (math.sqrt(n_s) / norm)
@@ -167,7 +175,18 @@ def sample_uniform(fm: FiniteModel, rng: np.random.Generator) -> np.ndarray:
     """Uniform point on the product of spheres: normalized Gaussian blocks."""
     out = np.empty(fm.N)
     for idx, n_s in zip(fm.block_indices, fm.block_sizes):
-        out[idx] = _normalized_block(rng, n_s)
+        out[idx] = _sphere_block(rng, n_s)
+    return out
+
+
+def _band_point(
+    fm: FiniteModel, center: np.ndarray, r: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """``sample_on_band`` for a checked ``center`` and ``r``."""
+    out = np.empty(fm.N)
+    for s, (idx, n_s) in enumerate(zip(fm.block_indices, fm.block_sizes)):
+        c = center[idx]
+        out[idx] = r[s] * c + math.sqrt(1.0 - r[s] * r[s]) * _sphere_block(rng, n_s, c)
     return out
 
 
@@ -180,18 +199,7 @@ def sample_on_band(fm: FiniteModel, center: np.ndarray, r, rng: np.random.Genera
     """
     r = _coerce_r(fm.n_species, r)
     center = validate_configuration(fm, center)
-    out = np.empty(fm.N)
-    for s, (idx, n_s) in enumerate(zip(fm.block_indices, fm.block_sizes)):
-        c = center[idx]
-        while True:
-            g = rng.standard_normal(n_s)
-            g -= (float(g @ c) / n_s) * c
-            norm = float(np.linalg.norm(g))
-            if norm > 1e-150:
-                break
-        u = g * (math.sqrt(n_s) / norm)
-        out[idx] = r[s] * c + math.sqrt(1.0 - r[s] * r[s]) * u
-    return out
+    return _band_point(fm, center, r, rng)
 
 
 # ----------------------------------------------------------------------
@@ -367,8 +375,6 @@ class EstimatorResult:
 
 def estimator_record(fm: FiniteModel, result: EstimatorResult) -> dict:
     """JSON record for an estimate: result fields plus the run context."""
-    from .model import model_hash
-
     doc = result.to_dict()
     doc.update(
         {
@@ -380,29 +386,22 @@ def estimator_record(fm: FiniteModel, result: EstimatorResult) -> dict:
     return doc
 
 
-def _stacked_draws(key: np.ndarray, indices: range, width: int, draw) -> np.ndarray:
-    """Rows draw(rng) for i in ``indices``, each with rng at counter block i
-    of ``key``: one Philox is moved from block to block, so row i equals the
-    draw made from ``substream(key, i)``."""
+def _hamiltonians(disorder: DisorderSample, key: np.ndarray, n_samples: int, draw) -> np.ndarray:
+    """H at configuration i = draw(rng), i < n_samples, with rng at counter
+    block i of ``key``: the draw ``substream(key, i)`` would make."""
+    if n_samples < 100:
+        raise ValueError("need at least 100 samples")
     bitgen = np.random.Philox(key=key)
     rng = np.random.Generator(bitgen)
-    out = np.empty((len(indices), width))
-    for j, i in enumerate(indices):
-        seek(bitgen, key, i)
-        out[j] = draw(rng)
-    return out
-
-
-def _sample_matrix(fm: FiniteModel, key: np.ndarray, indices: range) -> np.ndarray:
-    return _stacked_draws(key, indices, fm.N, lambda rng: sample_uniform(fm, rng))
-
-
-def _hamiltonian_over_uniform(fm, disorder, key, n_samples) -> np.ndarray:
-    vals = np.empty(n_samples)
+    buf = np.empty((min(_CHUNK, n_samples), disorder.fm.N))
+    h = np.empty(n_samples)
     for start in range(0, n_samples, _CHUNK):
-        idx = range(start, min(start + _CHUNK, n_samples))
-        vals[idx.start : idx.stop] = evaluate_H_batch(disorder, _sample_matrix(fm, key, idx))
-    return vals
+        rows = buf[: min(_CHUNK, n_samples - start)]
+        for j in range(len(rows)):
+            seek(bitgen, key, start + j)
+            rows[j] = draw(rng)
+        h[start : start + len(rows)] = evaluate_H_batch(disorder, rows)
+    return h
 
 
 def _log_mean_exp(logw: np.ndarray) -> tuple[float, float, float]:
@@ -421,6 +420,14 @@ def _log_mean_exp(logw: np.ndarray) -> tuple[float, float, float]:
     return lme, se, ess
 
 
+def _free_energy(fm: FiniteModel, beta: float, h: np.ndarray, seed: int) -> EstimatorResult:
+    """(1/N) log of the mean of exp(beta H) over the Hamiltonian values ``h``."""
+    lme, se, ess = _log_mean_exp(beta * h)
+    if ess < 10.0:
+        warnings.warn(f"effective sample size {ess:.1f} < 10; estimate unreliable")
+    return EstimatorResult(lme / fm.N, se / fm.N, len(h), int(seed))
+
+
 def estimate_free_energy(
     fm: FiniteModel, disorder: DisorderSample, beta: float, n_samples: int, seed: int
 ) -> EstimatorResult:
@@ -430,14 +437,9 @@ def estimate_free_energy(
     error comes from the delta method on the log.  A warning is issued
     when the effective sample size drops below 10.
     """
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples")
-    key = philox_key(seed, UNIFORM)
-    h = _hamiltonian_over_uniform(fm, disorder, key, n_samples)
-    lme, se, ess = _log_mean_exp(beta * h)
-    if ess < 10.0:
-        warnings.warn(f"effective sample size {ess:.1f} < 10; estimate unreliable")
-    return EstimatorResult(lme / fm.N, se / fm.N, n_samples, int(seed))
+    h = _hamiltonians(disorder, philox_key(seed, UNIFORM), n_samples,
+                      lambda rng: sample_uniform(fm, rng))
+    return _free_energy(fm, beta, h, seed)
 
 
 def estimate_level_set(
@@ -451,10 +453,8 @@ def estimate_level_set(
     """(1/N) log of the uniform measure of {|H/N - beta*xi(1)| < epsilon}."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples")
-    key = philox_key(seed, LEVELSET)
-    h = _hamiltonian_over_uniform(fm, disorder, key, n_samples)
+    h = _hamiltonians(disorder, philox_key(seed, LEVELSET), n_samples,
+                      lambda rng: sample_uniform(fm, rng))
     target = beta * fm.model.xi1()
     hits = int(np.count_nonzero(np.abs(h / fm.N - target) < epsilon))
     if hits == 0:
@@ -462,6 +462,16 @@ def estimate_level_set(
     p = hits / n_samples
     se = math.sqrt((1.0 - p) / (p * n_samples)) / fm.N
     return EstimatorResult(math.log(p) / fm.N, se, n_samples, int(seed), n_hits=hits)
+
+
+def _band_hamiltonians(
+    fm: FiniteModel, disorder: DisorderSample, center, r, n_samples: int, seed: int
+) -> np.ndarray:
+    """H at the draws of ``estimate_band_free_energy``, which do not depend on beta."""
+    r = _coerce_r(fm.n_species, r)
+    center = validate_configuration(fm, center)
+    return _hamiltonians(disorder, philox_key(seed, BAND), n_samples,
+                         lambda rng: _band_point(fm, center, r, rng))
 
 
 def estimate_band_free_energy(
@@ -478,20 +488,8 @@ def estimate_band_free_energy(
     Sampling measure: product of codimension-1 spheres at per-species
     overlap exactly r around ``center``.
     """
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples")
-    r = _coerce_r(fm.n_species, r)
-    center = validate_configuration(fm, center)
-    key = philox_key(seed, BAND)
-    vals = np.empty(n_samples)
-    for start in range(0, n_samples, _CHUNK):
-        idx = range(start, min(start + _CHUNK, n_samples))
-        mat = _stacked_draws(key, idx, fm.N, lambda rng: sample_on_band(fm, center, r, rng))
-        vals[idx.start : idx.stop] = evaluate_H_batch(disorder, mat)
-    lme, se, ess = _log_mean_exp(beta * vals)
-    if ess < 10.0:
-        warnings.warn(f"effective sample size {ess:.1f} < 10; estimate unreliable")
-    return EstimatorResult(lme / fm.N, se / fm.N, n_samples, int(seed))
+    h = _band_hamiltonians(fm, disorder, center, r, n_samples, seed)
+    return _free_energy(fm, beta, h, seed)
 
 
 def band_prediction(fm: FiniteModel, beta: float, r, h_center: float) -> float:

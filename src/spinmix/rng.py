@@ -12,13 +12,20 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["philox_key", "stream", "substream", "seek", "DISORDER", "UNIFORM", "LEVELSET", "BAND"]
+__all__ = [
+    "philox_key", "stream", "substream", "seek", "DISORDER", "UNIFORM", "LEVELSET", "BAND",
+    "SPOT_CHECKS", "EMPIRICAL_COVARIANCE", "VERIFY_CENTER", "PROBE_CENTER",
+]
 
 # role tags keep streams for different purposes disjoint
 DISORDER = 1
 UNIFORM = 2
 LEVELSET = 3
 BAND = 4
+SPOT_CHECKS = 101           # verify: random instances of the two-route covariance check
+EMPIRICAL_COVARIANCE = 102  # verify: the configuration pair of the disorder average
+VERIFY_CENTER = 103         # verify: the center of the band check
+PROBE_CENTER = 104          # band-probe: the center of the band
 
 
 def philox_key(seed: int, *tags: int) -> np.ndarray:

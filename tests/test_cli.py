@@ -3,7 +3,14 @@ import math
 
 import pytest
 
+from spinmix import (
+    build_finite_model,
+    estimate_band_free_energy,
+    sample_disorder,
+    sample_uniform,
+)
 from spinmix.cli import main
+from spinmix.rng import PROBE_CENTER, stream
 
 from conftest import MODELS_DIR
 
@@ -126,6 +133,24 @@ def test_band_probe(tmp_path):
     row = lines[3].split(",")
     assert float(row[0]) == 0.2
     assert abs(float(row[5])) < 0.1  # residual = estimate - prediction
+
+
+def test_band_probe_rows_match_the_estimator(tmp_path, sk):
+    # band-probe draws the band once for its whole beta grid; each row must
+    # still be the estimator's own result at that beta
+    out = tmp_path / "probe.csv"
+    assert main([
+        "band-probe", "--beta-min", "0.1", "--beta-max", "0.4", "--beta-step", "0.1",
+        "--N", "30", "--samples", "500", "--seed", "3", "--out", str(out),
+    ]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[3:]]
+    assert len(rows) == 4
+    fm = build_finite_model(sk, 30)
+    disorder = sample_disorder(fm, seed=3)
+    center = sample_uniform(fm, stream(3, PROBE_CENTER))
+    for row in rows:
+        est = estimate_band_free_energy(fm, disorder, center, 0.2, float(row[0]), 500, seed=3)
+        assert row[2:4] == [repr(est.estimate), repr(est.std_error)]
 
 
 def test_version_flag(capsys):

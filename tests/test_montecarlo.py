@@ -363,11 +363,24 @@ def test_free_energy_monotone_in_beta(sk):
         assert hi.estimate >= lo.estimate - 3.0 * (lo.std_error + hi.std_error)
 
 
-def test_free_energy_requires_enough_samples(sk):
+def test_free_energy_requires_enough_samples(sk, cubic_two_species):
+    # the estimators check their inputs once, before any draw
     fm = build_finite_model(sk, 30)
     d = sample_disorder(fm, seed=1)
+    center = sample_uniform(fm, stream(26))
     with pytest.raises(ValueError):
         estimate_free_energy(fm, d, 0.4, 50, seed=5)
+    with pytest.raises(ValueError):
+        estimate_level_set(fm, d, 0.4, 0.1, 50, seed=5)
+    with pytest.raises(ValueError):
+        estimate_band_free_energy(fm, d, center, 0.2, 0.4, 50, seed=5)
+    with pytest.raises(ValueError):
+        estimate_band_free_energy(fm, d, 1.01 * center, 0.2, 0.4, 500, seed=5)
+    fm2 = build_finite_model(cubic_two_species, 24)
+    d2 = sample_disorder(fm2, seed=1)
+    center2 = sample_uniform(fm2, stream(27))
+    with pytest.raises(ValueError):
+        estimate_band_free_energy(fm2, d2, center2, np.array([0.2, 1.0]), 0.4, 500, seed=5)
 
 
 def test_level_set_zero_beta_near_full_measure(sk):
