@@ -15,10 +15,12 @@ infimum over the points with xi(r) > 0 (t = tol_zero):
   beta_m_tilde^2      inf (E(r) + t) * (1/xi(r) + 1/xi(1))
   beta_c_talagrand^2  inf (-(log(1 - r) + r) + t) / xi(r)      (one species)
 
-Each infimum is one minimization: a dense grid, then a bounded L-BFGS
-polish with the analytic gradient.  Each threshold is capped at beta_H,
-the r -> 0 limit of the same ratio; above beta_H the origin is unstable,
-so the cap is exact and lands origin-driven models (SK) on beta_H.
+Each infimum is one landscape `_search`, the one maximize_f runs: a dense
+grid, then a bounded L-BFGS polish with the analytic gradient; the cost and
+its gradient come from landscape's objective table.  Each threshold is
+capped at beta_H, the r -> 0 limit of the same ratio; above beta_H the
+origin is unstable, so the cap is exact and lands origin-driven models
+(SK) on beta_H.
 
 The verdict is EQUAL when M(beta_m) is singular to within tolerance (then
 beta_m is the critical inverse-temperature and is reported as such),
@@ -39,10 +41,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .landscape import _GRID_POINTS, DOMAIN_CLAMP, TOL_ZERO, _box_axis, _entropy
-from .landscape import _entropy_grad, _grid, _starts, hessian_at_zero, maximize_f
+from .landscape import _GRID_POINTS, TOL_ZERO, _energy, _grid, _search, _starts
+from .landscape import hessian_at_zero, maximize_f
 from .model import ModelSpec
 
 __all__ = [
@@ -114,29 +115,18 @@ class _RatioMin:
 def _ratio_min(model: ModelSpec, objective: str, tol_zero: float) -> _RatioMin:
     """Infimum of (cost(r) + tol_zero) * (1/xi(r) + c) over xi(r) > 0.
 
-    cost is E with c = 0 ("plain") or c = 1/xi(1) ("tilde"), or
-    -(log(1 - r) + r) with c = 0 ("talagrand").  The grid argmin (4001
-    points for one species, 201 per axis for two or three) is polished by
-    one L-BFGS run; four to six species run L-BFGS from each of
+    cost is the objective's separable cost from landscape's table: the
+    entropy E with c = 0 ("plain") or c = 1/xi(1) ("tilde"), or
+    -(log(1 - r) + r) with c = 0 ("talagrand").  One `_search`: the grid
+    argmin (4001 points for one species, 201 per axis for two or three) is
+    polished by one L-BFGS run; four to six species run L-BFGS from each of
     maximize_f's starts instead.
     """
     if model.xi1() <= 0.0:
         raise ValueError("threshold computation requires xi(1) > 0")
     S = model.n_species
-    lam = model.species.lam
     mix = model.mixture
-    if objective == "talagrand":
-        def cost(s, r):
-            return -(np.log1p(-r) + r)
-
-        def dcost(r):
-            return r / (1.0 - r)
-    else:
-        def cost(s, r):
-            return _entropy(lam[s], r)
-
-        def dcost(r):
-            return _entropy_grad(lam, r)
+    _, _, cost, dcost = _energy(model, 1.0, objective)
     c = 1.0 / model.xi1() if objective == "tilde" else 0.0
 
     def ratio(r):
@@ -147,27 +137,16 @@ def _ratio_min(model: ModelSpec, objective: str, tol_zero: float) -> _RatioMin:
         w = 1.0 / xir + c
         return num * w, dcost(r) * w - num * mix.grad(r) / (xir * xir)
 
-    hi = 1.0 - DOMAIN_CLAMP
-    if S <= 3:
-        axis = _box_axis(4001 if S == 1 else _GRID_POINTS)
+    def ratio_on_grid(axis):
         xi_grid, num = _grid(model, axis, cost)
         num += tol_zero
         with np.errstate(divide="ignore", invalid="ignore"):
             num *= 1.0 / xi_grid + c
         num[xi_grid <= 0.0] = np.inf
-        idx = np.unravel_index(int(np.argmin(num)), num.shape)
-        starts = [axis[list(idx)]]
-        best, argmin = float(num[idx]), starts[0]
-    else:
-        starts = _starts(S)
-        best, argmin = np.inf, starts[0]
-    for x0 in starts:
-        res = minimize(ratio, x0, jac=True, method="L-BFGS-B", bounds=[(0.0, hi)] * S,
-                       options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 500})
-        x = np.clip(res.x, 0.0, hi)
-        value = ratio(x)[0]
-        if value < best:
-            best, argmin = value, x
+        return num
+
+    best, argmin, _, _ = _search(S, ratio, True, ratio_on_grid, 4001 if S == 1 else _GRID_POINTS,
+                                 [] if S <= 3 else _starts(S))
     beta = min(math.sqrt(best * (1.0 - _ROUND_DOWN)), beta_hessian_singular(model))
     return _RatioMin(beta, best, argmin, S <= 3)
 
@@ -190,8 +169,6 @@ def beta_c_talagrand(model: ModelSpec, *, tol_zero: float = TOL_ZERO) -> float:
     |S| = 1).  Serves as an independent oracle for beta_c in the
     single-species case.
     """
-    if model.n_species != 1:
-        raise ValueError("the g criterion applies to single-species models only")
     return _ratio_min(model, "talagrand", tol_zero).beta
 
 

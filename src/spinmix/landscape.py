@@ -11,14 +11,18 @@ derivatives, and the Hessian of f_beta at the origin
 
     M(beta) = -diag(lam) + beta^2 * Q
 
-with Q the degree-2 coefficient matrix of the mixture.
+with Q the degree-2 coefficient matrix of the mixture (`hessian_at_zero`
+is `f_hessian` at 0).
 
-Both functionals are defined once, as an energy term in x = xi(r) minus
-the separable entropy cost (`_energy`, `_entropy`, `_objective`): the
-pointwise functions, the maximizer and its certification grid all evaluate
-that one definition, and `criticality`'s ratio takes its entropy cost and
-gradient from here too.  The tensor-product kernel `_grid` (xi and a
-separable per-axis sum on the grid axis^S) is defined once as well;
+All three functionals are one table, `_energy`: an energy term in
+x = xi(r) minus a separable cost, the entropy for f_beta and its truncated
+variant and -(log(1-r) + r) for g_beta.  The pointwise functions, the
+maximizer and its certification grid evaluate that one definition, and
+`criticality`'s ratios take their cost and its gradient from it too.  One
+global search, `_search` (a dense grid for |S| <= 3, then one L-BFGS-B run
+per start), serves both the maximizer and those ratios, and it alone
+refuses more than six species.  The tensor-product kernel `_grid` (xi and
+a separable per-axis sum on the grid axis^S) is defined once as well;
 `criticality` and `quadrature` share it.
 """
 
@@ -67,28 +71,41 @@ def _coerce_r(n_species: int, r) -> np.ndarray:
     return r
 
 
-def _entropy(lam, r):
-    """Per-axis entropy cost E_s(r) = -1/2 lam_s log(1 - r^2); f_beta is the
-    energy term minus its sum over species."""
-    return -0.5 * lam * np.log1p(-r * r)
-
-
-def _entropy_grad(lam, r):
-    """dE_s/dr, per axis."""
-    return lam * r / (1.0 - r * r)
-
-
 def _energy(model: ModelSpec, beta: float, objective: str):
-    """Energy term as a function of x = xi(r), and its slope dE/dx at r.
+    """The objective's pieces (energy, slope, cost, dcost); f = energy(xi(r))
+    minus the sum over species of the separable cost.
 
-    "plain" is beta^2 x, whose slope needs no xi; "tilde" is
-    beta^2 xi(1) x / (xi(1) + x).
+    energy(x) is the energy term as a function of x = xi(r) and slope(r) its
+    derivative dE/dx at r; cost(s, a) is the cost of axis s at a (s may be
+    an index, or slice(None) for every axis at once) and dcost(r) its
+    gradient.
+
+      "plain"      beta^2 x                          entropy
+      "tilde"      beta^2 xi(1) x / (xi(1) + x)      entropy
+      "talagrand"  beta^2 x                          -(log(1 - r) + r), one species
+
+    with the entropy -1/2 lam_s log(1 - r^2); "talagrand" makes f the g
+    criterion.
     """
     b2 = beta * beta
-    if objective == "plain":
-        return (lambda x: b2 * x), (lambda r: b2)
+    lam = model.species.lam
+    if objective == "talagrand":
+        if model.n_species != 1:
+            raise ValueError("the g criterion applies to single-species models only")
+
+        def cost(s, a):
+            return -(np.log1p(-a) + a)
+
+        def dcost(r):
+            return r / (1.0 - r)
+    else:
+        def cost(s, a):
+            return -0.5 * lam[s] * np.log1p(-a * a)
+
+        def dcost(r):
+            return lam * r / (1.0 - r * r)
     if objective != "tilde":
-        raise ValueError(f"unknown objective {objective!r}, expected 'plain' or 'tilde'")
+        return (lambda x: b2 * x), (lambda r: b2), cost, dcost
     xi1 = model.xi1()
     if xi1 <= 0.0:
         raise ValueError("truncated functional requires xi(1) > 0")
@@ -100,22 +117,26 @@ def _energy(model: ModelSpec, beta: float, objective: str):
     def slope(r):
         return b2 * xi1 * xi1 / (xi1 + float(mix.eval(r))) ** 2
 
-    return energy, slope
+    return energy, slope, cost, dcost
 
 
 def _objective(model: ModelSpec, beta: float, objective: str):
-    """Return (f, grad f) callables on the clamped box."""
-    lam = model.species.lam
+    """Return (f, grad f) callables on the clamped box, and -f on the grid
+    axis^S as a function of axis."""
     mix = model.mixture
-    energy, slope = _energy(model, beta, objective)
+    energy, slope, cost, dcost = _energy(model, beta, objective)
 
     def fun(r):
-        return energy(float(mix.eval(r))) - float(np.sum(_entropy(lam, r)))
+        return energy(float(mix.eval(r))) - float(np.sum(cost(slice(None), r)))
 
     def grad(r):
-        return slope(r) * mix.grad(r) - _entropy_grad(lam, r)
+        return slope(r) * mix.grad(r) - dcost(r)
 
-    return fun, grad
+    def neg_on_grid(axis):
+        xi_grid, total_cost = _grid(model, axis, cost)
+        return total_cost - energy(xi_grid)
+
+    return fun, grad, neg_on_grid
 
 
 def f_beta(model: ModelSpec, beta: float, r) -> float:
@@ -130,12 +151,7 @@ def f_tilde_beta(model: ModelSpec, beta: float, r) -> float:
 
 def g_beta(model: ModelSpec, beta: float, r: float) -> float:
     """Single-species criterion log(1-r) + r + beta^2 xi(r)."""
-    if model.n_species != 1:
-        raise ValueError("g_beta is defined for single-species models only")
-    r = float(r)
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"r={r} outside [0, 1)")
-    return float(np.log1p(-r)) + r + beta * beta * float(model.mixture.eval(r))
+    return _objective(model, beta, "talagrand")[0](_coerce_r(model.n_species, r))
 
 
 def f_grad(model: ModelSpec, beta: float, r) -> np.ndarray:
@@ -153,8 +169,8 @@ def f_hessian(model: ModelSpec, beta: float, r) -> np.ndarray:
 
 
 def hessian_at_zero(model: ModelSpec, beta: float) -> np.ndarray:
-    """M(beta) = -diag(lam) + beta^2 * Q, from degree-2 coefficients only."""
-    return -np.diag(model.species.lam) + beta * beta * model.mixture.degree2_matrix()
+    """M(beta) = -diag(lam) + beta^2 * Q, the Hessian of f_beta at the origin."""
+    return f_hessian(model, beta, 0.0)
 
 
 @dataclass(frozen=True)
@@ -206,17 +222,6 @@ def _grid(model: ModelSpec, axis: np.ndarray, per_axis):
     return xi_grid, total
 
 
-def _grid_scan(model: ModelSpec, beta: float, objective: str):
-    """Dense certification grid over [0, 1)^S for |S| <= 3."""
-    lam = model.species.lam
-    axis = _box_axis(_GRID_POINTS)
-    xi_grid, ent = _grid(model, axis, lambda s, a: _entropy(lam[s], a))
-    F = _energy(model, beta, objective)[0](xi_grid) - ent
-    idx = np.unravel_index(int(np.argmax(F)), F.shape)
-    best = np.array([axis[i] for i in idx])
-    return best, float(F[idx]), F.size
-
-
 def _starts(S: int) -> list[np.ndarray]:
     """Deterministic local-search starts in [0, 1)^S.
 
@@ -235,59 +240,69 @@ def _starts(S: int) -> list[np.ndarray]:
     return starts
 
 
+def _search(S: int, fun, jac, grid, per_axis: int, starts) -> tuple[float, np.ndarray, bool, int]:
+    """Least value of fun over [0, 1 - DOMAIN_CLAMP]^S: (value, point,
+    converged, function evaluations).
+
+    For |S| <= 3 the argmin of grid(axis), the objective on the grid axis^S
+    with per_axis points per axis, is appended to the starts.  One L-BFGS-B
+    run per start (``jac`` as scipy takes it: a callable, or True when fun
+    returns the pair); ties go to the smallest norm, then the coordinates.
+    The grid point, flagged unconverged, replaces the best run when it is
+    lower by more than TOL_MAX.
+    """
+    if S > 6:
+        raise ValueError("the landscape search supports at most 6 species")
+    hi = 1.0 - DOMAIN_CLAMP
+    on_grid = S <= 3
+    fun_evals = 0
+    if on_grid:
+        axis = _box_axis(per_axis)
+        values = grid(axis)
+        idx = np.unravel_index(int(np.argmin(values)), values.shape)
+        g_point, g_value, fun_evals = axis[list(idx)], float(values[idx]), values.size
+        starts = [*starts, g_point]
+    runs = []
+    for x0 in starts:
+        res = minimize(fun, x0, jac=jac, method="L-BFGS-B", bounds=[(0.0, hi)] * S,
+                       options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 500})
+        fun_evals += int(res.nfev)
+        x = np.clip(res.x, 0.0, hi)
+        value = fun(x)[0] if jac is True else fun(x)
+        runs.append((value, float(np.linalg.norm(x)), x, bool(res.success)))
+    value, _, x, ok = min(runs, key=lambda t: (t[0], t[1], tuple(t[2])))
+    if on_grid and g_value < value - TOL_MAX:
+        # every run missed the grid optimum's basin; fall back to the grid point
+        value, x, ok = g_value, g_point, False
+    return value, x, ok, fun_evals
+
+
 def maximize_f(model: ModelSpec, beta: float, objective: str = "plain") -> MaximizeResult:
     """Global maximum of f_beta (or the truncated variant) over [0, 1)^S.
 
-    Multi-start projected quasi-Newton ascent from origin-perturbed and
-    coarse-grid starts, plus a dense certification grid for |S| <= 3.  The
-    origin (value exactly 0) is always a candidate, so the reported value
-    is always >= 0.  Non-convergence is flagged, never silently wrong.
+    A search of -f (`_search`): multi-start projected quasi-Newton descent
+    from origin-perturbed and coarse-grid starts, plus a dense
+    certification grid for |S| <= 3.  The origin (value exactly 0) is always
+    a candidate and wins ties, so the reported value is always >= 0.
+    Non-convergence is flagged, never silently wrong.
     """
     if beta < 0.0:
         raise ValueError("beta must be >= 0")
+    if objective not in ("plain", "tilde"):
+        raise ValueError(f"unknown objective {objective!r}, expected 'plain' or 'tilde'")
     S = model.n_species
-    if S > 6:
-        raise ValueError("maximization supports at most 6 species")
-    fun, grad = _objective(model, beta, objective)
-    hi = 1.0 - DOMAIN_CLAMP
-    bounds = [(0.0, hi)] * S
-
+    fun, grad, neg_on_grid = _objective(model, beta, objective)
     starts = _starts(S)
-    grid_certified = S <= 3
-    fun_evals = 0
-    if grid_certified:
-        g_best, g_val, fun_evals = _grid_scan(model, beta, objective)
-        starts.append(g_best)
-
-    # (value, norm, coordinates) candidates; the origin anchors value 0
-    candidates: list[tuple[float, float, np.ndarray, bool]] = [
-        (0.0, 0.0, np.zeros(S), True)
-    ]
-    for x0 in starts:
-        res = minimize(
-            lambda r: -fun(r),
-            np.clip(x0, 0.0, hi),
-            jac=lambda r: -grad(r),
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 500},
-        )
-        fun_evals += int(res.nfev)
-        x = np.clip(res.x, 0.0, hi)
-        candidates.append((fun(x), float(np.linalg.norm(x)), x, bool(res.success)))
-
-    candidates.sort(key=lambda t: (-t[0], t[1], tuple(t[2])))
-    value, norm, argmax, ok = candidates[0]
-    if value < 0.0:  # numerically impossible given the origin anchor
+    neg_value, argmax, ok, fun_evals = _search(S, lambda r: -fun(r), lambda r: -grad(r),
+                                               neg_on_grid, _GRID_POINTS, starts)
+    value = -neg_value
+    if value <= 0.0:  # the origin anchors value 0 and wins ties
         value, argmax, ok = 0.0, np.zeros(S), True
-    if grid_certified and g_val > value + TOL_MAX:
-        # ascent missed the grid optimum's basin; fall back to the grid point
-        value, argmax, ok = g_val, g_best, False
     return MaximizeResult(
         argmax=argmax,
         value=float(value),
-        starts_used=len(starts),
+        starts_used=len(starts) + (S <= 3),
         converged=bool(ok),
-        grid_certified=grid_certified,
+        grid_certified=S <= 3,
         fun_evals=fun_evals,
     )

@@ -6,8 +6,16 @@ A mixture is a finite nonnegative-coefficient polynomial
 
 over multi-indices p indexed by a fixed ordered species tuple.  The
 coefficients c_p are variances (squared amplitudes), never amplitudes, so
-they are nonnegative by construction.  Besides plain evaluation and
-derivatives this module implements the band recentering transform
+they are nonnegative by construction.  Every partial derivative is one
+expression,
+
+    d^a xi(x) = sum_p  c_p * prod_s (p(s))_a(s) * x^max(p - a, 0)
+
+with (n)_a the falling factorial; the weights and lowered exponents are
+tabulated once per mixture for every a of order one and two, so the
+gradient, the Hessian and the degree-2 matrix Q = Hessian at 0 are lookups
+into one table.  Besides evaluation and derivatives this module implements
+the band recentering transform
 
     xi_r(x) = xi((1 - r^2) x + r^2) - xi(r^2)      (elementwise in r)
 
@@ -19,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,9 +73,6 @@ class SpeciesSet:
     @property
     def n(self) -> int:
         return len(self.names)
-
-    def lam_of(self, name: str) -> float:
-        return float(self.lam[self.names.index(name)])
 
 
 def _canonical_terms(species, terms):
@@ -155,12 +161,6 @@ class Mixture:
     def n_terms(self) -> int:
         return int(self.coeffs.shape[0])
 
-    @property
-    def max_degree(self) -> int:
-        if self.n_terms == 0:
-            return 0
-        return int(self.exponents.sum(axis=1).max())
-
     def _coerce_point(self, x) -> np.ndarray:
         """Accept a scalar (constant vector) or a length-S array."""
         x = np.asarray(x, dtype=float)
@@ -186,65 +186,42 @@ class Mixture:
         out = mono @ self.coeffs
         return float(out) if out.ndim == 0 else out
 
-    def grad(self, x) -> np.ndarray:
-        """Gradient of xi at a single point, with the 0**0 = 1 convention."""
+    @cached_property
+    def _partials_tables(self):
+        """Per derivative order k = 1, 2: the weights c_p * prod_s (p(s))_a(s),
+        with (n)_a the falling factorial, and the lowered exponents
+        max(p - a, 0), one row per multi-index a of order k (e_s for the
+        gradient, e_s + e_t for every ordered pair (s, t) for the Hessian)."""
+        eye = np.eye(self.n_species, dtype=np.int64)
+        p = self.exponents
+        tables = []
+        for alphas in (eye, (eye[:, None] + eye[None, :]).reshape(-1, self.n_species)):
+            a = alphas[:, None, :]
+            falling = (np.where(a > 0, p, 1) * np.where(a > 1, p - 1, 1)).prod(axis=-1)
+            tables.append((self.coeffs * falling, np.maximum(p - a, 0)))
+        return tables
+
+    def _partials(self, x, order: int, name: str) -> np.ndarray:
+        """Every partial derivative of xi of the given order at a single point,
+        sum_p weight * x^(lowered p), with the 0**0 = 1 convention."""
         x = self._coerce_point(x)
         if x.ndim != 1:
-            raise ValueError("grad expects a single point")
-        out = np.zeros(self.n_species)
-        if self.n_terms == 0:
-            return out
-        for s in range(self.n_species):
-            p_s = self.exponents[:, s]
-            exps = self.exponents.copy()
-            exps[:, s] = np.maximum(p_s - 1, 0)
-            mono = np.prod(x[None, :] ** exps, axis=-1)
-            out[s] = np.sum(self.coeffs * p_s * mono)
-        return out
+            raise ValueError(f"{name} expects a single point")
+        weights, lowered = self._partials_tables[order - 1]
+        return np.sum(weights * np.prod(x ** lowered, axis=-1), axis=-1)
+
+    def grad(self, x) -> np.ndarray:
+        """Gradient of xi at a single point."""
+        return self._partials(x, 1, "grad")
 
     def hessian(self, x) -> np.ndarray:
         """Symmetric matrix of second partials of xi at a single point."""
-        x = self._coerce_point(x)
-        if x.ndim != 1:
-            raise ValueError("hessian expects a single point")
-        S = self.n_species
-        out = np.zeros((S, S))
-        if self.n_terms == 0:
-            return out
-        for s in range(S):
-            for t in range(s, S):
-                exps = self.exponents.copy()
-                if s == t:
-                    factor = self.exponents[:, s] * (self.exponents[:, s] - 1)
-                    exps[:, s] = np.maximum(self.exponents[:, s] - 2, 0)
-                else:
-                    factor = self.exponents[:, s] * self.exponents[:, t]
-                    exps[:, s] = np.maximum(self.exponents[:, s] - 1, 0)
-                    exps[:, t] = np.maximum(self.exponents[:, t] - 1, 0)
-                mono = np.prod(x[None, :] ** exps, axis=-1)
-                val = float(np.sum(self.coeffs * factor * mono))
-                out[s, t] = val
-                out[t, s] = val
-        return out
+        return self._partials(x, 2, "hessian").reshape(self.n_species, self.n_species)
 
     def degree2_matrix(self) -> np.ndarray:
-        """The matrix Q with Q[s,s] = 2*c_{2e_s}, Q[s,t] = c_{e_s+e_t}.
-
-        Equals the Hessian of xi at the origin; only degree-2 terms
-        contribute.
-        """
-        S = self.n_species
-        Q = np.zeros((S, S))
-        for row, c in zip(self.exponents, self.coeffs):
-            if row.sum() != 2:
-                continue
-            nz = np.nonzero(row)[0]
-            if len(nz) == 1:
-                Q[nz[0], nz[0]] = 2.0 * c
-            else:
-                Q[nz[0], nz[1]] = c
-                Q[nz[1], nz[0]] = c
-        return Q
+        """The matrix Q with Q[s,s] = 2*c_{2e_s}, Q[s,t] = c_{e_s+e_t}: the
+        Hessian of xi at the origin, where only degree-2 terms contribute."""
+        return self.hessian(0.0)
 
     # ------------------------------------------------------------------
     # band recentering

@@ -29,7 +29,6 @@ __all__ = [
     "load_model",
     "loads_model",
     "dumps_model",
-    "save_model",
     "model_hash",
     "sk_model",
     "pure_model",
@@ -71,6 +70,13 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _number(value, where: str) -> float:
+    # JSON true/false load as bool, which is an int subclass
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelFormatError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
 def _parse_model(doc) -> ModelSpec:
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
@@ -83,11 +89,7 @@ def _parse_model(doc) -> ModelSpec:
         if not isinstance(entry, dict):
             raise ModelFormatError(f"species[{i}]: expected an object")
         names.append(str(_require(entry, "name", f"species[{i}]")))
-        lam = _require(entry, "lambda", f"species[{i}]")
-        try:
-            lams.append(float(lam))
-        except (TypeError, ValueError):
-            raise ModelFormatError(f"species[{i}].lambda: expected a number, got {lam!r}")
+        lams.append(_number(_require(entry, "lambda", f"species[{i}]"), f"species[{i}].lambda"))
     try:
         species = SpeciesSet(tuple(names), np.array(lams))
     except ValueError as exc:
@@ -108,15 +110,12 @@ def _parse_model(doc) -> ModelSpec:
         for name, d in degrees_doc.items():
             if name not in index:
                 raise ModelFormatError(f"terms[{i}].degrees: unknown species '{name}'")
-            if not isinstance(d, int) or d < 0:
+            if isinstance(d, bool) or not isinstance(d, int) or d < 0:
                 raise ModelFormatError(
                     f"terms[{i}].degrees['{name}']: expected a nonnegative integer, got {d!r}"
                 )
             degrees[index[name]] = d
-        try:
-            delta_sq = float(delta_sq)
-        except (TypeError, ValueError):
-            raise ModelFormatError(f"terms[{i}].delta_sq: expected a number, got {delta_sq!r}")
+        delta_sq = _number(delta_sq, f"terms[{i}].delta_sq")
         key = tuple(degrees)
         terms[key] = terms.get(key, 0.0) + delta_sq
     try:
@@ -160,10 +159,6 @@ def _canonical_doc(model: ModelSpec) -> dict:
 
 def dumps_model(model: ModelSpec) -> str:
     return json.dumps(_canonical_doc(model), indent=2, sort_keys=True) + "\n"
-
-
-def save_model(model: ModelSpec, path) -> None:
-    Path(path).write_text(dumps_model(model))
 
 
 def model_hash(model: ModelSpec) -> str:

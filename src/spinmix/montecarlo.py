@@ -79,6 +79,8 @@ __all__ = [
 TENSOR_BUDGET = 10**8   # scalars across all disorder tensors
 _CONFIG_TOL = 1e-9      # per-species sphere constraint tolerance (relative)
 _CHUNK = 1024           # samples per contraction batch
+# covariance_exact: the relative disagreement its two routes may show
+_COVARIANCE_RTOL = 1e-10
 # scalars in one row chunk of a contraction: rows * max(left, right) stays
 # within this bound (see the module docstring)
 _CONTRACT_BUDGET = 2**18
@@ -319,12 +321,12 @@ def evaluate_H_batch(disorder: DisorderSample, sigmas: np.ndarray) -> np.ndarray
     return out
 
 
-def covariance_exact(fm: FiniteModel, a: np.ndarray, b: np.ndarray, *, tol: float = 1e-10) -> float:
+def covariance_exact(fm: FiniteModel, a: np.ndarray, b: np.ndarray) -> float:
     """E H(a) H(b) through two independent routes, with a built-in assertion.
 
     Route one sums D_tuple^2 * prod_j a_{i_j} b_{i_j} over ordered index
     tuples, term by term and species assignment by species assignment.
-    Route two is N * xi(R(a, b)).  Disagreement beyond ``tol`` (relative)
+    Route two is N * xi(R(a, b)).  Disagreement beyond _COVARIANCE_RTOL
     raises CoefficientLawError: it means the coefficient law or its
     combinatorics are implemented wrong.
     """
@@ -342,7 +344,7 @@ def covariance_exact(fm: FiniteModel, a: np.ndarray, b: np.ndarray, *, tol: floa
             tuple_sum += prod
         route1 += pref_sq * tuple_sum
     route2 = fm.N * float(fm.model.mixture.eval(overlap(fm, a, b)))
-    if abs(route1 - route2) > tol * max(1.0, abs(route2)):
+    if abs(route1 - route2) > _COVARIANCE_RTOL * max(1.0, abs(route2)):
         raise CoefficientLawError(
             f"covariance routes disagree: tuple sum {route1!r} vs N*xi(R) {route2!r}"
         )

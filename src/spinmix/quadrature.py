@@ -24,6 +24,8 @@ from .montecarlo import FiniteModel
 __all__ = ["QuadratureError", "log_sphere_surface", "log_overlap_density", "log_E_Z2_exact"]
 
 _NODE_LADDER = (65, 129, 257, 513, 1025, 2049)
+# two consecutive refinements must agree to this, absolutely
+_REFINE_TOL = 1e-9
 
 
 class QuadratureError(RuntimeError):
@@ -62,11 +64,11 @@ def _log_integral(fm: FiniteModel, beta: float, n_nodes: int) -> float:
     return float(logsumexp(log_integrand)) / fm.N
 
 
-def log_E_Z2_exact(fm: FiniteModel, beta: float, *, tol: float = 1e-9) -> float:
+def log_E_Z2_exact(fm: FiniteModel, beta: float) -> float:
     """(1/N) log of the exact finite-N second moment of the partition function.
 
     Adaptive Gauss-Legendre per axis: the node count is doubled until two
-    consecutive refinements agree to ``tol``; raises QuadratureError when
+    consecutive refinements agree to _REFINE_TOL; raises QuadratureError when
     the ladder is exhausted.  Deterministic, no randomness involved.
     """
     if fm.model.n_species > 3:
@@ -75,7 +77,7 @@ def log_E_Z2_exact(fm: FiniteModel, beta: float, *, tol: float = 1e-9) -> float:
     ladder = _NODE_LADDER if fm.model.n_species < 3 else _NODE_LADDER[:4]
     for n_nodes in ladder:
         val = _log_integral(fm, beta, n_nodes)
-        if prev is not None and abs(val - prev) <= tol:
+        if prev is not None and abs(val - prev) <= _REFINE_TOL:
             return val
         prev = val
     raise QuadratureError(abs(val - prev), ladder[-1])

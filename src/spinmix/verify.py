@@ -23,6 +23,9 @@ from .rng import EMPIRICAL_COVARIANCE, SPOT_CHECKS, VERIFY_CENTER, stream
 
 __all__ = ["CheckResult", "VerifyRun", "run_verify"]
 
+_SPOT_INSTANCES = 10      # random instances of the two-route covariance check
+_COVARIANCE_DRAWS = 2000  # disorder draws of the empirical covariance check
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -79,11 +82,12 @@ def _random_instance(model_rng: np.random.Generator):
     return montecarlo.build_finite_model(ms, N)
 
 
-def _covariance_spot_checks(seed: int, n_instances: int = 10) -> CheckResult:
+def _covariance_spot_checks(seed: int) -> CheckResult:
+    tol = montecarlo._COVARIANCE_RTOL
     rng = stream(seed, SPOT_CHECKS)
     worst = 0.0
     try:
-        for _ in range(n_instances):
+        for _ in range(_SPOT_INSTANCES):
             fm = _random_instance(rng)
             a = montecarlo.sample_uniform(fm, rng)
             b = montecarlo.sample_uniform(fm, rng)
@@ -91,27 +95,27 @@ def _covariance_spot_checks(seed: int, n_instances: int = 10) -> CheckResult:
             r2 = fm.N * float(fm.model.mixture.eval(montecarlo.overlap(fm, a, b)))
             worst = max(worst, abs(r1 - r2) / max(1.0, abs(r2)))
     except montecarlo.CoefficientLawError as exc:
-        return CheckResult("covariance-two-route", False, float("inf"), 1e-10, str(exc))
-    return CheckResult("covariance-two-route", worst <= 1e-10, worst, 1e-10,
-                       f"{n_instances} random instances")
+        return CheckResult("covariance-two-route", False, float("inf"), tol, str(exc))
+    return CheckResult("covariance-two-route", worst <= tol, worst, tol,
+                       f"{_SPOT_INSTANCES} random instances")
 
 
-def _empirical_covariance(model: ModelSpec, seed: int, n_disorders: int = 2000) -> CheckResult:
+def _empirical_covariance(model: ModelSpec, seed: int) -> CheckResult:
     fm = montecarlo.build_finite_model(model, 24)
     rng = stream(seed, EMPIRICAL_COVARIANCE)
     a = montecarlo.sample_uniform(fm, rng)
     b = montecarlo.sample_uniform(fm, rng)
     exact = montecarlo.covariance_exact(fm, a, b)
     pair = np.stack([a, b])
-    prods = np.empty(n_disorders)
-    for i in range(n_disorders):
+    prods = np.empty(_COVARIANCE_DRAWS)
+    for i in range(_COVARIANCE_DRAWS):
         d = montecarlo.sample_disorder(fm, seed=(seed << 20) + i)
         h = montecarlo.evaluate_H_batch(d, pair)
         prods[i] = h[0] * h[1]
-    se = float(prods.std(ddof=1)) / math.sqrt(n_disorders)
+    se = float(prods.std(ddof=1)) / math.sqrt(_COVARIANCE_DRAWS)
     dev = abs(float(prods.mean()) - exact)
     return CheckResult("empirical-covariance", dev <= 5.0 * se, dev, 5.0 * se,
-                       f"{n_disorders} disorder draws at N=24")
+                       f"{_COVARIANCE_DRAWS} disorder draws at N=24")
 
 
 def run_verify(model: ModelSpec, *, N: int, n_samples: int, seed: int) -> VerifyRun:

@@ -53,6 +53,22 @@ def rel_close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     return float(np.linalg.norm(a - b)) <= tol * max(1.0, float(np.linalg.norm(b)))
 
 
+def degree2_matrix_by_hand(mixture) -> np.ndarray:
+    """Q from the degree-2 coefficients alone: Q[s,s] = 2 c_{2e_s} and
+    Q[s,t] = Q[t,s] = c_{e_s+e_t}; the Hessian of xi at the origin."""
+    S = mixture.n_species
+    Q = np.zeros((S, S))
+    for degrees, c in mixture.terms().items():
+        if sum(degrees) != 2:
+            continue
+        s, t = (i for i, d in enumerate(degrees) for _ in range(d))
+        if s == t:
+            Q[s, s] = 2.0 * c
+        else:
+            Q[s, t] = Q[t, s] = c
+    return Q
+
+
 def pure_beta_m(p: int) -> float:
     """Tangency solution of f = 0, f' = 0 for xi(r) = r^p, single species.
 

@@ -17,6 +17,7 @@ from spinmix import (
     check_nsd,
     criticality,
     f_beta,
+    landscape,
     maximize_f,
     verdict,
 )
@@ -228,6 +229,20 @@ def test_four_species_quadratic_mixture_is_equal_at_beta_H():
     assert rep.beta_m == pytest.approx(rep.beta_H, abs=1e-9)
     assert not rep.witnesses["grid_certified_ratio"]
     assert elapsed < 5.0
+
+
+def test_seven_species_are_refused_before_any_search(monkeypatch):
+    names = tuple("abcdefg")
+    terms = {tuple(2 * (t == s) for t in range(7)): 1.0 for s in range(7)}
+    model = ModelSpec(SpeciesSet(names, np.full(7, 1.0 / 7.0)), Mixture.from_terms(names, terms))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a local search ran")
+
+    monkeypatch.setattr(landscape, "minimize", no_search)
+    for compute in (beta_m, beta_m_tilde, verdict):
+        with pytest.raises(ValueError, match="at most 6 species"):
+            compute(model)
 
 
 def test_certificate_rejects_an_infimum_one_percent_too_large(pure3, monkeypatch):

@@ -1,9 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from spinmix import (
+    criticality,
+    landscape,
     f_beta,
     f_tilde_beta,
     f_grad,
@@ -12,9 +15,10 @@ from spinmix import (
     hessian_at_zero,
     maximize_f,
 )
+from spinmix.landscape import TOL_ZERO
 
 from conftest import random_model
-from oracles import fd_gradient, fd_hessian, rel_close
+from oracles import degree2_matrix_by_hand, fd_gradient, fd_hessian, rel_close
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -103,9 +107,11 @@ def test_f_derivatives_match_finite_differences():
 def test_hessian_at_zero_matches_f_hessian(sk, two_quad, cubic_two_species):
     for model in (sk, two_quad, cubic_two_species):
         for beta in (0.0, 0.5, 1.1):
-            M = hessian_at_zero(model, beta)
+            expected = (-np.diag(model.species.lam)
+                        + beta * beta * degree2_matrix_by_hand(model.mixture))
+            assert hessian_at_zero(model, beta) == pytest.approx(expected, abs=1e-12)
             H = f_hessian(model, beta, np.zeros(model.n_species))
-            assert M == pytest.approx(H, abs=1e-12)
+            assert H == pytest.approx(expected, abs=1e-12)
 
 
 def test_hessian_at_zero_sk_singular_at_sqrt_half(sk):
@@ -188,3 +194,35 @@ def test_maximize_tilde_never_exceeds_plain(cubic_two_species):
 def test_maximize_rejects_bad_objective(sk):
     with pytest.raises(ValueError):
         maximize_f(sk, 0.5, "bogus")
+
+
+def _grid_points(model, n):
+    axis = np.linspace(0.0, 1.0 - 1e-8, n)
+    R = np.stack(np.meshgrid(*[axis] * model.n_species, indexing="ij"), axis=-1)
+    entropy = -0.5 * np.sum(model.species.lam * np.log1p(-R * R), axis=-1)
+    return R, entropy, model.mixture.eval(R)
+
+
+def test_search_falls_back_to_the_grid_point(sk, pure3, cubic_two_species, monkeypatch):
+    # every local run ends at the clamped far corner, far worse than the grid
+    def corner(fun, x0, **kwargs):
+        return SimpleNamespace(x=np.ones(len(x0)), nfev=1, success=True)
+
+    monkeypatch.setattr(landscape, "minimize", corner)
+    for model in (sk, cubic_two_species):
+        R, entropy, xi = _grid_points(model, 201)
+        F = 1.0 * xi - entropy
+        idx = np.unravel_index(int(np.argmax(F)), F.shape)
+        res = maximize_f(model, 1.0)
+        assert np.array_equal(res.argmax, R[idx])
+        assert res.value == pytest.approx(F[idx], abs=1e-12)
+        assert res.value > 0.0
+        assert not res.converged and res.grid_certified
+    for model, n in ((pure3, 4001), (cubic_two_species, 201)):
+        R, entropy, xi = _grid_points(model, n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(xi > 0.0, (entropy + TOL_ZERO) / xi, np.inf)
+        idx = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
+        res = criticality._ratio_min(model, "plain", TOL_ZERO)
+        assert np.array_equal(res.argmin, R[idx])
+        assert res.ratio == pytest.approx(ratio[idx], rel=1e-12)

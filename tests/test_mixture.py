@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spinmix import Mixture, SpeciesSet
 
 from conftest import random_mixture
-from oracles import fd_gradient, fd_hessian, rel_close
+from oracles import degree2_matrix_by_hand, fd_gradient, fd_hessian, rel_close
 
 
 def sk_mixture():
@@ -122,7 +122,9 @@ def test_degree2_matrix_equals_hessian_at_origin():
     rng = np.random.default_rng(3)
     for n in (1, 2, 3):
         m = random_mixture(rng, n)
-        assert m.degree2_matrix() == pytest.approx(m.hessian(0.0), abs=1e-14)
+        Q = degree2_matrix_by_hand(m)
+        assert m.degree2_matrix() == pytest.approx(Q, abs=1e-14)
+        assert m.hessian(0.0) == pytest.approx(Q, abs=1e-14)
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,15 @@ def test_missing_lambda_names_the_field():
     doc = {"species": [{"name": "a"}], "terms": [{"degrees": {"a": 2}, "delta_sq": 1.0}]}
     with pytest.raises(ModelFormatError, match="species\\[0\\].*lambda"):
         loads_model(json.dumps(doc))
+    # a JSON boolean or string is not a number, though float() would take it
+    for lam, delta_sq, field in ((True, 1.0, "species\\[0\\].lambda"),
+                                 ("1.0", 1.0, "species\\[0\\].lambda"),
+                                 (1.0, "0.5", "terms\\[0\\].delta_sq"),
+                                 (1.0, False, "terms\\[0\\].delta_sq")):
+        doc = {"species": [{"name": "a", "lambda": lam}],
+               "terms": [{"degrees": {"a": 2}, "delta_sq": delta_sq}]}
+        with pytest.raises(ModelFormatError, match=field):
+            loads_model(json.dumps(doc))
 
 
 def test_missing_terms_field():
@@ -51,12 +60,14 @@ def test_unknown_species_in_term():
 
 
 def test_negative_degree_rejected():
-    doc = {
-        "species": [{"name": "a", "lambda": 1.0}],
-        "terms": [{"degrees": {"a": -1}, "delta_sq": 1.0}],
-    }
-    with pytest.raises(ModelFormatError, match="degrees"):
-        loads_model(json.dumps(doc))
+    # true would pass an isinstance(d, int) check as degree 1
+    for degree in (-1, True, "2", 2.0):
+        doc = {
+            "species": [{"name": "a", "lambda": 1.0}],
+            "terms": [{"degrees": {"a": degree}, "delta_sq": 1.0}],
+        }
+        with pytest.raises(ModelFormatError, match="degrees\\['a'\\]"):
+            loads_model(json.dumps(doc))
 
 
 def test_duplicate_terms_accumulate():

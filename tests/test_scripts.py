@@ -1,0 +1,44 @@
+"""Smoke tests of the example scripts under scripts/: each run() exits 0 and
+writes what its docstring promises."""
+
+import importlib.util
+from pathlib import Path
+
+from spinmix.cli import SCAN_HEADER
+
+from conftest import MODELS_DIR
+
+SCRIPTS_DIR = Path(__file__).parent.parent / "scripts"
+
+
+def _script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_phase_scan_writes_the_scan_csv(tmp_path, capsys):
+    out = tmp_path / "sk.csv"
+    code = _script("phase_scan").run([
+        "--model", str(MODELS_DIR / "sk.json"), "--beta-min", "0.5", "--beta-max", "0.9",
+        "--beta-step", "0.2", "--out", str(out),
+    ])
+    assert code == 0
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert rows[0] == SCAN_HEADER
+    assert [row.split(",")[0] for row in rows[1:]] == ["0.5", "0.7", "0.9"]
+    printed = capsys.readouterr().out
+    assert "beta_m        = 0.707106" in printed
+    assert "lam_max(M)" in printed
+
+
+def test_second_moment_table_prints_one_row_per_size(capsys):
+    code = _script("second_moment_table").run([
+        "--model", str(MODELS_DIR / "sk.json"), "--beta", "0.5", "--sizes", "50", "100",
+    ])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("beta = 0.5, limit = ")
+    assert lines[1].split() == ["N", "(1/N)", "log", "E", "Z^2", "gap"]
+    assert [line.split()[0] for line in lines[2:]] == ["50", "100"]
