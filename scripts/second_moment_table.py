@@ -2,14 +2,22 @@
 """Convergence of the exact finite-N second moment toward its limit.
 
 For each N the table shows (1/N) log E Z^2 from quadrature, the limiting
-value beta^2 xi(1) + max f, and the gap, e.g.
+value beta^2 xi(1) + max f, the gap and N * gap.  When max f = 0 (beta below
+the second-moment threshold) N * gap tends to the Laplace constant
+
+    c = -1/2 log det(I - beta^2 diag(lam)^-1 Q),
+
+with Q the degree-2 coefficient matrix, which is printed above the table, e.g.
 
     python scripts/second_moment_table.py --model models/sk.json --beta 0.5
 """
 
 import argparse
 
-from spinmix import beta_m, build_finite_model, load_model, log_E_Z2_exact, maximize_f
+import numpy as np
+
+from spinmix import (beta_m, build_finite_model, hessian_at_zero, load_model, log_E_Z2_exact,
+                     maximize_f)
 
 
 def run(argv=None):
@@ -22,12 +30,17 @@ def run(argv=None):
 
     model = load_model(args.model)
     beta = args.beta if args.beta is not None else 0.5 * beta_m(model)
-    limit = beta * beta * model.xi1() + maximize_f(model, beta).value
+    max_f = maximize_f(model, beta).value
+    limit = beta * beta * model.xi1() + max_f
     print(f"beta = {beta!r}, limit = {limit!r}")
-    print(f"{'N':>6}  {'(1/N) log E Z^2':>18}  {'gap':>12}")
+    if max_f == 0.0:  # -diag(lam)^-1 M(beta) = I - beta^2 diag(lam)^-1 Q
+        M = hessian_at_zero(model, beta)
+        c = -0.5 * float(np.linalg.slogdet(-M / model.species.lam[:, None])[1])
+        print(f"Laplace constant c = {c!r}")
+    print(f"{'N':>6}  {'(1/N) log E Z^2':>18}  {'gap':>12}  {'N*gap':>10}")
     for N in args.sizes:
         val = log_E_Z2_exact(build_finite_model(model, N), beta)
-        print(f"{N:6d}  {val:18.10f}  {val - limit:12.3e}")
+        print(f"{N:6d}  {val:18.10f}  {val - limit:12.3e}  {N * (val - limit):10.6f}")
     return 0
 
 

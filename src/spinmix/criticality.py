@@ -138,12 +138,11 @@ def _ratio_min(model: ModelSpec, objective: str, tol_zero: float) -> _RatioMin:
         return num * w, dcost(r) * w - num * mix.grad(r) / (xir * xir)
 
     def ratio_on_grid(axis):
-        xi_grid, num = _grid(model, axis, cost)
-        num += tol_zero
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num *= 1.0 / xi_grid + c
-        num[xi_grid <= 0.0] = np.inf
-        return num
+        for xi_grid, num in _grid(model, axis, cost):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                values = (num + tol_zero) * (1.0 / xi_grid + c)
+            values[xi_grid <= 0.0] = np.inf
+            yield values
 
     best, argmin, _, _ = _search(S, ratio, True, ratio_on_grid, 4001 if S == 1 else _GRID_POINTS,
                                  [] if S <= 3 else _starts(S))

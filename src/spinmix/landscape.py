@@ -23,7 +23,9 @@ global search, `_search` (a dense grid for |S| <= 3, then one L-BFGS-B run
 per start), serves both the maximizer and those ratios, and it alone
 refuses more than six species.  The tensor-product kernel `_grid` (xi and
 a separable per-axis sum on the grid axis^S) is defined once as well;
-`criticality` and `quadrature` share it.
+`criticality` and `quadrature` share it.  It yields the grid in slabs of
+about _SLAB_POINTS points, and every consumer reduces slab by slab (the
+argmin, the shifted logsumexp), so memory stays bounded at any grid size.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ TOL_ZERO = 1e-10
 
 # certification grid points per axis (pitch 1/200), |S| <= 3
 _GRID_POINTS = 201
+# points per slab of a tensor-product grid: 2 MB per float64 array
+_SLAB_POINTS = 2**18
 
 
 def _coerce_r(n_species: int, r) -> np.ndarray:
@@ -122,7 +126,7 @@ def _energy(model: ModelSpec, beta: float, objective: str):
 
 def _objective(model: ModelSpec, beta: float, objective: str):
     """Return (f, grad f) callables on the clamped box, and -f on the grid
-    axis^S as a function of axis."""
+    axis^S, slab by slab, as a function of axis."""
     mix = model.mixture
     energy, slope, cost, dcost = _energy(model, beta, objective)
 
@@ -133,8 +137,7 @@ def _objective(model: ModelSpec, beta: float, objective: str):
         return slope(r) * mix.grad(r) - dcost(r)
 
     def neg_on_grid(axis):
-        xi_grid, total_cost = _grid(model, axis, cost)
-        return total_cost - energy(xi_grid)
+        return (total_cost - energy(xi) for xi, total_cost in _grid(model, axis, cost))
 
     return fun, grad, neg_on_grid
 
@@ -189,37 +192,43 @@ class MaximizeResult:
     fun_evals: int = 0
 
 
-def _xi_on_grid(model: ModelSpec, axis: np.ndarray) -> np.ndarray:
-    """xi on the tensor-product grid axis^S via per-axis power tables."""
-    mix = model.mixture
-    S = model.n_species
-    if mix.n_terms == 0:
-        return np.zeros((len(axis),) * S)
-    pows = [axis[:, None] ** mix.exponents[None, :, s] for s in range(S)]
-    if S == 1:  # a matrix-vector product; einsum would round differently
-        return pows[0] @ mix.coeffs
-    axes = "abcdef"[:S]
-    return np.einsum(",".join(c + "t" for c in axes) + ",t->" + axes, *pows, mix.coeffs)
-
-
 def _box_axis(n: int) -> np.ndarray:
     """n points on [0, 1 - DOMAIN_CLAMP], the axis of the certification grids."""
     return np.linspace(0.0, 1.0 - DOMAIN_CLAMP, n)
 
 
 def _grid(model: ModelSpec, axis: np.ndarray, per_axis):
-    """xi and the separable sum sum_s per_axis(s, axis) on the grid axis^S.
+    """Yield (xi, sum_s per_axis(s, axis)) on the grid axis^S, slab by slab.
 
-    The sum is broadcast one axis at a time, so that only the final sum
-    has the full grid's size.
+    A slab is a block of leading-axis rows in C order, of at most
+    _SLAB_POINTS points (one row when a row alone is larger), so no array
+    holds the whole grid.  xi is summed term by term in term order, each
+    term the product of its per-axis powers in species order times its
+    coefficient; factors x**0 = 1 are skipped, which is exact.
     """
-    S = model.n_species
-    xi_grid = _xi_on_grid(model, axis)
-    total = None
-    for s in range(S):
-        piece = per_axis(s, axis).reshape([len(axis) if t == s else 1 for t in range(S)])
-        total = piece if total is None else total + piece
-    return xi_grid, total
+    mix = model.mixture
+    S, n = model.n_species, len(axis)
+    pows = [axis[:, None] ** mix.exponents[None, :, s] for s in range(S)]
+    costs = [per_axis(s, axis) for s in range(S)]
+
+    def along(s, v):  # v along axis s, broadcast over the others
+        return v.reshape([len(v) if t == s else 1 for t in range(S)])
+
+    rows = max(1, _SLAB_POINTS // n ** (S - 1))
+    for lo in range(0, n, rows):
+        slab_pows = [pows[0][lo:lo + rows], *pows[1:]]
+        slab_costs = [costs[0][lo:lo + rows], *costs[1:]]
+        xi = np.zeros((len(slab_costs[0]),) + (n,) * (S - 1))
+        for t, coeff in enumerate(mix.coeffs):
+            term = None
+            for s in np.flatnonzero(mix.exponents[t]):
+                factor = along(s, slab_pows[s][:, t])
+                term = factor if term is None else term * factor
+            xi += coeff if term is None else term * coeff
+        total = along(0, slab_costs[0])
+        for s in range(1, S):
+            total = total + along(s, slab_costs[s])
+        yield xi, total
 
 
 def _starts(S: int) -> list[np.ndarray]:
@@ -245,9 +254,10 @@ def _search(S: int, fun, jac, grid, per_axis: int, starts) -> tuple[float, np.nd
     converged, function evaluations).
 
     For |S| <= 3 the argmin of grid(axis), the objective on the grid axis^S
-    with per_axis points per axis, is appended to the starts.  One L-BFGS-B
-    run per start (``jac`` as scipy takes it: a callable, or True when fun
-    returns the pair); ties go to the smallest norm, then the coordinates.
+    with per_axis points per axis yielded slab by slab, is appended to the
+    starts.  One L-BFGS-B run per start (``jac`` as scipy takes it: a
+    callable, or True when fun returns the pair); ties go to the smallest
+    norm, then the coordinates.
     The grid point, flagged unconverged, replaces the best run when it is
     lower by more than TOL_MAX.
     """
@@ -258,9 +268,12 @@ def _search(S: int, fun, jac, grid, per_axis: int, starts) -> tuple[float, np.nd
     fun_evals = 0
     if on_grid:
         axis = _box_axis(per_axis)
-        values = grid(axis)
-        idx = np.unravel_index(int(np.argmin(values)), values.shape)
-        g_point, g_value, fun_evals = axis[list(idx)], float(values[idx]), values.size
+        for values in grid(axis):  # the first least value in C order wins
+            i = int(np.argmin(values))
+            if fun_evals == 0 or values.flat[i] < g_value:
+                g_value, flat = float(values.flat[i]), fun_evals + i
+            fun_evals += values.size
+        g_point = axis[list(np.unravel_index(flat, (per_axis,) * S))]
         starts = [*starts, g_point]
     runs = []
     for x0 in starts:

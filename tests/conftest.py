@@ -59,6 +59,20 @@ def cross_only() -> ModelSpec:
     )
 
 
+@pytest.fixture
+def three_species_equal() -> ModelSpec:
+    """Three species in equal proportions, coupled in a chain, with cubic and
+    quartic terms; at N = 3200 its quadrature needs 257 nodes per axis."""
+    names = ("a", "b", "c")
+    return ModelSpec(
+        SpeciesSet(names, np.full(3, 1.0 / 3.0)),
+        Mixture.from_terms(names, {
+            (2, 0, 0): 1.0, (0, 2, 0): 0.8, (0, 0, 2): 0.6, (1, 1, 0): 0.5, (0, 1, 1): 0.4,
+            (3, 0, 0): 0.7, (1, 1, 1): 0.5, (0, 0, 4): 0.9,
+        }),
+    )
+
+
 def random_mixture(rng: np.random.Generator, n_species: int, max_total: int = 4) -> Mixture:
     names = ("a", "b", "c")[:n_species]
     terms = {}

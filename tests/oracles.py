@@ -69,6 +69,21 @@ def degree2_matrix_by_hand(mixture) -> np.ndarray:
     return Q
 
 
+def laplace_constant(model, beta: float) -> float:
+    """c = -1/2 log det(I - beta^2 diag(lam)^-1 Q), the limit of
+    N * ((1/N) log E Z^2 - beta^2 xi(1)) for beta < beta_m.
+
+    Near the origin the overlap r(s) is about N(0, 1/(lam(s) N)) and the
+    exponent N beta^2 xi(r) about N beta^2 r.Q r / 2; c is the log of that
+    Gaussian integral.  Q comes from the degree-2 coefficients by hand.
+    """
+    lam = np.asarray(model.species.lam, dtype=float)
+    Q = degree2_matrix_by_hand(model.mixture)
+    sign, logdet = np.linalg.slogdet(np.eye(len(lam)) - beta * beta * Q / lam[:, None])
+    assert sign > 0.0, "beta is past the origin's instability"
+    return -0.5 * float(logdet)
+
+
 def pure_beta_m(p: int) -> float:
     """Tangency solution of f = 0, f' = 0 for xi(r) = r^p, single species.
 

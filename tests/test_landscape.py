@@ -203,12 +203,14 @@ def _grid_points(model, n):
     return R, entropy, model.mixture.eval(R)
 
 
+def _corner(fun, x0, **kwargs):
+    # a stand-in for minimize whose every run ends at the clamped far corner
+    return SimpleNamespace(x=np.ones(len(x0)), nfev=1, success=True)
+
+
 def test_search_falls_back_to_the_grid_point(sk, pure3, cubic_two_species, monkeypatch):
     # every local run ends at the clamped far corner, far worse than the grid
-    def corner(fun, x0, **kwargs):
-        return SimpleNamespace(x=np.ones(len(x0)), nfev=1, success=True)
-
-    monkeypatch.setattr(landscape, "minimize", corner)
+    monkeypatch.setattr(landscape, "minimize", _corner)
     for model in (sk, cubic_two_species):
         R, entropy, xi = _grid_points(model, 201)
         F = 1.0 * xi - entropy
@@ -226,3 +228,56 @@ def test_search_falls_back_to_the_grid_point(sk, pure3, cubic_two_species, monke
         res = criticality._ratio_min(model, "plain", TOL_ZERO)
         assert np.array_equal(res.argmin, R[idx])
         assert res.ratio == pytest.approx(ratio[idx], rel=1e-12)
+
+
+# ----------------------------------------------------------------------
+# the grid in slabs
+
+
+def _search_results(model):
+    out = []
+    for objective in ("plain", "tilde"):
+        res = maximize_f(model, 1.0, objective)
+        out.append((res.argmax.tobytes(), res.value, res.converged, res.fun_evals))
+        ratio = criticality._ratio_min(model, objective, TOL_ZERO)
+        out.append((ratio.beta, ratio.ratio, ratio.argmin.tobytes()))
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_slabs_leave_the_search_unchanged(rows, sk, cubic_two_species, three_species_equal,
+                                          monkeypatch):
+    # slabs of one leading-axis row, or of 4 rows, which divide neither 201
+    # nor 4001, against one slab holding the whole grid; with every local
+    # run sent to the far corner the results are the grid optima themselves
+    for polish in (True, False):
+        if not polish:
+            monkeypatch.setattr(landscape, "minimize", _corner)
+        for model in (sk, cubic_two_species, three_species_equal):
+            monkeypatch.setattr(landscape, "_SLAB_POINTS", 2**62)
+            whole = _search_results(model)
+            monkeypatch.setattr(landscape, "_SLAB_POINTS",
+                                rows * landscape._GRID_POINTS ** (model.n_species - 1))
+            assert _search_results(model) == whole
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_grid_tie_across_a_slab_boundary_goes_to_the_first_point(rows, cubic_two_species,
+                                                                 monkeypatch):
+    # the least value, 0, sits at rows 3 and 4 of the 201 x 201 grid, on the
+    # two sides of a slab boundary; np.argmin's rule picks row 3, first in C order
+    monkeypatch.setattr(landscape, "minimize", _corner)
+    monkeypatch.setattr(landscape, "_SLAB_POINTS", rows * 201)
+
+    def per_axis(s, a):
+        v = np.ones(len(a))
+        v[[3, 4] if s == 0 else [7]] = 0.0
+        return v
+
+    def grid(axis):
+        return (total for _, total in landscape._grid(cubic_two_species, axis, per_axis))
+
+    value, point, ok, fun_evals = landscape._search(2, lambda r: 1.0, None, grid, 201, [])
+    assert value == 0.0 and not ok
+    assert np.array_equal(point, landscape._box_axis(201)[[3, 7]])
+    assert fun_evals == 201 * 201 + 1

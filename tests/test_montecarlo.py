@@ -20,13 +20,15 @@ from spinmix import (
     estimate_level_set,
     evaluate_H,
     evaluate_H_batch,
+    log_E_Z2_exact,
+    maximize_f,
     overlap,
     pure_model,
     sample_disorder,
     sample_on_band,
     sample_uniform,
 )
-from spinmix import montecarlo
+from spinmix import montecarlo, quadrature
 from spinmix.rng import stream
 
 from conftest import random_model
@@ -217,6 +219,30 @@ def test_batch_contraction_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_grid_memory_is_bounded(three_species_equal, monkeypatch):
+    # the tensor-product grid is held a slab of landscape._SLAB_POINTS points
+    # (2 MB per array) at a time; the 257^3-node quadrature grid whole would
+    # need about 1 GB, maximize_f's 201^3 certification grid about 250 MB
+    nodes = []
+    roots = quadrature.roots_legendre
+
+    def recording_roots(n):
+        nodes.append(n)
+        return roots(n)
+
+    monkeypatch.setattr(quadrature, "roots_legendre", recording_roots)
+    fm = build_finite_model(three_species_equal, 3200)
+    for run in (lambda: log_E_Z2_exact(fm, 0.2), lambda: maximize_f(three_species_equal, 1.0)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+    assert max(nodes) == 257
 
 
 def test_hamiltonian_centered_over_disorder(sk):

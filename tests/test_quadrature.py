@@ -4,8 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from spinmix import build_finite_model, log_E_Z2_exact
+from spinmix import beta_m, build_finite_model, landscape, log_E_Z2_exact
 from spinmix.quadrature import log_overlap_density, log_sphere_surface
+
+from oracles import laplace_constant
 
 
 def test_sphere_surface_known_values():
@@ -143,3 +145,34 @@ def test_four_species_rejected():
     fm = build_finite_model(model, 20)
     with pytest.raises(ValueError):
         log_E_Z2_exact(fm, 0.1)
+
+
+@pytest.mark.parametrize("frac", [0.5, 0.6])
+def test_gap_approaches_the_laplace_constant(frac, sk, two_quad, three_species_equal):
+    # below beta_m, N * ((1/N) log E Z^2 - beta^2 xi(1)) = c + O(1/N) with c
+    # the Gaussian (Laplace) constant at the origin
+    for model in (sk, two_quad, three_species_equal):
+        beta = frac * beta_m(model)
+        c = laplace_constant(model, beta)
+        for N in (200, 400, 800, 1600):
+            gap = log_E_Z2_exact(build_finite_model(model, N), beta) - beta * beta * model.xi1()
+            assert abs(N * gap - c) <= 5.0 / N
+
+
+# slab sizes, by species count, whose rows per slab leave a short last slab
+# on the 65- and 129-node grids
+_ODD_SLABS = {1: 10, 2: 1000, 3: 100000}
+
+
+@pytest.mark.parametrize("slab", ["row", "odd"])
+def test_slabs_leave_the_quadrature_unchanged(slab, sk, cubic_two_species, three_species_equal,
+                                              monkeypatch):
+    # one leading-axis row per slab, or slabs that split the node grid
+    # unevenly, against one slab holding the whole grid
+    for model in (sk, cubic_two_species, three_species_equal):
+        fm = build_finite_model(model, 400)
+        monkeypatch.setattr(landscape, "_SLAB_POINTS", 2**62)
+        whole = log_E_Z2_exact(fm, 0.3)
+        monkeypatch.setattr(landscape, "_SLAB_POINTS",
+                            1 if slab == "row" else _ODD_SLABS[model.n_species])
+        assert abs(log_E_Z2_exact(fm, 0.3) - whole) <= 1e-15

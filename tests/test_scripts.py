@@ -2,7 +2,10 @@
 writes what its docstring promises."""
 
 import importlib.util
+import math
 from pathlib import Path
+
+import pytest
 
 from spinmix.cli import SCAN_HEADER
 
@@ -40,5 +43,12 @@ def test_second_moment_table_prints_one_row_per_size(capsys):
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("beta = 0.5, limit = ")
-    assert lines[1].split() == ["N", "(1/N)", "log", "E", "Z^2", "gap"]
-    assert [line.split()[0] for line in lines[2:]] == ["50", "100"]
+    # below beta_m the Laplace constant, here 1/2 log 2, heads the table
+    assert lines[1].startswith("Laplace constant c = ")
+    assert float(lines[1].split("=")[1]) == pytest.approx(0.5 * math.log(2.0), rel=1e-12)
+    assert lines[2].split() == ["N", "(1/N)", "log", "E", "Z^2", "gap", "N*gap"]
+    rows = [line.split() for line in lines[3:]]
+    assert [row[0] for row in rows] == ["50", "100"]
+    for N, _, gap, n_gap in rows:
+        assert float(n_gap) == pytest.approx(int(N) * float(gap), rel=1e-3)
+        assert abs(float(n_gap) - 0.5 * math.log(2.0)) <= 1.0 / int(N)
