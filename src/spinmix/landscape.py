@@ -22,10 +22,11 @@ maximizer and its certification grid evaluate that one definition, and
 global search, `_search` (a dense grid for |S| <= 3, then one L-BFGS-B run
 per start), serves both the maximizer and those ratios, and it alone
 refuses more than six species.  The tensor-product kernel `_grid` (xi and
-a separable per-axis sum on the grid axis^S) is defined once as well;
-`criticality` and `quadrature` share it.  It yields the grid in slabs of
-about _SLAB_POINTS points, and every consumer reduces slab by slab (the
-argmin, the shifted logsumexp), so memory stays bounded at any grid size.
+a separable per-axis sum on the grid axis^S) is defined once as well, and
+`criticality` shares it.  It yields the grid in slabs of about _SLAB_POINTS
+points, and every consumer reduces slab by slab (the argmin), so memory
+stays bounded at any grid size.  Its term sum, `_xi_block`, also builds the
+blocks over which `quadrature` eliminates species, slab by slab.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import ModelSpec
 
@@ -197,37 +197,51 @@ def _box_axis(n: int) -> np.ndarray:
     return np.linspace(0.0, 1.0 - DOMAIN_CLAMP, n)
 
 
+def _along(i: int, dims: int, v: np.ndarray) -> np.ndarray:
+    """v along axis i of a dims-axis block, broadcast over the others."""
+    return v.reshape([-1 if k == i else 1 for k in range(dims)])
+
+
+def _xi_block(mix, pows, axes, terms, lead: slice) -> np.ndarray:
+    """The sum of xi's `terms` on a block: species axes[i] along block axis
+    i, over the nodes `lead` of axes[0] and every node of the others.
+
+    pows[s] holds the powers of species s's nodes, one column per term.  The
+    terms are summed in the order given, each the product of its per-axis
+    powers in axes order times its coefficient; factors x**0 = 1 are
+    skipped, which is exact.
+    """
+    shape = [len(pows[s]) for s in axes]
+    shape[0] = len(pows[axes[0]][lead])
+    out = np.zeros(shape)
+    for t in terms:
+        term = None
+        for i, s in enumerate(axes):
+            if mix.exponents[t, s]:
+                factor = _along(i, len(axes), pows[s][lead if i == 0 else slice(None), t])
+                term = factor if term is None else term * factor
+        out += term * mix.coeffs[t]
+    return out
+
+
 def _grid(model: ModelSpec, axis: np.ndarray, per_axis):
     """Yield (xi, sum_s per_axis(s, axis)) on the grid axis^S, slab by slab.
 
     A slab is a block of leading-axis rows in C order, of at most
     _SLAB_POINTS points (one row when a row alone is larger), so no array
-    holds the whole grid.  xi is summed term by term in term order, each
-    term the product of its per-axis powers in species order times its
-    coefficient; factors x**0 = 1 are skipped, which is exact.
+    holds the whole grid.  xi is `_xi_block` over every term in term order
+    and the species in species order.
     """
     mix = model.mixture
     S, n = model.n_species, len(axis)
     pows = [axis[:, None] ** mix.exponents[None, :, s] for s in range(S)]
     costs = [per_axis(s, axis) for s in range(S)]
-
-    def along(s, v):  # v along axis s, broadcast over the others
-        return v.reshape([len(v) if t == s else 1 for t in range(S)])
-
     rows = max(1, _SLAB_POINTS // n ** (S - 1))
     for lo in range(0, n, rows):
-        slab_pows = [pows[0][lo:lo + rows], *pows[1:]]
-        slab_costs = [costs[0][lo:lo + rows], *costs[1:]]
-        xi = np.zeros((len(slab_costs[0]),) + (n,) * (S - 1))
-        for t, coeff in enumerate(mix.coeffs):
-            term = None
-            for s in np.flatnonzero(mix.exponents[t]):
-                factor = along(s, slab_pows[s][:, t])
-                term = factor if term is None else term * factor
-            xi += coeff if term is None else term * coeff
-        total = along(0, slab_costs[0])
+        xi = _xi_block(mix, pows, range(S), range(len(mix.coeffs)), slice(lo, lo + rows))
+        total = _along(0, S, costs[0][lo:lo + rows])
         for s in range(1, S):
-            total = total + along(s, slab_costs[s])
+            total = total + _along(s, S, costs[s])
         yield xi, total
 
 
@@ -247,6 +261,11 @@ def _starts(S: int) -> list[np.ndarray]:
         rng = np.random.Generator(np.random.Philox(key=2 + S))
         starts.extend(rng.uniform(0.0, 0.95, size=(32, S)))
     return starts
+
+
+def minimize(*args, **kwargs):  # scipy.optimize's, imported at first use: it is slow to import
+    from scipy.optimize import minimize
+    return minimize(*args, **kwargs)
 
 
 def _search(S: int, fun, jac, grid, per_axis: int, starts) -> tuple[float, np.ndarray, bool, int]:

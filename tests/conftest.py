@@ -73,6 +73,21 @@ def three_species_equal() -> ModelSpec:
     )
 
 
+@pytest.fixture
+def chain_three_species() -> ModelSpec:
+    """Three species coupled in a chain through the middle one, so its
+    quadrature eliminates species in O(n^2); at N = 12800 it needs 513 nodes
+    per axis."""
+    names = ("a", "b", "c")
+    return ModelSpec(
+        SpeciesSet(names, np.array([0.3, 0.4, 0.3])),
+        Mixture.from_terms(names, {
+            (2, 0, 0): 1.0, (0, 2, 0): 0.8, (0, 0, 2): 0.6, (1, 1, 0): 0.5, (0, 1, 1): 0.4,
+            (2, 1, 0): 0.6, (0, 1, 2): 0.3, (0, 4, 0): 0.5,
+        }),
+    )
+
+
 def random_mixture(rng: np.random.Generator, n_species: int, max_total: int = 4) -> Mixture:
     names = ("a", "b", "c")[:n_species]
     terms = {}

@@ -84,6 +84,32 @@ def laplace_constant(model, beta: float) -> float:
     return -0.5 * float(logdet)
 
 
+def log_second_moment_by_full_grid(model, block_sizes, beta: float, n: int) -> float:
+    """(1/N) log of the n-node Gauss-Legendre sum of the second-moment
+    integral, summed over every point of the full n^S node grid at once.
+
+    Nodes and weights come from numpy, the overlap density from its closed
+    form Gamma(d/2) / (Gamma((d-1)/2) sqrt(pi)) (1 - r^2)^((d-3)/2), and xi
+    from the mixture's term map; nothing is factored or eliminated.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    S, N = model.n_species, sum(block_sizes)
+    nodes, weights = leggauss(n)
+    axes = [nodes.reshape([-1 if k == s else 1 for k in range(S)]) for s in range(S)]
+    values = np.zeros((n,) * S)
+    for s, d in enumerate(block_sizes):
+        log_norm = math.lgamma(d / 2) - math.lgamma((d - 1) / 2) - 0.5 * math.log(math.pi)
+        values = values + (np.log(weights) + log_norm + (d - 3) / 2 * np.log1p(-nodes * nodes)
+                           ).reshape(axes[s].shape)
+    xi = np.zeros((n,) * S)
+    for degrees, c in model.mixture.terms().items():
+        xi = xi + c * math.prod(axes[s] ** d for s, d in enumerate(degrees))
+    values = values + N * beta * beta * (model.xi1() + xi)
+    top = values.max()
+    return float(top + np.log(np.sum(np.exp(values - top)))) / N
+
+
 def pure_beta_m(p: int) -> float:
     """Tangency solution of f = 0, f' = 0 for xi(r) = r^p, single species.
 

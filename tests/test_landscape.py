@@ -281,3 +281,18 @@ def test_grid_tie_across_a_slab_boundary_goes_to_the_first_point(rows, cubic_two
     assert value == 0.0 and not ok
     assert np.array_equal(point, landscape._box_axis(201)[[3, 7]])
     assert fun_evals == 201 * 201 + 1
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported by the search that runs L-BFGS-B, not by
+    # `import spinmix`; a fresh interpreter shows it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import spinmix
+
+    env = dict(os.environ, PYTHONPATH=str(Path(spinmix.__file__).resolve().parents[1]))
+    code = "import sys, spinmix; assert 'scipy.optimize' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

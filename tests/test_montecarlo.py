@@ -245,6 +245,29 @@ def test_grid_memory_is_bounded(three_species_equal, monkeypatch):
     assert max(nodes) == 257
 
 
+def test_eliminated_quadrature_reaches_513_nodes_in_bounded_memory(chain_three_species,
+                                                                   monkeypatch):
+    # a chain is summed species by species, in blocks of n^2 points per pivot
+    # slab, so the three-species ladder's last rung is cheap and bounded too
+    nodes = []
+    roots = quadrature.roots_legendre
+
+    def recording_roots(n):
+        nodes.append(n)
+        return roots(n)
+
+    monkeypatch.setattr(quadrature, "roots_legendre", recording_roots)
+    fm = build_finite_model(chain_three_species, 12800)
+    tracemalloc.start()
+    try:
+        log_E_Z2_exact(fm, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert max(nodes) == 513
+
+
 def test_hamiltonian_centered_over_disorder(sk):
     fm = build_finite_model(sk, 16)
     sigma = sample_uniform(fm, stream(7))

@@ -4,10 +4,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from spinmix import beta_m, build_finite_model, landscape, log_E_Z2_exact
+import spinmix as sm
+from spinmix import beta_m, build_finite_model, landscape, log_E_Z2_exact, quadrature
 from spinmix.quadrature import log_overlap_density, log_sphere_surface
 
-from oracles import laplace_constant
+from oracles import laplace_constant, log_second_moment_by_full_grid
 
 
 def test_sphere_surface_known_values():
@@ -148,31 +149,76 @@ def test_four_species_rejected():
 
 
 @pytest.mark.parametrize("frac", [0.5, 0.6])
-def test_gap_approaches_the_laplace_constant(frac, sk, two_quad, three_species_equal):
+def test_gap_approaches_the_laplace_constant(frac, sk, two_quad, three_species_equal,
+                                             chain_three_species):
     # below beta_m, N * ((1/N) log E Z^2 - beta^2 xi(1)) = c + O(1/N) with c
-    # the Gaussian (Laplace) constant at the origin
-    for model in (sk, two_quad, three_species_equal):
+    # the Gaussian (Laplace) constant at the origin; the chain, summed in
+    # O(n^2), is followed to 257 nodes per axis
+    ladder = (200, 400, 800, 1600)
+    for model, Ns in ((sk, ladder), (two_quad, ladder), (three_species_equal, ladder),
+                      (chain_three_species, ladder + (3200, 6400))):
         beta = frac * beta_m(model)
         c = laplace_constant(model, beta)
-        for N in (200, 400, 800, 1600):
+        for N in Ns:
             gap = log_E_Z2_exact(build_finite_model(model, N), beta) - beta * beta * model.xi1()
             assert abs(N * gap - c) <= 5.0 / N
 
 
-# slab sizes, by species count, whose rows per slab leave a short last slab
-# on the 65- and 129-node grids
-_ODD_SLABS = {1: 10, 2: 1000, 3: 100000}
-
-
 @pytest.mark.parametrize("slab", ["row", "odd"])
 def test_slabs_leave_the_quadrature_unchanged(slab, sk, cubic_two_species, three_species_equal,
-                                              monkeypatch):
-    # one leading-axis row per slab, or slabs that split the node grid
-    # unevenly, against one slab holding the whole grid
-    for model in (sk, cubic_two_species, three_species_equal):
+                                              chain_three_species, monkeypatch):
+    # one pivot node per slab, or slabs that split the pivot nodes unevenly,
+    # against one slab holding them all; the odd sizes leave a short last
+    # slab on the 65- and 129-node grids, whose blocks are 1, n, n^2 and n
+    # points per pivot node for these models
+    for model, odd in ((sk, 10), (cubic_two_species, 1000), (three_species_equal, 100000),
+                       (chain_three_species, 1000)):
         fm = build_finite_model(model, 400)
         monkeypatch.setattr(landscape, "_SLAB_POINTS", 2**62)
         whole = log_E_Z2_exact(fm, 0.3)
-        monkeypatch.setattr(landscape, "_SLAB_POINTS",
-                            1 if slab == "row" else _ODD_SLABS[model.n_species])
+        monkeypatch.setattr(landscape, "_SLAB_POINTS", 1 if slab == "row" else odd)
         assert abs(log_E_Z2_exact(fm, 0.3) - whole) <= 1e-15
+
+
+# three-species mixtures by the shape of the graph their terms draw on the
+# species; each picks a different pivot, or none
+_SHAPES = {
+    "star_at_a": {(2, 0, 0): 1.0, (0, 2, 0): 0.8, (0, 0, 2): 0.6, (1, 1, 0): 0.5,
+                  (1, 0, 1): 0.4, (2, 0, 1): 0.3},
+    "star_at_c": {(2, 0, 0): 1.0, (0, 2, 0): 0.8, (0, 0, 2): 0.6, (1, 0, 1): 0.5,
+                  (0, 1, 1): 0.4, (0, 1, 2): 0.3},
+    "separable": {(2, 0, 0): 1.0, (0, 3, 0): 0.8, (0, 0, 2): 0.6, (4, 0, 0): 0.2},
+    "triangle": {(2, 0, 0): 1.0, (0, 2, 0): 0.8, (0, 0, 2): 0.6, (1, 1, 0): 0.5,
+                 (0, 1, 1): 0.4, (1, 0, 1): 0.3},
+}
+_BETA_M = {}
+
+
+@pytest.mark.parametrize("name", ["sk", "cubic_two_species", "star_at_a", "chain_three_species",
+                                  "star_at_c", "separable", "triangle", "three_species_equal"])
+@pytest.mark.parametrize("n_nodes", [65, 129])
+def test_elimination_matches_the_full_grid(name, n_nodes, request):
+    # the species-by-species sum against every point of the n^S node grid
+    if name in _SHAPES:
+        names = ("a", "b", "c")
+        model = sm.ModelSpec(sm.SpeciesSet(names, np.array([0.4, 0.35, 0.25])),
+                             sm.Mixture.from_terms(names, _SHAPES[name]))
+    else:
+        model = request.getfixturevalue(name)
+    if name not in _BETA_M:
+        _BETA_M[name] = beta_m(model)
+    fm = build_finite_model(model, 200)
+    for frac in (0.0, 0.5, 0.9):
+        beta = frac * _BETA_M[name]
+        expected = log_second_moment_by_full_grid(model, fm.block_sizes, beta, n_nodes)
+        assert abs(quadrature._log_integral(fm, beta, n_nodes) - expected) <= 1e-15
+
+
+def test_exhausted_ladder_reports_the_last_residual(chain_three_species):
+    # at N = 51200 the chain would need 1025 nodes per axis, past the
+    # three-species ladder; the error carries the gap between its last two
+    # rungs, not zero
+    with pytest.raises(quadrature.QuadratureError) as err:
+        log_E_Z2_exact(build_finite_model(chain_three_species, 51200), 0.2)
+    assert err.value.nodes == 513
+    assert err.value.residual > quadrature._REFINE_TOL
