@@ -8,18 +8,10 @@ thresholds, e.g.
 """
 
 import argparse
+import csv
 import math
 
-import numpy as np
-
-from spinmix import (
-    beta_hessian_singular,
-    beta_m,
-    beta_m_tilde,
-    hessian_at_zero,
-    load_model,
-    maximize_f,
-)
+from spinmix import beta_hessian_singular, beta_m, beta_m_tilde, load_model
 from spinmix.cli import main as cli_main
 
 
@@ -48,13 +40,15 @@ def run(argv=None):
     if code != 0:
         return code
 
+    # the table is read back from the CSV just written (exact: cells are reprs)
+    with open(args.out, newline="") as f:
+        rows = list(csv.DictReader(line for line in f if not line.startswith("#")))
     print(f"\n{'beta':>8}  {'max_f':>12}  {'lam_max(M)':>12}")
-    n = int(math.floor((args.beta_max - args.beta_min) / args.beta_step + 1e-9)) + 1
-    for beta in (args.beta_min + i * args.beta_step for i in range(n)):
-        res = maximize_f(model, beta)
-        lam = float(np.linalg.eigvalsh(hessian_at_zero(model, beta)).max())
+    for row in rows:
+        beta = float(row["beta"])
         marker = " <- threshold" if abs(beta - b_m) < args.beta_step / 2 else ""
-        print(f"{beta:8.3f}  {res.value:12.6g}  {lam:12.6g}{marker}")
+        print(f"{beta:8.3f}  {float(row['max_f']):12.6g}  "
+              f"{float(row['lambda_max_M']):12.6g}{marker}")
     return 0
 
 

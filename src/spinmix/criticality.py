@@ -129,13 +129,18 @@ def _ratio_min(model: ModelSpec, objective: str, tol_zero: float) -> _RatioMin:
     _, _, cost, dcost = _energy(model, 1.0, objective)
     c = 1.0 / model.xi1() if objective == "tilde" else 0.0
 
+    def parts(r):  # (numerator, xi(r))
+        return sum(float(cost(s, r[s])) for s in range(S)) + tol_zero, float(mix.eval(r))
+
     def ratio(r):
-        xir = float(mix.eval(r))
+        num, xir = parts(r)
+        return num * (1.0 / xir + c) if xir > 0.0 else np.inf
+
+    def ratio_grad(r):
+        num, xir = parts(r)
         if xir <= 0.0:
-            return np.inf, np.zeros(S)
-        num = sum(float(cost(s, r[s])) for s in range(S)) + tol_zero
-        w = 1.0 / xir + c
-        return num * w, dcost(r) * w - num * mix.grad(r) / (xir * xir)
+            return np.zeros(S)
+        return dcost(r) * (1.0 / xir + c) - num * mix.grad(r) / (xir * xir)
 
     def ratio_on_grid(axis):
         for xi_grid, num in _grid(model, axis, cost):
@@ -144,8 +149,8 @@ def _ratio_min(model: ModelSpec, objective: str, tol_zero: float) -> _RatioMin:
             values[xi_grid <= 0.0] = np.inf
             yield values
 
-    best, argmin, _, _ = _search(S, ratio, True, ratio_on_grid, 4001 if S == 1 else _GRID_POINTS,
-                                 [] if S <= 3 else _starts(S))
+    best, argmin, _, _ = _search(S, ratio, ratio_grad, ratio_on_grid,
+                                 4001 if S == 1 else _GRID_POINTS, [] if S <= 3 else _starts(S))
     beta = min(math.sqrt(best * (1.0 - _ROUND_DOWN)), beta_hessian_singular(model))
     return _RatioMin(beta, best, argmin, S <= 3)
 

@@ -21,16 +21,18 @@ maximizer and its certification grid evaluate that one definition, and
 `criticality`'s ratios take their cost and its gradient from it too.  One
 global search, `_search` (a dense grid for |S| <= 3, then one L-BFGS-B run
 per start), serves both the maximizer and those ratios, and it alone
-refuses more than six species.  The tensor-product kernel `_grid` (xi and
-a separable per-axis sum on the grid axis^S) is defined once as well, and
-`criticality` shares it.  It yields the grid in slabs of about _SLAB_POINTS
-points, and every consumer reduces slab by slab (the argmin), so memory
-stays bounded at any grid size.  Its term sum, `_xi_block`, also builds the
-blocks over which `quadrature` eliminates species, slab by slab.
+refuses more than six species.  The tensor-product kernel `_grid` (a sum
+of xi's terms and a separable per-axis sum on the grid axis^k, over some or
+all species) is the one slab loop in the package: `criticality` runs it on
+every species, and `quadrature` on the blocks over which it eliminates
+species.  It yields the grid in slabs of about _SLAB_POINTS points, and
+every consumer reduces slab by slab (an argmin, a logsumexp), so memory
+stays bounded at any grid size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,47 +204,34 @@ def _along(i: int, dims: int, v: np.ndarray) -> np.ndarray:
     return v.reshape([-1 if k == i else 1 for k in range(dims)])
 
 
-def _xi_block(mix, pows, axes, terms, lead: slice) -> np.ndarray:
-    """The sum of xi's `terms` on a block: species axes[i] along block axis
-    i, over the nodes `lead` of axes[0] and every node of the others.
+def _grid(model: ModelSpec, axis: np.ndarray, per_axis, axes=None, terms=None):
+    """Yield (xi, sum_i per_axis(axes[i], axis)) on the grid axis^len(axes),
+    slab by slab: species axes[i] along grid axis i, every species by default.
 
-    pows[s] holds the powers of species s's nodes, one column per term.  The
-    terms are summed in the order given, each the product of its per-axis
-    powers in axes order times its coefficient; factors x**0 = 1 are
-    skipped, which is exact.
-    """
-    shape = [len(pows[s]) for s in axes]
-    shape[0] = len(pows[axes[0]][lead])
-    out = np.zeros(shape)
-    for t in terms:
-        term = None
-        for i, s in enumerate(axes):
-            if mix.exponents[t, s]:
-                factor = _along(i, len(axes), pows[s][lead if i == 0 else slice(None), t])
-                term = factor if term is None else term * factor
-        out += term * mix.coeffs[t]
-    return out
-
-
-def _grid(model: ModelSpec, axis: np.ndarray, per_axis):
-    """Yield (xi, sum_s per_axis(s, axis)) on the grid axis^S, slab by slab.
-
-    A slab is a block of leading-axis rows in C order, of at most
-    _SLAB_POINTS points (one row when a row alone is larger), so no array
-    holds the whole grid.  xi is `_xi_block` over every term in term order
-    and the species in species order.
+    xi is the sum of the mixture's `terms` (every term by default), in the
+    order given, each the product of its per-axis powers in axes order times
+    its coefficient; factors x**0 = 1 are skipped, which is exact.  A slab
+    is a block of leading-axis rows in C order, of at most _SLAB_POINTS
+    points (one row when a row alone is larger), so no array holds the whole
+    grid.  Each slab's xi is a new array, which the consumer may overwrite.
     """
     mix = model.mixture
-    S, n = model.n_species, len(axis)
-    pows = [axis[:, None] ** mix.exponents[None, :, s] for s in range(S)]
-    costs = [per_axis(s, axis) for s in range(S)]
-    rows = max(1, _SLAB_POINTS // n ** (S - 1))
+    axes = range(model.n_species) if axes is None else axes
+    terms = range(len(mix.coeffs)) if terms is None else terms
+    dims, n = len(axes), len(axis)
+    pows = [axis[:, None] ** mix.exponents[None, terms, s] for s in axes]  # column j: terms[j]
+    costs = [per_axis(s, axis) for s in axes]
+    rows = max(1, _SLAB_POINTS // n ** (dims - 1))
     for lo in range(0, n, rows):
-        xi = _xi_block(mix, pows, range(S), range(len(mix.coeffs)), slice(lo, lo + rows))
-        total = _along(0, S, costs[0][lo:lo + rows])
-        for s in range(1, S):
-            total = total + _along(s, S, costs[s])
-        yield xi, total
+        lead = slice(lo, lo + rows)
+        xi = np.zeros((len(axis[lead]),) + (n,) * (dims - 1))
+        for j, t in enumerate(terms):
+            factors = (_along(i, dims, pows[i][lead if i == 0 else slice(None), j])
+                       for i, s in enumerate(axes) if mix.exponents[t, s])
+            xi += math.prod(factors) * mix.coeffs[t]
+        # the per-axis sum, unnamed so that the consumer holds its only reference
+        yield xi, sum((_along(i, dims, costs[i]) for i in range(1, dims)),
+                      _along(0, dims, costs[0][lead]))
 
 
 def _starts(S: int) -> list[np.ndarray]:
@@ -268,15 +257,15 @@ def minimize(*args, **kwargs):  # scipy.optimize's, imported at first use: it is
     return minimize(*args, **kwargs)
 
 
-def _search(S: int, fun, jac, grid, per_axis: int, starts) -> tuple[float, np.ndarray, bool, int]:
-    """Least value of fun over [0, 1 - DOMAIN_CLAMP]^S: (value, point,
-    converged, function evaluations).
+def _search(S: int, fun, grad, grid, per_axis: int,
+            starts) -> tuple[float, np.ndarray, bool, int]:
+    """Least value of fun, whose gradient is grad, over [0, 1 - DOMAIN_CLAMP]^S:
+    (value, point, converged, function evaluations).
 
     For |S| <= 3 the argmin of grid(axis), the objective on the grid axis^S
     with per_axis points per axis yielded slab by slab, is appended to the
-    starts.  One L-BFGS-B run per start (``jac`` as scipy takes it: a
-    callable, or True when fun returns the pair); ties go to the smallest
-    norm, then the coordinates.
+    starts.  One L-BFGS-B run per start; ties go to the smallest norm, then
+    the coordinates.
     The grid point, flagged unconverged, replaces the best run when it is
     lower by more than TOL_MAX.
     """
@@ -296,11 +285,11 @@ def _search(S: int, fun, jac, grid, per_axis: int, starts) -> tuple[float, np.nd
         starts = [*starts, g_point]
     runs = []
     for x0 in starts:
-        res = minimize(fun, x0, jac=jac, method="L-BFGS-B", bounds=[(0.0, hi)] * S,
+        res = minimize(fun, x0, jac=grad, method="L-BFGS-B", bounds=[(0.0, hi)] * S,
                        options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 500})
         fun_evals += int(res.nfev)
         x = np.clip(res.x, 0.0, hi)
-        value = fun(x)[0] if jac is True else fun(x)
+        value = fun(x)
         runs.append((value, float(np.linalg.norm(x)), x, bool(res.success)))
     value, _, x, ok = min(runs, key=lambda t: (t[0], t[1], tuple(t[2])))
     if on_grid and g_value < value - TOL_MAX:

@@ -96,21 +96,17 @@ class CoefficientLawError(AssertionError):
 
 @dataclass(frozen=True)
 class FiniteModel:
-    """A size-N discretization: per-species block sizes and index ranges."""
+    """A size-N discretization: per-species block sizes and the contiguous
+    block ranges as slices, so that indexing a block is a view."""
 
     model: ModelSpec
     N: int
     block_sizes: tuple[int, ...]
-    block_indices: tuple[np.ndarray, ...] = field(repr=False)
+    block_slices: tuple[slice, ...] = field(repr=False)
 
     @property
     def n_species(self) -> int:
         return self.model.n_species
-
-    @property
-    def block_slices(self) -> tuple[slice, ...]:
-        """The contiguous block ranges as slices, so that indexing is a view."""
-        return tuple(slice(int(idx[0]), int(idx[-1]) + 1) for idx in self.block_indices)
 
 
 def build_finite_model(model: ModelSpec, N: int) -> FiniteModel:
@@ -134,8 +130,8 @@ def build_finite_model(model: ModelSpec, N: int) -> FiniteModel:
         sizes[int(np.argmin(sizes))] += 1
     assert sizes.sum() == N
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    indices = tuple(np.arange(offsets[s], offsets[s + 1]) for s in range(S))
-    return FiniteModel(model, N, tuple(int(n) for n in sizes), indices)
+    slices = tuple(slice(int(offsets[s]), int(offsets[s + 1])) for s in range(S))
+    return FiniteModel(model, N, tuple(int(n) for n in sizes), slices)
 
 
 def validate_configuration(fm: FiniteModel, sigma: np.ndarray) -> np.ndarray:
@@ -143,8 +139,8 @@ def validate_configuration(fm: FiniteModel, sigma: np.ndarray) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (fm.N,):
         raise ValueError(f"configuration must have shape ({fm.N},)")
-    for s, (idx, n_s) in enumerate(zip(fm.block_indices, fm.block_sizes)):
-        sq = float(np.sum(sigma[idx] ** 2))
+    for s, (sl, n_s) in enumerate(zip(fm.block_slices, fm.block_sizes)):
+        sq = float(np.sum(sigma[sl] ** 2))
         if abs(sq - n_s) > _CONFIG_TOL * n_s:
             raise ValueError(
                 f"species {fm.model.species.names[s]}: |sigma|^2 = {sq}, expected {n_s}"
@@ -157,7 +153,7 @@ def overlap(fm: FiniteModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return np.array(
-        [float(a[idx] @ b[idx]) / n_s for idx, n_s in zip(fm.block_indices, fm.block_sizes)]
+        [float(a[sl] @ b[sl]) / n_s for sl, n_s in zip(fm.block_slices, fm.block_sizes)]
     )
 
 
@@ -176,8 +172,8 @@ def _sphere_block(rng: np.random.Generator, n_s: int, c: np.ndarray | None = Non
 def sample_uniform(fm: FiniteModel, rng: np.random.Generator) -> np.ndarray:
     """Uniform point on the product of spheres: normalized Gaussian blocks."""
     out = np.empty(fm.N)
-    for idx, n_s in zip(fm.block_indices, fm.block_sizes):
-        out[idx] = _sphere_block(rng, n_s)
+    for sl, n_s in zip(fm.block_slices, fm.block_sizes):
+        out[sl] = _sphere_block(rng, n_s)
     return out
 
 
@@ -186,9 +182,9 @@ def _band_point(
 ) -> np.ndarray:
     """``sample_on_band`` for a checked ``center`` and ``r``."""
     out = np.empty(fm.N)
-    for s, (idx, n_s) in enumerate(zip(fm.block_indices, fm.block_sizes)):
-        c = center[idx]
-        out[idx] = r[s] * c + math.sqrt(1.0 - r[s] * r[s]) * _sphere_block(rng, n_s, c)
+    for s, (sl, n_s) in enumerate(zip(fm.block_slices, fm.block_sizes)):
+        c = center[sl]
+        out[sl] = r[s] * c + math.sqrt(1.0 - r[s] * r[s]) * _sphere_block(rng, n_s, c)
     return out
 
 
@@ -332,7 +328,7 @@ def covariance_exact(fm: FiniteModel, a: np.ndarray, b: np.ndarray) -> float:
     """
     a = validate_configuration(fm, a)
     b = validate_configuration(fm, b)
-    block_dots = [float(a[idx] @ b[idx]) for idx in fm.block_indices]
+    block_dots = [float(a[sl] @ b[sl]) for sl in fm.block_slices]
     route1 = 0.0
     for row, coeff in zip(fm.model.mixture.exponents, fm.model.mixture.coeffs):
         pref_sq = _term_prefactor(float(coeff), row, fm) ** 2
@@ -389,8 +385,9 @@ def estimator_record(fm: FiniteModel, result: EstimatorResult) -> dict:
 
 
 def _hamiltonians(disorder: DisorderSample, key: np.ndarray, n_samples: int, draw) -> np.ndarray:
-    """H at configuration i = draw(rng), i < n_samples, with rng at counter
-    block i of ``key``: the draw ``substream(key, i)`` would make."""
+    """H at configuration i = draw(rng), i < n_samples, with rng moved by
+    ``seek`` to counter block i of ``key``: the draw a fresh
+    ``Philox(key=key, counter=i << 128)`` would make."""
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
     bitgen = np.random.Philox(key=key)

@@ -9,13 +9,15 @@ The quantity computed is
 with omega_d the surface area of the unit sphere in R^d.  The density
 factor is the exact law of the per-species overlap between two independent
 uniform points, so the value is 0 at beta = 0 for every N.  The sum over
-the tensor-product nodes eliminates species: the species other than a pivot
-split into components no term joins, and each is summed out per pivot node.
+the tensor-product nodes eliminates species (`_plan`): the species other
+than a pivot split into components no term joins, and each is summed out
+per pivot node on landscape's tensor-product grid, `_grid`, slab by slab.
 So a chain, star or separable three-species model costs O(n^2) for n nodes
 per axis, and only a model coupled across its non-pivot species (a triangle,
-an r1 r2 r3 term) the O(n^3) of the full grid.  Everything is assembled in
-the log domain; the only exponentiation happens inside shifted logsumexps,
-per component and slab of pivot nodes, per slab, and once over the slabs.
+an r1 r2 r3 term) the O(n^3) of the full grid; the node ladder stops where a
+rung would sum more than 513^3 points.  Everything is assembled in the log
+domain; the only exponentiation happens inside shifted logsumexps, one per
+component and slab, and one over the pivot nodes.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln, logsumexp, roots_legendre
 
-from . import landscape
+from .landscape import _grid
 from .montecarlo import FiniteModel
 
 __all__ = ["QuadratureError", "log_sphere_surface", "log_overlap_density", "log_E_Z2_exact"]
@@ -31,6 +33,7 @@ __all__ = ["QuadratureError", "log_sphere_surface", "log_overlap_density", "log_
 _NODE_LADDER = (65, 129, 257, 513, 1025, 2049)
 # two consecutive refinements must agree to this, absolutely
 _REFINE_TOL = 1e-9
+_MAX_POINTS = 513**3  # the most points one rung may sum
 
 
 class QuadratureError(RuntimeError):
@@ -52,38 +55,48 @@ def log_overlap_density(r: np.ndarray, d: int) -> np.ndarray:
     return log_sphere_surface(d - 1) - log_sphere_surface(d) + ((d - 3) / 2.0) * np.log1p(-r * r)
 
 
-def _log_integral(fm: FiniteModel, beta: float, n_nodes: int) -> float:
-    nodes, weights = roots_legendre(n_nodes)
-    mix, S = fm.model.mixture, fm.model.n_species
-    nb2 = fm.N * beta * beta
+def _plan(mix) -> tuple[int, list[list[int]]]:
+    """The elimination order: (pivot, components).
+
+    The pivot is the first species such that no term touches two others,
+    each other species then a component alone; else species 0, with every
+    other species in one component.
+    """
     touches = mix.exponents > 0
-    for p in range(S):  # pivot: the first species such that no term touches two others
+    S = touches.shape[1]
+    for p in range(S):
         rest = [s for s in range(S) if s != p]
         if touches[:, rest].sum(axis=1).max(initial=0) <= 1:
-            comps = [[s] for s in rest]  # each a component alone
-            break
-    else:
-        p, comps = 0, [list(range(1, S))]
-    pows = [nodes[:, None] ** mix.exponents[None, :, s] for s in range(S)]
-    costs = [np.log(weights) + log_overlap_density(nodes, fm.block_sizes[s]) for s in range(S)]
-    # the pivot's own terms, then per slab of pivot nodes each component
-    # reduced by a logsumexp over its sub-grid; one logsumexp per slab and one
-    # over the slabs
+            return p, [[s] for s in rest]
+    return 0, [list(range(1, S))]
+
+
+def _log_integral(fm: FiniteModel, beta: float, n_nodes: int) -> float:
+    nodes, weights = roots_legendre(n_nodes)
+    mix, nb2 = fm.model.mixture, fm.N * beta * beta
+    touches = mix.exponents > 0
+    p, comps = _plan(mix)
+    costs = [np.log(weights) + log_overlap_density(nodes, n_s) for n_s in fm.block_sizes]
+    zeros = np.zeros(n_nodes)
+
+    def per_axis(s, axis):  # the pivot's cost enters once, in the pivot vector
+        return zeros if s == p else costs[s]
+
+    # the pivot's own terms, plus each component reduced by a logsumexp over
+    # its sub-grid per pivot node; one logsumexp over the pivot nodes
     pivot_terms = np.flatnonzero(~np.delete(touches, p, axis=1).any(axis=1))
-    pivot = costs[p] + nb2 * (fm.model.xi1() + landscape._xi_block(
-        mix, pows, [p], pivot_terms, slice(None)))
-    rows = max(1, landscape._SLAB_POINTS // n_nodes ** max(map(len, comps), default=0))
-    slabs = []
-    for lo in range(0, n_nodes, rows):
-        total = pivot[lo:lo + rows]
-        for comp in comps:
-            terms = np.flatnonzero(touches[:, comp].any(axis=1))
-            block = nb2 * landscape._xi_block(mix, pows, [p, *comp], terms, slice(lo, lo + rows))
-            for i, s in enumerate(comp, 1):
-                block = block + landscape._along(i, len(comp) + 1, costs[s])
-            total = total + logsumexp(block, axis=tuple(range(1, len(comp) + 1)))
-        slabs.append(logsumexp(total))
-    return float(logsumexp(slabs)) / fm.N
+    xi_p = np.concatenate([xi for xi, _ in _grid(fm.model, nodes, per_axis, [p], pivot_terms)])
+    total = costs[p] + nb2 * (fm.model.xi1() + xi_p)
+    for comp in comps:
+        terms = np.flatnonzero(touches[:, comp].any(axis=1))
+        sums = []
+        for xi, cost in _grid(fm.model, nodes, per_axis, [p, *comp], terms):
+            xi *= nb2  # the block N beta^2 xi + cost, built in xi's memory
+            xi += cost
+            del cost  # the logsumexp's temporaries may reuse its memory
+            sums.append(logsumexp(xi, axis=tuple(range(1, len(comp) + 1))))
+        total = total + np.concatenate(sums)
+    return float(logsumexp(total)) / fm.N
 
 
 def log_E_Z2_exact(fm: FiniteModel, beta: float) -> float:
@@ -96,9 +109,10 @@ def log_E_Z2_exact(fm: FiniteModel, beta: float) -> float:
     if fm.model.n_species > 3:
         raise ValueError("tensor-product quadrature supports at most 3 species")
     prev = None
-    # three species stop at 513 nodes for time, not memory: a coupled model
-    # sums 513^3 points, about 8 times the 257^3 rung (others cost n^2)
-    ladder = _NODE_LADDER if fm.model.n_species < 3 else _NODE_LADDER[:4]
+    # a rung sums n^(1 + largest component) points, capped for time rather
+    # than memory: a coupled three-species model stops at 513 nodes
+    largest = max(map(len, _plan(fm.model.mixture)[1]), default=0)
+    ladder = [n for n in _NODE_LADDER if n ** (1 + largest) <= _MAX_POINTS]
     for n_nodes in ladder:
         val = _log_integral(fm, beta, n_nodes)
         residual = abs(val - prev) if prev is not None else np.inf

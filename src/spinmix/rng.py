@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "philox_key", "stream", "substream", "seek", "DISORDER", "UNIFORM", "LEVELSET", "BAND",
+    "philox_key", "stream", "seek", "DISORDER", "UNIFORM", "LEVELSET", "BAND",
     "SPOT_CHECKS", "EMPIRICAL_COVARIANCE", "VERIFY_CENTER", "PROBE_CENTER",
 ]
 
@@ -61,9 +61,3 @@ def seek(bitgen: np.random.Philox, key: np.ndarray, index: int) -> None:
         "uinteger": 0,
     }
 
-
-def substream(key: np.ndarray, index: int) -> np.random.Generator:
-    """Generator at counter block ``index`` of the stream with ``key``."""
-    bitgen = np.random.Philox(key=key)
-    seek(bitgen, key, index)
-    return np.random.Generator(bitgen)

@@ -61,8 +61,10 @@ def cross_only() -> ModelSpec:
 
 @pytest.fixture
 def three_species_equal() -> ModelSpec:
-    """Three species in equal proportions, coupled in a chain, with cubic and
-    quartic terms; at N = 3200 its quadrature needs 257 nodes per axis."""
+    """Three species in equal proportions with cubic and quartic terms; its
+    r1 r2 r3 term couples all three, so no species is a pivot and its
+    quadrature sums the full n^3 grid; at N = 3200 it needs 257 nodes per
+    axis."""
     names = ("a", "b", "c")
     return ModelSpec(
         SpeciesSet(names, np.full(3, 1.0 / 3.0)),

@@ -141,7 +141,7 @@ def hamiltonian_by_masks(disorder, sigmas: np.ndarray) -> np.ndarray:
     fm = disorder.fm
     mix = fm.model.mixture
     positions = np.arange(fm.N)
-    masks = [np.isin(positions, idx) for idx in fm.block_indices]
+    masks = [(positions >= sl.start) & (positions < sl.stop) for sl in fm.block_slices]
     out = []
     for sigma in np.atleast_2d(sigmas):
         masked = [np.where(mask, sigma, 0.0) for mask in masks]

@@ -86,8 +86,8 @@ def test_uniform_samples_sit_on_the_spheres(cubic_two_species):
     rng = stream(3)
     for _ in range(5):
         sigma = sample_uniform(fm, rng)
-        for idx, n_s in zip(fm.block_indices, fm.block_sizes):
-            assert np.sum(sigma[idx] ** 2) == pytest.approx(n_s, rel=1e-12)
+        for sl, n_s in zip(fm.block_slices, fm.block_sizes):
+            assert np.sum(sigma[sl] ** 2) == pytest.approx(n_s, rel=1e-12)
 
 
 def test_overlap_endpoints(cubic_two_species):
@@ -248,7 +248,7 @@ def test_grid_memory_is_bounded(three_species_equal, monkeypatch):
 def test_eliminated_quadrature_reaches_513_nodes_in_bounded_memory(chain_three_species,
                                                                    monkeypatch):
     # a chain is summed species by species, in blocks of n^2 points per pivot
-    # slab, so the three-species ladder's last rung is cheap and bounded too
+    # slab, so its rungs past 257 nodes are cheap and bounded too
     nodes = []
     roots = quadrature.roots_legendre
 
@@ -257,15 +257,17 @@ def test_eliminated_quadrature_reaches_513_nodes_in_bounded_memory(chain_three_s
         return roots(n)
 
     monkeypatch.setattr(quadrature, "roots_legendre", recording_roots)
-    fm = build_finite_model(chain_three_species, 12800)
-    tracemalloc.start()
-    try:
-        log_E_Z2_exact(fm, 0.2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
-    assert max(nodes) == 513
+    for N, top in ((12800, 513), (51200, 1025)):
+        nodes.clear()
+        fm = build_finite_model(chain_three_species, N)
+        tracemalloc.start()
+        try:
+            log_E_Z2_exact(fm, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert max(nodes) == top
 
 
 def test_hamiltonian_centered_over_disorder(sk):

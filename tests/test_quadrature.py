@@ -214,11 +214,30 @@ def test_elimination_matches_the_full_grid(name, n_nodes, request):
         assert abs(quadrature._log_integral(fm, beta, n_nodes) - expected) <= 1e-15
 
 
-def test_exhausted_ladder_reports_the_last_residual(chain_three_species):
-    # at N = 51200 the chain would need 1025 nodes per axis, past the
-    # three-species ladder; the error carries the gap between its last two
-    # rungs, not zero
+def test_exhausted_ladder_reports_the_last_residual(sk):
+    # at N = 10^8 SK would need more than 2049 nodes per axis; the error
+    # carries the gap between the ladder's last two rungs, not zero
     with pytest.raises(quadrature.QuadratureError) as err:
-        log_E_Z2_exact(build_finite_model(chain_three_species, 51200), 0.2)
-    assert err.value.nodes == 513
+        log_E_Z2_exact(build_finite_model(sk, 10**8), 0.2)
+    assert err.value.nodes == 2049
     assert err.value.residual > quadrature._REFINE_TOL
+
+
+def test_the_elimination_plan_bounds_the_ladder(sk, two_quad, three_species_equal,
+                                                chain_three_species, monkeypatch):
+    # a rung may sum at most 513^3 points: a model coupled across its
+    # non-pivot species stops at 513 nodes, every other one at 2049
+    asked = []
+
+    def never_converges(fm, beta, n_nodes):
+        asked.append(n_nodes)
+        return float(len(asked))
+
+    monkeypatch.setattr(quadrature, "_log_integral", never_converges)
+    for model, last in ((sk, 2049), (two_quad, 2049), (three_species_equal, 513),
+                        (chain_three_species, 2049)):
+        asked.clear()
+        with pytest.raises(quadrature.QuadratureError) as err:
+            log_E_Z2_exact(build_finite_model(model, 200), 0.3)
+        assert err.value.nodes == last
+        assert asked == [n for n in quadrature._NODE_LADDER if n <= last]

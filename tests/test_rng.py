@@ -1,6 +1,6 @@
 import numpy as np
 
-from spinmix.rng import philox_key, seek, substream
+from spinmix.rng import philox_key, seek
 
 
 def _fresh(key: np.ndarray, i: int) -> np.random.Generator:
@@ -24,4 +24,3 @@ def test_seek_reproduces_a_fresh_philox_at_each_block():
     for i in (0, 1, 12345, 2**64 + 3, 1):  # back to 1, with the buffer part-used
         seek(bitgen, key, i)
         assert _same(_draws(moved), _draws(_fresh(key, i)))
-        assert _same(_draws(substream(key, i)), _draws(_fresh(key, i)))
