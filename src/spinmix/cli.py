@@ -64,11 +64,14 @@ def _load(args) -> ModelSpec:
 
 
 def _beta_grid(args) -> list[float]:
+    flags = (args.beta_min, args.beta_max, args.beta_step) if args.beta is None else (args.beta,)
+    if None in flags:
+        raise ValueError("supply --beta or the full --beta-min/--beta-max/--beta-step grid")
+    if not all(map(math.isfinite, flags)):
+        raise ValueError(f"beta flags must be finite, got {flags}")
     if args.beta is not None:
         return [float(args.beta)]
-    if args.beta_min is None or args.beta_max is None or args.beta_step is None:
-        raise ValueError("supply --beta or the full --beta-min/--beta-max/--beta-step grid")
-    lo, hi, step = float(args.beta_min), float(args.beta_max), float(args.beta_step)
+    lo, hi, step = map(float, flags)
     if step <= 0.0 or hi < lo:
         raise ValueError("beta grid requires beta-step > 0 and beta-max >= beta-min")
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1

@@ -8,19 +8,20 @@ Three thresholds are computed per model:
                 acquires a nonnegative eigenvalue (closed form)
 
 f_beta = -E(r) + beta^2 xi(r), with E(r) = -1/2 sum_s lam_s log(1 - r_s^2),
-is affine in beta^2, so max f <= t holds exactly when beta^2 is at most an
-infimum over the points with xi(r) > 0 (t = tol_zero):
+is affine in beta^2, and so is its truncated variant, so max f <= t holds
+exactly when beta^2 is at most an infimum over the points with xi(r) > 0
+(t = tol_zero):
 
   beta_m^2            inf (E(r) + t) / xi(r)
-  beta_m_tilde^2      inf (E(r) + t) * (1/xi(r) + 1/xi(1))
+  beta_m_tilde^2      inf (E(r) + t) / (xi(1) xi(r) / (xi(1) + xi(r)))
   beta_c_talagrand^2  inf (-(log(1 - r) + r) + t) / xi(r)      (one species)
 
-Each infimum is one landscape `_search`, the one maximize_f runs: a dense
-grid, then a bounded L-BFGS polish with the analytic gradient; the cost and
-its gradient come from landscape's objective table.  Each threshold is
-capped at beta_H, the r -> 0 limit of the same ratio; above beta_H the
-origin is unstable, so the cap is exact and lands origin-driven models
-(SK) on beta_H.
+that is, the objective's cost plus t over its energy term at beta = 1, both
+from landscape's objective table.  Each infimum is one landscape `_search`
+of minus the ratio, the search maximize_f runs, with the same grid, starts
+and certification.  Each threshold is capped at beta_H, the r -> 0 limit of
+the same ratio; above beta_H the origin is unstable, so the cap is exact
+and lands origin-driven models (SK) on beta_H.
 
 The verdict is EQUAL when M(beta_m) is singular to within tolerance (then
 beta_m is the critical inverse-temperature and is reported as such),
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .landscape import _GRID_POINTS, TOL_ZERO, _energy, _grid, _search, _starts
+from .landscape import TOL_ZERO, MaximizeResult, _energy, _grid, _search
 from .landscape import hessian_at_zero, maximize_f
 from .model import ModelSpec
 
@@ -56,11 +57,11 @@ __all__ = [
     "check_nsd",
     "verdict",
     "TOL_SING",
-    "BISECT_TOL",
+    "BETA_TOL",
 ]
 
 TOL_SING = 1e-6     # singularity band, relative to the scale of M
-BISECT_TOL = 1e-9   # stated absolute accuracy of every threshold in beta
+BETA_TOL = 1e-9     # stated absolute accuracy of every threshold in beta
 # beta^2 is taken this fraction below the ratio infimum, so that rounding in
 # f cannot lift max f_beta above tol_zero at the reported threshold
 _ROUND_DOWN = 1e-12
@@ -78,6 +79,11 @@ def _sing_scale(model: ModelSpec, beta: float) -> float:
     Q = model.mixture.degree2_matrix()
     q_norm = float(np.max(np.abs(np.linalg.eigvalsh(Q)))) if Q.any() else 0.0
     return lam_norm + beta * beta * q_norm
+
+
+def _check_tolerance(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def beta_hessian_singular(model: ModelSpec) -> float:
@@ -104,65 +110,57 @@ def check_nsd(model: ModelSpec, beta: float) -> tuple[float, bool]:
     return lam_max, lam_max <= TOL_SING * _sing_scale(model, beta)
 
 
-@dataclass(frozen=True)
-class _RatioMin:
-    beta: float           # sqrt of the infimum, capped at beta_H
-    ratio: float          # the infimum, before the cap
-    argmin: np.ndarray
-    grid_certified: bool  # located on a dense grid (|S| <= 3)
+def _ratio_min(model: ModelSpec, objective: str, tol_zero: float) -> tuple[float, MaximizeResult]:
+    """Infimum of (cost(r) + tol_zero) / energy(xi(r)) over xi(r) > 0, as
+    (beta, search) with beta = sqrt(infimum), capped at beta_H, and search
+    the landscape `_search` of minus the ratio.
 
-
-def _ratio_min(model: ModelSpec, objective: str, tol_zero: float) -> _RatioMin:
-    """Infimum of (cost(r) + tol_zero) * (1/xi(r) + c) over xi(r) > 0.
-
-    cost is the objective's separable cost from landscape's table: the
-    entropy E with c = 0 ("plain") or c = 1/xi(1) ("tilde"), or
-    -(log(1 - r) + r) with c = 0 ("talagrand").  One `_search`: the grid
-    argmin (4001 points for one species, 201 per axis for two or three) is
-    polished by one L-BFGS run; four to six species run L-BFGS from each of
-    maximize_f's starts instead.
+    cost is the objective's separable cost and energy its energy term at
+    beta = 1, both from landscape's table: the entropy with x ("plain") or
+    xi(1) x / (xi(1) + x) ("tilde"), or -(log(1 - r) + r) with x
+    ("talagrand").
     """
     if model.xi1() <= 0.0:
         raise ValueError("threshold computation requires xi(1) > 0")
+    _check_tolerance("tol_zero", tol_zero)
     S = model.n_species
     mix = model.mixture
-    _, _, cost, dcost = _energy(model, 1.0, objective)
-    c = 1.0 / model.xi1() if objective == "tilde" else 0.0
+    energy, slope, cost, dcost = _energy(model, 1.0, objective)
 
     def parts(r):  # (numerator, xi(r))
         return sum(float(cost(s, r[s])) for s in range(S)) + tol_zero, float(mix.eval(r))
 
-    def ratio(r):
+    def neg_ratio(r):
         num, xir = parts(r)
-        return num * (1.0 / xir + c) if xir > 0.0 else np.inf
+        return -num / energy(xir) if xir > 0.0 else -np.inf
 
-    def ratio_grad(r):
+    def neg_ratio_grad(r):
         num, xir = parts(r)
         if xir <= 0.0:
             return np.zeros(S)
-        return dcost(r) * (1.0 / xir + c) - num * mix.grad(r) / (xir * xir)
+        e = energy(xir)
+        return num * slope(r) * mix.grad(r) / (e * e) - dcost(r) / e
 
-    def ratio_on_grid(axis):
+    def neg_ratio_on_grid(axis):
         for xi_grid, num in _grid(model, axis, cost):
             with np.errstate(divide="ignore", invalid="ignore"):
-                values = (num + tol_zero) * (1.0 / xi_grid + c)
-            values[xi_grid <= 0.0] = np.inf
+                values = -(num + tol_zero) / energy(xi_grid)
+            values[xi_grid <= 0.0] = -np.inf
             yield values
 
-    best, argmin, _, _ = _search(S, ratio, ratio_grad, ratio_on_grid,
-                                 4001 if S == 1 else _GRID_POINTS, [] if S <= 3 else _starts(S))
-    beta = min(math.sqrt(best * (1.0 - _ROUND_DOWN)), beta_hessian_singular(model))
-    return _RatioMin(beta, best, argmin, S <= 3)
+    search = _search(S, neg_ratio, neg_ratio_grad, neg_ratio_on_grid)
+    beta = min(math.sqrt(-search.value * (1.0 - _ROUND_DOWN)), beta_hessian_singular(model))
+    return beta, search
 
 
 def beta_m(model: ModelSpec, *, tol_zero: float = TOL_ZERO) -> float:
     """Second-moment threshold: largest beta with max f_beta <= tol_zero."""
-    return _ratio_min(model, "plain", tol_zero).beta
+    return _ratio_min(model, "plain", tol_zero)[0]
 
 
 def beta_m_tilde(model: ModelSpec, *, tol_zero: float = TOL_ZERO) -> float:
     """Threshold of the truncated functional; upper-bounds beta_m."""
-    return _ratio_min(model, "tilde", tol_zero).beta
+    return _ratio_min(model, "tilde", tol_zero)[0]
 
 
 def beta_c_talagrand(model: ModelSpec, *, tol_zero: float = TOL_ZERO) -> float:
@@ -173,7 +171,7 @@ def beta_c_talagrand(model: ModelSpec, *, tol_zero: float = TOL_ZERO) -> float:
     |S| = 1).  Serves as an independent oracle for beta_c in the
     single-species case.
     """
-    return _ratio_min(model, "talagrand", tol_zero).beta
+    return _ratio_min(model, "talagrand", tol_zero)[0]
 
 
 @dataclass(frozen=True)
@@ -223,9 +221,9 @@ def verdict(
     One global maximization of f at beta_m certifies the ratio infimum:
     its value must not exceed tol_zero.
     """
+    _check_tolerance("tol_sing", tol_sing)
     positive = model.mixture.positive_off_origin()
-    plain = _ratio_min(model, "plain", tol_zero)
-    b_m = plain.beta
+    b_m, plain = _ratio_min(model, "plain", tol_zero)
     b_t = beta_m_tilde(model, tol_zero=tol_zero)
     b_H = beta_hessian_singular(model)
     cert = maximize_f(model, b_m)
@@ -242,8 +240,8 @@ def verdict(
         v = Verdict.INCONCLUSIVE
 
     witnesses = {
-        "argmin_ratio": [float(x) for x in plain.argmin],
-        "min_ratio": float(plain.ratio),
+        "argmin_ratio": [float(x) for x in plain.argmax],
+        "min_ratio": -plain.value,
         "grid_certified_ratio": plain.grid_certified,
         "argmax_certificate": [float(x) for x in cert.argmax],
         "value_certificate": float(cert.value),
@@ -259,5 +257,5 @@ def verdict(
         xi_positive_off_origin=positive,
         beta_c=float(b_m) if v is Verdict.EQUAL else None,
         witnesses=witnesses,
-        tolerances={"tol_zero": tol_zero, "tol_sing": tol_sing, "bisect_tol": BISECT_TOL},
+        tolerances={"tol_zero": tol_zero, "tol_sing": tol_sing, "beta_tol": BETA_TOL},
     )

@@ -18,22 +18,24 @@ All three functionals are one table, `_energy`: an energy term in
 x = xi(r) minus a separable cost, the entropy for f_beta and its truncated
 variant and -(log(1-r) + r) for g_beta.  The pointwise functions, the
 maximizer and its certification grid evaluate that one definition, and
-`criticality`'s ratios take their cost and its gradient from it too.  One
-global search, `_search` (a dense grid for |S| <= 3, then one L-BFGS-B run
-per start), serves both the maximizer and those ratios, and it alone
-refuses more than six species.  The tensor-product kernel `_grid` (a sum
+`criticality`'s ratios take their costs and energy terms from it too.  One
+global search, `_search`, serves both the maximizer and those ratios, and
+it alone decides the search policy: the grid (4001 points for one species,
+201 per axis for two or three, none for four to six), the local-search
+starts (`_starts`), which results are grid-certified, and the refusal of
+more than six species.  The tensor-product kernel `_grid` (a sum
 of xi's terms and a separable per-axis sum on the grid axis^k, over some or
-all species) is the one slab loop in the package: `criticality` runs it on
+all species) is the one slab loop in the package: the search runs it on
 every species, and `quadrature` on the blocks over which it eliminates
 species.  It yields the grid in slabs of about _SLAB_POINTS points, and
-every consumer reduces slab by slab (an argmin, a logsumexp), so memory
+every consumer reduces slab by slab (an argmax, a logsumexp), so memory
 stays bounded at any grid size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,8 +62,9 @@ TOL_MAX = 1e-9
 # values at or below this count as "the maximum is zero"
 TOL_ZERO = 1e-10
 
-# certification grid points per axis (pitch 1/200), |S| <= 3
-_GRID_POINTS = 201
+# certification grid points per axis by species count: 4001 for one species,
+# pitch 1/200 for two or three; four to six species have no grid
+_GRID_POINTS = {1: 4001, 2: 201, 3: 201}
 # points per slab of a tensor-product grid: 2 MB per float64 array
 _SLAB_POINTS = 2**18
 
@@ -72,7 +75,7 @@ def _coerce_r(n_species: int, r) -> np.ndarray:
         r = np.full(n_species, float(r))
     if r.shape != (n_species,):
         raise ValueError(f"overlap vector must have shape ({n_species},)")
-    if np.any(r < 0.0) or np.any(r >= 1.0):
+    if not np.all((r >= 0.0) & (r < 1.0)):  # NaN fails both comparisons
         raise ValueError(f"overlap vector {r} outside [0, 1)^S")
     return r
 
@@ -127,8 +130,8 @@ def _energy(model: ModelSpec, beta: float, objective: str):
 
 
 def _objective(model: ModelSpec, beta: float, objective: str):
-    """Return (f, grad f) callables on the clamped box, and -f on the grid
-    axis^S, slab by slab, as a function of axis."""
+    """Return (f, grad f) callables on the clamped box, and f on the grid
+    axis^S, slab by slab, as a function of axis: `_search`'s arguments."""
     mix = model.mixture
     energy, slope, cost, dcost = _energy(model, beta, objective)
 
@@ -138,10 +141,10 @@ def _objective(model: ModelSpec, beta: float, objective: str):
     def grad(r):
         return slope(r) * mix.grad(r) - dcost(r)
 
-    def neg_on_grid(axis):
-        return (total_cost - energy(xi) for xi, total_cost in _grid(model, axis, cost))
+    def on_grid(axis):
+        return (energy(xi) - total_cost for xi, total_cost in _grid(model, axis, cost))
 
-    return fun, grad, neg_on_grid
+    return fun, grad, on_grid
 
 
 def f_beta(model: ModelSpec, beta: float, r) -> float:
@@ -180,7 +183,8 @@ def hessian_at_zero(model: ModelSpec, beta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MaximizeResult:
-    """Outcome of the global maximization of f over [0, 1)^S.
+    """Outcome of a global maximization over [0, 1)^S (`_search`): of f for
+    maximize_f, of minus a threshold ratio for `criticality`.
 
     Ties in the final comparison are broken toward the smallest Euclidean
     norm.
@@ -190,8 +194,8 @@ class MaximizeResult:
     value: float
     starts_used: int
     converged: bool
-    grid_certified: bool = False
-    fun_evals: int = 0
+    grid_certified: bool
+    fun_evals: int
 
 
 def _box_axis(n: int) -> np.ndarray:
@@ -237,19 +241,15 @@ def _grid(model: ModelSpec, axis: np.ndarray, per_axis, axes=None, terms=None):
 def _starts(S: int) -> list[np.ndarray]:
     """Deterministic local-search starts in [0, 1)^S.
 
-    Origin-perturbed points, then a coarse 3^S grid for |S| <= 3, or the
-    2^S corners of an inner box plus 32 seeded uniform points for |S| >= 4.
+    None for one species, whose 4001-point grid already resolves the origin;
+    else origin-perturbed points, then a coarse 3^S grid for |S| <= 3 or the
+    2^S corners of an inner box for |S| >= 4.
     """
-    starts = [np.full(S, eps) for eps in (1e-4, 1e-2, 0.1)]
-    if S <= 3:
-        for combo in np.ndindex(*([3] * S)):
-            starts.append(np.array([0.15 + 0.3 * c for c in combo]))
-    else:
-        for combo in np.ndindex(*([2] * S)):
-            starts.append(np.array([0.2 + 0.4 * c for c in combo]))
-        rng = np.random.Generator(np.random.Philox(key=2 + S))
-        starts.extend(rng.uniform(0.0, 0.95, size=(32, S)))
-    return starts
+    if S == 1:
+        return []
+    k, lo, step = (3, 0.15, 0.3) if S <= 3 else (2, 0.2, 0.4)
+    return ([np.full(S, eps) for eps in (1e-4, 1e-2, 0.1)]
+            + [lo + step * np.array(combo) for combo in np.ndindex(*([k] * S))])
 
 
 def minimize(*args, **kwargs):  # scipy.optimize's, imported at first use: it is slow to import
@@ -257,73 +257,62 @@ def minimize(*args, **kwargs):  # scipy.optimize's, imported at first use: it is
     return minimize(*args, **kwargs)
 
 
-def _search(S: int, fun, grad, grid, per_axis: int,
-            starts) -> tuple[float, np.ndarray, bool, int]:
-    """Least value of fun, whose gradient is grad, over [0, 1 - DOMAIN_CLAMP]^S:
-    (value, point, converged, function evaluations).
+def _search(S: int, fun, grad, grid) -> MaximizeResult:
+    """Greatest value of fun, whose gradient is grad, over [0, 1 - DOMAIN_CLAMP]^S.
 
-    For |S| <= 3 the argmin of grid(axis), the objective on the grid axis^S
-    with per_axis points per axis yielded slab by slab, is appended to the
-    starts.  One L-BFGS-B run per start; ties go to the smallest norm, then
-    the coordinates.
-    The grid point, flagged unconverged, replaces the best run when it is
-    lower by more than TOL_MAX.
+    The package's one search policy.  For |S| <= 3 the first greatest value
+    in C order of grid(axis), the objective on the grid axis^S (_GRID_POINTS
+    per axis) yielded slab by slab, is appended to the starts (`_starts`),
+    and the result is grid-certified.  One L-BFGS-B descent of -fun per
+    start; ties go to the smallest norm, then the coordinates.  The grid
+    point, flagged unconverged, replaces the best run when it is higher by
+    more than TOL_MAX.
     """
     if S > 6:
         raise ValueError("the landscape search supports at most 6 species")
     hi = 1.0 - DOMAIN_CLAMP
-    on_grid = S <= 3
+    on_grid = S in _GRID_POINTS
+    starts = _starts(S)
     fun_evals = 0
     if on_grid:
-        axis = _box_axis(per_axis)
-        for values in grid(axis):  # the first least value in C order wins
-            i = int(np.argmin(values))
-            if fun_evals == 0 or values.flat[i] < g_value:
+        n = _GRID_POINTS[S]
+        axis = _box_axis(n)
+        for values in grid(axis):  # the first greatest value in C order wins
+            i = int(np.argmax(values))
+            if fun_evals == 0 or values.flat[i] > g_value:
                 g_value, flat = float(values.flat[i]), fun_evals + i
             fun_evals += values.size
-        g_point = axis[list(np.unravel_index(flat, (per_axis,) * S))]
-        starts = [*starts, g_point]
+        g_point = axis[list(np.unravel_index(flat, (n,) * S))]
+        starts.append(g_point)
     runs = []
     for x0 in starts:
-        res = minimize(fun, x0, jac=grad, method="L-BFGS-B", bounds=[(0.0, hi)] * S,
+        res = minimize(lambda r: -fun(r), x0, jac=lambda r: -grad(r), method="L-BFGS-B",
+                       bounds=[(0.0, hi)] * S,
                        options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 500})
         fun_evals += int(res.nfev)
         x = np.clip(res.x, 0.0, hi)
-        value = fun(x)
-        runs.append((value, float(np.linalg.norm(x)), x, bool(res.success)))
-    value, _, x, ok = min(runs, key=lambda t: (t[0], t[1], tuple(t[2])))
-    if on_grid and g_value < value - TOL_MAX:
+        runs.append((fun(x), float(np.linalg.norm(x)), x, bool(res.success)))
+    value, _, x, ok = min(runs, key=lambda t: (-t[0], t[1], tuple(t[2])))
+    if on_grid and g_value > value + TOL_MAX:
         # every run missed the grid optimum's basin; fall back to the grid point
         value, x, ok = g_value, g_point, False
-    return value, x, ok, fun_evals
+    return MaximizeResult(argmax=x, value=float(value), starts_used=len(starts),
+                          converged=ok, grid_certified=on_grid, fun_evals=fun_evals)
 
 
 def maximize_f(model: ModelSpec, beta: float, objective: str = "plain") -> MaximizeResult:
     """Global maximum of f_beta (or the truncated variant) over [0, 1)^S.
 
-    A search of -f (`_search`): multi-start projected quasi-Newton descent
-    from origin-perturbed and coarse-grid starts, plus a dense
-    certification grid for |S| <= 3.  The origin (value exactly 0) is always
-    a candidate and wins ties, so the reported value is always >= 0.
-    Non-convergence is flagged, never silently wrong.
+    One `_search` of f: a dense certification grid for |S| <= 3, polished
+    together with the starts by projected quasi-Newton ascent.  The origin
+    (value exactly 0) is always a candidate and wins ties, so the reported
+    value is always >= 0.  Non-convergence is flagged, never silently wrong.
     """
-    if beta < 0.0:
-        raise ValueError("beta must be >= 0")
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
     if objective not in ("plain", "tilde"):
         raise ValueError(f"unknown objective {objective!r}, expected 'plain' or 'tilde'")
-    S = model.n_species
-    fun, grad, neg_on_grid = _objective(model, beta, objective)
-    starts = _starts(S)
-    neg_value, argmax, ok, fun_evals = _search(S, lambda r: -fun(r), lambda r: -grad(r),
-                                               neg_on_grid, _GRID_POINTS, starts)
-    value = -neg_value
-    if value <= 0.0:  # the origin anchors value 0 and wins ties
-        value, argmax, ok = 0.0, np.zeros(S), True
-    return MaximizeResult(
-        argmax=argmax,
-        value=float(value),
-        starts_used=len(starts) + (S <= 3),
-        converged=bool(ok),
-        grid_certified=S <= 3,
-        fun_evals=fun_evals,
-    )
+    res = _search(model.n_species, *_objective(model, beta, objective))
+    if res.value <= 0.0:  # the origin anchors value 0 and wins ties
+        return replace(res, argmax=np.zeros(model.n_species), value=0.0, converged=True)
+    return res

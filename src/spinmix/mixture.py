@@ -238,7 +238,7 @@ class Mixture:
         r = self._coerce_point(r)
         if r.ndim != 1:
             raise ValueError("tilde_transform expects a single overlap vector")
-        if np.any(r < 0.0) or np.any(r >= 1.0):
+        if not np.all((r >= 0.0) & (r < 1.0)):  # NaN fails both comparisons
             raise ValueError(f"overlap vector must lie in [0, 1)^S, got {r}")
         one_minus = 1.0 - r * r
         r2 = r * r

@@ -89,6 +89,16 @@ def test_scan_requires_beta_flags(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flags", [["--beta", "nan"],
+                                   ["--beta-min", "0", "--beta-max", "inf", "--beta-step", "0.1"]])
+def test_band_probe_rejects_non_finite_beta(tmp_path, capsys, flags):
+    out = tmp_path / "probe.csv"
+    code = main(["band-probe", "--N", "30", "--samples", "500", "--out", str(out), *flags])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_verbose_keeps_stdout_csv(capsys):
     # with no --out the CSV is stdout, so the verbose lines go to stderr
     assert main(["scan", "--model", SK, "--beta", "0.5", "-v"]) == 0

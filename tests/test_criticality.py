@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 
@@ -90,6 +89,16 @@ def test_beta_m_requires_positive_xi1():
         beta_m(model)
 
 
+def test_tolerances_must_be_finite_and_nonnegative(sk):
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol_zero"):
+            beta_m(sk, tol_zero=bad)
+        with pytest.raises(ValueError, match="tol_zero"):
+            verdict(sk, tol_zero=bad)
+        with pytest.raises(ValueError, match="tol_sing"):
+            verdict(sk, tol_sing=bad)
+
+
 # ----------------------------------------------------------------------
 # verdicts
 
@@ -140,8 +149,8 @@ def test_verdict_inconclusive_without_positivity(cross_only):
 def test_report_invariants(sk, pure3, two_quad, cubic_two_species):
     for model in (sk, pure3, two_quad, cubic_two_species):
         rep = verdict(model)
-        assert rep.beta_m <= rep.beta_m_tilde + rep.tolerances["bisect_tol"]
-        assert rep.beta_m <= rep.beta_H + rep.tolerances["bisect_tol"]
+        assert rep.beta_m <= rep.beta_m_tilde + rep.tolerances["beta_tol"]
+        assert rep.beta_m <= rep.beta_H + rep.tolerances["beta_tol"]
         lam_max = rep.spectrum_at_beta_m[-1]
         if rep.verdict is Verdict.EQUAL:
             assert abs(lam_max) <= 1e-5
@@ -156,7 +165,7 @@ def test_report_serializes(sk):
     doc = json.loads(rep.to_json(model_hash="abc"))
     assert doc["verdict"] == "EQUAL"
     assert doc["model_hash"] == "abc"
-    assert set(doc["tolerances"]) == {"tol_zero", "tol_sing", "bisect_tol"}
+    assert set(doc["tolerances"]) == {"tol_zero", "tol_sing", "beta_tol"}
 
 
 # ----------------------------------------------------------------------
@@ -194,6 +203,11 @@ def test_check_nsd_below_threshold(sk, two_quad, cubic_two_species):
 # ratio infimum against the max-f predicate
 
 
+def _model(lam, terms):
+    names = "abcd"[:len(lam)]
+    return ModelSpec(SpeciesSet(tuple(names), np.array(lam)), Mixture.from_terms(names, terms))
+
+
 def _oracle_models(sk, pure3, pure4, two_quad):
     models = [sk, pure3, pure4, two_quad]
     rng = np.random.default_rng(20211)
@@ -201,6 +215,26 @@ def _oracle_models(sk, pure3, pure4, two_quad):
         model = random_model(rng, 2)
         if model.xi1() > 0.0:
             models.append(model)
+    # two three-species chains whose beta_m_tilde a grid-only ratio search
+    # (no local starts) put about 1e-5 too high
+    models.append(_model(
+        [0.40241303044657406, 0.36606610764356734, 0.23152086190985854],
+        {(0, 0, 2): 0.6449946949362273, (0, 1, 1): 0.39754597570747563,
+         (0, 3, 0): 1.3271039370247955, (1, 1, 0): 0.8219061477307561,
+         (4, 0, 0): 1.2533018647084768}))
+    models.append(_model(
+        [0.37207858784700204, 0.43239871218821585, 0.1955226999647821],
+        {(0, 0, 4): 0.728720627763624, (0, 1, 1): 0.9798989849404713,
+         (0, 3, 0): 0.8987588451279414, (1, 1, 0): 0.7551359265930321,
+         (2, 0, 0): 1.2360571428957443}))
+    # a four-species STRICTLY_LESS chain (beta_m 0.26481 < beta_H 0.26486),
+    # searched from the four-to-six-species start set with no grid
+    models.append(_model(
+        [0.28426109111978587, 0.1627645021298978, 0.1923289293150247, 0.36064547743529163],
+        {(0, 0, 0, 4): 1.1855419844806947, (0, 0, 1, 1): 0.5722449967853727,
+         (0, 0, 3, 0): 1.497209935789211, (0, 1, 1, 0): 0.781912711399658,
+         (0, 2, 0, 0): 0.8836775542618834, (1, 1, 0, 0): 0.7553214933874713,
+         (2, 0, 0, 0): 1.14718951157425}))
     return models
 
 
@@ -249,8 +283,8 @@ def test_certificate_rejects_an_infimum_one_percent_too_large(pure3, monkeypatch
     exact = criticality._ratio_min
 
     def too_large(model, objective, tol_zero):
-        res = exact(model, objective, tol_zero)
-        return dataclasses.replace(res, beta=res.beta * math.sqrt(1.01))
+        beta, search = exact(model, objective, tol_zero)
+        return beta * math.sqrt(1.01), search
 
     monkeypatch.setattr(criticality, "_ratio_min", too_large)
     rep = verdict(pure3)

@@ -44,10 +44,9 @@ def test_f_monotone_in_beta(cubic_two_species):
 
 
 def test_f_rejects_out_of_domain(sk):
-    with pytest.raises(ValueError):
-        f_beta(sk, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        f_beta(sk, 1.0, -0.2)
+    for r in (1.0, -0.2, float("nan")):
+        with pytest.raises(ValueError):
+            f_beta(sk, 1.0, r)
 
 
 def test_f_tilde_zero_at_origin(sk):
@@ -194,6 +193,9 @@ def test_maximize_tilde_never_exceeds_plain(cubic_two_species):
 def test_maximize_rejects_bad_objective(sk):
     with pytest.raises(ValueError):
         maximize_f(sk, 0.5, "bogus")
+    for beta in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="beta"):
+            maximize_f(sk, beta)
 
 
 def _grid_points(model, n):
@@ -211,8 +213,8 @@ def _corner(fun, x0, **kwargs):
 def test_search_falls_back_to_the_grid_point(sk, pure3, cubic_two_species, monkeypatch):
     # every local run ends at the clamped far corner, far worse than the grid
     monkeypatch.setattr(landscape, "minimize", _corner)
-    for model in (sk, cubic_two_species):
-        R, entropy, xi = _grid_points(model, 201)
+    for model, n in ((sk, 4001), (cubic_two_species, 201)):
+        R, entropy, xi = _grid_points(model, n)
         F = 1.0 * xi - entropy
         idx = np.unravel_index(int(np.argmax(F)), F.shape)
         res = maximize_f(model, 1.0)
@@ -225,9 +227,9 @@ def test_search_falls_back_to_the_grid_point(sk, pure3, cubic_two_species, monke
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(xi > 0.0, (entropy + TOL_ZERO) / xi, np.inf)
         idx = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
-        res = criticality._ratio_min(model, "plain", TOL_ZERO)
-        assert np.array_equal(res.argmin, R[idx])
-        assert res.ratio == pytest.approx(ratio[idx], rel=1e-12)
+        _, res = criticality._ratio_min(model, "plain", TOL_ZERO)
+        assert np.array_equal(res.argmax, R[idx])
+        assert -res.value == pytest.approx(ratio[idx], rel=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -239,8 +241,8 @@ def _search_results(model):
     for objective in ("plain", "tilde"):
         res = maximize_f(model, 1.0, objective)
         out.append((res.argmax.tobytes(), res.value, res.converged, res.fun_evals))
-        ratio = criticality._ratio_min(model, objective, TOL_ZERO)
-        out.append((ratio.beta, ratio.ratio, ratio.argmin.tobytes()))
+        beta, ratio = criticality._ratio_min(model, objective, TOL_ZERO)
+        out.append((beta, ratio.value, ratio.argmax.tobytes(), ratio.fun_evals))
     return out
 
 
@@ -257,15 +259,16 @@ def test_slabs_leave_the_search_unchanged(rows, sk, cubic_two_species, three_spe
             monkeypatch.setattr(landscape, "_SLAB_POINTS", 2**62)
             whole = _search_results(model)
             monkeypatch.setattr(landscape, "_SLAB_POINTS",
-                                rows * landscape._GRID_POINTS ** (model.n_species - 1))
+                                rows * landscape._GRID_POINTS[model.n_species]
+                                ** (model.n_species - 1))
             assert _search_results(model) == whole
 
 
 @pytest.mark.parametrize("rows", [1, 4])
 def test_grid_tie_across_a_slab_boundary_goes_to_the_first_point(rows, cubic_two_species,
                                                                  monkeypatch):
-    # the least value, 0, sits at rows 3 and 4 of the 201 x 201 grid, on the
-    # two sides of a slab boundary; np.argmin's rule picks row 3, first in C order
+    # the greatest value, 0, sits at rows 3 and 4 of the 201 x 201 grid, on the
+    # two sides of a slab boundary; np.argmax's rule picks row 3, first in C order
     monkeypatch.setattr(landscape, "minimize", _corner)
     monkeypatch.setattr(landscape, "_SLAB_POINTS", rows * 201)
 
@@ -275,12 +278,13 @@ def test_grid_tie_across_a_slab_boundary_goes_to_the_first_point(rows, cubic_two
         return v
 
     def grid(axis):
-        return (total for _, total in landscape._grid(cubic_two_species, axis, per_axis))
+        return (-total for _, total in landscape._grid(cubic_two_species, axis, per_axis))
 
-    value, point, ok, fun_evals = landscape._search(2, lambda r: 1.0, None, grid, 201, [])
-    assert value == 0.0 and not ok
-    assert np.array_equal(point, landscape._box_axis(201)[[3, 7]])
-    assert fun_evals == 201 * 201 + 1
+    res = landscape._search(2, lambda r: -1.0, None, grid)
+    assert res.value == 0.0 and not res.converged and res.grid_certified
+    assert np.array_equal(res.argmax, landscape._box_axis(201)[[3, 7]])
+    # the grid, then one corner run per start and one from the grid point
+    assert res.fun_evals == 201 * 201 + len(landscape._starts(2)) + 1
 
 
 def test_import_leaves_scipy_optimize_unloaded():

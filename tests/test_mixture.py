@@ -159,10 +159,9 @@ def test_tilde_transform_substitution_identity(m, data):
 
 def test_tilde_transform_rejects_out_of_domain():
     m = sk_mixture()
-    with pytest.raises(ValueError):
-        m.tilde_transform(np.array([1.0]))
-    with pytest.raises(ValueError):
-        m.tilde_transform(np.array([-0.1]))
+    for r in (1.0, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            m.tilde_transform(np.array([r]))
 
 
 def test_tilde_transform_has_degree_one_terms():
