@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from . import __version__, criticality, landscape, montecarlo, verify as verify_mod
 from .model import ModelFormatError, ModelSpec, load_model, model_hash, sk_model
 from .quadrature import QuadratureError
-from .rng import PROBE_CENTER, stream
+from .rng import PROBE_CENTER
 
 __all__ = ["main"]
 
@@ -34,6 +35,7 @@ EXIT_FAILURE = 2
 
 SCAN_HEADER = "beta,max_f,argmax,lambda_max_M,max_f_tilde"
 PROBE_HEADER = "beta,N,estimate,stderr,prediction,residual"
+MAX_GRID_POINTS = 10**5  # the most betas a --beta-min/--beta-max/--beta-step grid may hold
 
 
 def _float_cell(x: float) -> str:
@@ -74,15 +76,23 @@ def _beta_grid(args) -> list[float]:
     lo, hi, step = map(float, flags)
     if step <= 0.0 or hi < lo:
         raise ValueError("beta grid requires beta-step > 0 and beta-max >= beta-min")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    grid = [lo + i * step for i in range(n)]
-    if not grid:
-        raise ValueError("empty beta grid")
-    return grid
+    span = (hi - lo) / step + 1e-9  # inf when the step underflows the quotient
+    if not span < MAX_GRID_POINTS:
+        raise ValueError(f"beta grid of {span!r} steps exceeds {MAX_GRID_POINTS} points")
+    return [lo + i * step for i in range(int(math.floor(span)) + 1)]
 
 
 def _stamp_lines(model: ModelSpec) -> str:
     return f"# model_hash={model_hash(model)}\n# tool_version={__version__}\n"
+
+
+def _probe_csv(model: ModelSpec, rows) -> str:
+    """The verify and band-probe CSV: one line per (beta, N, estimate, stderr,
+    prediction) row, in PROBE_HEADER order."""
+    lines = [_stamp_lines(model) + PROBE_HEADER]
+    lines += [",".join(map(_float_cell, (beta, n, est, se, pred, est - pred)))
+              for beta, n, est, se, pred in rows]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_critical(args) -> int:
@@ -128,19 +138,13 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
         "N": args.N,
         "n_samples": args.samples,
-        "checks": [c.to_dict() for c in run.checks],
+        "checks": [asdict(c) for c in run.checks],
         "estimates": list(run.records),
         "all_passed": run.all_passed,
     }
     if args.out:
         Path(args.out).write_text(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n")
-        csv_path = Path(args.out).with_suffix(".csv")
-        rows = [_stamp_lines(model) + PROBE_HEADER]
-        for row in run.table:
-            rows.append(",".join(_float_cell(row[k])
-                                 for k in ("beta", "N", "estimate", "stderr",
-                                           "prediction", "residual")))
-        csv_path.write_text("\n".join(rows) + "\n")
+        Path(args.out).with_suffix(".csv").write_text(_probe_csv(model, run.table))
     print("all checks passed" if run.all_passed else "some checks FAILED")
     return EXIT_OK if run.all_passed else EXIT_FAILURE
 
@@ -150,18 +154,9 @@ def cmd_band_probe(args) -> int:
     grid = _beta_grid(args)
     fm = montecarlo.build_finite_model(model, args.N)
     disorder = montecarlo.sample_disorder(fm, seed=args.seed)
-    center = montecarlo.sample_uniform(fm, stream(args.seed, PROBE_CENTER))
-    h_center = montecarlo.evaluate_H(disorder, center)
-    r = np.full(model.n_species, 0.2)
-    lines = [_stamp_lines(model) + PROBE_HEADER]
-    # the band draws do not depend on beta: draw and contract them once
-    h = montecarlo._band_hamiltonians(fm, disorder, center, r, args.samples, args.seed)
-    for beta in grid:
-        est = montecarlo._free_energy(fm, beta, h, args.seed)
-        pred = montecarlo.band_prediction(fm, beta, r, h_center)
-        lines.append(",".join(_float_cell(v) for v in (
-            beta, fm.N, est.estimate, est.std_error, pred, est.estimate - pred)))
-    _write(args.out, "\n".join(lines) + "\n")
+    probe = montecarlo.band_probe(disorder, args.seed, PROBE_CENTER, grid, args.samples)
+    _write(args.out, _probe_csv(model, [(beta, fm.N, est.estimate, est.std_error, pred)
+                                        for beta, (est, pred) in zip(grid, probe)]))
     return EXIT_OK
 
 

@@ -39,6 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .mixture import _coerce_r
 from .model import ModelSpec
 
 __all__ = [
@@ -67,17 +68,6 @@ TOL_ZERO = 1e-10
 _GRID_POINTS = {1: 4001, 2: 201, 3: 201}
 # points per slab of a tensor-product grid: 2 MB per float64 array
 _SLAB_POINTS = 2**18
-
-
-def _coerce_r(n_species: int, r) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if r.ndim == 0:
-        r = np.full(n_species, float(r))
-    if r.shape != (n_species,):
-        raise ValueError(f"overlap vector must have shape ({n_species},)")
-    if not np.all((r >= 0.0) & (r < 1.0)):  # NaN fails both comparisons
-        raise ValueError(f"overlap vector {r} outside [0, 1)^S")
-    return r
 
 
 def _energy(model: ModelSpec, beta: float, objective: str):

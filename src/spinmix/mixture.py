@@ -38,7 +38,7 @@ __all__ = ["SpeciesSet", "Mixture"]
 _COEFF_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpeciesSet:
     """Ordered species labels with their limiting proportions.
 
@@ -70,9 +70,26 @@ class SpeciesSet:
         elif not np.all((lam > 0.0) & (lam < 1.0)):
             raise ValueError("proportions must lie strictly inside (0, 1)")
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SpeciesSet):
+            return NotImplemented
+        return self.names == other.names and bool(np.array_equal(self.lam, other.lam))
+
     @property
     def n(self) -> int:
         return len(self.names)
+
+
+def _coerce_r(n_species: int, r) -> np.ndarray:
+    """An overlap vector in [0, 1)^S; a scalar is the constant vector."""
+    r = np.asarray(r, dtype=float)
+    if r.ndim == 0:
+        r = np.full(n_species, float(r))
+    if r.shape != (n_species,):
+        raise ValueError(f"overlap vector must have shape ({n_species},)")
+    if not np.all((r >= 0.0) & (r < 1.0)):  # NaN fails both comparisons
+        raise ValueError(f"overlap vector {r} outside [0, 1)^S")
+    return r
 
 
 def _canonical_terms(species, terms):
@@ -235,11 +252,7 @@ class Mixture:
             c_{p,r} = sum_{p' >= p} c_{p'} * prod_s C(p'(s), p(s))
                       * (1-r(s)^2)^p(s) * r(s)^{2(p'(s)-p(s))}.
         """
-        r = self._coerce_point(r)
-        if r.ndim != 1:
-            raise ValueError("tilde_transform expects a single overlap vector")
-        if not np.all((r >= 0.0) & (r < 1.0)):  # NaN fails both comparisons
-            raise ValueError(f"overlap vector must lie in [0, 1)^S, got {r}")
+        r = _coerce_r(self.n_species, r)
         one_minus = 1.0 - r * r
         r2 = r * r
         acc: dict[tuple[int, ...], float] = {}

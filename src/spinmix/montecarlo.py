@@ -36,9 +36,11 @@ Sampling.  Every estimator draws and contracts in one loop,
 ``_hamiltonians``: configuration i comes from counter block i of the
 estimator's Philox key (one Philox moved by ``rng.seek``) and fills one
 reused (_CHUNK, N) matrix, contracted a chunk at a time.  Inputs are checked
-once, on entry: the sample count there, the band's center and overlap
-before its draws.  ``_free_energy`` is the shared log-mean-exp tail; H does
-not depend on beta, so a beta grid over one band draws and contracts once.
+once, on entry, before any draw: ``fm`` is the disorder's own (by value), the
+sample count, every beta, the band's center and overlap.  ``_free_energy`` is
+the shared log-mean-exp tail; H does not depend on beta, so ``band_probe``,
+behind both ``verify``'s band check and ``band-probe``, draws and contracts
+one band for its whole beta grid.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .landscape import _coerce_r
+from .mixture import _coerce_r
 from .model import ModelSpec, model_hash
 from .rng import BAND, DISORDER, LEVELSET, UNIFORM, philox_key, seek, stream
 
@@ -73,6 +75,7 @@ __all__ = [
     "estimate_level_set",
     "estimate_band_free_energy",
     "band_prediction",
+    "band_probe",
     "TENSOR_BUDGET",
 ]
 
@@ -384,12 +387,22 @@ def estimator_record(fm: FiniteModel, result: EstimatorResult) -> dict:
     return doc
 
 
+def _check(fm: FiniteModel, disorder: DisorderSample, n_samples: int, *betas: float) -> None:
+    """The estimators' inputs, checked on entry: ``fm`` is the disorder's own
+    finite model (by value), there are at least 100 samples, and every beta
+    is finite (a negative beta is allowed)."""
+    if fm != disorder.fm:
+        raise ValueError("fm is not the finite model the disorder was drawn for")
+    if n_samples < 100:
+        raise ValueError("need at least 100 samples")
+    if not all(map(math.isfinite, betas)):
+        raise ValueError(f"beta must be finite, got {betas}")
+
+
 def _hamiltonians(disorder: DisorderSample, key: np.ndarray, n_samples: int, draw) -> np.ndarray:
     """H at configuration i = draw(rng), i < n_samples, with rng moved by
     ``seek`` to counter block i of ``key``: the draw a fresh
     ``Philox(key=key, counter=i << 128)`` would make."""
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples")
     bitgen = np.random.Philox(key=key)
     rng = np.random.Generator(bitgen)
     buf = np.empty((min(_CHUNK, n_samples), disorder.fm.N))
@@ -436,6 +449,7 @@ def estimate_free_energy(
     error comes from the delta method on the log.  A warning is issued
     when the effective sample size drops below 10.
     """
+    _check(fm, disorder, n_samples, beta)
     h = _hamiltonians(disorder, philox_key(seed, UNIFORM), n_samples,
                       lambda rng: sample_uniform(fm, rng))
     return _free_energy(fm, beta, h, seed)
@@ -450,8 +464,9 @@ def estimate_level_set(
     seed: int,
 ) -> EstimatorResult:
     """(1/N) log of the uniform measure of {|H/N - beta*xi(1)| < epsilon}."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    _check(fm, disorder, n_samples, beta)
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     h = _hamiltonians(disorder, philox_key(seed, LEVELSET), n_samples,
                       lambda rng: sample_uniform(fm, rng))
     target = beta * fm.model.xi1()
@@ -466,9 +481,8 @@ def estimate_level_set(
 def _band_hamiltonians(
     fm: FiniteModel, disorder: DisorderSample, center, r, n_samples: int, seed: int
 ) -> np.ndarray:
-    """H at the draws of ``estimate_band_free_energy``, which do not depend on beta."""
-    r = _coerce_r(fm.n_species, r)
-    center = validate_configuration(fm, center)
+    """H at the band draws around a checked ``center`` and ``r``; they do not
+    depend on beta."""
     return _hamiltonians(disorder, philox_key(seed, BAND), n_samples,
                          lambda rng: _band_point(fm, center, r, rng))
 
@@ -487,6 +501,9 @@ def estimate_band_free_energy(
     Sampling measure: product of codimension-1 spheres at per-species
     overlap exactly r around ``center``.
     """
+    _check(fm, disorder, n_samples, beta)
+    r = _coerce_r(fm.n_species, r)
+    center = validate_configuration(fm, center)
     h = _band_hamiltonians(fm, disorder, center, r, n_samples, seed)
     return _free_energy(fm, beta, h, seed)
 
@@ -497,7 +514,27 @@ def band_prediction(fm: FiniteModel, beta: float, r, h_center: float) -> float:
 
         beta * (xi(r)/xi(1)) * h_center / N + beta^2 xi(1) / 2.
     """
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
     r = _coerce_r(fm.n_species, r)
     xi1 = fm.model.xi1()
     xir = float(fm.model.mixture.eval(r))
     return beta * (xir / xi1) * (h_center / fm.N) + 0.5 * beta * beta * xi1
+
+
+def band_probe(
+    disorder: DisorderSample, seed: int, role: int, betas, n_samples: int
+) -> list[tuple[EstimatorResult, float]]:
+    """For each beta, the band free energy at overlap 0.2 in every species
+    around a center drawn from ``stream(seed, role)``, with its
+    ``band_prediction``: ``estimate_band_free_energy`` on ``disorder.fm`` at
+    that center, whose band is drawn and contracted once for every beta."""
+    fm = disorder.fm
+    betas = [float(beta) for beta in betas]
+    _check(fm, disorder, n_samples, *betas)
+    center = sample_uniform(fm, stream(seed, role))
+    h_center = evaluate_H(disorder, center)
+    r = np.full(fm.n_species, 0.2)
+    h = _band_hamiltonians(fm, disorder, center, r, n_samples, seed)
+    return [(_free_energy(fm, beta, h, seed), band_prediction(fm, beta, r, h_center))
+            for beta in betas]

@@ -108,6 +108,8 @@ def log_E_Z2_exact(fm: FiniteModel, beta: float) -> float:
     """
     if fm.model.n_species > 3:
         raise ValueError("tensor-product quadrature supports at most 3 species")
+    if not np.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
     prev = None
     # a rung sums n^(1 + largest component) points, capped for time rather
     # than memory: a coupled three-species model stops at 513 nodes

@@ -3,10 +3,12 @@
 Runs deterministic and statistical checks of the model identities at desk
 scale: the two-route covariance certification, the empirical disorder
 covariance, free-energy and level-set estimates against their asymptotic
-values, the band free energy against its conditional-mean prediction, and
-the exact second-moment quadrature (zero at beta = 0, residual shrinking
-with N).  Everything is driven by a single seed through counter-based
-streams, so repeated runs produce byte-identical output.
+values, the band free energy against its conditional-mean prediction
+(``montecarlo.band_probe`` at one beta), and the exact second-moment
+quadrature (zero at beta = 0, residual shrinking with N).  The three
+estimates meet their predictions in one comparison, which writes both the
+check and its table row.  Everything is driven by a single seed through
+counter-based streams, so repeated runs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -40,20 +42,11 @@ class CheckResult:
         object.__setattr__(self, "observed", float(self.observed))
         object.__setattr__(self, "bound", float(self.bound))
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "observed": self.observed,
-            "bound": self.bound,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True)
 class VerifyRun:
     checks: tuple[CheckResult, ...]
-    table: tuple[dict, ...]  # rows: beta, N, estimate, stderr, prediction, residual
+    table: tuple[tuple, ...]  # rows: beta, N, estimate, stderr, prediction
     records: tuple[dict, ...] = ()  # estimator records with full run context
 
     @property
@@ -124,7 +117,7 @@ def run_verify(model: ModelSpec, *, N: int, n_samples: int, seed: int) -> Verify
     if model.n_species > 3:
         raise ValueError("verification battery supports at most 3 species")
     checks: list[CheckResult] = []
-    table: list[dict] = []
+    table: list[tuple] = []
 
     checks.append(_covariance_spot_checks(seed))
     checks.append(_empirical_covariance(model, seed))
@@ -135,34 +128,21 @@ def run_verify(model: ModelSpec, *, N: int, n_samples: int, seed: int) -> Verify
     fm = montecarlo.build_finite_model(model, N)
     disorder = montecarlo.sample_disorder(fm, seed=seed)
 
+    def compare(name, res, prediction, bound, detail):
+        # a non-finite estimate (a level set with no hits) is infinitely far off
+        dev = abs(res.estimate - prediction) if math.isfinite(res.estimate) else math.inf
+        checks.append(CheckResult(name, dev <= bound, dev, bound, detail))
+        table.append((beta, N, res.estimate, res.std_error, prediction))
+
     fe = montecarlo.estimate_free_energy(fm, disorder, beta, n_samples, seed=seed)
     fe_target = 0.5 * beta * beta * xi1
-    dev = abs(fe.estimate - fe_target)
-    checks.append(CheckResult("free-energy", dev <= 0.1, dev, 0.1,
-                              f"beta={beta!r} N={N} n={n_samples}"))
-    table.append({"beta": beta, "N": N, "estimate": fe.estimate, "stderr": fe.std_error,
-                  "prediction": fe_target, "residual": fe.estimate - fe_target})
-
+    compare("free-energy", fe, fe_target, 0.1, f"beta={beta!r} N={N} n={n_samples}")
     ls = montecarlo.estimate_level_set(fm, disorder, beta, 0.05, n_samples, seed=seed)
-    ls_target = -fe_target
-    dev = abs(ls.estimate - ls_target) if math.isfinite(ls.estimate) else float("inf")
-    checks.append(CheckResult("level-set", dev <= 0.15, dev, 0.15,
-                              f"epsilon=0.05 hits={ls.n_hits}"))
-    table.append({"beta": beta, "N": N, "estimate": ls.estimate, "stderr": ls.std_error,
-                  "prediction": ls_target, "residual": ls.estimate - ls_target})
-
-    center = montecarlo.sample_uniform(fm, stream(seed, VERIFY_CENTER))
-    h_center = montecarlo.evaluate_H(disorder, center)
-    r_band = np.full(model.n_species, 0.2)
-    band = montecarlo.estimate_band_free_energy(
-        fm, disorder, center, r_band, beta, max(n_samples // 4, 100), seed=seed
-    )
-    band_pred = montecarlo.band_prediction(fm, beta, r_band, h_center)
-    dev = abs(band.estimate - band_pred)
-    checks.append(CheckResult("band-free-energy", dev <= 0.05, dev, 0.05,
-                              "r=0.2 against the conditional-mean prediction"))
-    table.append({"beta": beta, "N": N, "estimate": band.estimate, "stderr": band.std_error,
-                  "prediction": band_pred, "residual": band.estimate - band_pred})
+    compare("level-set", ls, -fe_target, 0.15, f"epsilon=0.05 hits={ls.n_hits}")
+    [(band, band_pred)] = montecarlo.band_probe(
+        disorder, seed, VERIFY_CENTER, [beta], max(n_samples // 4, 100))
+    compare("band-free-energy", band, band_pred, 0.05,
+            "r=0.2 against the conditional-mean prediction")
 
     worst0 = 0.0
     residuals = []
@@ -173,8 +153,7 @@ def run_verify(model: ModelSpec, *, N: int, n_samples: int, seed: int) -> Verify
         worst0 = max(worst0, abs(v0))
         v = quadrature.log_E_Z2_exact(fmq, beta)
         residuals.append(v - limit)
-        table.append({"beta": beta, "N": n_quad, "estimate": v, "stderr": 0.0,
-                      "prediction": limit, "residual": v - limit})
+        table.append((beta, n_quad, v, 0.0, limit))
     checks.append(CheckResult("second-moment-zero", worst0 <= 1e-8, worst0, 1e-8,
                               "log E Z^2 = 0 at beta=0, N in {50,100,200}"))
     mags = [abs(r) for r in residuals]

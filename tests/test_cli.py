@@ -75,13 +75,16 @@ def test_scan_sk_grid(tmp_path):
 
 
 def test_scan_rejects_empty_grid(tmp_path, capsys):
-    code = main([
-        "scan", "--model", SK,
-        "--beta-min", "1", "--beta-max", "0", "--beta-step", "0.1",
-        "--out", str(tmp_path / "scan.csv"),
-    ])
-    assert code == 1
-    assert "grid" in capsys.readouterr().err
+    # an empty grid; one whose point count overflows; one of about 1e300 points,
+    # refused before it is built
+    for lo, hi, step in (("1", "0", "0.1"), ("0", "1", "5e-324"), ("0", "1", "1e-300")):
+        code = main([
+            "scan", "--model", SK,
+            "--beta-min", lo, "--beta-max", hi, "--beta-step", step,
+            "--out", str(tmp_path / "scan.csv"),
+        ])
+        assert code == 1
+        assert "grid" in capsys.readouterr().err
 
 
 def test_scan_requires_beta_flags(tmp_path, capsys):

@@ -5,6 +5,9 @@ import pytest
 
 from spinmix import (
     ModelFormatError,
+    ModelSpec,
+    SpeciesSet,
+    build_finite_model,
     loads_model,
     dumps_model,
     model_hash,
@@ -88,5 +91,15 @@ def test_invalid_json_reported():
 
 
 def test_model_hash_distinguishes_models():
-    assert model_hash(sk_model()) != model_hash(two_species_quadratic_model())
-    assert model_hash(sk_model()) == model_hash(sk_model())
+    two = two_species_quadratic_model()
+    lam_40_60 = ModelSpec(SpeciesSet(two.species.names, np.array([0.4, 0.6])), two.mixture)
+    for a, b in ((sk_model(), two), (two, lam_40_60)):  # the second pair differs in lam only
+        assert model_hash(a) != model_hash(b)
+        assert a != b
+        assert build_finite_model(a, 30) != build_finite_model(b, 30)
+    for m in (sk_model(), two, lam_40_60):
+        # equal by value, as after a file round trip
+        again = loads_model(dumps_model(m))
+        assert model_hash(again) == model_hash(m)
+        assert again == m
+        assert build_finite_model(again, 30) == build_finite_model(m, 30)

@@ -29,7 +29,7 @@ from spinmix import (
     sample_uniform,
 )
 from spinmix import montecarlo, quadrature
-from spinmix.rng import stream
+from spinmix.rng import PROBE_CENTER, stream
 
 from conftest import random_model
 from oracles import hamiltonian_by_masks, rel_close
@@ -432,6 +432,30 @@ def test_free_energy_requires_enough_samples(sk, cubic_two_species):
     center2 = sample_uniform(fm2, stream(27))
     with pytest.raises(ValueError):
         estimate_band_free_energy(fm2, d2, center2, np.array([0.2, 1.0]), 0.4, 500, seed=5)
+    # a finite model that is not the disorder's, compared by value
+    with pytest.raises(ValueError, match="disorder"):
+        estimate_free_energy(fm2, d, 0.4, 500, seed=5)
+    with pytest.raises(ValueError, match="disorder"):
+        estimate_level_set(build_finite_model(sk, 31), d, 0.4, 0.1, 500, seed=5)
+    with pytest.raises(ValueError, match="disorder"):
+        estimate_band_free_energy(fm, d2, center, 0.2, 0.4, 500, seed=5)
+    same = estimate_free_energy(build_finite_model(sk, 30), d, -0.4, 500, seed=5)
+    assert same == estimate_free_energy(fm, d, -0.4, 500, seed=5)
+    # non-finite beta and epsilon
+    nan = float("nan")
+    with pytest.raises(ValueError, match="beta"):
+        estimate_free_energy(fm, d, nan, 500, seed=5)
+    with pytest.raises(ValueError, match="beta"):
+        estimate_band_free_energy(fm, d, center, 0.2, math.inf, 500, seed=5)
+    with pytest.raises(ValueError, match="beta"):
+        band_prediction(fm, nan, 0.2, 1.0)
+    with pytest.raises(ValueError, match="beta"):
+        montecarlo.band_probe(d, 5, PROBE_CENTER, [0.1, nan], 500)
+    with pytest.raises(ValueError):
+        montecarlo.band_probe(d, 5, PROBE_CENTER, [0.1], 50)
+    for epsilon in (0.0, nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            estimate_level_set(fm, d, 0.4, epsilon, 500, seed=5)
 
 
 def test_level_set_zero_beta_near_full_measure(sk):

@@ -146,6 +146,9 @@ def test_four_species_rejected():
     fm = build_finite_model(model, 20)
     with pytest.raises(ValueError):
         log_E_Z2_exact(fm, 0.1)
+    # a non-finite beta is refused before the first rung
+    with pytest.raises(ValueError, match="beta"):
+        log_E_Z2_exact(build_finite_model(sm.sk_model(), 30), float("nan"))
 
 
 @pytest.mark.parametrize("frac", [0.5, 0.6])
