@@ -120,8 +120,9 @@ def cmd_scan(args) -> int:
             f"{_float_cell(lam_max)},{_float_cell(tilde.value)}"
         )
         if args.verbose:
-            print(f"beta={beta!r}: starts={plain.starts_used} evals={plain.fun_evals} "
-                  f"converged={plain.converged}", file=sys.stderr)
+            print(f"beta={beta!r}: " + "; tilde ".join(
+                f"starts={res.starts_used} evals={res.fun_evals} converged={res.converged}"
+                for res in (plain, tilde)), file=sys.stderr)
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

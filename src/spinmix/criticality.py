@@ -18,10 +18,12 @@ exactly when beta^2 is at most an infimum over the points with xi(r) > 0
 
 that is, the objective's cost plus t over its energy term at beta = 1, both
 from landscape's objective table.  Each infimum is one landscape `_search`
-of minus the ratio, the search maximize_f runs, with the same grid, starts
-and certification.  Each threshold is capped at beta_H, the r -> 0 limit of
-the same ratio; above beta_H the origin is unstable, so the cap is exact
-and lands origin-driven models (SK) on beta_H.
+of minus the ratio, the search maximize_f runs, with the same grid, starts,
+certification and batched ascent (`landscape._ascend`); minus the ratio and
+its gradient take a batch of points, and are -inf and 0 where xi(r) = 0.
+Each threshold is capped at beta_H, the r -> 0 limit of the same ratio;
+above beta_H the origin is unstable, so the cap is exact and lands
+origin-driven models (SK) on beta_H.
 
 The verdict is EQUAL when M(beta_m) is singular to within tolerance (then
 beta_m is the critical inverse-temperature and is reported as such),
@@ -30,8 +32,9 @@ INCONCLUSIVE when the mixture is not strictly positive off the origin on
 the unit box (the hypothesis under which the verdict is meaningful), the
 eigenvalue cannot be classified, or the certificate fails: one global
 maximization of f at beta_m, whose value must not exceed tol_zero.  The
-report's witnesses give the ratio argmin and minimum and the certificate's
-argmax, value, convergence and grid certification.
+report's witnesses give the plain ratio's argmin, minimum, grid
+certification and convergence, and the certificate's argmax, value,
+convergence and grid certification.
 """
 
 from __future__ import annotations
@@ -127,19 +130,18 @@ def _ratio_min(model: ModelSpec, objective: str, tol_zero: float) -> tuple[float
     mix = model.mixture
     energy, slope, cost, dcost = _energy(model, 1.0, objective)
 
-    def parts(r):  # (numerator, xi(r))
-        return sum(float(cost(s, r[s])) for s in range(S)) + tol_zero, float(mix.eval(r))
+    def parts(r):  # (numerator, xi(r), where xi(r) > 0), one per row of r
+        xir = mix.eval(r)
+        return cost(slice(None), r).sum(-1) + tol_zero, xir, xir > 0.0
 
     def neg_ratio(r):
-        num, xir = parts(r)
-        return -num / energy(xir) if xir > 0.0 else -np.inf
+        num, xir, live = parts(r)
+        return np.divide(-num, energy(xir), out=np.full(len(r), -np.inf), where=live)
 
     def neg_ratio_grad(r):
-        num, xir = parts(r)
-        if xir <= 0.0:
-            return np.zeros(S)
-        e = energy(xir)
-        return num * slope(r) * mix.grad(r) / (e * e) - dcost(r) / e
+        num, xir, live = parts(r)
+        inv = np.divide(1.0, energy(xir), out=np.zeros(len(r)), where=live)
+        return (num * slope(r) * inv * inv)[:, None] * mix.grad(r) - dcost(r) * inv[:, None]
 
     def neg_ratio_on_grid(axis):
         for xi_grid, num in _grid(model, axis, cost):
@@ -243,6 +245,7 @@ def verdict(
         "argmin_ratio": [float(x) for x in plain.argmax],
         "min_ratio": -plain.value,
         "grid_certified_ratio": plain.grid_certified,
+        "converged_ratio": bool(plain.converged),
         "argmax_certificate": [float(x) for x in cert.argmax],
         "value_certificate": float(cert.value),
         "converged_certificate": bool(cert.converged),

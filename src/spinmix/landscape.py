@@ -23,7 +23,10 @@ global search, `_search`, serves both the maximizer and those ratios, and
 it alone decides the search policy: the grid (4001 points for one species,
 201 per axis for two or three, none for four to six), the local-search
 starts (`_starts`), which results are grid-certified, and the refusal of
-more than six species.  The tensor-product kernel `_grid` (a sum
+more than six species.  Its local phase, `_ascend`, moves every start at
+once as one (K, S) batch by projected quasi-Newton steps, so the objective
+and its gradient are evaluated on batches of points, elementwise and
+without BLAS.  The tensor-product kernel `_grid` (a sum
 of xi's terms and a separable per-axis sum on the grid axis^k, over some or
 all species) is the one slab loop in the package: the search runs it on
 every species, and `quadrature` on the blocks over which it eliminates
@@ -68,6 +71,20 @@ TOL_ZERO = 1e-10
 _GRID_POINTS = {1: 4001, 2: 201, 3: 201}
 # points per slab of a tensor-product grid: 2 MB per float64 array
 _SLAB_POINTS = 2**18
+
+# the local ascent (`_ascend`): the stopping tolerances on the projected
+# gradient's sup norm and on the relative change of f, the round budget, the
+# Armijo constant, the trials one line search may take, the widest
+# active-set margin, the growth of a line search's first trial over the
+# last step taken, and the least curvature s.y / y.y of a BFGS pair
+_GTOL = 1e-12
+_FTOL = 1e-14
+_MAXITER = 1000
+_ARMIJO = 1e-4
+_BACKTRACKS = 30
+_EPS_ACTIVE = 1e-9
+_GROW = 4.0
+_CURVATURE = 2.2e-16
 
 
 def _energy(model: ModelSpec, beta: float, objective: str):
@@ -114,22 +131,27 @@ def _energy(model: ModelSpec, beta: float, objective: str):
         return b2 * xi1 * x / (xi1 + x)
 
     def slope(r):
-        return b2 * xi1 * xi1 / (xi1 + float(mix.eval(r))) ** 2
+        return b2 * xi1 * xi1 / (xi1 + mix.eval(r)) ** 2
 
     return energy, slope, cost, dcost
 
 
 def _objective(model: ModelSpec, beta: float, objective: str):
     """Return (f, grad f) callables on the clamped box, and f on the grid
-    axis^S, slab by slab, as a function of axis: `_search`'s arguments."""
+    axis^S, slab by slab, as a function of axis: `_search`'s arguments.
+
+    f and grad f take one point, or a (K, S) batch of points with one row
+    per point.
+    """
     mix = model.mixture
     energy, slope, cost, dcost = _energy(model, beta, objective)
 
     def fun(r):
-        return energy(float(mix.eval(r))) - float(np.sum(cost(slice(None), r)))
+        out = energy(mix.eval(r)) - cost(slice(None), r).sum(-1)
+        return float(out) if r.ndim == 1 else out
 
     def grad(r):
-        return slope(r) * mix.grad(r) - dcost(r)
+        return np.expand_dims(slope(r), -1) * mix.grad(r) - dcost(r)
 
     def on_grid(axis):
         return (energy(xi) - total_cost for xi, total_cost in _grid(model, axis, cost))
@@ -228,39 +250,151 @@ def _grid(model: ModelSpec, axis: np.ndarray, per_axis, axes=None, terms=None):
                       _along(0, dims, costs[0][lead]))
 
 
-def _starts(S: int) -> list[np.ndarray]:
-    """Deterministic local-search starts in [0, 1)^S.
+def _starts(S: int) -> np.ndarray:
+    """Deterministic local-search starts in [0, 1)^S, one per row.
 
     None for one species, whose 4001-point grid already resolves the origin;
     else origin-perturbed points, then a coarse 3^S grid for |S| <= 3 or the
     2^S corners of an inner box for |S| >= 4.
     """
     if S == 1:
-        return []
+        return np.empty((0, 1))
     k, lo, step = (3, 0.15, 0.3) if S <= 3 else (2, 0.2, 0.4)
-    return ([np.full(S, eps) for eps in (1e-4, 1e-2, 0.1)]
-            + [lo + step * np.array(combo) for combo in np.ndindex(*([k] * S))])
+    return np.array([np.full(S, eps) for eps in (1e-4, 1e-2, 0.1)]
+                    + [lo + step * np.array(combo) for combo in np.ndindex(*([k] * S))])
 
 
-def minimize(*args, **kwargs):  # scipy.optimize's, imported at first use: it is slow to import
-    from scipy.optimize import minimize
-    return minimize(*args, **kwargs)
+def _ascend(fun, grad, X0):
+    """Maximize fun from every row of X0 at once over [0, 1 - DOMAIN_CLAMP]^S.
+
+    fun maps a (K, S) batch of points to K values and grad to their (K, S)
+    gradients, each row independently of the others.  Every start takes
+    projected quasi-Newton steps: coordinates within eps of a bound whose
+    gradient points out of the box are held there by a plain projected
+    gradient step (Bertsekas's active set, eps the size of the projected
+    gradient, at most _EPS_ACTIVE), and the others follow the start's own
+    S x S BFGS inverse Hessian, restricted to them.  An Armijo backtracking
+    search runs along the projection arc.  The first step is scaled to move
+    no coordinate by more than 1.  After a step that gives a curvature pair
+    the next search begins at 1 if the step was its search's first trial
+    and not the start's first pair, else at _GROW times the step, at most
+    1; after a step along which fun is not concave, at _GROW times it.
+
+    Each round evaluates fun once, at every live start's current trial
+    point, and grad once, at the trial points accepted; a start is never
+    held back by the others.  Starts leave the batch as they stop, so a
+    row's path is the one it takes alone, bit for bit.
+
+    A start is converged when its projected gradient has sup norm at most
+    _GTOL, or at a relative-f stop: a trial that changes f by at most
+    _FTOL max(|f|, 1), accepted, or rejected with a predicted gain at most
+    as large.  It is not converged when _MAXITER rounds pass, or when its
+    line search fails: _BACKTRACKS trials in a row miss the Armijo
+    condition, with the gradient above _GTOL.
+
+    Returns (X, F, converged, evals): the final points and values, a
+    boolean per row, and the number of points fun evaluated.
+    """
+    hi = 1.0 - DOMAIN_CLAMP
+
+    def direction(x, g, H):
+        """The projected gradient's sup norm, the search direction, its slope
+        on the free coordinates and the gradient on the held ones."""
+        pg = np.abs(np.minimum(np.maximum(x + g, 0.0), hi) - x).max(-1)
+        eps = np.minimum(pg, _EPS_ACTIVE)[:, None]
+        free = ((x > eps) | (g >= 0.0)) & ((x < hi - eps) | (g <= 0.0))
+        gf = np.where(free, g, 0.0)
+        d = np.where(free, (H * gf[:, None, :]).sum(-1), g)
+        return pg, d, (gf * d).sum(-1), g - gf
+
+    x = np.clip(np.asarray(X0, dtype=float), 0.0, hi)
+    K, S = x.shape
+    X, F, converged = x.copy(), np.empty(K), np.zeros(K, dtype=bool)
+    f, g = np.array(fun(x), dtype=float), np.array(grad(x), dtype=float)  # updated in place
+    evals = K
+    H = np.eye(S) * np.ones((K, 1, 1))
+    pg, d, gd, ga = direction(x, g, H)
+    alpha = 1.0 / np.maximum(np.abs(d).max(-1), 1.0)  # the current trial step
+    fresh = np.ones(K, dtype=bool)  # no curvature pair yet: H is the identity
+    tries = np.zeros(K, dtype=int)  # trials of the current line search
+    rows = np.arange(K)             # the row of X0 each live start came from
+    done = ok = pg <= _GTOL
+    for _ in range(_MAXITER):
+        if done.any():
+            X[rows[done]], F[rows[done]], converged[rows[done]] = x[done], f[done], ok[done]
+            keep = ~done
+            x, f, g, H, d, gd, ga, alpha, fresh, tries, rows = (
+                a[keep] for a in (x, f, g, H, d, gd, ga, alpha, fresh, tries, rows))
+        if not rows.size:
+            break
+        xt = np.minimum(np.maximum(x + alpha[:, None] * d, 0.0), hi)
+        ft = fun(xt)
+        evals += rows.size
+        tries += 1
+        # Bertsekas's predicted gain: the slope on the free coordinates, the
+        # projected move on the held ones
+        gain = alpha * gd + (ga * (xt - x)).sum(-1)
+        change, tol = ft - f, _FTOL * np.maximum(np.abs(f), 1.0)
+        moved = change >= _ARMIJO * gain
+        flat = (change <= tol) & (moved | ((gain <= tol) & (change >= -tol)))
+        # a rejected trial backtracks to the peak of the quadratic through f,
+        # the predicted slope and f(xt), kept within [0.1, 0.5] of the step
+        back = ~moved
+        if back.any():
+            b, a = np.flatnonzero(back), alpha[back]
+            quad = 0.5 * gain[b] * a / np.maximum(gain[b] - change[b], np.finfo(float).tiny)
+            alpha[b] = np.fmin(np.fmax(quad, 0.1 * a), 0.5 * a)
+        # an accepted step moves the start, and ends it when flat; the others
+        # get a curvature pair and a new direction
+        j = np.flatnonzero(moved & ~flat)
+        s = xt[j] - x[j]
+        x[moved], f[moved], ok = xt[moved], ft[moved], flat.copy()
+        if j.size:
+            g_new = grad(x[j])
+            y = g[j] - g_new  # the change in the gradient of -fun
+            g[j] = g_new
+            sy, yy = (s * y).sum(-1), (y * y).sum(-1)
+            curved = sy > _CURVATURE * yy
+            c = j
+            if not curved.all():
+                c, s, y, sy, yy = j[curved], s[curved], y[curved], sy[curved], yy[curved]
+            # BFGS, H + v s' + s v'; the first pair scales the identity to the
+            # curvature it saw
+            Hc = H[c] * np.where(fresh[c], sy / yy, 1.0)[:, None, None]
+            Hy = (Hc * y[:, None, :]).sum(-1)
+            rho = (1.0 / sy)[:, None]
+            v = (0.5 * rho * ((y * Hy).sum(-1)[:, None] * rho + 1.0)) * s - rho * Hy
+            H[c] = Hc + v[:, :, None] * s[:, None, :] + s[:, :, None] * v[:, None, :]
+            grown = _GROW * alpha[j]
+            alpha[j] = np.where(~curved, grown, np.where((tries[j] == 1) & ~fresh[j], 1.0,
+                                                         np.minimum(1.0, grown)))
+            alpha[c[fresh[c]]] = 1.0
+            fresh[c] = False
+            tries[j] = 0
+            pg_j, d[j], gd[j], ga[j] = direction(x[j], g[j], H[j])
+            ok[j] = pg_j <= _GTOL
+        # stopped: a projected-gradient or relative-f stop, or a failed line
+        # search
+        done = ok | (back & (tries >= _BACKTRACKS))
+    else:  # out of rounds: the starts that did not stop are not converged
+        X[rows], F[rows], converged[rows] = x, f, ok
+    return X, F, converged, evals
 
 
 def _search(S: int, fun, grad, grid) -> MaximizeResult:
     """Greatest value of fun, whose gradient is grad, over [0, 1 - DOMAIN_CLAMP]^S.
 
-    The package's one search policy.  For |S| <= 3 the first greatest value
-    in C order of grid(axis), the objective on the grid axis^S (_GRID_POINTS
-    per axis) yielded slab by slab, is appended to the starts (`_starts`),
-    and the result is grid-certified.  One L-BFGS-B descent of -fun per
-    start; ties go to the smallest norm, then the coordinates.  The grid
-    point, flagged unconverged, replaces the best run when it is higher by
-    more than TOL_MAX.
+    fun and grad take a (K, S) batch of points.  The package's one search
+    policy.  For |S| <= 3 the first greatest value in C order of grid(axis),
+    the objective on the grid axis^S (_GRID_POINTS per axis) yielded slab by
+    slab, is appended to the starts (`_starts`), and the result is
+    grid-certified.  One `_ascend` moves every start at once; ties go to the
+    smallest norm, then the coordinates.  The grid point, flagged
+    unconverged, replaces the best run when it is higher by more than
+    TOL_MAX.  fun_evals counts the points evaluated, grid included.
     """
     if S > 6:
         raise ValueError("the landscape search supports at most 6 species")
-    hi = 1.0 - DOMAIN_CLAMP
     on_grid = S in _GRID_POINTS
     starts = _starts(S)
     fun_evals = 0
@@ -273,21 +407,17 @@ def _search(S: int, fun, grad, grid) -> MaximizeResult:
                 g_value, flat = float(values.flat[i]), fun_evals + i
             fun_evals += values.size
         g_point = axis[list(np.unravel_index(flat, (n,) * S))]
-        starts.append(g_point)
-    runs = []
-    for x0 in starts:
-        res = minimize(lambda r: -fun(r), x0, jac=lambda r: -grad(r), method="L-BFGS-B",
-                       bounds=[(0.0, hi)] * S,
-                       options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 500})
-        fun_evals += int(res.nfev)
-        x = np.clip(res.x, 0.0, hi)
-        runs.append((fun(x), float(np.linalg.norm(x)), x, bool(res.success)))
-    value, _, x, ok = min(runs, key=lambda t: (-t[0], t[1], tuple(t[2])))
+        starts = np.vstack([starts, g_point])
+    X, F, ok, evals = _ascend(fun, grad, starts)
+    fun_evals += evals
+    norms = np.sqrt((X * X).sum(-1))
+    best = min(range(len(X)), key=lambda k: (-F[k], norms[k], tuple(X[k])))
+    value, x, converged = float(F[best]), X[best], bool(ok[best])
     if on_grid and g_value > value + TOL_MAX:
         # every run missed the grid optimum's basin; fall back to the grid point
-        value, x, ok = g_value, g_point, False
-    return MaximizeResult(argmax=x, value=float(value), starts_used=len(starts),
-                          converged=ok, grid_certified=on_grid, fun_evals=fun_evals)
+        value, x, converged = g_value, g_point, False
+    return MaximizeResult(argmax=x, value=value, starts_used=len(starts),
+                          converged=converged, grid_certified=on_grid, fun_evals=fun_evals)
 
 
 def maximize_f(model: ModelSpec, beta: float, objective: str = "plain") -> MaximizeResult:

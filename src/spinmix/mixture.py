@@ -199,9 +199,12 @@ class Mixture:
         if self.n_terms == 0:
             out = np.zeros(x.shape[:-1])
             return float(out) if out.ndim == 0 else out
-        mono = np.prod(x[..., None, :] ** self.exponents, axis=-1)
-        out = mono @ self.coeffs
-        return float(out) if out.ndim == 0 else out
+        mono = (x[..., None, :] ** self.exponents).prod(-1)
+        if mono.ndim == 1:
+            return float(mono @ self.coeffs)
+        # a batch is summed row by row, without BLAS, so that no row's value
+        # depends on the rows beside it
+        return (mono * self.coeffs).sum(-1)
 
     @cached_property
     def _partials_tables(self):
@@ -218,22 +221,25 @@ class Mixture:
             tables.append((self.coeffs * falling, np.maximum(p - a, 0)))
         return tables
 
-    def _partials(self, x, order: int, name: str) -> np.ndarray:
-        """Every partial derivative of xi of the given order at a single point,
-        sum_p weight * x^(lowered p), with the 0**0 = 1 convention."""
+    def _partials(self, x, order: int) -> np.ndarray:
+        """Every partial derivative of xi of the given order at x, one per
+        multi-index on the last axis, sum_p weight * x^(lowered p), with the
+        0**0 = 1 convention; a batch of points has species on the last axis
+        and gets the same expression and reduction order row by row."""
         x = self._coerce_point(x)
-        if x.ndim != 1:
-            raise ValueError(f"{name} expects a single point")
         weights, lowered = self._partials_tables[order - 1]
-        return np.sum(weights * np.prod(x ** lowered, axis=-1), axis=-1)
+        return (weights * (x[..., None, None, :] ** lowered).prod(-1)).sum(-1)
 
     def grad(self, x) -> np.ndarray:
-        """Gradient of xi at a single point."""
-        return self._partials(x, 1, "grad")
+        """Gradient of xi at x; a batch of points gives one row per point."""
+        return self._partials(x, 1)
 
     def hessian(self, x) -> np.ndarray:
         """Symmetric matrix of second partials of xi at a single point."""
-        return self._partials(x, 2, "hessian").reshape(self.n_species, self.n_species)
+        x = self._coerce_point(x)
+        if x.ndim != 1:
+            raise ValueError("hessian expects a single point")
+        return self._partials(x, 2).reshape(self.n_species, self.n_species)
 
     def degree2_matrix(self) -> np.ndarray:
         """The matrix Q with Q[s,s] = 2*c_{2e_s}, Q[s,t] = c_{e_s+e_t}: the

@@ -356,10 +356,16 @@ def covariance_exact(fm: FiniteModel, a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class EstimatorResult:
+    """An estimate with its standard error, sample count and seed.  ess is
+    the effective sample size (sum w)^2 / sum w^2 of the estimate's weights:
+    exp(beta H) for the free energies, the hit indicators for the level set,
+    whose ess is therefore its hit count."""
+
     estimate: float
     std_error: float
     n_samples: int
     seed: int
+    ess: float
     n_hits: int | None = None
 
     def to_dict(self) -> dict:
@@ -368,6 +374,7 @@ class EstimatorResult:
             "std_error": self.std_error,
             "n_samples": self.n_samples,
             "seed": self.seed,
+            "ess": self.ess,
         }
         if self.n_hits is not None:
             doc["n_hits"] = self.n_hits
@@ -437,7 +444,7 @@ def _free_energy(fm: FiniteModel, beta: float, h: np.ndarray, seed: int) -> Esti
     lme, se, ess = _log_mean_exp(beta * h)
     if ess < 10.0:
         warnings.warn(f"effective sample size {ess:.1f} < 10; estimate unreliable")
-    return EstimatorResult(lme / fm.N, se / fm.N, len(h), int(seed))
+    return EstimatorResult(lme / fm.N, se / fm.N, len(h), int(seed), ess)
 
 
 def estimate_free_energy(
@@ -472,10 +479,11 @@ def estimate_level_set(
     target = beta * fm.model.xi1()
     hits = int(np.count_nonzero(np.abs(h / fm.N - target) < epsilon))
     if hits == 0:
-        return EstimatorResult(float("-inf"), float("inf"), n_samples, int(seed), n_hits=0)
+        return EstimatorResult(float("-inf"), float("inf"), n_samples, int(seed), 0.0, n_hits=0)
     p = hits / n_samples
     se = math.sqrt((1.0 - p) / (p * n_samples)) / fm.N
-    return EstimatorResult(math.log(p) / fm.N, se, n_samples, int(seed), n_hits=hits)
+    return EstimatorResult(math.log(p) / fm.N, se, n_samples, int(seed), float(hits),
+                           n_hits=hits)
 
 
 def _band_hamiltonians(

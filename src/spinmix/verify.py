@@ -131,7 +131,7 @@ def run_verify(model: ModelSpec, *, N: int, n_samples: int, seed: int) -> Verify
     def compare(name, res, prediction, bound, detail):
         # a non-finite estimate (a level set with no hits) is infinitely far off
         dev = abs(res.estimate - prediction) if math.isfinite(res.estimate) else math.inf
-        checks.append(CheckResult(name, dev <= bound, dev, bound, detail))
+        checks.append(CheckResult(name, dev <= bound, dev, bound, f"{detail} ess={res.ess:.1f}"))
         table.append((beta, N, res.estimate, res.std_error, prediction))
 
     fe = montecarlo.estimate_free_energy(fm, disorder, beta, n_samples, seed=seed)

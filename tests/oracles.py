@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 finite differences instead of analytic derivatives, 1-d tangency root
-finding instead of the ratio minimization over the overlap box, direct
+finding instead of the ratio minimization over the overlap box, per-species
+1-d maxima instead of the landscape search for separable models, direct
 substitution instead of the binomial coefficient transform, and full-N
 tensor contractions with block-masked configurations instead of the blocked
 matrix products of the Hamiltonian.
@@ -119,6 +120,34 @@ def pure_beta_m(p: int) -> float:
     fun = lambda r: 0.5 * np.log1p(-r * r) + r * r / (p * (1.0 - r * r))
     r = brentq(fun, 1e-6, 1.0 - 1e-12, xtol=1e-15, rtol=8.9e-16)
     return float(np.sqrt(1.0 / (p * r ** (p - 2) * (1.0 - r * r))))
+
+
+def separable_max_f(model, beta: float, n: int = 20001) -> float:
+    """max f_beta over [0, 1 - 1e-8]^S for a model whose terms are all pure.
+
+    f_beta is then the sum over species of
+    phi_s(r) = 1/2 lam_s log(1 - r^2) + beta^2 sum_p c_{s,p} r^p, so its
+    maximum is the sum of their one-dimensional maxima.  Each is the best of
+    an n-point grid, refined by the root of phi_s' that the grid maximum's
+    neighbours bracket; phi_s and phi_s' are written from the term map.
+    """
+    terms = model.mixture.terms()
+    if any(np.count_nonzero(degrees) > 1 for degrees in terms):
+        raise ValueError("the model has a mixed term")
+    b2 = beta * beta
+    grid = np.linspace(0.0, 1.0 - 1e-8, n)
+    total = 0.0
+    for s, lam in enumerate(model.species.lam):
+        pure = [(degrees[s], c) for degrees, c in terms.items() if degrees[s]]
+        phi = lambda r: 0.5 * lam * np.log1p(-r * r) + b2 * sum(c * r ** p for p, c in pure)
+        dphi = lambda r: -lam * r / (1.0 - r * r) + b2 * sum(p * c * r ** (p - 1) for p, c in pure)
+        i = int(np.argmax(phi(grid)))
+        best = float(phi(grid[i]))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, n - 1)]
+        if dphi(lo) > 0.0 > dphi(hi):
+            best = max(best, float(phi(brentq(dphi, lo, hi, xtol=1e-15, rtol=8.9e-16))))
+        total += best
+    return total
 
 
 def pure_beta_c_talagrand(p: int) -> float:

@@ -111,6 +111,7 @@ def test_scan_verbose_keeps_stdout_csv(capsys):
     assert lines[2] == "beta,max_f,argmax,lambda_max_M,max_f_tilde"
     assert len(lines) == 4
     assert captured.err.startswith("beta=0.5: starts=")
+    assert "; tilde starts=" in captured.err
 
 
 def test_verify_deterministic(tmp_path):

@@ -273,7 +273,7 @@ def test_seven_species_are_refused_before_any_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("a local search ran")
 
-    monkeypatch.setattr(landscape, "minimize", no_search)
+    monkeypatch.setattr(landscape, "_ascend", no_search)
     for compute in (beta_m, beta_m_tilde, verdict):
         with pytest.raises(ValueError, match="at most 6 species"):
             compute(model)

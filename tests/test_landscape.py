@@ -1,10 +1,12 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from spinmix import (
+    Mixture,
+    ModelSpec,
+    SpeciesSet,
     criticality,
     landscape,
     f_beta,
@@ -18,7 +20,7 @@ from spinmix import (
 from spinmix.landscape import TOL_ZERO
 
 from conftest import random_model
-from oracles import degree2_matrix_by_hand, fd_gradient, fd_hessian, rel_close
+from oracles import degree2_matrix_by_hand, fd_gradient, fd_hessian, rel_close, separable_max_f
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -198,6 +200,92 @@ def test_maximize_rejects_bad_objective(sk):
             maximize_f(sk, beta)
 
 
+def _separable_model(rng, S):
+    # every species carries one or two pure terms of degree 2-4 and nothing
+    # couples the species
+    names = tuple("abcdef"[:S])
+    w = rng.uniform(0.5, 1.5, size=S)
+    terms = {}
+    for s in range(S):
+        for p in rng.choice([2, 3, 4], size=int(rng.integers(1, 3)), replace=False):
+            terms[tuple(int(p) * (t == s) for t in range(S))] = float(rng.uniform(0.3, 1.5))
+    return ModelSpec(SpeciesSet(names, w / w.sum()), Mixture.from_terms(names, terms))
+
+
+@pytest.mark.parametrize("S", [4, 5, 6])
+def test_maximize_matches_the_separable_oracle(S):
+    # four to six species have no certification grid; a separable model's
+    # maximum is the sum of per-species 1-d maxima, found without the search
+    model = _separable_model(np.random.default_rng(S), S)
+    values = []
+    for beta in (0.4, 0.7, 1.0):
+        res = maximize_f(model, beta, "plain")
+        values.append(res.value)
+        assert res.converged and not res.grid_certified
+        assert res.value == pytest.approx(separable_max_f(model, beta), abs=1e-10)
+    assert values[-1] > 0.0
+
+
+def _batch_objectives(monkeypatch):
+    # the plain and truncated f and the plain ratio of a coupled 4-species model
+    names = ("a", "b", "c", "d")
+    terms = {(2, 0, 0, 0): 0.9, (0, 3, 0, 0): 0.5, (0, 0, 2, 0): 1.3, (0, 0, 0, 4): 0.7,
+             (1, 1, 0, 0): 0.4, (0, 1, 1, 0): 0.6, (0, 0, 1, 1): 0.3, (2, 0, 1, 0): 0.5}
+    model = ModelSpec(SpeciesSet(names, np.array([0.1, 0.2, 0.3, 0.4])),
+                      Mixture.from_terms(names, terms))
+    out = [landscape._objective(model, 0.9, objective)[:2] for objective in ("plain", "tilde")]
+    search = landscape._search
+
+    def grab(S, fun, grad, grid):
+        out.append((fun, grad))
+        return search(S, fun, grad, grid)
+
+    monkeypatch.setattr(criticality, "_search", grab)
+    criticality._ratio_min(model, "plain", TOL_ZERO)
+    return out
+
+
+def test_ascent_rows_do_not_depend_on_the_batch(monkeypatch):
+    # the determinism contract: each start's result is bit for bit the one it
+    # reaches alone, and adding, removing or reordering starts moves no other
+    X0 = landscape._starts(4)
+    for fun, grad in _batch_objectives(monkeypatch):
+        X, F, ok, _ = landscape._ascend(fun, grad, X0)
+        for k in range(len(X0)):
+            Xk, Fk, okk, _ = landscape._ascend(fun, grad, X0[k:k + 1])
+            assert Xk.tobytes() == X[k].tobytes() and Fk.tobytes() == F[k:k + 1].tobytes()
+            assert okk[0] == ok[k]
+        order = np.arange(len(X0))[::-3]
+        Xs, Fs, oks, _ = landscape._ascend(fun, grad, X0[order])
+        assert Xs.tobytes() == X[order].tobytes() and Fs.tobytes() == F[order].tobytes()
+        assert np.array_equal(oks, ok[order])
+
+
+def test_ascent_convergence_flag_names_its_stop(monkeypatch):
+    ascend = landscape._ascend
+    # projected-gradient stop: f = -sum(x) ends at the origin, where the
+    # projected gradient is exactly 0
+    X, F, ok, _ = ascend(lambda X: -X.sum(-1), lambda X: -np.ones_like(X), np.array([[0.3, 0.7]]))
+    assert ok[0] and np.array_equal(X, np.zeros((1, 2)))
+    # relative-f stop: on 1e6 - u^2 - u^4, u = x - 0.5, f stops resolving
+    # steps long before the gradient falls to the projected-gradient tolerance
+    fun = lambda X: 1e6 - ((X - 0.5) ** 2 + (X - 0.5) ** 4).sum(-1)
+    grad = lambda X: -2.0 * (X - 0.5) - 4.0 * (X - 0.5) ** 3
+    X, F, ok, _ = ascend(fun, grad, np.array([[0.2]]))
+    assert ok[0] and abs(X[0, 0] - 0.5) < 1e-4
+    assert np.abs(grad(X)).max() > landscape._GTOL
+    # the round budget: one round leaves the start short of the maximum
+    with monkeypatch.context() as m:
+        m.setattr(landscape, "_MAXITER", 1)
+        X, F, ok, evals = ascend(fun, grad, np.array([[0.2]]))
+    assert not ok[0] and evals == 2
+    # a failed line search: the gradient claims an ascent that every trial,
+    # however short, contradicts by far more than f's resolution
+    X, F, ok, _ = ascend(lambda X: -1e30 * X.sum(-1), lambda X: np.ones_like(X),
+                         np.array([[0.0]]))
+    assert not ok[0] and X[0, 0] == 0.0
+
+
 def _grid_points(model, n):
     axis = np.linspace(0.0, 1.0 - 1e-8, n)
     R = np.stack(np.meshgrid(*[axis] * model.n_species, indexing="ij"), axis=-1)
@@ -205,14 +293,16 @@ def _grid_points(model, n):
     return R, entropy, model.mixture.eval(R)
 
 
-def _corner(fun, x0, **kwargs):
-    # a stand-in for minimize whose every run ends at the clamped far corner
-    return SimpleNamespace(x=np.ones(len(x0)), nfev=1, success=True)
+def _corner(fun, grad, X0):
+    # a stand-in for _ascend whose every run ends, converged, at the clamped
+    # far corner, after one evaluation there
+    X = np.full(np.shape(X0), 1.0 - landscape.DOMAIN_CLAMP)
+    return X, fun(X), np.ones(len(X), dtype=bool), len(X)
 
 
 def test_search_falls_back_to_the_grid_point(sk, pure3, cubic_two_species, monkeypatch):
     # every local run ends at the clamped far corner, far worse than the grid
-    monkeypatch.setattr(landscape, "minimize", _corner)
+    monkeypatch.setattr(landscape, "_ascend", _corner)
     for model, n in ((sk, 4001), (cubic_two_species, 201)):
         R, entropy, xi = _grid_points(model, n)
         F = 1.0 * xi - entropy
@@ -254,7 +344,7 @@ def test_slabs_leave_the_search_unchanged(rows, sk, cubic_two_species, three_spe
     # run sent to the far corner the results are the grid optima themselves
     for polish in (True, False):
         if not polish:
-            monkeypatch.setattr(landscape, "minimize", _corner)
+            monkeypatch.setattr(landscape, "_ascend", _corner)
         for model in (sk, cubic_two_species, three_species_equal):
             monkeypatch.setattr(landscape, "_SLAB_POINTS", 2**62)
             whole = _search_results(model)
@@ -269,7 +359,7 @@ def test_grid_tie_across_a_slab_boundary_goes_to_the_first_point(rows, cubic_two
                                                                  monkeypatch):
     # the greatest value, 0, sits at rows 3 and 4 of the 201 x 201 grid, on the
     # two sides of a slab boundary; np.argmax's rule picks row 3, first in C order
-    monkeypatch.setattr(landscape, "minimize", _corner)
+    monkeypatch.setattr(landscape, "_ascend", _corner)
     monkeypatch.setattr(landscape, "_SLAB_POINTS", rows * 201)
 
     def per_axis(s, a):
@@ -280,16 +370,17 @@ def test_grid_tie_across_a_slab_boundary_goes_to_the_first_point(rows, cubic_two
     def grid(axis):
         return (-total for _, total in landscape._grid(cubic_two_species, axis, per_axis))
 
-    res = landscape._search(2, lambda r: -1.0, None, grid)
+    res = landscape._search(2, lambda r: np.full(len(r), -1.0), None, grid)
     assert res.value == 0.0 and not res.converged and res.grid_certified
     assert np.array_equal(res.argmax, landscape._box_axis(201)[[3, 7]])
-    # the grid, then one corner run per start and one from the grid point
+    # fun_evals counts the points evaluated: the grid's, then the one corner
+    # point of each start's run, the grid point's run included
     assert res.fun_evals == 201 * 201 + len(landscape._starts(2)) + 1
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported by the search that runs L-BFGS-B, not by
-    # `import spinmix`; a fresh interpreter shows it
+    # no spinmix code path imports scipy.optimize: neither `import spinmix`
+    # nor a verdict nor a 6-species search, in a fresh interpreter
     import os
     import subprocess
     import sys
@@ -298,5 +389,16 @@ def test_import_leaves_scipy_optimize_unloaded():
     import spinmix
 
     env = dict(os.environ, PYTHONPATH=str(Path(spinmix.__file__).resolve().parents[1]))
-    code = "import sys, spinmix; assert 'scipy.optimize' not in sys.modules"
+    code = "\n".join([
+        "import sys, numpy as np, spinmix",
+        "assert 'scipy.optimize' not in sys.modules",
+        "spinmix.verdict(spinmix.two_species_quadratic_model())",
+        "names = tuple('abcdef')",
+        "terms = {tuple(2 * (t == s) for t in range(6)): 1.0 for s in range(6)}",
+        "terms[(1, 1, 0, 0, 0, 0)] = 0.5",
+        "model = spinmix.ModelSpec(spinmix.SpeciesSet(names, np.full(6, 1.0 / 6.0)),",
+        "                          spinmix.Mixture.from_terms(names, terms))",
+        "assert spinmix.maximize_f(model, 1.2).value > 0.0",
+        "assert 'scipy.optimize' not in sys.modules",
+    ])
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
