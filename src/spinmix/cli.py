@@ -14,6 +14,7 @@ All outputs embed the model hash and tool version, and identical
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -161,7 +162,9 @@ def cmd_band_probe(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="spinmix",
         description="Second-moment thresholds and finite-N Monte Carlo for "

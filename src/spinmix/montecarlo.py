@@ -16,31 +16,44 @@ This scaling makes E H(a) H(b) = N * xi(R(a, b)) exactly, where R is the
 per-species overlap; ``covariance_exact`` certifies the bookkeeping by
 computing both sides through independent routes.
 
-Contraction order.  ``evaluate_H_batch`` takes each term's species
-assignments one at a time.  The modes of an assignment of degree k are split
-at m = k // 2; the block-sliced tensor is read as a (left, right) matrix J_a,
-with left the product of the first m block sizes and right that of the rest
-(a view for one species, one copy per call otherwise).  For a chunk of rows,
-L (rows, left) holds the row-wise outer products of the first m blocks, and
-L @ J_a is one dense matrix product; its right modes are then contracted
-with each row's blocks one mode at a time, last first.  Degree 1 has no left
-modes: J_a's single row meets each row's block directly.  ``evaluate_H`` is
-a batch of one.
+Contraction order.  ``_contract`` is the one contraction path: it takes
+each term's tensors stacked along a leading draws axis and returns H for
+every (draw, row) pair.  ``evaluate_H_batch`` is a batch of one draw and
+``evaluate_H`` a batch of one row; the empirical covariance of ``verify``
+contracts a chunk of disorder draws at once (``_hamiltonians_by_seed``).
+Each term's species assignments are taken one at a time.  The modes of an
+assignment of degree k are split at m = k // 2; each draw's block-sliced
+tensor is read as a (left, right) matrix J_a, with left the product of the
+first m block sizes and right that of the rest (a view for one species, one
+copy per call otherwise).  For a chunk of rows, L (rows, left) holds the
+row-wise outer products of the first m blocks, and L @ J_a is one dense
+matrix product per draw (stacked ``np.matmul``, the same per-slice product
+whatever the number of draws); its right modes are then contracted with
+each row's blocks one mode at a time, last first.  Degree 1 has no left
+modes: J_a's single row meets each row's block directly.
 
-Memory bound.  The row chunk is _CONTRACT_BUDGET // max(left, right), so no
-intermediate holds more than _CONTRACT_BUDGET scalars and at most two are
-live at once (4 MB at most), whatever the batch size.  A smaller bound would
-re-read J_a, which for pure p = 4 at N = 50 is 50 MB, more often per row.
+Memory bound.  The row chunk is _CONTRACT_BUDGET // (draws * max(left,
+right)), so no intermediate holds more than _CONTRACT_BUDGET scalars and at
+most two are live at once (4 MB at most), whatever the batch size.  A
+smaller bound would re-read J_a, which for pure p = 4 at N = 50 is 50 MB,
+more often per row.  A chunk of disorder draws holds at most _DRAW_BUDGET
+scalars of tensors (512 KB), or one draw when a single draw is larger.
 
 Sampling.  Every estimator draws and contracts in one loop,
 ``_hamiltonians``: configuration i comes from counter block i of the
-estimator's Philox key (one Philox moved by ``rng.seek``) and fills one
-reused (_CHUNK, N) matrix, contracted a chunk at a time.  Inputs are checked
-once, on entry, before any draw: ``fm`` is the disorder's own (by value), the
-sample count, every beta, the band's center and overlap.  ``_free_energy`` is
-the shared log-mean-exp tail; H does not depend on beta, so ``band_probe``,
-behind both ``verify``'s band check and ``band-probe``, draws and contracts
-one band for its whole beta grid.
+estimator's Philox key, through one ``rng.Cursor`` whose state dict is
+built once and rewritten in place, and ``_fill`` writes it into a row of
+one reused (_CHUNK, N) matrix: per species block, a Gaussian drawn in place
+into its slice, normalized by sqrt(g @ g) (what ``np.linalg.norm``
+computes).  The matrix is contracted a chunk at a time.  ``_fill`` is the
+one sphere-block draw: ``sample_uniform`` and ``sample_on_band`` call it
+on a fresh row.  The disorder tensors of each seed are drawn the same way,
+in place, by one reused cursor set to each stream's key at counter 0.
+Inputs are checked once, on entry, before any draw: ``fm`` is the
+disorder's own (by value), the sample count, every beta, the band's center
+and overlap.  ``_free_energy`` is the shared log-mean-exp tail; H does not
+depend on beta, so ``band_probe``, behind both ``verify``'s band check and
+``band-probe``, draws and contracts one band for its whole beta grid.
 """
 
 from __future__ import annotations
@@ -54,7 +67,7 @@ import numpy as np
 
 from .mixture import _coerce_r
 from .model import ModelSpec, model_hash
-from .rng import BAND, DISORDER, LEVELSET, UNIFORM, philox_key, seek, stream
+from .rng import BAND, DISORDER, LEVELSET, UNIFORM, Cursor, philox_key, stream
 
 __all__ = [
     "FiniteModel",
@@ -87,6 +100,8 @@ _COVARIANCE_RTOL = 1e-10
 # scalars in one row chunk of a contraction: rows * max(left, right) stays
 # within this bound (see the module docstring)
 _CONTRACT_BUDGET = 2**18
+# scalars of stacked disorder tensors per chunk of draws (512 KB)
+_DRAW_BUDGET = 2**16
 
 
 class BudgetError(RuntimeError):
@@ -160,34 +175,45 @@ def overlap(fm: FiniteModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _sphere_block(rng: np.random.Generator, n_s: int, c: np.ndarray | None = None) -> np.ndarray:
-    """Uniform point on the sphere of radius sqrt(n_s), orthogonal to ``c``
-    when given: a normalized Gaussian with ``c`` projected out."""
-    while True:
-        g = rng.standard_normal(n_s)
-        if c is not None:
-            g -= (float(g @ c) / n_s) * c
-        norm = float(np.linalg.norm(g))
-        if norm > 1e-150:  # zero-norm draws have probability 0; redraw on underflow
-            return g * (math.sqrt(n_s) / norm)
+def _blocks(fm: FiniteModel, center: np.ndarray | None = None, r=None) -> list[tuple]:
+    """Per species, what ``_fill`` needs: (slice, n_s, sqrt(n_s), band), with
+    band None for a uniform draw, else (center block c, r * c, sqrt(1 - r^2))."""
+    return [
+        (sl, n_s, math.sqrt(n_s), None if center is None else
+         (center[sl], r[s] * center[sl], math.sqrt(1.0 - r[s] * r[s])))
+        for s, (sl, n_s) in enumerate(zip(fm.block_slices, fm.block_sizes))
+    ]
+
+
+def _fill(rng: np.random.Generator, row: np.ndarray, blocks: list[tuple]) -> None:
+    """Write one configuration into ``row`` in place, block by block.
+
+    A block is a Gaussian drawn into its slice, with the band's center c
+    projected out when there is one, scaled to the sphere of radius
+    sqrt(n_s): a uniform point, orthogonal to c for a band, which then
+    becomes r * c + sqrt(1 - r^2) * u.  A zero-norm draw has probability 0;
+    on underflow the block is redrawn.
+    """
+    for sl, n_s, root, band in blocks:
+        g = row[sl]
+        while True:
+            rng.standard_normal(out=g)
+            if band is not None:
+                c = band[0]
+                g -= (float(g @ c) / n_s) * c
+            norm = math.sqrt(g @ g)
+            if norm > 1e-150:
+                break
+        g *= root / norm
+        if band is not None:
+            g *= band[2]
+            g += band[1]
 
 
 def sample_uniform(fm: FiniteModel, rng: np.random.Generator) -> np.ndarray:
     """Uniform point on the product of spheres: normalized Gaussian blocks."""
     out = np.empty(fm.N)
-    for sl, n_s in zip(fm.block_slices, fm.block_sizes):
-        out[sl] = _sphere_block(rng, n_s)
-    return out
-
-
-def _band_point(
-    fm: FiniteModel, center: np.ndarray, r: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """``sample_on_band`` for a checked ``center`` and ``r``."""
-    out = np.empty(fm.N)
-    for s, (sl, n_s) in enumerate(zip(fm.block_slices, fm.block_sizes)):
-        c = center[sl]
-        out[sl] = r[s] * c + math.sqrt(1.0 - r[s] * r[s]) * _sphere_block(rng, n_s, c)
+    _fill(rng, out, _blocks(fm))
     return out
 
 
@@ -200,7 +226,9 @@ def sample_on_band(fm: FiniteModel, center: np.ndarray, r, rng: np.random.Genera
     """
     r = _coerce_r(fm.n_species, r)
     center = validate_configuration(fm, center)
-    return _band_point(fm, center, r, rng)
+    out = np.empty(fm.N)
+    _fill(rng, out, _blocks(fm, center, r))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -235,6 +263,29 @@ class DisorderSample:
     tensors: tuple[np.ndarray, ...] = field(repr=False)
 
 
+def _tensor_shapes(fm: FiniteModel, budget: int) -> list[tuple[int, ...]]:
+    """Each term's dense tensor shape (N,)*|p|, within ``budget`` scalars."""
+    total = 0
+    shapes = []
+    for row in fm.model.mixture.exponents:
+        k = int(row.sum())
+        total += fm.N**k
+        shapes.append((fm.N,) * k)
+        if total > budget:
+            raise BudgetError(
+                f"term {tuple(int(d) for d in row)} pushes tensor budget to "
+                f"{total} > {budget} scalars"
+            )
+    return shapes
+
+
+def _draw_tensors(cursor: Cursor, seed: int, outs) -> None:
+    """Fill ``outs[t]`` in place with term t's tensor: the stream keyed by
+    (seed, DISORDER, t) from counter 0, in C order."""
+    for t, out in enumerate(outs):
+        cursor.seek(philox_key(seed, DISORDER, t)).standard_normal(out=out)
+
+
 def sample_disorder(fm: FiniteModel, seed: int, *, budget: int = TENSOR_BUDGET) -> DisorderSample:
     """Draw every term's coefficient tensor from its own keyed stream.
 
@@ -242,22 +293,8 @@ def sample_disorder(fm: FiniteModel, seed: int, *, budget: int = TENSOR_BUDGET) 
     Philox stream keyed by (seed, DISORDER, t), filled in one call, so the
     draw is independent of evaluation order.
     """
-    total = 0
-    shapes = []
-    for row in fm.model.mixture.exponents:
-        k = int(row.sum())
-        count = fm.N**k
-        total += count
-        shapes.append((fm.N,) * k)
-        if total > budget:
-            raise BudgetError(
-                f"term {tuple(int(d) for d in row)} pushes tensor budget to "
-                f"{total} > {budget} scalars"
-            )
-    tensors = tuple(
-        stream(seed, DISORDER, t).standard_normal(shape)
-        for t, shape in enumerate(shapes)
-    )
+    tensors = tuple(np.empty(shape) for shape in _tensor_shapes(fm, budget))
+    _draw_tensors(Cursor(), seed, tensors)
     return DisorderSample(fm, int(seed), tensors)
 
 
@@ -277,47 +314,72 @@ def _row_outer(cols: list[np.ndarray]) -> np.ndarray:
 
 
 def _contract_chunk(left: list[np.ndarray], Ja: np.ndarray, right: list[np.ndarray]) -> np.ndarray:
-    """rowsum((L @ Ja) * R) for one row chunk, with L and R the row-wise outer
-    products of the ``left`` and ``right`` blocks.
+    """rowsum((L @ Ja[d]) * R) for one row chunk and every draw d, with L
+    and R the row-wise outer products of the ``left`` and ``right`` blocks:
+    (draws, rows).
 
     R is never built: the right modes of L @ Ja are contracted one at a
     time, last first, against each row's block.  Degree 1 has no left
-    modes; Ja's one row then broadcasts over the chunk.
+    modes; each draw's one row of Ja then broadcasts over the chunk.
     """
     v = _row_outer(left) @ Ja if left else Ja
     for b in reversed(right):
-        v = np.matmul(v.reshape(len(v), -1, b.shape[1]), b[:, :, None])[:, :, 0]
-    return v[:, 0]
+        v = np.matmul(v.reshape(*v.shape[:2], -1, b.shape[1]), b[:, :, None])[..., 0]
+    return v[..., 0]
 
 
-def evaluate_H_batch(disorder: DisorderSample, sigmas: np.ndarray) -> np.ndarray:
-    """H for a batch of configurations (rows of ``sigmas``)."""
-    fm = disorder.fm
-    sigmas = np.asarray(sigmas, dtype=float)
-    if sigmas.ndim != 2 or sigmas.shape[1] != fm.N:
-        raise ValueError(f"expected shape (n, {fm.N})")
-    n = sigmas.shape[0]
-    out = np.zeros(n)
+def _contract(fm: FiniteModel, tensors, sigmas: np.ndarray) -> np.ndarray:
+    """H for every draw and every row of ``sigmas``: (draws, rows), with
+    each term's tensors stacked along a leading draws axis."""
+    draws, n = len(tensors[0]), len(sigmas)
+    out = np.zeros((draws, n))
     slices = fm.block_slices
     blocks = [sigmas[:, sl] for sl in slices]
-    for row, coeff, J in zip(
-        fm.model.mixture.exponents, fm.model.mixture.coeffs, disorder.tensors
-    ):
+    for row, coeff, J in zip(fm.model.mixture.exponents, fm.model.mixture.coeffs, tensors):
         m = int(row.sum()) // 2
-        acc = np.zeros(n)
+        acc = np.zeros((draws, n))
         for a in _assignments(row):
             left = math.prod(fm.block_sizes[s] for s in a[:m])
             right = math.prod(fm.block_sizes[s] for s in a[m:])
             # a view when one species spans every mode, else one copy
-            Ja = J[tuple(slices[s] for s in a)].reshape(left, right)
-            step = max(1, _CONTRACT_BUDGET // max(left, right))
+            Ja = J[(slice(None),) + tuple(slices[s] for s in a)].reshape(draws, left, right)
+            step = max(1, _CONTRACT_BUDGET // (draws * max(left, right)))
             for lo in range(0, n, step):
                 rows = slice(lo, lo + step)
-                acc[rows] += _contract_chunk(
+                acc[:, rows] += _contract_chunk(
                     [blocks[s][rows] for s in a[:m]], Ja, [blocks[s][rows] for s in a[m:]]
                 )
         out += _term_prefactor(float(coeff), row, fm) * acc
     return out
+
+
+def evaluate_H_batch(disorder: DisorderSample, sigmas: np.ndarray) -> np.ndarray:
+    """H for a batch of configurations (rows of ``sigmas``): ``_contract``
+    on a batch of one draw."""
+    fm = disorder.fm
+    sigmas = np.asarray(sigmas, dtype=float)
+    if sigmas.ndim != 2 or sigmas.shape[1] != fm.N:
+        raise ValueError(f"expected shape (n, {fm.N})")
+    return _contract(fm, tuple(J[None] for J in disorder.tensors), sigmas)[0]
+
+
+def _hamiltonians_by_seed(fm: FiniteModel, seeds, sigmas: np.ndarray) -> np.ndarray:
+    """H at each row of ``sigmas`` under ``sample_disorder(fm, seed)`` for
+    every seed: (len(seeds), rows).  The tensors are drawn into reused
+    buffers and contracted a chunk of draws at a time, the chunk holding at
+    most _DRAW_BUDGET scalars (one draw when a single draw is larger)."""
+    shapes = _tensor_shapes(fm, TENSOR_BUDGET)
+    chunk = max(1, _DRAW_BUDGET // sum(map(math.prod, shapes)))
+    bufs = tuple(np.empty((min(chunk, len(seeds)),) + shape) for shape in shapes)
+    cursor = Cursor()
+    h = np.empty((len(seeds), len(sigmas)))
+    for lo in range(0, len(seeds), chunk):
+        batch = seeds[lo : lo + chunk]
+        tensors = tuple(buf[: len(batch)] for buf in bufs)
+        for j, seed in enumerate(batch):
+            _draw_tensors(cursor, seed, [t[j] for t in tensors])
+        h[lo : lo + len(batch)] = _contract(fm, tensors, sigmas)
+    return h
 
 
 def covariance_exact(fm: FiniteModel, a: np.ndarray, b: np.ndarray) -> float:
@@ -406,19 +468,18 @@ def _check(fm: FiniteModel, disorder: DisorderSample, n_samples: int, *betas: fl
         raise ValueError(f"beta must be finite, got {betas}")
 
 
-def _hamiltonians(disorder: DisorderSample, key: np.ndarray, n_samples: int, draw) -> np.ndarray:
-    """H at configuration i = draw(rng), i < n_samples, with rng moved by
-    ``seek`` to counter block i of ``key``: the draw a fresh
+def _hamiltonians(disorder: DisorderSample, key: np.ndarray, n_samples: int,
+                  blocks: list[tuple]) -> np.ndarray:
+    """H at configuration i < n_samples, which ``_fill`` draws with ``blocks``
+    from counter block i of ``key``: the draw a fresh
     ``Philox(key=key, counter=i << 128)`` would make."""
-    bitgen = np.random.Philox(key=key)
-    rng = np.random.Generator(bitgen)
+    cursor = Cursor()
     buf = np.empty((min(_CHUNK, n_samples), disorder.fm.N))
     h = np.empty(n_samples)
     for start in range(0, n_samples, _CHUNK):
         rows = buf[: min(_CHUNK, n_samples - start)]
-        for j in range(len(rows)):
-            seek(bitgen, key, start + j)
-            rows[j] = draw(rng)
+        for i, row in enumerate(rows, start):
+            _fill(cursor.seek(key, i), row, blocks)
         h[start : start + len(rows)] = evaluate_H_batch(disorder, rows)
     return h
 
@@ -457,8 +518,7 @@ def estimate_free_energy(
     when the effective sample size drops below 10.
     """
     _check(fm, disorder, n_samples, beta)
-    h = _hamiltonians(disorder, philox_key(seed, UNIFORM), n_samples,
-                      lambda rng: sample_uniform(fm, rng))
+    h = _hamiltonians(disorder, philox_key(seed, UNIFORM), n_samples, _blocks(fm))
     return _free_energy(fm, beta, h, seed)
 
 
@@ -474,8 +534,7 @@ def estimate_level_set(
     _check(fm, disorder, n_samples, beta)
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
-    h = _hamiltonians(disorder, philox_key(seed, LEVELSET), n_samples,
-                      lambda rng: sample_uniform(fm, rng))
+    h = _hamiltonians(disorder, philox_key(seed, LEVELSET), n_samples, _blocks(fm))
     target = beta * fm.model.xi1()
     hits = int(np.count_nonzero(np.abs(h / fm.N - target) < epsilon))
     if hits == 0:
@@ -491,8 +550,7 @@ def _band_hamiltonians(
 ) -> np.ndarray:
     """H at the band draws around a checked ``center`` and ``r``; they do not
     depend on beta."""
-    return _hamiltonians(disorder, philox_key(seed, BAND), n_samples,
-                         lambda rng: _band_point(fm, center, r, rng))
+    return _hamiltonians(disorder, philox_key(seed, BAND), n_samples, _blocks(fm, center, r))
 
 
 def estimate_band_free_energy(

@@ -99,12 +99,9 @@ def _empirical_covariance(model: ModelSpec, seed: int) -> CheckResult:
     a = montecarlo.sample_uniform(fm, rng)
     b = montecarlo.sample_uniform(fm, rng)
     exact = montecarlo.covariance_exact(fm, a, b)
-    pair = np.stack([a, b])
-    prods = np.empty(_COVARIANCE_DRAWS)
-    for i in range(_COVARIANCE_DRAWS):
-        d = montecarlo.sample_disorder(fm, seed=(seed << 20) + i)
-        h = montecarlo.evaluate_H_batch(d, pair)
-        prods[i] = h[0] * h[1]
+    seeds = [(seed << 20) + i for i in range(_COVARIANCE_DRAWS)]
+    h = montecarlo._hamiltonians_by_seed(fm, seeds, np.stack([a, b]))
+    prods = h[:, 0] * h[:, 1]
     se = float(prods.std(ddof=1)) / math.sqrt(_COVARIANCE_DRAWS)
     dev = abs(float(prods.mean()) - exact)
     return CheckResult("empirical-covariance", dev <= 5.0 * se, dev, 5.0 * se,

@@ -9,7 +9,7 @@ from spinmix import (
     sample_disorder,
     sample_uniform,
 )
-from spinmix.cli import main
+from spinmix.cli import _build_parser, main
 from spinmix.rng import PROBE_CENTER, stream
 
 from conftest import MODELS_DIR
@@ -184,3 +184,18 @@ def test_flags_of_other_subcommands_are_rejected(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage:")
     assert "unrecognized arguments" in err
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # main reuses one parser: a usage error between two identical runs
+    # changes neither their output nor the parser
+    first, third = tmp_path / "first.json", tmp_path / "third.json"
+    assert main(["critical", "--model", PURE3, "--out", str(first)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--tol-zero", "1e-3"])
+    assert exc.value.code == 2
+    assert main(["critical", "--model", PURE3, "--out", str(third)]) == 0
+    assert first.read_bytes() == third.read_bytes()
+    assert _build_parser() is _build_parser()
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and out[0] == out[1]

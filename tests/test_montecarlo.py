@@ -29,7 +29,7 @@ from spinmix import (
     sample_uniform,
 )
 from spinmix import montecarlo, quadrature
-from spinmix.rng import PROBE_CENTER, stream
+from spinmix.rng import BAND, PROBE_CENTER, UNIFORM, philox_key, stream
 
 from conftest import random_model
 from oracles import hamiltonian_by_masks, rel_close
@@ -339,6 +339,71 @@ def test_empirical_covariance_matches_exact(cubic_two_species):
     )
     se = prods.std(ddof=1) / math.sqrt(len(prods))
     assert abs(prods.mean() - exact) <= 5.0 * se
+
+
+@pytest.mark.parametrize("case", ["sk", "cubic_two_species", "three_species_quartic"])
+@pytest.mark.parametrize("band", [False, True])
+def test_each_sample_is_the_draw_of_a_fresh_philox(case, band, sk, cubic_two_species):
+    # configuration i of an estimator is what a fresh Philox at counter
+    # block i of its key draws, on both sides of the chunk boundary; H is
+    # compared a chunk at a time, since a single-row contraction may round
+    # the last bit differently from a many-row one
+    fm = {
+        "sk": lambda: build_finite_model(sk, 20),
+        "cubic_two_species": lambda: build_finite_model(cubic_two_species, 18),
+        "three_species_quartic": lambda: build_finite_model(_three_species_quartic(), 12),
+    }[case]()
+    d = sample_disorder(fm, seed=41)
+    key = philox_key(42, BAND if band else UNIFORM)
+    center = sample_uniform(fm, stream(43))
+    r = np.linspace(0.2, 0.5, fm.n_species)
+    blocks = montecarlo._blocks(fm, center, r) if band else montecarlo._blocks(fm)
+    chunk = montecarlo._CHUNK
+    h = montecarlo._hamiltonians(d, key, chunk + 2, blocks)
+    fresh = [np.random.Generator(np.random.Philox(key=key, counter=i << 128))
+             for i in range(chunk + 2)]
+    sigmas = np.stack([sample_on_band(fm, center, r, g) if band else sample_uniform(fm, g)
+                       for g in fresh])
+    for lo in (0, chunk):
+        assert np.array_equal(h[lo : lo + chunk], evaluate_H_batch(d, sigmas[lo : lo + chunk]))
+    for i in (0, 1, chunk - 1, chunk, chunk + 1):
+        assert h[i] == pytest.approx(evaluate_H(d, sigmas[i]), rel=1e-12)
+
+
+def _draws_per_chunk(fm) -> int:
+    per_draw = sum(map(math.prod, montecarlo._tensor_shapes(fm, montecarlo.TENSOR_BUDGET)))
+    return max(1, montecarlo._DRAW_BUDGET // per_draw)
+
+
+@pytest.mark.parametrize("case", ["cubic_two_species", "pure4"])
+def test_batched_disorder_draws_match_each_draw_alone(case, cubic_two_species, pure4):
+    # the empirical covariance's products, drawn and contracted a chunk of
+    # draws at a time, against sample_disorder and evaluate_H_batch per draw
+    fm = build_finite_model({"cubic_two_species": cubic_two_species, "pure4": pure4}[case], 24)
+    rng = stream(44)
+    pair = np.stack([sample_uniform(fm, rng), sample_uniform(fm, rng)])
+    seeds = [(5 << 20) + i for i in range(2 * _draws_per_chunk(fm) + 1)]  # three chunks
+    h = montecarlo._hamiltonians_by_seed(fm, seeds, pair)
+    for s, (ha, hb) in zip(seeds, h):
+        alone = evaluate_H_batch(sample_disorder(fm, seed=s), pair)
+        assert np.array_equal([ha, hb], alone)
+        assert ha * hb == np.prod(alone)
+
+
+def test_batched_disorder_memory_is_bounded(pure4):
+    # a pure p = 4 draw at N = 24 is 24^4 scalars (2.7 MB), over the draw
+    # budget, so a chunk holds one draw; the 12 draws at once would be 32 MB
+    fm = build_finite_model(pure4, 24)
+    assert _draws_per_chunk(fm) == 1
+    rng = stream(45)
+    pair = np.stack([sample_uniform(fm, rng), sample_uniform(fm, rng)])
+    tracemalloc.start()
+    try:
+        montecarlo._hamiltonians_by_seed(fm, list(range(12)), pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 24**4 * 8
 
 
 # ----------------------------------------------------------------------

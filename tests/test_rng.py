@@ -1,6 +1,6 @@
 import numpy as np
 
-from spinmix.rng import philox_key, seek
+from spinmix.rng import Cursor, philox_key
 
 
 def _fresh(key: np.ndarray, i: int) -> np.random.Generator:
@@ -19,8 +19,19 @@ def _same(a: list, b: list) -> bool:
 
 def test_seek_reproduces_a_fresh_philox_at_each_block():
     key = philox_key(2024, 2)
-    bitgen = np.random.Philox(key=key)
-    moved = np.random.Generator(bitgen)
+    cursor = Cursor()
     for i in (0, 1, 12345, 2**64 + 3, 1):  # back to 1, with the buffer part-used
-        seek(bitgen, key, i)
-        assert _same(_draws(moved), _draws(_fresh(key, i)))
+        assert _same(_draws(cursor.seek(key, i)), _draws(_fresh(key, i)))
+
+
+def test_seek_to_a_new_key_reproduces_its_fresh_stream():
+    # the per-seed disorder streams: one cursor, a new key at counter 0 each
+    # time, interleaved with a counter block of another key
+    cursor = Cursor()
+    keys = [philox_key(s, 1, 0) for s in (3, 4, 3)]
+    for key in keys:
+        assert _same(_draws(cursor.seek(key)), _draws(_fresh(key, 0)))
+        assert _same(_draws(cursor.seek(keys[1], 2**64 + 3)), _draws(_fresh(keys[1], 2**64 + 3)))
+    out = np.empty((2, 3))
+    cursor.seek(keys[0]).standard_normal(out=out)
+    assert np.array_equal(out, _fresh(keys[0], 0).standard_normal((2, 3)))
