@@ -40,20 +40,28 @@ more often per row.  A chunk of disorder draws holds at most _DRAW_BUDGET
 scalars of tensors (512 KB), or one draw when a single draw is larger.
 
 Sampling.  Every estimator draws and contracts in one loop,
-``_hamiltonians``: configuration i comes from counter block i of the
-estimator's Philox key, through one ``rng.Cursor`` whose state dict is
-built once and rewritten in place, and ``_fill`` writes it into a row of
-one reused (_CHUNK, N) matrix: per species block, a Gaussian drawn in place
-into its slice, normalized by sqrt(g @ g) (what ``np.linalg.norm``
-computes).  The matrix is contracted a chunk at a time.  ``_fill`` is the
-one sphere-block draw: ``sample_uniform`` and ``sample_on_band`` call it
-on a fresh row.  The disorder tensors of each seed are drawn the same way,
-in place, by one reused cursor set to each stream's key at counter 0.
+``_hamiltonians``: configuration i is the Gaussian row that counter block i
+of the estimator's Philox key draws, one ``standard_normal`` into a row of
+one reused (_CHUNK, N) matrix through one ``rng.Cursor`` whose state dict is
+built once and rewritten in place.  The blocks are contiguous and drawn in
+order, so the row holds exactly the normals a block-by-block draw would.
+``_place`` then puts the whole matrix on its spheres, one species block of
+every row at a time: the band's center projected out, the norm sqrt(g @ g)
+(each row's product a ``ddot``, as ``np.linalg.norm`` computes it), the
+scaling, in the same elementwise order as a one-row draw, so every bit is
+the same.  A row with an underflowed block is drawn again whole, continuing
+its own stream.  ``_place`` is the one sphere and band placement:
+``sample_uniform`` and ``sample_on_band`` call it on a one-row view.  The
+matrix is contracted a chunk at a time.  The disorder tensors of each seed
+are drawn the same way, in place, by one reused cursor set to each stream's
+key at counter 0; ``_hamiltonians_by_seed`` hashes every seed's keys at
+once (``rng.philox_keys``).
 Inputs are checked once, on entry, before any draw: ``fm`` is the
-disorder's own (by value), the sample count, every beta, the band's center
-and overlap.  ``_free_energy`` is the shared log-mean-exp tail; H does not
-depend on beta, so ``band_probe``, behind both ``verify``'s band check and
-``band-probe``, draws and contracts one band for its whole beta grid.
+disorder's own (by value), the sample count (100 to TENSOR_BUDGET), every
+beta, the band's center and overlap.  ``_free_energy`` is the shared
+log-mean-exp tail; H does not depend on beta, so ``band_probe``, behind
+both ``verify``'s band check and ``band-probe``, draws and contracts one
+band for its whole beta grid.
 """
 
 from __future__ import annotations
@@ -67,7 +75,7 @@ import numpy as np
 
 from .mixture import _coerce_r
 from .model import ModelSpec, model_hash
-from .rng import BAND, DISORDER, LEVELSET, UNIFORM, Cursor, philox_key, stream
+from .rng import BAND, DISORDER, LEVELSET, UNIFORM, Cursor, philox_key, philox_keys, stream
 
 __all__ = [
     "FiniteModel",
@@ -176,7 +184,7 @@ def overlap(fm: FiniteModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _blocks(fm: FiniteModel, center: np.ndarray | None = None, r=None) -> list[tuple]:
-    """Per species, what ``_fill`` needs: (slice, n_s, sqrt(n_s), band), with
+    """Per species, what ``_place`` needs: (slice, n_s, sqrt(n_s), band), with
     band None for a uniform draw, else (center block c, r * c, sqrt(1 - r^2))."""
     return [
         (sl, n_s, math.sqrt(n_s), None if center is None else
@@ -185,35 +193,46 @@ def _blocks(fm: FiniteModel, center: np.ndarray | None = None, r=None) -> list[t
     ]
 
 
-def _fill(rng: np.random.Generator, row: np.ndarray, blocks: list[tuple]) -> None:
-    """Write one configuration into ``row`` in place, block by block.
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[i] @ y[i] for every row i (y may be one vector for all rows): a
+    stacked ``np.matmul``, so each row's product is the ``ddot`` of ``@``."""
+    return np.matmul(x[:, None, :], y[..., None])[:, 0, 0]
 
-    A block is a Gaussian drawn into its slice, with the band's center c
-    projected out when there is one, scaled to the sphere of radius
-    sqrt(n_s): a uniform point, orthogonal to c for a band, which then
-    becomes r * c + sqrt(1 - r^2) * u.  A zero-norm draw has probability 0;
-    on underflow the block is redrawn.
+
+def _place(rows: np.ndarray, blocks: list[tuple], resume) -> None:
+    """Put every row of Gaussians in ``rows`` onto the product of spheres,
+    or of bands, in place, one species block of all rows at a time.
+
+    A block g has the band's center c projected out when there is one
+    (g -= (g @ c / n_s) c) and is scaled to the sphere of radius sqrt(n_s)
+    (g *= sqrt(n_s) / sqrt(g @ g)): a uniform point, orthogonal to c for a
+    band, which then becomes sqrt(1 - r^2) g + r c.  A zero norm has
+    probability 0; a row with an underflowed block is drawn again whole
+    from ``resume(i)``, the generator that continues row i's stream.
     """
+    placed = np.ones(len(rows), dtype=bool)
     for sl, n_s, root, band in blocks:
-        g = row[sl]
-        while True:
-            rng.standard_normal(out=g)
-            if band is not None:
-                c = band[0]
-                g -= (float(g @ c) / n_s) * c
-            norm = math.sqrt(g @ g)
-            if norm > 1e-150:
-                break
-        g *= root / norm
+        g = rows[:, sl]
+        if band is not None:
+            c = band[0]
+            g -= (_row_dots(g, c) / n_s)[:, None] * c
+        norm = np.sqrt(_row_dots(g, g))
+        placed &= norm > 1e-150
+        g *= (root / np.maximum(norm, 1e-150))[:, None]
         if band is not None:
             g *= band[2]
             g += band[1]
+    for i in np.flatnonzero(~placed):
+        rng = resume(i)
+        rng.standard_normal(out=rows[i])
+        _place(rows[i : i + 1], blocks, lambda _: rng)
 
 
 def sample_uniform(fm: FiniteModel, rng: np.random.Generator) -> np.ndarray:
     """Uniform point on the product of spheres: normalized Gaussian blocks."""
     out = np.empty(fm.N)
-    _fill(rng, out, _blocks(fm))
+    rng.standard_normal(out=out)
+    _place(out[None], _blocks(fm), lambda _: rng)
     return out
 
 
@@ -227,7 +246,8 @@ def sample_on_band(fm: FiniteModel, center: np.ndarray, r, rng: np.random.Genera
     r = _coerce_r(fm.n_species, r)
     center = validate_configuration(fm, center)
     out = np.empty(fm.N)
-    _fill(rng, out, _blocks(fm, center, r))
+    rng.standard_normal(out=out)
+    _place(out[None], _blocks(fm, center, r), lambda _: rng)
     return out
 
 
@@ -279,11 +299,17 @@ def _tensor_shapes(fm: FiniteModel, budget: int) -> list[tuple[int, ...]]:
     return shapes
 
 
-def _draw_tensors(cursor: Cursor, seed: int, outs) -> None:
-    """Fill ``outs[t]`` in place with term t's tensor: the stream keyed by
-    (seed, DISORDER, t) from counter 0, in C order."""
-    for t, out in enumerate(outs):
-        cursor.seek(philox_key(seed, DISORDER, t)).standard_normal(out=out)
+def _disorder_keys(seeds, n_terms: int) -> np.ndarray:
+    """The key of (seed, DISORDER, t) for every seed and term t < n_terms:
+    (len(seeds), n_terms, 2)."""
+    return np.stack([philox_keys(seeds, DISORDER, t) for t in range(n_terms)], axis=1)
+
+
+def _draw_tensors(cursor: Cursor, keys: np.ndarray, outs) -> None:
+    """Fill ``outs[t]`` in place with term t's tensor: the stream of
+    ``keys[t]`` from counter 0, in C order."""
+    for key, out in zip(keys, outs):
+        cursor.seek(key).standard_normal(out=out)
 
 
 def sample_disorder(fm: FiniteModel, seed: int, *, budget: int = TENSOR_BUDGET) -> DisorderSample:
@@ -294,7 +320,7 @@ def sample_disorder(fm: FiniteModel, seed: int, *, budget: int = TENSOR_BUDGET) 
     draw is independent of evaluation order.
     """
     tensors = tuple(np.empty(shape) for shape in _tensor_shapes(fm, budget))
-    _draw_tensors(Cursor(), seed, tensors)
+    _draw_tensors(Cursor(), _disorder_keys([seed], len(tensors))[0], tensors)
     return DisorderSample(fm, int(seed), tensors)
 
 
@@ -367,17 +393,19 @@ def _hamiltonians_by_seed(fm: FiniteModel, seeds, sigmas: np.ndarray) -> np.ndar
     """H at each row of ``sigmas`` under ``sample_disorder(fm, seed)`` for
     every seed: (len(seeds), rows).  The tensors are drawn into reused
     buffers and contracted a chunk of draws at a time, the chunk holding at
-    most _DRAW_BUDGET scalars (one draw when a single draw is larger)."""
+    most _DRAW_BUDGET scalars (one draw when a single draw is larger).  Every
+    seed's keys come from one hash of the whole batch."""
     shapes = _tensor_shapes(fm, TENSOR_BUDGET)
     chunk = max(1, _DRAW_BUDGET // sum(map(math.prod, shapes)))
     bufs = tuple(np.empty((min(chunk, len(seeds)),) + shape) for shape in shapes)
     cursor = Cursor()
+    keys = _disorder_keys(seeds, len(shapes))
     h = np.empty((len(seeds), len(sigmas)))
     for lo in range(0, len(seeds), chunk):
-        batch = seeds[lo : lo + chunk]
+        batch = keys[lo : lo + chunk]
         tensors = tuple(buf[: len(batch)] for buf in bufs)
-        for j, seed in enumerate(batch):
-            _draw_tensors(cursor, seed, [t[j] for t in tensors])
+        for j, seed_keys in enumerate(batch):
+            _draw_tensors(cursor, seed_keys, [t[j] for t in tensors])
         h[lo : lo + len(batch)] = _contract(fm, tensors, sigmas)
     return h
 
@@ -458,28 +486,40 @@ def estimator_record(fm: FiniteModel, result: EstimatorResult) -> dict:
 
 def _check(fm: FiniteModel, disorder: DisorderSample, n_samples: int, *betas: float) -> None:
     """The estimators' inputs, checked on entry: ``fm`` is the disorder's own
-    finite model (by value), there are at least 100 samples, and every beta
+    finite model (by value), there are at least 100 samples and at most
+    TENSOR_BUDGET (the scalar bound on the H values held), and every beta
     is finite (a negative beta is allowed)."""
     if fm != disorder.fm:
         raise ValueError("fm is not the finite model the disorder was drawn for")
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
+    if n_samples > TENSOR_BUDGET:
+        raise ValueError(f"{n_samples} samples exceed the budget of {TENSOR_BUDGET}")
     if not all(map(math.isfinite, betas)):
         raise ValueError(f"beta must be finite, got {betas}")
 
 
 def _hamiltonians(disorder: DisorderSample, key: np.ndarray, n_samples: int,
                   blocks: list[tuple]) -> np.ndarray:
-    """H at configuration i < n_samples, which ``_fill`` draws with ``blocks``
-    from counter block i of ``key``: the draw a fresh
-    ``Philox(key=key, counter=i << 128)`` would make."""
+    """H at configuration i < n_samples: the Gaussian row that counter block
+    i of ``key`` draws (what a fresh ``Philox(key=key, counter=i << 128)``
+    would), put in place by ``_place`` with ``blocks`` a chunk at a time."""
     cursor = Cursor()
+    key = key.tolist()
     buf = np.empty((min(_CHUNK, n_samples), disorder.fm.N))
     h = np.empty(n_samples)
+
+    def resume(i: int) -> np.random.Generator:
+        # row i's stream, past the row it has already drawn
+        rng = cursor.seek(key, start + i)
+        rng.standard_normal(out=rows[i])
+        return rng
+
     for start in range(0, n_samples, _CHUNK):
         rows = buf[: min(_CHUNK, n_samples - start)]
         for i, row in enumerate(rows, start):
-            _fill(cursor.seek(key, i), row, blocks)
+            cursor.seek(key, i).standard_normal(out=row)
+        _place(rows, blocks, resume)
         h[start : start + len(rows)] = evaluate_H_batch(disorder, rows)
     return h
 

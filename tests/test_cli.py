@@ -134,6 +134,18 @@ def test_verify_over_budget(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_verify_refuses_more_samples_than_the_budget(capsys):
+    # refused before the H values are allocated (they would take 728 TiB)
+    code = main(["verify", "--seed", "5", "--N", "20", "--samples", "99999999999999"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: 99999999999999 samples exceed the budget")
+
+
+def test_verify_refuses_a_negative_seed(capsys):
+    assert main(["verify", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: expected non-negative integer\n"
+
+
 def test_band_probe(tmp_path):
     out = tmp_path / "probe.csv"
     code = main([

@@ -341,33 +341,111 @@ def test_empirical_covariance_matches_exact(cubic_two_species):
     assert abs(prods.mean() - exact) <= 5.0 * se
 
 
-@pytest.mark.parametrize("case", ["sk", "cubic_two_species", "three_species_quartic"])
-@pytest.mark.parametrize("band", [False, True])
-def test_each_sample_is_the_draw_of_a_fresh_philox(case, band, sk, cubic_two_species):
-    # configuration i of an estimator is what a fresh Philox at counter
-    # block i of its key draws, on both sides of the chunk boundary; H is
-    # compared a chunk at a time, since a single-row contraction may round
-    # the last bit differently from a many-row one
+def _block_by_block(rng, fm, center=None, r=None) -> np.ndarray:
+    # the sphere and band draw written out one species block at a time: a
+    # Gaussian drawn into the block, the center block projected out, the
+    # norm sqrt(g @ g), then r c + sqrt(1 - r^2) g
+    row = np.empty(fm.N)
+    for s, (sl, n_s) in enumerate(zip(fm.block_slices, fm.block_sizes)):
+        g = row[sl]
+        rng.standard_normal(out=g)
+        if center is not None:
+            c = center[sl]
+            g -= (float(g @ c) / n_s) * c
+        g *= math.sqrt(n_s) / math.sqrt(g @ g)
+        if center is not None:
+            g *= math.sqrt(1.0 - r[s] * r[s])
+            g += r[s] * c
+    return row
+
+
+def _estimator_case(case, band, sk, cubic_two_species):
     fm = {
         "sk": lambda: build_finite_model(sk, 20),
         "cubic_two_species": lambda: build_finite_model(cubic_two_species, 18),
         "three_species_quartic": lambda: build_finite_model(_three_species_quartic(), 12),
     }[case]()
-    d = sample_disorder(fm, seed=41)
     key = philox_key(42, BAND if band else UNIFORM)
-    center = sample_uniform(fm, stream(43))
+    center = sample_uniform(fm, stream(43)) if band else None
     r = np.linspace(0.2, 0.5, fm.n_species)
     blocks = montecarlo._blocks(fm, center, r) if band else montecarlo._blocks(fm)
+    return fm, sample_disorder(fm, seed=41), key, center, r, blocks
+
+
+def _fresh(key, i: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=key, counter=i << 128))
+
+
+@pytest.mark.parametrize("case", ["sk", "cubic_two_species", "three_species_quartic"])
+@pytest.mark.parametrize("band", [False, True])
+def test_each_sample_is_the_draw_of_a_fresh_philox(case, band, sk, cubic_two_species):
+    # configuration i of an estimator is what a fresh Philox at counter
+    # block i of its key draws, block by block, on both sides of the chunk
+    # boundary; H is compared a chunk at a time, since a single-row
+    # contraction may round the last bit differently from a many-row one
+    fm, d, key, center, r, blocks = _estimator_case(case, band, sk, cubic_two_species)
     chunk = montecarlo._CHUNK
     h = montecarlo._hamiltonians(d, key, chunk + 2, blocks)
-    fresh = [np.random.Generator(np.random.Philox(key=key, counter=i << 128))
-             for i in range(chunk + 2)]
-    sigmas = np.stack([sample_on_band(fm, center, r, g) if band else sample_uniform(fm, g)
-                       for g in fresh])
+    sigmas = np.stack([_block_by_block(_fresh(key, i), fm, center, r) for i in range(chunk + 2)])
     for lo in (0, chunk):
         assert np.array_equal(h[lo : lo + chunk], evaluate_H_batch(d, sigmas[lo : lo + chunk]))
     for i in (0, 1, chunk - 1, chunk, chunk + 1):
         assert h[i] == pytest.approx(evaluate_H(d, sigmas[i]), rel=1e-12)
+    # the public samplers place a row the same way
+    g = np.random.Generator(np.random.Philox(key=key))
+    one = sample_on_band(fm, center, r, g) if band else sample_uniform(fm, g)
+    assert np.array_equal(one, sigmas[0])
+
+
+class _ZeroFirstRow:
+    """A generator whose first row is all zeros: the row's normals are drawn
+    and then overwritten, so later draws continue the stream."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._first = True
+
+    def standard_normal(self, out):
+        self._rng.standard_normal(out=out)
+        if self._first:
+            out[...] = 0.0
+            self._first = False
+
+
+@pytest.mark.parametrize("band", [False, True])
+def test_an_underflowed_row_is_drawn_again_from_its_own_stream(band, sk, cubic_two_species,
+                                                                monkeypatch):
+    # a zero block has no direction: the whole row is drawn again, as the
+    # next N normals of that row's stream, and the other rows are untouched
+    fm, d, key, center, r, blocks = _estimator_case("cubic_two_species", band, sk,
+                                                    cubic_two_species)
+
+    def after_one_row(i):
+        rng = _fresh(key, i)
+        rng.standard_normal(fm.N)
+        return rng
+
+    g = _ZeroFirstRow(_fresh(key, 0))
+    one = sample_on_band(fm, center, r, g) if band else sample_uniform(fm, g)
+    assert np.array_equal(one, _block_by_block(after_one_row(0), fm, center, r))
+
+    chunk = montecarlo._CHUNK
+    zero = (1, chunk + 1)  # a row in each chunk
+
+    class ZeroRowCursor(montecarlo.Cursor):
+        # the streams of counter blocks 1 and chunk + 1 start with a zero row
+        def seek(self, key, index=0):
+            rng = super().seek(key, index)
+            return _ZeroFirstRow(rng) if index in zero else rng
+
+    monkeypatch.setattr(montecarlo, "Cursor", ZeroRowCursor)
+    h = montecarlo._hamiltonians(d, key, chunk + 3, blocks)
+    for i in (0, 1, 2, chunk, chunk + 1, chunk + 2):
+        sigma = _block_by_block(after_one_row(i) if i in zero else _fresh(key, i), fm, center, r)
+        assert h[i] == pytest.approx(evaluate_H(d, sigma), rel=1e-12)
+    for i in zero:
+        first = _block_by_block(_fresh(key, i), fm, center, r)
+        assert h[i] != pytest.approx(evaluate_H(d, first), rel=1e-6)
 
 
 def _draws_per_chunk(fm) -> int:
@@ -518,6 +596,9 @@ def test_free_energy_requires_enough_samples(sk, cubic_two_species):
         montecarlo.band_probe(d, 5, PROBE_CENTER, [0.1, nan], 500)
     with pytest.raises(ValueError):
         montecarlo.band_probe(d, 5, PROBE_CENTER, [0.1], 50)
+    # more samples than the scalar budget are refused before any allocation
+    with pytest.raises(ValueError, match="budget"):
+        estimate_free_energy(fm, d, 0.4, montecarlo.TENSOR_BUDGET + 1, seed=5)
     for epsilon in (0.0, nan, math.inf):
         with pytest.raises(ValueError, match="epsilon"):
             estimate_level_set(fm, d, 0.4, epsilon, 500, seed=5)

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from spinmix.rng import Cursor, philox_key
+from spinmix.rng import Cursor, philox_key, philox_keys
 
 
 def _fresh(key: np.ndarray, i: int) -> np.random.Generator:
@@ -35,3 +36,30 @@ def test_seek_to_a_new_key_reproduces_its_fresh_stream():
     out = np.empty((2, 3))
     cursor.seek(keys[0]).standard_normal(out=out)
     assert np.array_equal(out, _fresh(keys[0], 0).standard_normal((2, 3)))
+
+
+def _seed_sequence_key(*entropy: int) -> np.ndarray:
+    return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+
+
+def test_keys_are_seed_sequence_keys_bit_for_bit():
+    # seeds of one, two and three 32-bit words in one batch, the verify
+    # draws' (seed << 20) + i across the 2^32 boundary, and wide tags
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**90 + 7]
+    seeds += [(4095 << 20) + i for i in range(1048570, 1048582)]
+    for tags in [(), (1,), (1, 0), (2, 2**32), (3, 2**40 + 1, 5)]:
+        keys = philox_keys(seeds, *tags)
+        assert keys.dtype == np.uint64 and keys.shape == (len(seeds), 2)
+        for seed, key in zip(seeds, keys):
+            assert np.array_equal(key, _seed_sequence_key(seed, *tags))
+    assert np.array_equal(philox_key(0), _seed_sequence_key(0))
+    assert np.array_equal(philox_key(7, 2**32), _seed_sequence_key(7, 2**32))
+    assert philox_keys([], 1).shape == (0, 2)
+
+
+def test_a_negative_seed_or_tag_is_refused():
+    for args in [(-1,), (3, -2)]:
+        with pytest.raises(ValueError, match="non-negative"):
+            philox_key(*args)
+    with pytest.raises(ValueError, match="non-negative"):
+        philox_keys([5, -1], 1)
