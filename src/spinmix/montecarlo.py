@@ -20,7 +20,7 @@ Contraction order.  ``_contract`` is the one contraction path: it takes
 each term's tensors stacked along a leading draws axis and returns H for
 every (draw, row) pair.  ``evaluate_H_batch`` is a batch of one draw and
 ``evaluate_H`` a batch of one row; the empirical covariance of ``verify``
-contracts a chunk of disorder draws at once (``_hamiltonians_by_seed``).
+contracts a chunk of disorder draws at once (``_disorder_hamiltonians``).
 Each term's species assignments are taken one at a time.  The modes of an
 assignment of degree k are split at m = k // 2; each draw's block-sliced
 tensor is read as a (left, right) matrix J_a, with left the product of the
@@ -40,22 +40,23 @@ more often per row.  A chunk of disorder draws holds at most _DRAW_BUDGET
 scalars of tensors (512 KB), or one draw when a single draw is larger.
 
 Sampling.  Every estimator draws and contracts in one loop,
-``_hamiltonians``: configuration i is the Gaussian row that counter block i
-of the estimator's Philox key draws, one ``standard_normal`` into a row of
-one reused (_CHUNK, N) matrix through one ``rng.Cursor`` whose state dict is
-built once and rewritten in place.  The blocks are contiguous and drawn in
-order, so the row holds exactly the normals a block-by-block draw would.
-``_place`` then puts the whole matrix on its spheres, one species block of
-every row at a time: the band's center projected out, the norm sqrt(g @ g)
-(each row's product a ``ddot``, as ``np.linalg.norm`` computes it), the
-scaling, in the same elementwise order as a one-row draw, so every bit is
-the same.  A row with an underflowed block is drawn again whole, continuing
-its own stream.  ``_place`` is the one sphere and band placement:
-``sample_uniform`` and ``sample_on_band`` call it on a one-row view.  The
-matrix is contracted a chunk at a time.  The disorder tensors of each seed
-are drawn the same way, in place, by one reused cursor set to each stream's
-key at counter 0; ``_hamiltonians_by_seed`` hashes every seed's keys at
-once (``rng.philox_keys``).
+``_hamiltonians``, over one stream per (seed, role) read in order:
+configuration i is normals [i N, (i + 1) N) of ``stream(seed, role)``, and
+each (_CHUNK, N) chunk of configurations is one ``standard_normal`` into a
+reused matrix.  The species blocks are contiguous, so a row holds exactly
+the normals a block-by-block draw would, and no configuration depends on
+the sample count or the chunk size.  ``_place`` then puts the whole matrix
+on its spheres, one species block of every row at a time: the band's center
+projected out, the norm sqrt(g @ g) (each row's product a ``ddot``, as
+``np.linalg.norm`` computes it), the scaling, in the same elementwise order
+as a one-row draw, so every bit is the same.  A block has at least 3
+normals, so its norm is 0 only if every one of them is exactly 0 (about
+2^-156 at most) or, on a band, if it is exactly parallel to the center;
+``_place`` raises rather than place it.  ``_place`` is the
+one sphere and band placement: ``sample_uniform`` and ``sample_on_band``
+call it on a one-row view.  The matrix is contracted a chunk at a time.
+The empirical covariance's disorder tensors come the same way from one
+stream per term, a chunk of draws in one ``standard_normal`` per term.
 Inputs are checked once, on entry, before any draw: ``fm`` is the
 disorder's own (by value), the sample count (100 to TENSOR_BUDGET), every
 beta, the band's center and overlap.  ``_free_energy`` is the shared
@@ -75,7 +76,7 @@ import numpy as np
 
 from .mixture import _coerce_r
 from .model import ModelSpec, model_hash
-from .rng import BAND, DISORDER, LEVELSET, UNIFORM, Cursor, philox_key, philox_keys, stream
+from .rng import BAND, DISORDER, LEVELSET, UNIFORM, stream
 
 __all__ = [
     "FiniteModel",
@@ -199,40 +200,37 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], y[..., None])[:, 0, 0]
 
 
-def _place(rows: np.ndarray, blocks: list[tuple], resume) -> None:
+def _place(rows: np.ndarray, blocks: list[tuple]) -> None:
     """Put every row of Gaussians in ``rows`` onto the product of spheres,
     or of bands, in place, one species block of all rows at a time.
 
     A block g has the band's center c projected out when there is one
     (g -= (g @ c / n_s) c) and is scaled to the sphere of radius sqrt(n_s)
     (g *= sqrt(n_s) / sqrt(g @ g)): a uniform point, orthogonal to c for a
-    band, which then becomes sqrt(1 - r^2) g + r c.  A zero norm has
-    probability 0; a row with an underflowed block is drawn again whole
-    from ``resume(i)``, the generator that continues row i's stream.
+    band, which then becomes sqrt(1 - r^2) g + r c.  A block of norm 0 has
+    no direction: FloatingPointError names it.
     """
-    placed = np.ones(len(rows), dtype=bool)
-    for sl, n_s, root, band in blocks:
+    for s, (sl, n_s, root, band) in enumerate(blocks):
         g = rows[:, sl]
         if band is not None:
             c = band[0]
             g -= (_row_dots(g, c) / n_s)[:, None] * c
         norm = np.sqrt(_row_dots(g, g))
-        placed &= norm > 1e-150
-        g *= (root / np.maximum(norm, 1e-150))[:, None]
+        if not norm.all():
+            raise FloatingPointError(
+                f"species block {s} (entries {sl.start}:{sl.stop}) of a draw has norm 0, "
+                "so it has no direction on the sphere")
+        g *= (root / norm)[:, None]
         if band is not None:
             g *= band[2]
             g += band[1]
-    for i in np.flatnonzero(~placed):
-        rng = resume(i)
-        rng.standard_normal(out=rows[i])
-        _place(rows[i : i + 1], blocks, lambda _: rng)
 
 
 def sample_uniform(fm: FiniteModel, rng: np.random.Generator) -> np.ndarray:
     """Uniform point on the product of spheres: normalized Gaussian blocks."""
     out = np.empty(fm.N)
     rng.standard_normal(out=out)
-    _place(out[None], _blocks(fm), lambda _: rng)
+    _place(out[None], _blocks(fm))
     return out
 
 
@@ -247,7 +245,7 @@ def sample_on_band(fm: FiniteModel, center: np.ndarray, r, rng: np.random.Genera
     center = validate_configuration(fm, center)
     out = np.empty(fm.N)
     rng.standard_normal(out=out)
-    _place(out[None], _blocks(fm, center, r), lambda _: rng)
+    _place(out[None], _blocks(fm, center, r))
     return out
 
 
@@ -299,19 +297,6 @@ def _tensor_shapes(fm: FiniteModel, budget: int) -> list[tuple[int, ...]]:
     return shapes
 
 
-def _disorder_keys(seeds, n_terms: int) -> np.ndarray:
-    """The key of (seed, DISORDER, t) for every seed and term t < n_terms:
-    (len(seeds), n_terms, 2)."""
-    return np.stack([philox_keys(seeds, DISORDER, t) for t in range(n_terms)], axis=1)
-
-
-def _draw_tensors(cursor: Cursor, keys: np.ndarray, outs) -> None:
-    """Fill ``outs[t]`` in place with term t's tensor: the stream of
-    ``keys[t]`` from counter 0, in C order."""
-    for key, out in zip(keys, outs):
-        cursor.seek(key).standard_normal(out=out)
-
-
 def sample_disorder(fm: FiniteModel, seed: int, *, budget: int = TENSOR_BUDGET) -> DisorderSample:
     """Draw every term's coefficient tensor from its own keyed stream.
 
@@ -319,8 +304,8 @@ def sample_disorder(fm: FiniteModel, seed: int, *, budget: int = TENSOR_BUDGET) 
     Philox stream keyed by (seed, DISORDER, t), filled in one call, so the
     draw is independent of evaluation order.
     """
-    tensors = tuple(np.empty(shape) for shape in _tensor_shapes(fm, budget))
-    _draw_tensors(Cursor(), _disorder_keys([seed], len(tensors))[0], tensors)
+    tensors = tuple(stream(seed, DISORDER, t).standard_normal(shape)
+                    for t, shape in enumerate(_tensor_shapes(fm, budget)))
     return DisorderSample(fm, int(seed), tensors)
 
 
@@ -389,24 +374,23 @@ def evaluate_H_batch(disorder: DisorderSample, sigmas: np.ndarray) -> np.ndarray
     return _contract(fm, tuple(J[None] for J in disorder.tensors), sigmas)[0]
 
 
-def _hamiltonians_by_seed(fm: FiniteModel, seeds, sigmas: np.ndarray) -> np.ndarray:
-    """H at each row of ``sigmas`` under ``sample_disorder(fm, seed)`` for
-    every seed: (len(seeds), rows).  The tensors are drawn into reused
-    buffers and contracted a chunk of draws at a time, the chunk holding at
-    most _DRAW_BUDGET scalars (one draw when a single draw is larger).  Every
-    seed's keys come from one hash of the whole batch."""
+def _disorder_hamiltonians(fm: FiniteModel, seed: int, role: int, n_draws: int,
+                           sigmas: np.ndarray) -> np.ndarray:
+    """H at each row of ``sigmas`` under n_draws disorder draws: (n_draws,
+    rows).  Term t's tensor in draw d is the d-th tensor of ``stream(seed,
+    role, t)``, read in order.  The tensors are drawn into reused buffers and
+    contracted a chunk of draws at a time, the chunk holding at most
+    _DRAW_BUDGET scalars (one draw when a single draw is larger)."""
     shapes = _tensor_shapes(fm, TENSOR_BUDGET)
     chunk = max(1, _DRAW_BUDGET // sum(map(math.prod, shapes)))
-    bufs = tuple(np.empty((min(chunk, len(seeds)),) + shape) for shape in shapes)
-    cursor = Cursor()
-    keys = _disorder_keys(seeds, len(shapes))
-    h = np.empty((len(seeds), len(sigmas)))
-    for lo in range(0, len(seeds), chunk):
-        batch = keys[lo : lo + chunk]
-        tensors = tuple(buf[: len(batch)] for buf in bufs)
-        for j, seed_keys in enumerate(batch):
-            _draw_tensors(cursor, seed_keys, [t[j] for t in tensors])
-        h[lo : lo + len(batch)] = _contract(fm, tensors, sigmas)
+    rngs = [stream(seed, role, t) for t in range(len(shapes))]
+    bufs = tuple(np.empty((min(chunk, n_draws),) + shape) for shape in shapes)
+    h = np.empty((n_draws, len(sigmas)))
+    for lo in range(0, n_draws, chunk):
+        tensors = tuple(buf[: min(chunk, n_draws - lo)] for buf in bufs)
+        for rng, t in zip(rngs, tensors):
+            rng.standard_normal(out=t)
+        h[lo : lo + len(tensors[0])] = _contract(fm, tensors, sigmas)
     return h
 
 
@@ -484,42 +468,37 @@ def estimator_record(fm: FiniteModel, result: EstimatorResult) -> dict:
     return doc
 
 
-def _check(fm: FiniteModel, disorder: DisorderSample, n_samples: int, *betas: float) -> None:
-    """The estimators' inputs, checked on entry: ``fm`` is the disorder's own
-    finite model (by value), there are at least 100 samples and at most
-    TENSOR_BUDGET (the scalar bound on the H values held), and every beta
-    is finite (a negative beta is allowed)."""
-    if fm != disorder.fm:
-        raise ValueError("fm is not the finite model the disorder was drawn for")
+def _check_samples(n_samples: int) -> None:
+    """The estimators' sample-count rule: at least 100 samples and at most
+    TENSOR_BUDGET (the scalar bound on the H values held)."""
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
     if n_samples > TENSOR_BUDGET:
         raise ValueError(f"{n_samples} samples exceed the budget of {TENSOR_BUDGET}")
+
+
+def _check(fm: FiniteModel, disorder: DisorderSample, n_samples: int, *betas: float) -> None:
+    """The estimators' inputs, checked on entry: ``fm`` is the disorder's own
+    finite model (by value), the sample count (``_check_samples``), and every
+    beta is finite (a negative beta is allowed)."""
+    if fm != disorder.fm:
+        raise ValueError("fm is not the finite model the disorder was drawn for")
+    _check_samples(n_samples)
     if not all(map(math.isfinite, betas)):
         raise ValueError(f"beta must be finite, got {betas}")
 
 
-def _hamiltonians(disorder: DisorderSample, key: np.ndarray, n_samples: int,
+def _hamiltonians(disorder: DisorderSample, rng: np.random.Generator, n_samples: int,
                   blocks: list[tuple]) -> np.ndarray:
-    """H at configuration i < n_samples: the Gaussian row that counter block
-    i of ``key`` draws (what a fresh ``Philox(key=key, counter=i << 128)``
-    would), put in place by ``_place`` with ``blocks`` a chunk at a time."""
-    cursor = Cursor()
-    key = key.tolist()
+    """H at configuration i < n_samples: normals [i N, (i + 1) N) of ``rng``,
+    read in order a chunk of rows at a time and put in place by ``_place``
+    with ``blocks``."""
     buf = np.empty((min(_CHUNK, n_samples), disorder.fm.N))
     h = np.empty(n_samples)
-
-    def resume(i: int) -> np.random.Generator:
-        # row i's stream, past the row it has already drawn
-        rng = cursor.seek(key, start + i)
-        rng.standard_normal(out=rows[i])
-        return rng
-
     for start in range(0, n_samples, _CHUNK):
         rows = buf[: min(_CHUNK, n_samples - start)]
-        for i, row in enumerate(rows, start):
-            cursor.seek(key, i).standard_normal(out=row)
-        _place(rows, blocks, resume)
+        rng.standard_normal(out=rows)
+        _place(rows, blocks)
         h[start : start + len(rows)] = evaluate_H_batch(disorder, rows)
     return h
 
@@ -558,7 +537,7 @@ def estimate_free_energy(
     when the effective sample size drops below 10.
     """
     _check(fm, disorder, n_samples, beta)
-    h = _hamiltonians(disorder, philox_key(seed, UNIFORM), n_samples, _blocks(fm))
+    h = _hamiltonians(disorder, stream(seed, UNIFORM), n_samples, _blocks(fm))
     return _free_energy(fm, beta, h, seed)
 
 
@@ -574,7 +553,7 @@ def estimate_level_set(
     _check(fm, disorder, n_samples, beta)
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
-    h = _hamiltonians(disorder, philox_key(seed, LEVELSET), n_samples, _blocks(fm))
+    h = _hamiltonians(disorder, stream(seed, LEVELSET), n_samples, _blocks(fm))
     target = beta * fm.model.xi1()
     hits = int(np.count_nonzero(np.abs(h / fm.N - target) < epsilon))
     if hits == 0:
@@ -590,7 +569,7 @@ def _band_hamiltonians(
 ) -> np.ndarray:
     """H at the band draws around a checked ``center`` and ``r``; they do not
     depend on beta."""
-    return _hamiltonians(disorder, philox_key(seed, BAND), n_samples, _blocks(fm, center, r))
+    return _hamiltonians(disorder, stream(seed, BAND), n_samples, _blocks(fm, center, r))
 
 
 def estimate_band_free_energy(

@@ -21,7 +21,7 @@ import numpy as np
 from . import criticality, montecarlo, quadrature
 from .mixture import Mixture, SpeciesSet
 from .model import ModelSpec
-from .rng import EMPIRICAL_COVARIANCE, SPOT_CHECKS, VERIFY_CENTER, stream
+from .rng import COVARIANCE_DISORDER, EMPIRICAL_COVARIANCE, SPOT_CHECKS, VERIFY_CENTER, stream
 
 __all__ = ["CheckResult", "VerifyRun", "run_verify"]
 
@@ -99,8 +99,8 @@ def _empirical_covariance(model: ModelSpec, seed: int) -> CheckResult:
     a = montecarlo.sample_uniform(fm, rng)
     b = montecarlo.sample_uniform(fm, rng)
     exact = montecarlo.covariance_exact(fm, a, b)
-    seeds = [(seed << 20) + i for i in range(_COVARIANCE_DRAWS)]
-    h = montecarlo._hamiltonians_by_seed(fm, seeds, np.stack([a, b]))
+    h = montecarlo._disorder_hamiltonians(fm, seed, COVARIANCE_DISORDER, _COVARIANCE_DRAWS,
+                                          np.stack([a, b]))
     prods = h[:, 0] * h[:, 1]
     se = float(prods.std(ddof=1)) / math.sqrt(_COVARIANCE_DRAWS)
     dev = abs(float(prods.mean()) - exact)
@@ -110,9 +110,11 @@ def _empirical_covariance(model: ModelSpec, seed: int) -> CheckResult:
 
 def run_verify(model: ModelSpec, *, N: int, n_samples: int, seed: int) -> VerifyRun:
     """Run the full battery; raises ValueError when N or the model are out
-    of range for the quadrature and tensor budget."""
+    of range for the quadrature and tensor budget, or the sample count is
+    out of the estimators' range."""
     if model.n_species > 3:
         raise ValueError("verification battery supports at most 3 species")
+    montecarlo._check_samples(n_samples)
     checks: list[CheckResult] = []
     table: list[tuple] = []
 

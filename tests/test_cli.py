@@ -9,6 +9,7 @@ from spinmix import (
     sample_disorder,
     sample_uniform,
 )
+from spinmix import verify as verify_mod
 from spinmix.cli import _build_parser, main
 from spinmix.rng import PROBE_CENTER, stream
 
@@ -139,6 +140,20 @@ def test_verify_refuses_more_samples_than_the_budget(capsys):
     code = main(["verify", "--seed", "5", "--N", "20", "--samples", "99999999999999"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: 99999999999999 samples exceed the budget")
+
+
+@pytest.mark.parametrize("samples, message", [
+    ("99", "error: need at least 100 samples\n"),
+    ("100000001", "error: 100000001 samples exceed the budget of 100000000\n"),
+], ids=["99", "100000001"])
+def test_verify_checks_the_sample_count_before_any_check(samples, message, capsys,
+                                                         monkeypatch):
+    def reached(*args):
+        raise AssertionError("the empirical covariance ran before the sample count was checked")
+
+    monkeypatch.setattr(verify_mod, "_empirical_covariance", reached)
+    assert main(["verify", "--seed", "5", "--N", "20", "--samples", samples]) == 1
+    assert capsys.readouterr().err == message
 
 
 def test_verify_refuses_a_negative_seed(capsys):

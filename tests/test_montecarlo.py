@@ -29,7 +29,7 @@ from spinmix import (
     sample_uniform,
 )
 from spinmix import montecarlo, quadrature
-from spinmix.rng import BAND, PROBE_CENTER, UNIFORM, philox_key, stream
+from spinmix.rng import BAND, PROBE_CENTER, UNIFORM, stream
 
 from conftest import random_model
 from oracles import hamiltonian_by_masks, rel_close
@@ -365,87 +365,81 @@ def _estimator_case(case, band, sk, cubic_two_species):
         "cubic_two_species": lambda: build_finite_model(cubic_two_species, 18),
         "three_species_quartic": lambda: build_finite_model(_three_species_quartic(), 12),
     }[case]()
-    key = philox_key(42, BAND if band else UNIFORM)
+    role = BAND if band else UNIFORM
     center = sample_uniform(fm, stream(43)) if band else None
     r = np.linspace(0.2, 0.5, fm.n_species)
     blocks = montecarlo._blocks(fm, center, r) if band else montecarlo._blocks(fm)
-    return fm, sample_disorder(fm, seed=41), key, center, r, blocks
+    return fm, sample_disorder(fm, seed=41), role, center, r, blocks
 
 
-def _fresh(key, i: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=key, counter=i << 128))
+def _fresh(role) -> np.random.Generator:
+    # stream(42, role) written out: a Philox keyed by SeedSequence((42, role))
+    key = np.random.SeedSequence((42, role)).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @pytest.mark.parametrize("case", ["sk", "cubic_two_species", "three_species_quartic"])
 @pytest.mark.parametrize("band", [False, True])
-def test_each_sample_is_the_draw_of_a_fresh_philox(case, band, sk, cubic_two_species):
-    # configuration i of an estimator is what a fresh Philox at counter
-    # block i of its key draws, block by block, on both sides of the chunk
-    # boundary; H is compared a chunk at a time, since a single-row
-    # contraction may round the last bit differently from a many-row one
-    fm, d, key, center, r, blocks = _estimator_case(case, band, sk, cubic_two_species)
+def test_each_sample_is_the_draw_of_a_fresh_philox(case, band, sk, cubic_two_species,
+                                                   monkeypatch):
+    # configuration i of an estimator is normals [i N, (i + 1) N) of one fresh
+    # Philox read in order, placed block by block, on both sides of the chunk
+    # boundary; H is compared a chunk at a time, since a contraction of other
+    # rows may round the last bit differently
+    fm, d, role, center, r, blocks = _estimator_case(case, band, sk, cubic_two_species)
     chunk = montecarlo._CHUNK
-    h = montecarlo._hamiltonians(d, key, chunk + 2, blocks)
-    sigmas = np.stack([_block_by_block(_fresh(key, i), fm, center, r) for i in range(chunk + 2)])
+    g = _fresh(role)
+    sigmas = np.stack([_block_by_block(g, fm, center, r) for _ in range(chunk + 2)])
+    h = montecarlo._hamiltonians(d, stream(42, role), chunk + 2, blocks)
     for lo in (0, chunk):
         assert np.array_equal(h[lo : lo + chunk], evaluate_H_batch(d, sigmas[lo : lo + chunk]))
-    for i in (0, 1, chunk - 1, chunk, chunk + 1):
-        assert h[i] == pytest.approx(evaluate_H(d, sigmas[i]), rel=1e-12)
+    # the first 100 samples do not depend on the sample count
+    h100 = montecarlo._hamiltonians(d, stream(42, role), 100, blocks)
+    assert np.array_equal(h100, evaluate_H_batch(d, sigmas[:100]))
+    assert h100 == pytest.approx(h[:100], rel=1e-12)
+    # nor on the chunk size
+    monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+    h7 = montecarlo._hamiltonians(d, stream(42, role), chunk + 2, blocks)
+    for lo in range(0, chunk + 2, 7):
+        assert np.array_equal(h7[lo : lo + 7], evaluate_H_batch(d, sigmas[lo : lo + 7]))
+    assert h7 == pytest.approx(h, rel=1e-12)
     # the public samplers place a row the same way
-    g = np.random.Generator(np.random.Philox(key=key))
+    g = _fresh(role)
     one = sample_on_band(fm, center, r, g) if band else sample_uniform(fm, g)
     assert np.array_equal(one, sigmas[0])
 
 
-class _ZeroFirstRow:
-    """A generator whose first row is all zeros: the row's normals are drawn
-    and then overwritten, so later draws continue the stream."""
+class _ZeroBlock:
+    """A generator whose every draw has species block ``sl`` of its last row
+    set to zero."""
 
-    def __init__(self, rng):
-        self._rng = rng
-        self._first = True
+    def __init__(self, sl):
+        self._rng = stream(46)
+        self._sl = sl
 
     def standard_normal(self, out):
         self._rng.standard_normal(out=out)
-        if self._first:
-            out[...] = 0.0
-            self._first = False
+        np.atleast_2d(out)[-1, self._sl] = 0.0
 
 
 @pytest.mark.parametrize("band", [False, True])
-def test_an_underflowed_row_is_drawn_again_from_its_own_stream(band, sk, cubic_two_species,
-                                                                monkeypatch):
-    # a zero block has no direction: the whole row is drawn again, as the
-    # next N normals of that row's stream, and the other rows are untouched
-    fm, d, key, center, r, blocks = _estimator_case("cubic_two_species", band, sk,
-                                                    cubic_two_species)
-
-    def after_one_row(i):
-        rng = _fresh(key, i)
-        rng.standard_normal(fm.N)
-        return rng
-
-    g = _ZeroFirstRow(_fresh(key, 0))
-    one = sample_on_band(fm, center, r, g) if band else sample_uniform(fm, g)
-    assert np.array_equal(one, _block_by_block(after_one_row(0), fm, center, r))
-
-    chunk = montecarlo._CHUNK
-    zero = (1, chunk + 1)  # a row in each chunk
-
-    class ZeroRowCursor(montecarlo.Cursor):
-        # the streams of counter blocks 1 and chunk + 1 start with a zero row
-        def seek(self, key, index=0):
-            rng = super().seek(key, index)
-            return _ZeroFirstRow(rng) if index in zero else rng
-
-    monkeypatch.setattr(montecarlo, "Cursor", ZeroRowCursor)
-    h = montecarlo._hamiltonians(d, key, chunk + 3, blocks)
-    for i in (0, 1, 2, chunk, chunk + 1, chunk + 2):
-        sigma = _block_by_block(after_one_row(i) if i in zero else _fresh(key, i), fm, center, r)
-        assert h[i] == pytest.approx(evaluate_H(d, sigma), rel=1e-12)
-    for i in zero:
-        first = _block_by_block(_fresh(key, i), fm, center, r)
-        assert h[i] != pytest.approx(evaluate_H(d, first), rel=1e-6)
+def test_a_zero_block_is_an_error(band, sk, cubic_two_species, monkeypatch):
+    # a zero block has no direction on its sphere: the samplers and the
+    # estimators name it instead of returning NaN
+    fm, d, _, center, r, _ = _estimator_case("cubic_two_species", band, sk, cubic_two_species)
+    sl = fm.block_slices[1]
+    match = rf"species block 1 \(entries {sl.start}:{sl.stop}\) of a draw has norm 0"
+    with pytest.raises(FloatingPointError, match=match):
+        if band:
+            sample_on_band(fm, center, r, _ZeroBlock(sl))
+        else:
+            sample_uniform(fm, _ZeroBlock(sl))
+    monkeypatch.setattr(montecarlo, "stream", lambda *key: _ZeroBlock(sl))
+    with pytest.raises(FloatingPointError, match=match):
+        if band:
+            estimate_band_free_energy(fm, d, center, r, 0.3, 200, seed=5)
+        else:
+            estimate_free_energy(fm, d, 0.3, 200, seed=5)
 
 
 def _draws_per_chunk(fm) -> int:
@@ -454,16 +448,25 @@ def _draws_per_chunk(fm) -> int:
 
 
 @pytest.mark.parametrize("case", ["cubic_two_species", "pure4"])
-def test_batched_disorder_draws_match_each_draw_alone(case, cubic_two_species, pure4):
-    # the empirical covariance's products, drawn and contracted a chunk of
-    # draws at a time, against sample_disorder and evaluate_H_batch per draw
+def test_batched_disorder_draws_match_each_draw_alone(case, cubic_two_species, pure4,
+                                                       monkeypatch):
+    # the empirical covariance's draws, drawn and contracted a chunk of draws
+    # at a time (three chunks of at most two draws under a forced small
+    # budget), against one all-at-once draw of the same per-term streams, and
+    # each draw's H against that draw's tensors contracted alone
     fm = build_finite_model({"cubic_two_species": cubic_two_species, "pure4": pure4}[case], 24)
     rng = stream(44)
     pair = np.stack([sample_uniform(fm, rng), sample_uniform(fm, rng)])
-    seeds = [(5 << 20) + i for i in range(2 * _draws_per_chunk(fm) + 1)]  # three chunks
-    h = montecarlo._hamiltonians_by_seed(fm, seeds, pair)
-    for s, (ha, hb) in zip(seeds, h):
-        alone = evaluate_H_batch(sample_disorder(fm, seed=s), pair)
+    shapes = montecarlo._tensor_shapes(fm, montecarlo.TENSOR_BUDGET)
+    monkeypatch.setattr(montecarlo, "_DRAW_BUDGET", 2 * sum(map(math.prod, shapes)))
+    assert _draws_per_chunk(fm) == 2
+    n = 5
+    h = montecarlo._disorder_hamiltonians(fm, 5, 7, n, pair)
+    tensors = tuple(stream(5, 7, t).standard_normal((n,) + shape)
+                    for t, shape in enumerate(shapes))
+    assert np.array_equal(h, montecarlo._contract(fm, tensors, pair))
+    for j, (ha, hb) in enumerate(h):
+        alone = montecarlo._contract(fm, tuple(t[j : j + 1] for t in tensors), pair)[0]
         assert np.array_equal([ha, hb], alone)
         assert ha * hb == np.prod(alone)
 
@@ -477,7 +480,7 @@ def test_batched_disorder_memory_is_bounded(pure4):
     pair = np.stack([sample_uniform(fm, rng), sample_uniform(fm, rng)])
     tracemalloc.start()
     try:
-        montecarlo._hamiltonians_by_seed(fm, list(range(12)), pair)
+        montecarlo._disorder_hamiltonians(fm, 5, 7, 12, pair)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -52,3 +52,20 @@ def test_second_moment_table_prints_one_row_per_size(capsys):
     for N, _, gap, n_gap in rows:
         assert float(n_gap) == pytest.approx(int(N) * float(gap), rel=1e-3)
         assert abs(float(n_gap) - 0.5 * math.log(2.0)) <= 1.0 / int(N)
+
+
+def test_verify_pass_rate_counts_the_failures_of_each_check(capsys):
+    code = _script("verify_pass_rate").run(["--seeds", "3", "5", "--N", "20", "--samples", "200"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("seeds 3-4, N = 20, samples = 200, ")
+    assert lines[1].split() == ["check", "failures", "seeds"]
+    rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
+    assert list(rows) == ["covariance-two-route", "empirical-covariance", "free-energy",
+                          "level-set", "band-free-energy", "second-moment-zero",
+                          "second-moment-shrinking", "determinism"]
+    for failures, *seeds in rows.values():
+        bad, total = failures.split("/")
+        assert total == "2" and int(bad) == len(seeds)
+        assert set(seeds) <= {"3", "4"}
+    assert rows["determinism"] == ["0/2"]
