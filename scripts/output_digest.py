@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Write the deterministic outputs of the command line and print one
+``sha256  name`` line per file, sorted by name.
+
+The outputs are ``critical`` JSON and ``scan`` CSV (beta 0.1 to 1.2) on the
+four fixtures under models/ and on seeded random models of one to six
+species generated here, and ``verify`` JSON and CSV and ``band-probe`` CSV
+on sk, pure3 and two_species_quadratic at two seeds, with small N and
+sample counts.  ``--quick`` writes only the fixtures' ``critical`` and
+``scan`` files, the same bytes under the same names.
+
+Two listings are equal exactly when every output is byte-identical, so a
+change meant to keep the numbers is checked with one diff against the
+parent commit's package:
+
+    PYTHONPATH=src python scripts/output_digest.py --out /tmp/new > new.txt
+    PYTHONPATH=../parent/src python scripts/output_digest.py --out /tmp/old > old.txt
+    diff old.txt new.txt
+
+The script uses nothing but ``spinmix.cli.main``, so it runs against any
+checkout of the package.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+
+from spinmix.cli import main as cli_main
+
+MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
+FIXTURES = ("sk", "pure3", "pure4", "two_species_quadratic")
+SCAN = ["--beta-min", "0.1", "--beta-max", "1.2", "--beta-step", "0.1"]
+RANDOM_SPECIES = range(1, 7)
+RANDOM_SEEDS = (0, 1)
+MONTE_CARLO_MODELS = ("sk", "pure3", "two_species_quadratic")
+MONTE_CARLO_SEEDS = (3, 4)
+MONTE_CARLO = ["--N", "20", "--samples", "400"]
+PROBE_BETAS = ["--beta-min", "0.1", "--beta-max", "0.5", "--beta-step", "0.2"]
+
+
+def random_model(seed: int, S: int) -> dict:
+    """A model document: per species one pure term of degree 2-4, neighbours
+    coupled by x_s x_{s+1}, proportions drawn (they sum to exactly 1)."""
+    rng = np.random.default_rng(seed)
+    names = "abcdef"[:S]
+    lam = np.array([1.0]) if S == 1 else rng.uniform(0.5, 1.5, size=S)
+    lam /= lam.sum()
+    lam[-1] = 1.0 - lam[:-1].sum()
+    terms = [({names[s]: int(rng.integers(2, 5))}, rng.uniform(0.5, 1.5)) for s in range(S)]
+    terms += [({names[s]: 1, names[s + 1]: 1}, rng.uniform(0.3, 1.0)) for s in range(S - 1)]
+    return {"species": [{"name": n, "lambda": float(l)} for n, l in zip(names, lam)],
+            "terms": [{"degrees": d, "delta_sq": float(c)} for d, c in terms]}
+
+
+def _run(argv: list[str], *outputs: Path) -> list[Path]:
+    """One command, its console output discarded; returns its output files."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(argv)
+    # verify exits 2 when a check fails, which a small sample may well do
+    if code not in (0, 2):
+        raise SystemExit(f"spinmix {' '.join(argv)} exited {code}")
+    return list(outputs)
+
+
+def write_outputs(out: Path, quick: bool) -> list[Path]:
+    """Run every command into out; returns the output files written."""
+    models = {name: MODELS_DIR / f"{name}.json" for name in FIXTURES}
+    if not quick:
+        (out / "models").mkdir(parents=True, exist_ok=True)
+        for S in RANDOM_SPECIES:
+            for seed in RANDOM_SEEDS:
+                path = out / "models" / f"random{S}_{seed}.json"
+                path.write_text(json.dumps(random_model(seed, S), indent=2) + "\n")
+                models[path.stem] = path
+    written = []
+    for name, path in models.items():
+        critical, scan = out / f"critical_{name}.json", out / f"scan_{name}.csv"
+        written += _run(["critical", "--model", str(path), "--out", str(critical)], critical)
+        written += _run(["scan", "--model", str(path), *SCAN, "--out", str(scan)], scan)
+    if quick:
+        return written
+    for name in MONTE_CARLO_MODELS:
+        for seed in MONTE_CARLO_SEEDS:
+            flags = ["--model", str(models[name]), "--seed", str(seed), *MONTE_CARLO]
+            verify = out / f"verify_{name}_{seed}.json"
+            probe = out / f"band-probe_{name}_{seed}.csv"
+            written += _run(["verify", *flags, "--out", str(verify)],
+                            verify, verify.with_suffix(".csv"))
+            written += _run(["band-probe", *flags, *PROBE_BETAS, "--out", str(probe)], probe)
+    return written
+
+
+def listing(paths: list[Path]) -> list[str]:
+    """``sha256  name`` for every file in paths, sorted by name."""
+    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
+            for path in sorted(paths)]
+
+
+def run(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--out", required=True, help="directory for the outputs")
+    ap.add_argument("--quick", action="store_true",
+                    help="only critical and scan on the four fixtures")
+    args = ap.parse_args(argv)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    print("\n".join(listing(write_outputs(out, args.quick))))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(run())

@@ -19,8 +19,10 @@ exactly when beta^2 is at most an infimum over the points with xi(r) > 0
 that is, the objective's cost plus t over its energy term at beta = 1, both
 from landscape's objective table.  Each infimum is one landscape `_search`
 of minus the ratio, the search maximize_f runs, with the same grid, starts,
-certification and batched ascent (`landscape._ascend`); minus the ratio and
-its gradient take a batch of points, and are -inf and 0 where xi(r) = 0.
+certification and batched ascent (`landscape._ascend`).  Minus the ratio is
+one rule of x = xi(r) and the summed cost c, -(c + t) / energy(x), and -inf
+where x = 0; the search evaluates it on the grid and at points alike, and
+its gradient, 0 where x = 0, takes a batch of points.
 Each threshold is capped at beta_H, the r -> 0 limit of the same ratio;
 above beta_H the origin is unstable, so the cap is exact and lands
 origin-driven models (SK) on beta_H.
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .landscape import TOL_ZERO, MaximizeResult, _energy, _grid, _search
+from .landscape import TOL_ZERO, MaximizeResult, _energy, _search
 from .landscape import hessian_at_zero, maximize_f
 from .model import ModelSpec
 
@@ -126,31 +128,20 @@ def _ratio_min(model: ModelSpec, objective: str, tol_zero: float) -> tuple[float
     if model.xi1() <= 0.0:
         raise ValueError("threshold computation requires xi(1) > 0")
     _check_tolerance("tol_zero", tol_zero)
-    S = model.n_species
     mix = model.mixture
     energy, slope, cost, dcost = _energy(model, 1.0, objective)
 
-    def parts(r):  # (numerator, xi(r), where xi(r) > 0), one per row of r
-        xir = mix.eval(r)
-        return cost(slice(None), r).sum(-1) + tol_zero, xir, xir > 0.0
-
-    def neg_ratio(r):
-        num, xir, live = parts(r)
-        return np.divide(-num, energy(xir), out=np.full(len(r), -np.inf), where=live)
+    def neg_ratio(x, c):
+        return np.divide(-(c + tol_zero), energy(x), out=np.full(np.shape(x), -np.inf),
+                         where=x > 0.0)
 
     def neg_ratio_grad(r):
-        num, xir, live = parts(r)
-        inv = np.divide(1.0, energy(xir), out=np.zeros(len(r)), where=live)
+        xir = mix.eval(r)
+        inv = np.divide(1.0, energy(xir), out=np.zeros(len(r)), where=xir > 0.0)
+        num = cost(slice(None), r).sum(-1) + tol_zero
         return (num * slope(r) * inv * inv)[:, None] * mix.grad(r) - dcost(r) * inv[:, None]
 
-    def neg_ratio_on_grid(axis):
-        for xi_grid, num in _grid(model, axis, cost):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                values = -(num + tol_zero) / energy(xi_grid)
-            values[xi_grid <= 0.0] = -np.inf
-            yield values
-
-    search = _search(S, neg_ratio, neg_ratio_grad, neg_ratio_on_grid)
+    search = _search(model, neg_ratio, neg_ratio_grad, cost)
     beta = min(math.sqrt(-search.value * (1.0 - _ROUND_DOWN)), beta_hessian_singular(model))
     return beta, search
 

@@ -16,23 +16,26 @@ is `f_hessian` at 0).
 
 All three functionals are one table, `_energy`: an energy term in
 x = xi(r) minus a separable cost, the entropy for f_beta and its truncated
-variant and -(log(1-r) + r) for g_beta.  The pointwise functions, the
-maximizer and its certification grid evaluate that one definition, and
-`criticality`'s ratios take their costs and energy terms from it too.  One
-global search, `_search`, serves both the maximizer and those ratios, and
-it alone decides the search policy: the grid (4001 points for one species,
-201 per axis for two or three, none for four to six), the local-search
-starts (`_starts`), which results are grid-certified, and the refusal of
-more than six species.  Its local phase, `_ascend`, moves every start at
-once as one (K, S) batch by projected quasi-Newton steps, so the objective
-and its gradient are evaluated on batches of points, elementwise and
-without BLAS.  The tensor-product kernel `_grid` (a sum
-of xi's terms and a separable per-axis sum on the grid axis^k, over some or
-all species) is the one slab loop in the package: the search runs it on
-every species, and `quadrature` on the blocks over which it eliminates
-species.  It yields the grid in slabs of about _SLAB_POINTS points, and
-every consumer reduces slab by slab (an argmax, a logsumexp), so memory
-stays bounded at any grid size.
+variant and -(log(1-r) + r) for g_beta.  An objective of the global search,
+`_search`, is one rule value(x, c) of x = xi(r) and of the cost summed over
+species, c, with its gradient and the per-axis cost; f, its truncated twin
+and g are value = energy(x) - c (`_objective`), and `criticality`'s
+threshold ratios are rules of the same two pieces.  `_search` evaluates the
+rule on the certification grid and at the points of its local phase, and
+the pointwise functions evaluate it at one point, so each objective is
+written once.  `_search` alone decides the search policy: the grid (4001
+points for one species, 201 per axis for two or three, none for four to
+six), the local-search starts (`_starts`), which results are
+grid-certified, and the refusal of more than six species.  Its local phase,
+`_ascend`, moves every start at once as one (K, S) batch by projected
+quasi-Newton steps, so the objective and its gradient are evaluated on
+batches of points, elementwise and without BLAS.  The tensor-product kernel
+`_grid` (a sum of xi's terms and a separable per-axis sum on the grid
+axis^k, over some or all species) is the one slab loop in the package: the
+search runs it on every species, and `quadrature` on the blocks over which
+it eliminates species.  It yields the grid in slabs of about _SLAB_POINTS
+points, and every consumer reduces slab by slab (an argmax, a logsumexp),
+so memory stays bounded at any grid size.
 """
 
 from __future__ import annotations
@@ -137,41 +140,49 @@ def _energy(model: ModelSpec, beta: float, objective: str):
 
 
 def _objective(model: ModelSpec, beta: float, objective: str):
-    """Return (f, grad f) callables on the clamped box, and f on the grid
-    axis^S, slab by slab, as a function of axis: `_search`'s arguments.
+    """Return (value, grad, cost), `_search`'s arguments for f, its truncated
+    twin or g: f(r) = value(xi(r), sum over s of cost(s, r(s))).
 
-    f and grad f take one point, or a (K, S) batch of points with one row
-    per point.
+    grad takes one point, or a (K, S) batch of points with one row per
+    point; for f it evaluates neither xi nor the cost.
     """
     mix = model.mixture
     energy, slope, cost, dcost = _energy(model, beta, objective)
 
-    def fun(r):
-        out = energy(mix.eval(r)) - cost(slice(None), r).sum(-1)
-        return float(out) if r.ndim == 1 else out
+    def value(x, c):
+        return energy(x) - c
 
     def grad(r):
         return np.expand_dims(slope(r), -1) * mix.grad(r) - dcost(r)
 
-    def on_grid(axis):
-        return (energy(xi) - total_cost for xi, total_cost in _grid(model, axis, cost))
+    return value, grad, cost
 
-    return fun, grad, on_grid
+
+def _pointwise(model: ModelSpec, value, cost):
+    """The rule value(x, c) as a function of r: value(xi(r), sum over s of
+    cost(s, r(s))), at one point or on a (K, S) batch of points."""
+    mix = model.mixture
+    return lambda r: value(mix.eval(r), cost(slice(None), r).sum(-1))
+
+
+def _at(model: ModelSpec, beta: float, objective: str, r) -> float:
+    value, _, cost = _objective(model, beta, objective)
+    return float(_pointwise(model, value, cost)(_coerce_r(model.n_species, r)))
 
 
 def f_beta(model: ModelSpec, beta: float, r) -> float:
     """Entropy-plus-energy functional; equals 0 at r = 0."""
-    return _objective(model, beta, "plain")[0](_coerce_r(model.n_species, r))
+    return _at(model, beta, "plain", r)
 
 
 def f_tilde_beta(model: ModelSpec, beta: float, r) -> float:
     """Truncated variant with energy beta^2 xi(1) xi(r) / (xi(1) + xi(r))."""
-    return _objective(model, beta, "tilde")[0](_coerce_r(model.n_species, r))
+    return _at(model, beta, "tilde", r)
 
 
 def g_beta(model: ModelSpec, beta: float, r: float) -> float:
     """Single-species criterion log(1-r) + r + beta^2 xi(r)."""
-    return _objective(model, beta, "talagrand")[0](_coerce_r(model.n_species, r))
+    return _at(model, beta, "talagrand", r)
 
 
 def f_grad(model: ModelSpec, beta: float, r) -> np.ndarray:
@@ -381,43 +392,49 @@ def _ascend(fun, grad, X0):
     return X, F, converged, evals
 
 
-def _search(S: int, fun, grad, grid) -> MaximizeResult:
-    """Greatest value of fun, whose gradient is grad, over [0, 1 - DOMAIN_CLAMP]^S.
+def _search(model: ModelSpec, value, grad, cost) -> MaximizeResult:
+    """Greatest value of the objective value(xi(r), sum over s of cost(s,
+    r(s))), whose gradient is grad, over [0, 1 - DOMAIN_CLAMP]^S.
 
-    fun and grad take a (K, S) batch of points.  The package's one search
-    policy.  For |S| <= 3 the first greatest value in C order of grid(axis),
-    the objective on the grid axis^S (_GRID_POINTS per axis) yielded slab by
-    slab, is appended to the starts (`_starts`), and the result is
-    grid-certified.  One `_ascend` moves every start at once; ties go to the
-    smallest norm, then the coordinates.  The grid point, flagged
+    value takes xi and the summed cost as arrays of one shape (or
+    broadcastable), cost(s, a) is species s's cost at the coordinates a
+    (slice(None) for every species of a (K, S) batch), and grad takes a
+    (K, S) batch of points.  The package's one search policy.  For |S| <= 3
+    the first greatest value in C order of the rule on the grid axis^S
+    (_GRID_POINTS per axis, `_grid`'s slabs) is appended to the starts
+    (`_starts`), and the result is grid-certified.  One `_ascend` moves
+    every start at once, on the rule at points (`_pointwise`); ties go to
+    the smallest norm, then the coordinates.  The grid point, flagged
     unconverged, replaces the best run when it is higher by more than
     TOL_MAX.  fun_evals counts the points evaluated, grid included.
     """
+    S = model.n_species
     if S > 6:
         raise ValueError("the landscape search supports at most 6 species")
-    on_grid = S in _GRID_POINTS
+    gridded = S in _GRID_POINTS
     starts = _starts(S)
     fun_evals = 0
-    if on_grid:
+    if gridded:
         n = _GRID_POINTS[S]
         axis = _box_axis(n)
-        for values in grid(axis):  # the first greatest value in C order wins
+        for xi, c in _grid(model, axis, cost):  # the first greatest value in C order wins
+            values = value(xi, c)
             i = int(np.argmax(values))
             if fun_evals == 0 or values.flat[i] > g_value:
                 g_value, flat = float(values.flat[i]), fun_evals + i
             fun_evals += values.size
         g_point = axis[list(np.unravel_index(flat, (n,) * S))]
         starts = np.vstack([starts, g_point])
-    X, F, ok, evals = _ascend(fun, grad, starts)
+    X, F, ok, evals = _ascend(_pointwise(model, value, cost), grad, starts)
     fun_evals += evals
     norms = np.sqrt((X * X).sum(-1))
     best = min(range(len(X)), key=lambda k: (-F[k], norms[k], tuple(X[k])))
-    value, x, converged = float(F[best]), X[best], bool(ok[best])
-    if on_grid and g_value > value + TOL_MAX:
+    top, x, converged = float(F[best]), X[best], bool(ok[best])
+    if gridded and g_value > top + TOL_MAX:
         # every run missed the grid optimum's basin; fall back to the grid point
-        value, x, converged = g_value, g_point, False
-    return MaximizeResult(argmax=x, value=value, starts_used=len(starts),
-                          converged=converged, grid_certified=on_grid, fun_evals=fun_evals)
+        top, x, converged = g_value, g_point, False
+    return MaximizeResult(argmax=x, value=top, starts_used=len(starts),
+                          converged=converged, grid_certified=gridded, fun_evals=fun_evals)
 
 
 def maximize_f(model: ModelSpec, beta: float, objective: str = "plain") -> MaximizeResult:
@@ -432,7 +449,7 @@ def maximize_f(model: ModelSpec, beta: float, objective: str = "plain") -> Maxim
         raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
     if objective not in ("plain", "tilde"):
         raise ValueError(f"unknown objective {objective!r}, expected 'plain' or 'tilde'")
-    res = _search(model.n_species, *_objective(model, beta, objective))
+    res = _search(model, *_objective(model, beta, objective))
     if res.value <= 0.0:  # the origin anchors value 0 and wins ties
         return replace(res, argmax=np.zeros(model.n_species), value=0.0, converged=True)
     return res

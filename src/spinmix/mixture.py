@@ -196,9 +196,6 @@ class Mixture:
         Supports batched input with species on the last axis.
         """
         x = self._coerce_point(x)
-        if self.n_terms == 0:
-            out = np.zeros(x.shape[:-1])
-            return float(out) if out.ndim == 0 else out
         mono = (x[..., None, :] ** self.exponents).prod(-1)
         if mono.ndim == 1:
             return float(mono @ self.coeffs)
@@ -305,8 +302,6 @@ class Mixture:
         coefficient: a vector supported on one species kills every mixed
         monomial.
         """
-        if self.n_terms == 0:
-            return False
         has_pure = [False] * self.n_species
         for row, c in zip(self.exponents, self.coeffs):
             if c <= 0.0:

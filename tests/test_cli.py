@@ -161,6 +161,13 @@ def test_verify_refuses_a_negative_seed(capsys):
     assert capsys.readouterr().err == "error: expected non-negative integer\n"
 
 
+def test_verify_refuses_a_seed_of_2_to_the_32_or_more(capsys):
+    # its stream keys would be those of other seeds' streams
+    assert main(["verify", "--seed", "4294967298"]) == 1
+    assert capsys.readouterr().err == (
+        "error: seed 4294967298 is outside [0, 2**32), where stream keys are distinct\n")
+
+
 def test_band_probe(tmp_path):
     out = tmp_path / "probe.csv"
     code = main([

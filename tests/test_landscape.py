@@ -233,16 +233,17 @@ def _batch_objectives(monkeypatch):
              (1, 1, 0, 0): 0.4, (0, 1, 1, 0): 0.6, (0, 0, 1, 1): 0.3, (2, 0, 1, 0): 0.5}
     model = ModelSpec(SpeciesSet(names, np.array([0.1, 0.2, 0.3, 0.4])),
                       Mixture.from_terms(names, terms))
-    out = [landscape._objective(model, 0.9, objective)[:2] for objective in ("plain", "tilde")]
+    objectives = [landscape._objective(model, 0.9, objective) for objective in ("plain", "tilde")]
     search = landscape._search
 
-    def grab(S, fun, grad, grid):
-        out.append((fun, grad))
-        return search(S, fun, grad, grid)
+    def grab(model, value, grad, cost):
+        objectives.append((value, grad, cost))
+        return search(model, value, grad, cost)
 
     monkeypatch.setattr(criticality, "_search", grab)
     criticality._ratio_min(model, "plain", TOL_ZERO)
-    return out
+    # the point form _search gives _ascend
+    return [(landscape._pointwise(model, value, cost), grad) for value, grad, cost in objectives]
 
 
 def test_ascent_rows_do_not_depend_on_the_batch(monkeypatch):
@@ -363,14 +364,14 @@ def test_grid_tie_across_a_slab_boundary_goes_to_the_first_point(rows, cubic_two
     monkeypatch.setattr(landscape, "_SLAB_POINTS", rows * 201)
 
     def per_axis(s, a):
-        v = np.ones(len(a))
-        v[[3, 4] if s == 0 else [7]] = 0.0
+        # 1 but at rows 3 and 4 of species 0's axis and row 7 of species 1's;
+        # on the point form's (K, 2) batch (s = slice(None)) all ones
+        v = np.ones(np.shape(a))
+        if isinstance(s, int):
+            v[[3, 4] if s == 0 else [7]] = 0.0
         return v
 
-    def grid(axis):
-        return (-total for _, total in landscape._grid(cubic_two_species, axis, per_axis))
-
-    res = landscape._search(2, lambda r: np.full(len(r), -1.0), None, grid)
+    res = landscape._search(cubic_two_species, lambda xi, c: -c, None, per_axis)
     assert res.value == 0.0 and not res.converged and res.grid_certified
     assert np.array_equal(res.argmax, landscape._box_axis(201)[[3, 7]])
     # fun_evals counts the points evaluated: the grid's, then the one corner

@@ -233,6 +233,19 @@ def test_positive_off_origin_matches_indicator_scan(m):
     assert m.positive_off_origin() == brute
 
 
+def test_empty_mixture_is_zero_and_not_positive():
+    # numpy's empty product, sum and all give the mixture with no terms
+    m = Mixture.from_terms(("a", "b"), {})
+    value = m.eval(np.array([0.3, 0.7]))
+    assert type(value) is float and value == 0.0
+    assert np.array_equal(m.eval(np.full((4, 2), 0.5)), np.zeros(4))
+    assert np.array_equal(m.grad(np.array([0.3, 0.7])), np.zeros(2))
+    assert not m.positive_off_origin()
+    # tilde_transform drops every coefficient below its floor, here all of them
+    recentred = Mixture.from_terms(("a",), {(2,): 2e-300}).tilde_transform(0.9)
+    assert recentred.n_terms == 0 and recentred.eval(0.5) == 0.0
+
+
 # ----------------------------------------------------------------------
 # validation
 

@@ -112,6 +112,49 @@ def test_overlap_moments_match_sphere_law(sk):
     assert abs(sq.mean() - 1.0 / 20.0) <= 5.0 * sq.std(ddof=1) / 100.0
 
 
+# the false-alarm rate of each Kolmogorov-Smirnov test below, and the
+# configurations it reads: sixteen estimator chunks
+_KS_ALPHA = 1e-6
+_KS_ROWS = 16 * montecarlo._CHUNK
+
+
+def _unequal_blocks():
+    # two species in blocks of 5 and 12
+    names = ("a", "b")
+    model = ModelSpec(SpeciesSet(names, np.array([5.0, 12.0]) / 17.0),
+                      Mixture.from_terms(names, {(2, 0): 1.0, (0, 2): 1.0, (1, 1): 0.5}))
+    fm = build_finite_model(model, 17)
+    assert fm.block_sizes == (5, 12)
+    return fm
+
+
+def _ks_rejects(samples, d):
+    """Whether the Kolmogorov-Smirnov distance of samples from the overlap law
+    on the d-sphere (quadrature.log_overlap_density, integrated by the
+    midpoint rule) exceeds the DKW bound sqrt(log(2 / alpha) / (2 n)), which
+    a true law exceeds with probability at most _KS_ALPHA."""
+    edges = np.linspace(-1.0, 1.0, 20001)
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    density = np.exp(quadrature.log_overlap_density(mids, d))
+    cdf = np.concatenate([[0.0], np.cumsum(density * np.diff(edges))])
+    F = np.interp(np.sort(samples), edges, cdf)
+    n = len(samples)
+    steps = np.arange(n + 1) / n
+    distance = max((steps[1:] - F).max(), (F - steps[:-1]).max())
+    return distance > math.sqrt(math.log(2.0 / _KS_ALPHA) / (2.0 * n))
+
+
+def test_chunk_overlaps_follow_the_sphere_law():
+    # the estimators' configurations, _place on a read of stream(seed, UNIFORM):
+    # each species' overlap with the all-ones configuration, which is the
+    # overlap of two uniform points on the n_s-sphere
+    fm = _unequal_blocks()
+    rows = stream(11, UNIFORM).standard_normal((_KS_ROWS, fm.N))
+    montecarlo._place(rows, montecarlo._blocks(fm))
+    for sl, n_s in zip(fm.block_slices, fm.block_sizes):
+        assert not _ks_rejects(rows[:, sl].sum(-1) / n_s, n_s)
+
+
 # ----------------------------------------------------------------------
 # disorder tensors
 
@@ -507,6 +550,21 @@ def test_band_r_zero_is_orthogonal(cubic_two_species):
     center = sample_uniform(fm, stream(17))
     point = sample_on_band(fm, center, np.zeros(2), stream(18))
     assert overlap(fm, center, point) == pytest.approx(np.zeros(2), abs=1e-12)
+
+
+def test_band_overlaps_off_the_center_follow_the_sphere_law():
+    # a band point's part orthogonal to the center, (x - r c) / sqrt(1 - r^2),
+    # is uniform on the (n_s - 1)-sphere orthogonal to c; its overlap with a
+    # fixed direction u there follows the overlap law with d = n_s - 1
+    fm = _unequal_blocks()
+    center, r = np.ones(fm.N), np.array([0.35, 0.6])
+    rows = stream(12, BAND).standard_normal((_KS_ROWS, fm.N))
+    montecarlo._place(rows, montecarlo._blocks(fm, center, r))
+    for s, (sl, n_s) in enumerate(zip(fm.block_slices, fm.block_sizes)):
+        u = np.zeros(n_s)
+        u[:2] = [math.sqrt(0.5), -math.sqrt(0.5)]  # a unit vector orthogonal to ones
+        orthogonal = (rows[:, sl] - r[s] * center[sl]) / math.sqrt(1.0 - r[s] * r[s])
+        assert not _ks_rejects(orthogonal @ u / math.sqrt(n_s), n_s - 1)
 
 
 def test_band_rejects_bad_overlap(cubic_two_species):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinmix.rng import philox_key
+from spinmix.rng import philox_key, stream
 
 
 def _seed_sequence_key(*entropy: int) -> np.ndarray:
@@ -26,3 +26,15 @@ def test_a_negative_seed_or_tag_is_refused():
     for args in [(-1,), (3, -2)]:
         with pytest.raises(ValueError, match="non-negative"):
             philox_key(*args)
+
+
+def test_stream_refuses_an_entry_of_2_to_the_32_or_more():
+    # SeedSequence splits such an entry into 32-bit words, so its key would
+    # be that of a different (seed, *tags)
+    assert np.array_equal(philox_key(2 + 2**32, 2), philox_key(2, 1, 2))
+    with pytest.raises(ValueError, match="seed 4294967296 is outside"):
+        stream(2**32)
+    with pytest.raises(ValueError, match="tag 2 4294967298 is outside"):
+        stream(7, 1, 2 + 2**32)
+    top = stream(2**32 - 1, 2).standard_normal(3)
+    assert np.array_equal(top, stream(2**32 - 1, 2).standard_normal(3))

@@ -69,3 +69,19 @@ def test_verify_pass_rate_counts_the_failures_of_each_check(capsys):
         assert total == "2" and int(bad) == len(seeds)
         assert set(seeds) <= {"3", "4"}
     assert rows["determinism"] == ["0/2"]
+
+
+def test_output_digest_quick_listing_is_reproducible(tmp_path, capsys):
+    # two runs list the same digests under every fixture's critical and scan name
+    listings = []
+    for run in ("a", "b"):
+        assert _script("output_digest").run(["--quick", "--out", str(tmp_path / run)]) == 0
+        listings.append(capsys.readouterr().out.splitlines())
+    assert listings[0] == listings[1]
+    names = [line.split("  ")[1] for line in listings[0]]
+    fixtures = ("sk", "pure3", "pure4", "two_species_quadratic")
+    assert names == sorted([f"critical_{name}.json" for name in fixtures]
+                           + [f"scan_{name}.csv" for name in fixtures])
+    for line in listings[0]:
+        digest, name = line.split("  ")
+        assert len(digest) == 64 and (tmp_path / "a" / name).is_file()
