@@ -67,9 +67,12 @@ def _load(args) -> ModelSpec:
 
 
 def _beta_grid(args) -> list[float]:
-    flags = (args.beta_min, args.beta_max, args.beta_step) if args.beta is None else (args.beta,)
-    if None in flags:
-        raise ValueError("supply --beta or the full --beta-min/--beta-max/--beta-step grid")
+    grid = (args.beta_min, args.beta_max, args.beta_step)
+    flags = grid if args.beta is None else (args.beta,)
+    both = args.beta is not None and grid != (None,) * 3
+    if None in flags or both:
+        raise ValueError("supply either --beta or the full --beta-min/--beta-max/--beta-step "
+                         "grid, not both")
     if not all(map(math.isfinite, flags)):
         raise ValueError(f"beta flags must be finite, got {flags}")
     if args.beta is not None:

@@ -23,19 +23,21 @@ and g are value = energy(x) - c (`_objective`), and `criticality`'s
 threshold ratios are rules of the same two pieces.  `_search` evaluates the
 rule on the certification grid and at the points of its local phase, and
 the pointwise functions evaluate it at one point, so each objective is
-written once.  `_search` alone decides the search policy: the grid (4001
+written once.  `_starts` alone holds the per-S policy: the grid (4001
 points for one species, 201 per axis for two or three, none for four to
-six), the local-search starts (`_starts`), which results are
-grid-certified, and the refusal of more than six species.  Its local phase,
-`_ascend`, moves every start at once as one (K, S) batch by projected
-quasi-Newton steps, so the objective and its gradient are evaluated on
-batches of points, elementwise and without BLAS.  The tensor-product kernel
-`_grid` (a sum of xi's terms and a separable per-axis sum on the grid
-axis^k, over some or all species) is the one slab loop in the package: the
-search runs it on every species, and `quadrature` on the blocks over which
-it eliminates species.  It yields the grid in slabs of about _SLAB_POINTS
-points, and every consumer reduces slab by slab (an argmax, a logsumexp),
-so memory stays bounded at any grid size.
+six), whose best point is one start, and the fixed starts.  `_search`
+refuses more than six species and returns the best of its starts after its
+local phase, `_ascend`, which moves every start at once as one (K, S)
+batch by projected quasi-Newton steps, so the objective and its gradient
+are evaluated on batches of points, elementwise and without BLAS.  No run
+ends below its start, so a gridded result is never below the grid's best
+point.  The tensor-product kernel `_grid` (a sum of xi's terms and a
+separable per-axis sum on the grid axis^k, over some or all species) is the
+one slab loop in the package: the search runs it on every species, and
+`quadrature` on the blocks over which it eliminates species.  It yields
+the grid in slabs of about _SLAB_POINTS points, and every consumer reduces
+slab by slab (an argmax, a logsumexp), so memory stays bounded at any grid
+size.
 """
 
 from __future__ import annotations
@@ -58,20 +60,14 @@ __all__ = [
     "hessian_at_zero",
     "maximize_f",
     "DOMAIN_CLAMP",
-    "TOL_MAX",
     "TOL_ZERO",
 ]
 
 # coordinates are kept below 1 - DOMAIN_CLAMP during ascent (log singularity)
 DOMAIN_CLAMP = 1e-8
-# value tolerance targeted by the maximizer
-TOL_MAX = 1e-9
 # values at or below this count as "the maximum is zero"
 TOL_ZERO = 1e-10
 
-# certification grid points per axis by species count: 4001 for one species,
-# pitch 1/200 for two or three; four to six species have no grid
-_GRID_POINTS = {1: 4001, 2: 201, 3: 201}
 # points per slab of a tensor-product grid: 2 MB per float64 array
 _SLAB_POINTS = 2**18
 
@@ -261,18 +257,35 @@ def _grid(model: ModelSpec, axis: np.ndarray, per_axis, axes=None, terms=None):
                       _along(0, dims, costs[0][lead]))
 
 
-def _starts(S: int) -> np.ndarray:
-    """Deterministic local-search starts in [0, 1)^S, one per row.
+def _starts(model: ModelSpec, value, cost):
+    """The search's starts in [0, 1)^S, one per row, and the number of grid
+    points evaluated to choose them: the search's whole per-S policy.
 
-    None for one species, whose 4001-point grid already resolves the origin;
-    else origin-perturbed points, then a coarse 3^S grid for |S| <= 3 or the
-    2^S corners of an inner box for |S| >= 4.
+    One species: the best point of a 4001-point grid.  Two or three:
+    origin-perturbed points, a coarse 3^S grid and the best point of the
+    grid of 201 points per axis (pitch 1/200).  Four to six: origin-perturbed
+    points and the 2^S corners of an inner box, with no grid.  The best grid
+    point is the first greatest value in C order of the rule value(xi, c) on
+    `_grid`'s slabs.
     """
+    S = model.n_species
     if S == 1:
-        return np.empty((0, 1))
-    k, lo, step = (3, 0.15, 0.3) if S <= 3 else (2, 0.2, 0.4)
-    return np.array([np.full(S, eps) for eps in (1e-4, 1e-2, 0.1)]
-                    + [lo + step * np.array(combo) for combo in np.ndindex(*([k] * S))])
+        fixed, n = np.empty((0, 1)), 4001
+    else:
+        k, lo, step, n = (3, 0.15, 0.3, 201) if S <= 3 else (2, 0.2, 0.4, 0)
+        fixed = np.array([np.full(S, eps) for eps in (1e-4, 1e-2, 0.1)]
+                         + [lo + step * np.array(combo) for combo in np.ndindex(*([k] * S))])
+    if not n:
+        return fixed, 0
+    axis = _box_axis(n)
+    evals = 0
+    for xi, c in _grid(model, axis, cost):  # the first greatest value in C order wins
+        values = value(xi, c)
+        i = int(np.argmax(values))
+        if evals == 0 or values.flat[i] > best:
+            best, flat = values.flat[i], evals + i
+        evals += values.size
+    return np.vstack([fixed, axis[list(np.unravel_index(flat, (n,) * S))]]), evals
 
 
 def _ascend(fun, grad, X0):
@@ -302,6 +315,11 @@ def _ascend(fun, grad, X0):
     as large.  It is not converged when _MAXITER rounds pass, or when its
     line search fails: _BACKTRACKS trials in a row miss the Armijo
     condition, with the gradient above _GTOL.
+
+    No row ends below its start's value: a trial is accepted only at a
+    gain of at least _ARMIJO times the predicted gain, which is
+    nonnegative, since H is positive definite and a held coordinate moves
+    along its gradient.
 
     Returns (X, F, converged, evals): the final points and values, a
     boolean per row, and the number of points fun evaluated.
@@ -399,42 +417,24 @@ def _search(model: ModelSpec, value, grad, cost) -> MaximizeResult:
     value takes xi and the summed cost as arrays of one shape (or
     broadcastable), cost(s, a) is species s's cost at the coordinates a
     (slice(None) for every species of a (K, S) batch), and grad takes a
-    (K, S) batch of points.  The package's one search policy.  For |S| <= 3
-    the first greatest value in C order of the rule on the grid axis^S
-    (_GRID_POINTS per axis, `_grid`'s slabs) is appended to the starts
-    (`_starts`), and the result is grid-certified.  One `_ascend` moves
-    every start at once, on the rule at points (`_pointwise`); ties go to
-    the smallest norm, then the coordinates.  The grid point, flagged
-    unconverged, replaces the best run when it is higher by more than
-    TOL_MAX.  fun_evals counts the points evaluated, grid included.
+    (K, S) batch of points.  The package's one search: more than six
+    species are refused, `_starts` gives the starts, one `_ascend` moves
+    them all at once on the rule at points (`_pointwise`), and the result is
+    the best polished start, ties going to the smallest norm, then the
+    coordinates.  For |S| <= 3 the grid's best point is one start and no
+    run ends below its start, so the result is never below the best grid
+    point: it is grid-certified.  fun_evals counts the points evaluated,
+    grid included.
     """
-    S = model.n_species
-    if S > 6:
+    if model.n_species > 6:
         raise ValueError("the landscape search supports at most 6 species")
-    gridded = S in _GRID_POINTS
-    starts = _starts(S)
-    fun_evals = 0
-    if gridded:
-        n = _GRID_POINTS[S]
-        axis = _box_axis(n)
-        for xi, c in _grid(model, axis, cost):  # the first greatest value in C order wins
-            values = value(xi, c)
-            i = int(np.argmax(values))
-            if fun_evals == 0 or values.flat[i] > g_value:
-                g_value, flat = float(values.flat[i]), fun_evals + i
-            fun_evals += values.size
-        g_point = axis[list(np.unravel_index(flat, (n,) * S))]
-        starts = np.vstack([starts, g_point])
+    starts, grid_evals = _starts(model, value, cost)
     X, F, ok, evals = _ascend(_pointwise(model, value, cost), grad, starts)
-    fun_evals += evals
     norms = np.sqrt((X * X).sum(-1))
     best = min(range(len(X)), key=lambda k: (-F[k], norms[k], tuple(X[k])))
-    top, x, converged = float(F[best]), X[best], bool(ok[best])
-    if gridded and g_value > top + TOL_MAX:
-        # every run missed the grid optimum's basin; fall back to the grid point
-        top, x, converged = g_value, g_point, False
-    return MaximizeResult(argmax=x, value=top, starts_used=len(starts),
-                          converged=converged, grid_certified=gridded, fun_evals=fun_evals)
+    return MaximizeResult(argmax=X[best], value=float(F[best]), starts_used=len(starts),
+                          converged=bool(ok[best]), grid_certified=grid_evals > 0,
+                          fun_evals=grid_evals + evals)
 
 
 def maximize_f(model: ModelSpec, beta: float, objective: str = "plain") -> MaximizeResult:

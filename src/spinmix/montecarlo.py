@@ -564,14 +564,6 @@ def estimate_level_set(
                            n_hits=hits)
 
 
-def _band_hamiltonians(
-    fm: FiniteModel, disorder: DisorderSample, center, r, n_samples: int, seed: int
-) -> np.ndarray:
-    """H at the band draws around a checked ``center`` and ``r``; they do not
-    depend on beta."""
-    return _hamiltonians(disorder, stream(seed, BAND), n_samples, _blocks(fm, center, r))
-
-
 def estimate_band_free_energy(
     fm: FiniteModel,
     disorder: DisorderSample,
@@ -589,7 +581,7 @@ def estimate_band_free_energy(
     _check(fm, disorder, n_samples, beta)
     r = _coerce_r(fm.n_species, r)
     center = validate_configuration(fm, center)
-    h = _band_hamiltonians(fm, disorder, center, r, n_samples, seed)
+    h = _hamiltonians(disorder, stream(seed, BAND), n_samples, _blocks(fm, center, r))
     return _free_energy(fm, beta, h, seed)
 
 
@@ -620,6 +612,6 @@ def band_probe(
     center = sample_uniform(fm, stream(seed, role))
     h_center = evaluate_H(disorder, center)
     r = np.full(fm.n_species, 0.2)
-    h = _band_hamiltonians(fm, disorder, center, r, n_samples, seed)
+    h = _hamiltonians(disorder, stream(seed, BAND), n_samples, _blocks(fm, center, r))
     return [(_free_energy(fm, beta, h, seed), band_prediction(fm, beta, r, h_center))
             for beta in betas]

@@ -43,12 +43,13 @@ def philox_key(seed: int, *tags: int) -> np.ndarray:
 def stream(seed: int, *tags: int) -> np.random.Generator:
     """Generator for the stream keyed by (seed, *tags), at counter 0.
 
-    An entry of 2**32 or more is refused: SeedSequence splits it into 32-bit
-    words, so (2 + 2**32, 2) would have the key of (2, 1, 2) and one stream
-    would repeat another.  SeedSequence refuses a negative entry itself.
+    An entry outside [0, 2**32) is refused, naming it: SeedSequence refuses
+    a negative one with a message that does not, and splits one of 2**32 or
+    more into 32-bit words, so (2 + 2**32, 2) would have the key of
+    (2, 1, 2) and one stream would repeat another.
     """
     for i, v in enumerate((seed, *tags)):
-        if v >= 2**32:
+        if not 0 <= v < 2**32:
             name = f"tag {i}" if i else "seed"
             raise ValueError(f"{name} {v} is outside [0, 2**32), where stream keys are distinct")
     return np.random.Generator(np.random.Philox(key=philox_key(seed, *tags)))

@@ -93,6 +93,19 @@ def test_scan_requires_beta_flags(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command, stray", [
+    (["scan", "--model", SK], ["--beta-min", "0.1", "--beta-max", "0.3", "--beta-step", "0.1"]),
+    (["band-probe", "--N", "30", "--samples", "500"], ["--beta-step", "0.1"]),
+])
+def test_beta_with_a_grid_flag_is_refused(tmp_path, capsys, command, stray):
+    # the grid flags would otherwise be accepted and then ignored
+    out = tmp_path / "out.csv"
+    assert main([*command, "--beta", "0.2", *stray, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: supply either --beta or the full --beta-min/"
+                                       "--beta-max/--beta-step grid, not both\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--beta", "nan"],
                                    ["--beta-min", "0", "--beta-max", "inf", "--beta-step", "0.1"]])
 def test_band_probe_rejects_non_finite_beta(tmp_path, capsys, flags):
@@ -158,7 +171,8 @@ def test_verify_checks_the_sample_count_before_any_check(samples, message, capsy
 
 def test_verify_refuses_a_negative_seed(capsys):
     assert main(["verify", "--seed", "-1"]) == 1
-    assert capsys.readouterr().err == "error: expected non-negative integer\n"
+    assert capsys.readouterr().err == (
+        "error: seed -1 is outside [0, 2**32), where stream keys are distinct\n")
 
 
 def test_verify_refuses_a_seed_of_2_to_the_32_or_more(capsys):

@@ -242,15 +242,17 @@ def _batch_objectives(monkeypatch):
 
     monkeypatch.setattr(criticality, "_search", grab)
     criticality._ratio_min(model, "plain", TOL_ZERO)
-    # the point form _search gives _ascend
-    return [(landscape._pointwise(model, value, cost), grad) for value, grad, cost in objectives]
+    # the starts and the point form _search gives _ascend
+    X0, _ = landscape._starts(model, objectives[0][0], objectives[0][2])
+    return X0, [(landscape._pointwise(model, value, cost), grad)
+                for value, grad, cost in objectives]
 
 
 def test_ascent_rows_do_not_depend_on_the_batch(monkeypatch):
     # the determinism contract: each start's result is bit for bit the one it
     # reaches alone, and adding, removing or reordering starts moves no other
-    X0 = landscape._starts(4)
-    for fun, grad in _batch_objectives(monkeypatch):
+    X0, objectives = _batch_objectives(monkeypatch)
+    for fun, grad in objectives:
         X, F, ok, _ = landscape._ascend(fun, grad, X0)
         for k in range(len(X0)):
             Xk, Fk, okk, _ = landscape._ascend(fun, grad, X0[k:k + 1])
@@ -287,72 +289,103 @@ def test_ascent_convergence_flag_names_its_stop(monkeypatch):
     assert not ok[0] and X[0, 0] == 0.0
 
 
-def _grid_points(model, n):
-    axis = np.linspace(0.0, 1.0 - 1e-8, n)
-    R = np.stack(np.meshgrid(*[axis] * model.n_species, indexing="ij"), axis=-1)
-    entropy = -0.5 * np.sum(model.species.lam * np.log1p(-R * R), axis=-1)
-    return R, entropy, model.mixture.eval(R)
+def _grid_points(model, axis, lead=slice(None)):
+    # rows `lead` of the leading axis of the grid axis^S, by brute force on
+    # a sparse meshgrid: the coordinates of each axis, and the entropy and xi
+    # broadcast over the block
+    R = np.meshgrid(axis[lead], *[axis] * (model.n_species - 1), indexing="ij", sparse=True)
+    entropy = sum(-0.5 * lam * np.log1p(-r * r) for lam, r in zip(model.species.lam, R))
+    mix = model.mixture
+    xi = sum(c * math.prod(r ** p for r, p in zip(R, e))
+             for e, c in zip(mix.exponents, mix.coeffs))
+    return R, entropy, xi
 
 
-def _corner(fun, grad, X0):
-    # a stand-in for _ascend whose every run ends, converged, at the clamped
-    # far corner, after one evaluation there
-    X = np.full(np.shape(X0), 1.0 - landscape.DOMAIN_CLAMP)
-    return X, fun(X), np.ones(len(X), dtype=bool), len(X)
-
-
-def test_search_falls_back_to_the_grid_point(sk, pure3, cubic_two_species, monkeypatch):
-    # every local run ends at the clamped far corner, far worse than the grid
-    monkeypatch.setattr(landscape, "_ascend", _corner)
-    for model, n in ((sk, 4001), (cubic_two_species, 201)):
-        R, entropy, xi = _grid_points(model, n)
-        F = 1.0 * xi - entropy
-        idx = np.unravel_index(int(np.argmax(F)), F.shape)
-        res = maximize_f(model, 1.0)
-        assert np.array_equal(res.argmax, R[idx])
-        assert res.value == pytest.approx(F[idx], abs=1e-12)
-        assert res.value > 0.0
-        assert not res.converged and res.grid_certified
-    for model, n in ((pure3, 4001), (cubic_two_species, 201)):
-        R, entropy, xi = _grid_points(model, n)
+def _grid_optima(model, axis, rows=None):
+    # the first greatest value in C order on the grid axis^S, point and
+    # value, of f and its truncated twin at beta = 1 and of minus the plain
+    # and truncated ratios, by brute force over blocks of `rows` leading rows
+    xi1 = model.xi1()
+    energies = (lambda xi: xi, lambda xi: xi1 * xi / (xi1 + xi))
+    rows = rows or len(axis)
+    best = [None] * 4
+    for lo in range(0, len(axis), rows):
+        R, entropy, xi = _grid_points(model, axis, slice(lo, lo + rows))
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(xi > 0.0, (entropy + TOL_ZERO) / xi, np.inf)
-        idx = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
-        _, res = criticality._ratio_min(model, "plain", TOL_ZERO)
-        assert np.array_equal(res.argmax, R[idx])
-        assert -res.value == pytest.approx(ratio[idx], rel=1e-12)
-
-
-# ----------------------------------------------------------------------
-# the grid in slabs
+            values = [energy(xi) - entropy for energy in energies]
+            values += [np.where(xi > 0.0, -(entropy + TOL_ZERO) / energy(xi), -np.inf)
+                       for energy in energies]
+        for k, v in enumerate(values):
+            i = np.unravel_index(int(np.argmax(v)), v.shape)
+            if best[k] is None or v[i] > best[k][1]:
+                best[k] = (np.array([r.ravel()[j] for r, j in zip(R, i)]), v[i])
+    return best
 
 
 def _search_results(model):
-    out = []
-    for objective in ("plain", "tilde"):
-        res = maximize_f(model, 1.0, objective)
-        out.append((res.argmax.tobytes(), res.value, res.converged, res.fun_evals))
-        beta, ratio = criticality._ratio_min(model, objective, TOL_ZERO)
-        out.append((beta, ratio.value, ratio.argmax.tobytes(), ratio.fun_evals))
-    return out
+    # maximize_f and the ratio's search, each plain and truncated, in the
+    # order of _grid_optima
+    results = [maximize_f(model, 1.0, objective) for objective in ("plain", "tilde")]
+    results += [criticality._ratio_min(model, objective, TOL_ZERO)[1]
+                for objective in ("plain", "tilde")]
+    return results
 
 
-@pytest.mark.parametrize("rows", [1, 4])
+def _record_ascents(monkeypatch):
+    # (fun, X0, F) of every _ascend call; the real ascent runs unchanged
+    calls = []
+    ascend = landscape._ascend
+
+    def record(fun, grad, X0):
+        out = ascend(fun, grad, X0)
+        calls.append((fun, X0, out[1]))
+        return out
+
+    monkeypatch.setattr(landscape, "_ascend", record)
+    return calls
+
+
+def _gridded_models(*fixtures):
+    # the fixtures and seeded one- to three-species models
+    return list(fixtures) + [random_model(np.random.default_rng(seed), S)
+                             for S, seed in ((1, 0), (1, 1), (2, 0), (2, 1), (3, 0))]
+
+
+def _above(value, bound):
+    # value is not below bound, up to the rounding of two routes to one number
+    return value >= bound - 1e-12 * max(1.0, abs(bound))
+
+
+def test_search_starts_from_the_grid_argmax(sk, pure3, cubic_two_species, monkeypatch):
+    # the grid's best point is the last start handed to _ascend, and the
+    # result is never below it
+    calls = _record_ascents(monkeypatch)
+    for model in (sk, pure3, cubic_two_species):
+        axis = landscape._box_axis(4001 if model.n_species == 1 else 201)
+        for res, (point, value), (fun, X0, _) in zip(
+                _search_results(model), _grid_optima(model, axis), calls[-4:]):
+            assert np.array_equal(X0[-1], point)
+            assert res.grid_certified and res.value >= fun(X0[-1:])[0]
+            assert _above(res.value, value)
+
+
+@pytest.mark.parametrize("rows", [1, 4, None], ids=["1", "4", "whole"])
 def test_slabs_leave_the_search_unchanged(rows, sk, cubic_two_species, three_species_equal,
                                           monkeypatch):
-    # slabs of one leading-axis row, or of 4 rows, which divide neither 201
-    # nor 4001, against one slab holding the whole grid; with every local
-    # run sent to the far corner the results are the grid optima themselves
-    for polish in (True, False):
-        if not polish:
-            monkeypatch.setattr(landscape, "_ascend", _corner)
-        for model in (sk, cubic_two_species, three_species_equal):
-            monkeypatch.setattr(landscape, "_SLAB_POINTS", 2**62)
-            whole = _search_results(model)
-            monkeypatch.setattr(landscape, "_SLAB_POINTS",
-                                rows * landscape._GRID_POINTS[model.n_species]
-                                ** (model.n_species - 1))
-            assert _search_results(model) == whole
+    # slabs of one leading-axis row, of 4 rows, which divide neither 201 nor
+    # 4001, or one slab holding the whole grid: every search hands _ascend the
+    # brute-force grid argmax, so its result does not depend on the slabs
+    calls = _record_ascents(monkeypatch)
+    for model in (sk, cubic_two_species, three_species_equal):
+        S = model.n_species
+        axis = landscape._box_axis(4001 if S == 1 else 201)
+        monkeypatch.setattr(landscape, "_SLAB_POINTS",
+                            2**62 if rows is None else rows * len(axis) ** (S - 1))
+        results = _search_results(model)
+        for res, (point, _), (_, X0, _) in zip(results, _grid_optima(model, axis, 20),
+                                               calls[-4:]):
+            assert np.array_equal(X0[-1], point)
+            assert res.grid_certified and res.fun_evals > len(axis) ** S
 
 
 @pytest.mark.parametrize("rows", [1, 4])
@@ -360,7 +393,7 @@ def test_grid_tie_across_a_slab_boundary_goes_to_the_first_point(rows, cubic_two
                                                                  monkeypatch):
     # the greatest value, 0, sits at rows 3 and 4 of the 201 x 201 grid, on the
     # two sides of a slab boundary; np.argmax's rule picks row 3, first in C order
-    monkeypatch.setattr(landscape, "_ascend", _corner)
+    calls = _record_ascents(monkeypatch)
     monkeypatch.setattr(landscape, "_SLAB_POINTS", rows * 201)
 
     def per_axis(s, a):
@@ -371,12 +404,45 @@ def test_grid_tie_across_a_slab_boundary_goes_to_the_first_point(rows, cubic_two
             v[[3, 4] if s == 0 else [7]] = 0.0
         return v
 
-    res = landscape._search(cubic_two_species, lambda xi, c: -c, None, per_axis)
-    assert res.value == 0.0 and not res.converged and res.grid_certified
-    assert np.array_equal(res.argmax, landscape._box_axis(201)[[3, 7]])
-    # fun_evals counts the points evaluated: the grid's, then the one corner
-    # point of each start's run, the grid point's run included
-    assert res.fun_evals == 201 * 201 + len(landscape._starts(2)) + 1
+    axis = landscape._box_axis(201)
+    c = per_axis(0, axis)[:, None] + per_axis(1, axis)[None, :]
+    first = np.unravel_index(int(np.argmax(-c)), c.shape)
+    assert first == (3, 7)
+    res = landscape._search(cubic_two_species, lambda xi, c: -c, np.zeros_like, per_axis)
+    assert np.array_equal(calls[0][1][-1], axis[list(first)])
+    # off the grid the rule is -2 everywhere and its gradient 0, so every
+    # start stops where it began and the smallest norm wins
+    assert res.value == -2.0 and res.converged and res.grid_certified
+    assert np.array_equal(res.argmax, np.full(2, 1e-4))
+    # fun_evals counts the points evaluated: the grid's, then each start's
+    assert res.fun_evals == 201 * 201 + len(calls[0][1])
+
+
+def test_no_ascent_row_ends_below_its_start(sk, pure3, pure4, two_quad, monkeypatch):
+    # _ascend accepts no step that lowers the objective, exactly: on the
+    # 4-species batch objectives and on every gridded search's batch
+    X0, objectives = _batch_objectives(monkeypatch)
+    hi = 1.0 - landscape.DOMAIN_CLAMP
+    for fun, grad in objectives:
+        F = landscape._ascend(fun, grad, X0)[1]
+        assert (F >= fun(np.clip(X0, 0.0, hi))).all()
+    calls = _record_ascents(monkeypatch)
+    for model in _gridded_models(sk, pure3, pure4, two_quad):
+        _search_results(model)
+    assert len(calls) == 4 * 9
+    for fun, X0, F in calls:
+        assert (F >= fun(np.clip(X0, 0.0, hi))).all()
+
+
+def test_search_is_never_below_the_brute_force_grid_optimum(sk, pure3, pure4, two_quad):
+    # maximize_f, plain and truncated, and the ratio searches reach at least
+    # the best point of their grid (for three species, every fourth point of
+    # each axis), computed by brute force
+    for model in _gridded_models(sk, pure3, pure4, two_quad):
+        S = model.n_species
+        axis = landscape._box_axis(4001 if S == 1 else 201)[::4 if S == 3 else 1]
+        for res, (_, value) in zip(_search_results(model), _grid_optima(model, axis)):
+            assert _above(res.value, value)
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -36,5 +36,10 @@ def test_stream_refuses_an_entry_of_2_to_the_32_or_more():
         stream(2**32)
     with pytest.raises(ValueError, match="tag 2 4294967298 is outside"):
         stream(7, 1, 2 + 2**32)
+    # and so is a negative one, which SeedSequence would refuse without naming it
+    with pytest.raises(ValueError, match="seed -1 is outside"):
+        stream(-1)
+    with pytest.raises(ValueError, match="tag 1 -2 is outside"):
+        stream(0, -2)
     top = stream(2**32 - 1, 2).standard_normal(3)
     assert np.array_equal(top, stream(2**32 - 1, 2).standard_normal(3))
