@@ -231,7 +231,7 @@ def main(argv=None) -> int:
     except ModelFormatError as exc:
         print(f"error: model file: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, FileNotFoundError, montecarlo.BudgetError) as exc:
+    except (ValueError, OSError, montecarlo.BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (montecarlo.CoefficientLawError, QuadratureError) as exc:

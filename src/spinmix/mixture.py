@@ -62,12 +62,11 @@ class SpeciesSet:
             raise ValueError(f"duplicate species labels: {names}")
         if lam.shape != (len(names),):
             raise ValueError("one proportion per species required")
+        if not np.all(np.isfinite(lam)):
+            raise ValueError(f"proportions must be finite, got {lam}")
         if abs(float(lam.sum()) - 1.0) > 1e-12:
             raise ValueError(f"proportions sum to {lam.sum()!r}, expected 1")
-        if len(names) == 1:
-            if abs(float(lam[0]) - 1.0) > 1e-12:
-                raise ValueError("single species must have proportion 1")
-        elif not np.all((lam > 0.0) & (lam < 1.0)):
+        if len(names) > 1 and not np.all((lam > 0.0) & (lam < 1.0)):
             raise ValueError("proportions must lie strictly inside (0, 1)")
 
     def __eq__(self, other) -> bool:
@@ -92,68 +91,57 @@ def _coerce_r(n_species: int, r) -> np.ndarray:
     return r
 
 
-def _canonical_terms(species, terms):
-    """Sort (exponent tuple, coeff) pairs lexicographically by exponents."""
-    n = len(species)
-    rows = []
-    for degrees, coeff in terms.items():
-        degrees = tuple(int(d) for d in degrees)
-        if len(degrees) != n:
-            raise ValueError(f"multi-index {degrees} has wrong length for species {species}")
-        if any(d < 0 for d in degrees):
-            raise ValueError(f"negative degree in multi-index {degrees}")
-        coeff = float(coeff)
-        if not math.isfinite(coeff) or coeff < 0.0:
-            raise ValueError(f"coefficient for {degrees} must be finite and >= 0, got {coeff}")
-        rows.append((degrees, coeff))
-    rows.sort(key=lambda t: t[0])
-    return rows
-
-
 @dataclass(frozen=True, eq=False)
 class Mixture:
     """Finite nonnegative-coefficient polynomial over an ordered species tuple.
 
-    ``exponents`` has one row per term (canonically sorted), ``coeffs`` the
-    matching variances.  ``min_degree`` is 2 for base models and 1 for
-    recentred mixtures, which legitimately carry degree-1 terms.
+    ``exponents`` has one row per term, one nonnegative integer per species,
+    and ``coeffs`` the matching variances.  Construction refuses a term of
+    degree 0 (so xi(0) = 0), a negative or non-integer exponent, a negative
+    or non-finite coefficient and a repeated multi-index, naming the term,
+    and sorts the rows lexicographically: a polynomial has one canonical
+    form, whatever the order of its terms.  Base models further refuse
+    degree-1 terms (see ``ModelSpec``); recentred mixtures carry them.
     """
 
     species: tuple[str, ...]
     exponents: np.ndarray = field(repr=False)
     coeffs: np.ndarray = field(repr=False)
-    min_degree: int = 2
 
     def __post_init__(self):
         species = tuple(self.species)
-        exps = np.asarray(self.exponents, dtype=np.int64).reshape(-1, len(species))
+        raw = np.asarray(self.exponents)
+        raw = raw.reshape(0, len(species)) if raw.size == 0 else raw
         coeffs = np.asarray(self.coeffs, dtype=float).reshape(-1)
+        if raw.shape != (len(coeffs), len(species)):
+            raise ValueError(f"exponents of shape {raw.shape} need one row per coefficient "
+                             f"({len(coeffs)}) and one column per species {species}")
+        # sorted rows put a repeated multi-index next to its twin
+        order = np.lexsort(raw.T[::-1])
+        raw, coeffs = raw[order], coeffs[order]
+        exps = raw.astype(np.int64)
+        for ok, rule in (
+            (np.all((exps == raw) & (exps >= 0), axis=1), "exponents must be nonnegative integers"),
+            (exps.sum(axis=1) >= 1, "degree 0 is not allowed, xi(0) = 0"),
+            (np.isfinite(coeffs) & (coeffs >= 0.0), "coefficient must be finite and >= 0"),
+            (np.any(np.diff(exps, axis=0, prepend=-1) != 0, axis=1), "multi-index appears twice"),
+        ):
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise ValueError(f"term {tuple(raw[i].tolist())} (coefficient {coeffs[i]}): {rule}")
         exps.setflags(write=False)
         coeffs.setflags(write=False)
         object.__setattr__(self, "species", species)
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "coeffs", coeffs)
-        if exps.shape[0] != coeffs.shape[0]:
-            raise ValueError("one coefficient per term required")
-        if self.min_degree not in (1, 2):
-            raise ValueError("min_degree must be 1 or 2")
-        if np.any(coeffs < 0.0) or not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients must be finite and >= 0")
-        totals = exps.sum(axis=1)
-        if exps.shape[0] and totals.min() < self.min_degree:
-            bad = exps[int(totals.argmin())]
-            raise ValueError(f"term {tuple(bad)} has degree below min_degree={self.min_degree}")
 
     # ------------------------------------------------------------------
     # construction and plumbing
 
     @classmethod
-    def from_terms(cls, species, terms, min_degree: int = 2) -> "Mixture":
+    def from_terms(cls, species, terms) -> "Mixture":
         """Build from a map {exponent tuple -> coefficient}."""
-        rows = _canonical_terms(tuple(species), terms)
-        exps = np.array([r[0] for r in rows], dtype=np.int64).reshape(-1, len(tuple(species)))
-        coeffs = np.array([r[1] for r in rows], dtype=float)
-        return cls(tuple(species), exps, coeffs, min_degree)
+        return cls(species, list(terms), list(terms.values()))
 
     def terms(self) -> dict[tuple[int, ...], float]:
         """Coefficient map in canonical order (insertion order is sorted)."""
@@ -164,8 +152,6 @@ class Mixture:
             return NotImplemented
         return (
             self.species == other.species
-            and self.min_degree == other.min_degree
-            and self.exponents.shape == other.exponents.shape
             and bool(np.array_equal(self.exponents, other.exponents))
             and bool(np.array_equal(self.coeffs, other.coeffs))
         )
@@ -249,7 +235,8 @@ class Mixture:
     def tilde_transform(self, r) -> "Mixture":
         """Recentred mixture xi_r(x) = xi((1-r^2)x + r^2) - xi(r^2).
 
-        The result carries degree-1 terms, so its min_degree is 1.  Each
+        The shift acts like an external field: for r != 0 the result carries
+        degree-1 terms, so it is no base model.  At r = 0 it equals xi.  Each
         coefficient is
 
             c_{p,r} = sum_{p' >= p} c_{p'} * prod_s C(p'(s), p(s))
@@ -278,7 +265,7 @@ class Mixture:
                 if w != 0.0:
                     acc[p] = acc.get(p, 0.0) + w
         acc = {p: w for p, w in acc.items() if w >= _COEFF_FLOOR}
-        return Mixture.from_terms(self.species, acc, min_degree=1)
+        return Mixture.from_terms(self.species, acc)
 
     def eta_direction(self, x, z) -> float:
         """Directional derivative of eps -> xi_sqrt(eps*x)(z) at eps = 0.

@@ -9,7 +9,8 @@ A model file looks like
                 {"degrees": {"a": 1, "b": 1}, "delta_sq": 1.0}]
     }
 
-Missing species in a term's "degrees" default to degree 0.
+Missing species in a term's "degrees" default to degree 0, terms with the
+same degrees are summed, and every term has total degree >= 2.
 """
 
 from __future__ import annotations
@@ -42,7 +43,11 @@ class ModelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """An asymptotic model: species set plus a base mixture (min degree 2)."""
+    """An asymptotic model: species set plus a base mixture.
+
+    The models studied carry no external field, so every term of a base
+    mixture has degree >= 2; this is the one place that rule is stated.
+    """
 
     species: SpeciesSet
     mixture: Mixture
@@ -53,8 +58,10 @@ class ModelSpec:
                 f"mixture species {self.mixture.species} do not match "
                 f"species set {self.species.names}"
             )
-        if self.mixture.min_degree < 2:
-            raise ValueError("base models require min_degree 2")
+        low = self.mixture.exponents[self.mixture.exponents.sum(axis=1) < 2]
+        if len(low):
+            raise ValueError(f"term {tuple(low[0].tolist())} has degree below 2: "
+                             "base models carry no external field")
 
     @property
     def n_species(self) -> int:
@@ -119,7 +126,7 @@ def _parse_model(doc) -> ModelSpec:
         key = tuple(degrees)
         terms[key] = terms.get(key, 0.0) + delta_sq
     try:
-        mixture = Mixture.from_terms(tuple(names), terms, min_degree=2)
+        mixture = Mixture.from_terms(tuple(names), terms)
         return ModelSpec(species, mixture)
     except ValueError as exc:
         raise ModelFormatError(f"terms: {exc}") from exc
@@ -181,8 +188,6 @@ def sk_model() -> ModelSpec:
 
 def pure_model(p: int, delta_sq: float = 1.0) -> ModelSpec:
     """Single species, xi(x) = delta_sq * x^p."""
-    if p < 2:
-        raise ValueError("pure models require p >= 2")
     return ModelSpec(
         SpeciesSet(("a",), np.array([1.0])),
         Mixture.from_terms(("a",), {(p,): float(delta_sq)}),

@@ -168,7 +168,7 @@ def validate_configuration(fm: FiniteModel, sigma: np.ndarray) -> np.ndarray:
         raise ValueError(f"configuration must have shape ({fm.N},)")
     for s, (sl, n_s) in enumerate(zip(fm.block_slices, fm.block_sizes)):
         sq = float(np.sum(sigma[sl] ** 2))
-        if abs(sq - n_s) > _CONFIG_TOL * n_s:
+        if not abs(sq - n_s) <= _CONFIG_TOL * n_s:  # NaN fails the comparison
             raise ValueError(
                 f"species {fm.model.species.names[s]}: |sigma|^2 = {sq}, expected {n_s}"
             )
@@ -595,6 +595,8 @@ def band_prediction(fm: FiniteModel, beta: float, r, h_center: float) -> float:
         raise ValueError(f"beta must be finite, got {beta!r}")
     r = _coerce_r(fm.n_species, r)
     xi1 = fm.model.xi1()
+    if not xi1 > 0.0:
+        raise ValueError(f"band prediction requires xi(1) > 0, got {xi1!r}")
     xir = float(fm.model.mixture.eval(r))
     return beta * (xir / xi1) * (h_center / fm.N) + 0.5 * beta * beta * xi1
 

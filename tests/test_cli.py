@@ -50,6 +50,40 @@ def test_critical_missing_lambda(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+def test_scan_refuses_nan_lambda(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps({
+        "species": [{"name": "a", "lambda": math.nan}],
+        "terms": [{"degrees": {"a": 2}, "delta_sq": 1.0}],
+    }))
+    out = tmp_path / "scan.csv"
+    code = main(["scan", "--model", str(bad), "--beta", "0.5", "--out", str(out)])
+    assert code == 1
+    assert "error: model file: species: proportions must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_directory_paths_are_usage_errors(tmp_path, capsys):
+    code = main(["critical", "--model", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    code = main(["scan", "--model", SK, "--beta", "0.5", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_band_probe_refuses_a_zero_model(tmp_path, capsys):
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({
+        "species": [{"name": "a", "lambda": 1.0}],
+        "terms": [{"degrees": {"a": 2}, "delta_sq": 0.0}],
+    }))
+    code = main(["band-probe", "--model", str(zero), "--beta", "0.2", "--N", "20",
+                 "--samples", "100", "--out", str(tmp_path / "probe.csv")])
+    assert code == 1
+    assert r"xi(1) > 0" in capsys.readouterr().err
+
+
 def test_scan_sk_grid(tmp_path):
     out = tmp_path / "scan.csv"
     code = main([

@@ -1,11 +1,23 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinmix import Mixture, SpeciesSet
+from spinmix import (
+    Mixture,
+    ModelFormatError,
+    ModelSpec,
+    SpeciesSet,
+    dumps_model,
+    loads_model,
+    model_hash,
+    pure_model,
+    sk_model,
+    two_species_quadratic_model,
+)
 
 from conftest import random_mixture
 from oracles import degree2_matrix_by_hand, fd_gradient, fd_hessian, rel_close
@@ -167,8 +179,11 @@ def test_tilde_transform_rejects_out_of_domain():
 def test_tilde_transform_has_degree_one_terms():
     m = sk_mixture()
     t = m.tilde_transform(np.array([0.5]))
-    assert t.min_degree == 1
+    assert int(t.exponents.sum(axis=1).min()) == 1
     assert (1,) in t.terms()
+    # the shift acts like an external field, which a base model refuses
+    with pytest.raises(ValueError, match=r"term \(1,\) has degree below 2"):
+        ModelSpec(SpeciesSet(("a",), np.array([1.0])), t)
 
 
 # ----------------------------------------------------------------------
@@ -260,12 +275,89 @@ def test_species_set_validation():
 
 
 def test_mixture_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"term \(2,\)"):
         Mixture.from_terms(("a",), {(2,): -1.0})
-    with pytest.raises(ValueError):
-        Mixture.from_terms(("a",), {(1,): 1.0})  # below min_degree 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"term \(2,\)"):
         Mixture.from_terms(("a",), {(2,): float("nan")})
-    # degree-1 terms are allowed when min_degree is 1
-    m = Mixture.from_terms(("a",), {(1,): 1.0, (2,): 1.0}, min_degree=1)
-    assert m.min_degree == 1
+    # a mixture may carry degree-1 terms; a base model, a model file and a
+    # pure model may not
+    m = Mixture.from_terms(("a",), {(1,): 1.0, (2,): 1.0})
+    assert (1,) in m.terms()
+    with pytest.raises(ValueError, match=r"term \(1,\) has degree below 2"):
+        ModelSpec(SpeciesSet(("a",), np.array([1.0])), Mixture.from_terms(("a",), {(1,): 1.0}))
+    doc = {"species": [{"name": "a", "lambda": 1.0}],
+           "terms": [{"degrees": {"a": 1}, "delta_sq": 1.0}]}
+    with pytest.raises(ModelFormatError, match=r"terms: term \(1,\) has degree below 2"):
+        loads_model(json.dumps(doc))
+    with pytest.raises(ValueError, match="degree below 2"):
+        pure_model(1)
+
+
+def test_mixture_refuses_negative_exponent():
+    with pytest.raises(ValueError, match=r"term \(3, -1\).*nonnegative integers"):
+        Mixture(("a", "b"), [[3, -1]], [1.0])
+    with pytest.raises(ValueError, match=r"term \(2.5,\).*nonnegative integers"):
+        Mixture(("a",), [[2.5]], [1.0])
+
+
+def test_mixture_refuses_repeated_multi_index():
+    with pytest.raises(ValueError, match=r"term \(2, 0\).*appears twice"):
+        Mixture(("a", "b"), [[2, 0], [0, 2], [2, 0]], [1.0, 1.0, 0.5])
+
+
+def test_mixture_refuses_constant_term():
+    with pytest.raises(ValueError, match=r"term \(0, 0\).*degree 0"):
+        Mixture.from_terms(("a", "b"), {(2, 0): 1.0, (0, 0): 1.0})
+    with pytest.raises(ValueError, match="degree 0"):
+        pure_model(0)
+
+
+def test_mixture_refuses_shape_mismatch():
+    with pytest.raises(ValueError, match="one column per species"):
+        Mixture(("a", "b"), [[2, 0, 1]], [1.0])
+    with pytest.raises(ValueError, match="one row per coefficient"):
+        Mixture(("a", "b"), [[2, 0], [0, 2]], [1.0])
+
+
+def test_row_order_does_not_change_the_mixture():
+    a = Mixture(("a", "b"), [[2, 0], [0, 2]], [1.0, 2.0])
+    b = Mixture(("a", "b"), [[0, 2], [2, 0]], [2.0, 1.0])
+    assert a == b
+    assert a.exponents.tolist() == [[0, 2], [2, 0]] and a.coeffs.tolist() == [2.0, 1.0]
+    lam = SpeciesSet(("a", "b"), np.array([0.5, 0.5]))
+    assert model_hash(ModelSpec(lam, a)) == model_hash(ModelSpec(lam, b))
+
+
+def test_tilde_transform_at_zero_is_the_identity():
+    for model in (sk_model(), pure_model(3), two_species_quadratic_model()):
+        xi = model.mixture
+        assert xi.tilde_transform(0.0) == xi
+        assert ModelSpec(model.species, xi.tilde_transform(0.0)) == model
+
+
+@st.composite
+def shuffled_models(draw):
+    """A base model on 1-4 species, its term map, and a permutation of its
+    rows."""
+    n = draw(st.integers(1, 4))
+    names = ("a", "b", "c", "d")[:n]
+    degrees = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    terms = draw(st.dictionaries(degrees.filter(lambda d: sum(d) >= 2),
+                                 st.floats(0.05, 3.0), min_size=1, max_size=6))
+    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)), dtype=float)
+    perm = draw(st.permutations(range(len(terms))))
+    return SpeciesSet(names, weights / weights.sum()), terms, perm
+
+
+@given(shuffled_models())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_every_row_order_gives_one_canonical_model(case):
+    species, terms, perm = case
+    keys, values = list(terms), list(terms.values())
+    shuffled = Mixture(species.names, [keys[i] for i in perm], [values[i] for i in perm])
+    xi = Mixture.from_terms(species.names, terms)
+    assert shuffled == xi
+    model = ModelSpec(species, xi)
+    assert model_hash(ModelSpec(species, shuffled)) == model_hash(model)
+    assert xi.tilde_transform(0.0) == xi
+    assert loads_model(dumps_model(model)) == model

@@ -48,6 +48,15 @@ def test_missing_lambda_names_the_field():
             loads_model(json.dumps(doc))
 
 
+def test_non_finite_lambda_names_species():
+    # json parses NaN and Infinity; a sum check alone lets a single NaN through
+    for lam in (float("nan"), float("inf")):
+        doc = {"species": [{"name": "a", "lambda": lam}],
+               "terms": [{"degrees": {"a": 2}, "delta_sq": 1.0}]}
+        with pytest.raises(ModelFormatError, match="species: proportions must be finite"):
+            loads_model(json.dumps(doc))
+
+
 def test_missing_terms_field():
     with pytest.raises(ModelFormatError, match="terms"):
         loads_model(json.dumps({"species": [{"name": "a", "lambda": 1.0}]}))

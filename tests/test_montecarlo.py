@@ -77,6 +77,22 @@ def test_configuration_validation(sk):
         montecarlo.validate_configuration(fm, np.ones(13))
 
 
+def test_configuration_with_nan_is_refused(cubic_two_species):
+    # every consumer of a configuration refuses one with a NaN entry,
+    # instead of returning nan
+    fm = build_finite_model(cubic_two_species, 21)
+    sigma = sample_uniform(fm, stream(12))
+    bad = sigma.copy()
+    bad[0] = np.nan
+    with pytest.raises(ValueError, match="species a"):
+        montecarlo.validate_configuration(fm, bad)
+    with pytest.raises(ValueError, match="species a"):
+        sample_on_band(fm, bad, np.full(2, 0.3), stream(13))
+    for a, b in ((bad, sigma), (sigma, bad)):
+        with pytest.raises(ValueError, match="species a"):
+            covariance_exact(fm, a, b)
+
+
 # ----------------------------------------------------------------------
 # sphere sampling and overlaps
 
@@ -224,7 +240,7 @@ def _finite_model_with_degree_one_terms(cubic_two_species) -> montecarlo.FiniteM
     # degree-1 terms, so it rides on the base model's block layout
     fm = build_finite_model(cubic_two_species, 20)
     tilde = cubic_two_species.mixture.tilde_transform(np.array([0.3, 0.5]))
-    assert tilde.min_degree == 1 and int(tilde.exponents.sum(axis=1).min()) == 1
+    assert int(tilde.exponents.sum(axis=1).min()) == 1
     stand_in = SimpleNamespace(species=cubic_two_species.species, mixture=tilde, n_species=2)
     return replace(fm, model=stand_in)
 
@@ -730,6 +746,12 @@ def test_band_prediction_formula(sk):
     # xi(r)/xi(1) = r^2 for the quadratic mixture
     val = band_prediction(fm, 0.5, np.array([0.2]), h_center=8.0)
     assert val == pytest.approx(0.5 * 0.04 * 8.0 / 40.0 + 0.5 * 0.25, abs=1e-15)
+
+
+def test_band_prediction_requires_positive_xi1():
+    zero = ModelSpec(SpeciesSet(("a",), np.array([1.0])), Mixture.from_terms(("a",), {(2,): 0.0}))
+    with pytest.raises(ValueError, match=r"xi\(1\) > 0"):
+        band_prediction(build_finite_model(zero, 40), 0.5, np.array([0.2]), h_center=0.0)
 
 
 def test_estimator_record_embeds_run_context(sk):
