@@ -12,14 +12,20 @@ pair to pair.  The jobs, fixed:
 
   verdict on the four fixtures under models/;
   maximize_f, plain and truncated, at beta 0.8 on seeded 3-6 species models;
+  the pair of maximize_f calls a scan row makes, plain and truncated at beta
+  0.6, and beta_m and beta_m_tilde, on the seeded three-species model;
   estimate_free_energy on pure3 at N = 40 with 4096 samples;
-  log_E_Z2_exact on two_species_quadratic at N = 400.
+  log_E_Z2_exact on two_species_quadratic at N = 400 and on the seeded
+  three-species model, a chain, at N = 3200.
 
 For each job it prints the median wall time of each side, their ratio
-(change over parent) and the share of pairs in which the change was faster.
+(change over parent), the share of pairs in which the change was faster,
+and whether the two sides' results were bitwise equal in every pair.
 """
 
 import argparse
+import dataclasses
+import enum
 import importlib.util
 import json
 import statistics
@@ -34,6 +40,7 @@ MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 FIXTURES = ("sk", "pure3", "pure4", "two_species_quadratic")
 SEARCH_BETA = 0.8
 SEARCH_SPECIES = range(3, 7)
+SCAN_BETA = 0.6
 
 
 def load(src: str, name: str):
@@ -65,17 +72,45 @@ def jobs(pkg) -> dict:
     """Name -> a call of no arguments, every input built beforehand."""
     fixtures = {name: pkg.load_model(MODELS_DIR / f"{name}.json") for name in FIXTURES}
     out = {f"verdict {name}": (lambda m=model: pkg.verdict(m)) for name, model in fixtures.items()}
+
+    def search(model, beta, objective):
+        # the result without fun_evals, a count of the work done
+        res = pkg.maximize_f(model, beta, objective)
+        return res.argmax, res.value, res.converged, res.grid_certified
+
     for S in SEARCH_SPECIES:
         model = pkg.loads_model(random_model(S, S))
         for objective in ("plain", "tilde"):
             out[f"maximize_f {objective} S={S}"] = (
-                lambda m=model, o=objective: pkg.maximize_f(m, SEARCH_BETA, o))
+                lambda m=model, o=objective: search(m, SEARCH_BETA, o))
+    three = pkg.loads_model(random_model(3, 3))
+    out["scan pair S=3"] = lambda: [search(three, SCAN_BETA, o) for o in ("plain", "tilde")]
+    out["beta_m, beta_m_tilde S=3"] = lambda: (pkg.beta_m(three), pkg.beta_m_tilde(three))
     fm = pkg.build_finite_model(fixtures["pure3"], 40)
     disorder = pkg.sample_disorder(fm, seed=1)
     out["estimate_free_energy pure3"] = lambda: pkg.estimate_free_energy(fm, disorder, 0.5, 4096, 1)
     fm2 = pkg.build_finite_model(fixtures["two_species_quadratic"], 400)
     out["log_E_Z2_exact two_species_quadratic"] = lambda: pkg.log_E_Z2_exact(fm2, 0.5)
+    fm3 = pkg.build_finite_model(three, 3200)
+    out["log_E_Z2_exact chain S=3"] = lambda: pkg.log_E_Z2_exact(fm3, 0.2)
     return out
+
+
+def bits(result):
+    """A job's result in a form that compares equal across the two packages
+    exactly when the results are bitwise equal: numbers and arrays as their
+    bytes, dataclasses and enums by their contents."""
+    if dataclasses.is_dataclass(result):
+        return bits(vars(result))
+    if isinstance(result, dict):
+        return {key: bits(value) for key, value in result.items()}
+    if isinstance(result, (list, tuple)):
+        return [bits(value) for value in result]
+    if isinstance(result, enum.Enum):
+        return result.value
+    if isinstance(result, (float, np.floating, np.ndarray)):
+        return np.asarray(result).tobytes()
+    return result
 
 
 def run(argv=None):
@@ -90,20 +125,24 @@ def run(argv=None):
     sides = [jobs(load(args.parent_src, "spinmix_parent")),
              jobs(load(args.change_src, "spinmix_change"))]
     times = {name: ([], []) for name in sides[0]}
+    same = dict.fromkeys(times, True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the estimator's low-ESS warning
         for pair in range(args.pairs):
             for name, (parent, change) in times.items():
+                results = [None, None]
                 for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
                     start = time.perf_counter()
-                    sides[side][name]()
+                    results[side] = sides[side][name]()
                     (parent, change)[side].append(time.perf_counter() - start)
+                same[name] &= bits(results[0]) == bits(results[1])
     print(f"{args.pairs} pairs; medians in ms; ratio = change / parent")
-    print(f"{'job':40} {'parent':>9} {'change':>9} {'ratio':>7} {'change wins':>12}")
+    print(f"{'job':40} {'parent':>9} {'change':>9} {'ratio':>7} {'change wins':>12} {'same':>5}")
     for name, (parent, change) in times.items():
         a, b = statistics.median(parent), statistics.median(change)
         wins = sum(c < p for p, c in zip(parent, change)) / args.pairs
-        print(f"{name:40} {1e3 * a:9.3f} {1e3 * b:9.3f} {b / a:7.3f} {wins:12.2f}")
+        print(f"{name:40} {1e3 * a:9.3f} {1e3 * b:9.3f} {b / a:7.3f} {wins:12.2f} "
+              f"{'yes' if same[name] else 'no':>5}")
     return 0
 
 

@@ -23,21 +23,28 @@ and g are value = energy(x) - c (`_objective`), and `criticality`'s
 threshold ratios are rules of the same two pieces.  `_search` evaluates the
 rule on the certification grid and at the points of its local phase, and
 the pointwise functions evaluate it at one point, so each objective is
-written once.  `_starts` alone holds the per-S policy: the grid (4001
-points for one species, 201 per axis for two or three, none for four to
-six), whose best point is one start, and the fixed starts.  `_search`
+written once.  `_starts` alone holds the per-S policy (`_GRIDS`): the grid
+(4001 points for one species, 201 per axis for two or three, none for four
+to six), whose best point is one start, and the fixed starts.  `_search`
 refuses more than six species and returns the best of its starts after its
 local phase, `_ascend`, which moves every start at once as one (K, S)
 batch by projected quasi-Newton steps, so the objective and its gradient
 are evaluated on batches of points, elementwise and without BLAS.  No run
 ends below its start, so a gridded result is never below the grid's best
-point.  The tensor-product kernel `_grid` (a sum of xi's terms and a
-separable per-axis sum on the grid axis^k, over some or all species) is the
-one slab loop in the package: the search runs it on every species, and
-`quadrature` on the blocks over which it eliminates species.  It yields
-the grid in slabs of about _SLAB_POINTS points, and every consumer reduces
-slab by slab (an argmax, a logsumexp), so memory stays bounded at any grid
-size.
+point.
+
+The tensor-product kernel `_kernel` (a sum of xi's terms and a separable
+per-axis sum at points of the grid axis^k, over some or all species) is
+written once.  `_grid` runs it on the whole grid in slabs of about
+_SLAB_POINTS points, each consumer reducing slab by slab (an argmax, a
+logsumexp), so memory stays bounded at any grid size: the search's grid of
+one or two species, and `quadrature`'s blocks over which it eliminates
+species.  For three species the search's grid of 8.1M points is searched by
+branch and bound (`_grid_start`): xi and every cost are nondecreasing in
+each coordinate, so the corners of a box of grid points bound the rule on
+it, and only the boxes that may hold the greatest value are evaluated,
+whole, in slabs of the same size.  The best point and its value are the
+whole grid's, bit for bit.
 """
 
 from __future__ import annotations
@@ -70,6 +77,13 @@ TOL_ZERO = 1e-10
 
 # points per slab of a tensor-product grid: 2 MB per float64 array
 _SLAB_POINTS = 2**18
+# the search's grids by species count (`_starts`): points per axis, and the
+# side of the boxes `_grid_start` evaluates whole, which is the whole axis
+# where no branch and bound runs
+_GRIDS = {1: (4001, 4001), 2: (201, 201), 3: (201, 4)}
+# `_grid_start` drops a box whose bound is below the greatest value seen by
+# more than this times max(1, |that value|) (`_cut`)
+_PRUNE = 1e-12
 
 # the local ascent (`_ascend`): the stopping tolerances on the projected
 # gradient's sup norm and on the relative change of f, the round budget, the
@@ -222,69 +236,167 @@ def _box_axis(n: int) -> np.ndarray:
     return np.linspace(0.0, 1.0 - DOMAIN_CLAMP, n)
 
 
-def _along(i: int, dims: int, v: np.ndarray) -> np.ndarray:
-    """v along axis i of a dims-axis block, broadcast over the others."""
-    return v.reshape([-1 if k == i else 1 for k in range(dims)])
+def _on(i: int, dims: int, k=slice(None)) -> tuple:
+    """An index that places k along axis i of a dims-axis block, a new axis
+    on each of the others."""
+    return tuple(k if a == i else None for a in range(dims))
 
 
-def _grid(model: ModelSpec, axis: np.ndarray, per_axis, axes=None, terms=None):
-    """Yield (xi, sum_i per_axis(axes[i], axis)) on the grid axis^len(axes),
-    slab by slab: species axes[i] along grid axis i, every species by default.
+def _kernel(model: ModelSpec, axis: np.ndarray, per_axis, axes=None, terms=None):
+    """The tensor-product kernel on the grid axis^len(axes), species axes[i]
+    along grid axis i (every species by default): a function of one index
+    per grid axis, each an integer array or slices and new axes (`_on`),
+    whose results broadcast together, returning (xi, sum_i
+    per_axis(axes[i], axis)[index[i]]) at those grid points.
 
     xi is the sum of the mixture's `terms` (every term by default), in the
     order given, each the product of its per-axis powers in axes order times
-    its coefficient; factors x**0 = 1 are skipped, which is exact.  A slab
-    is a block of leading-axis rows in C order, of at most _SLAB_POINTS
-    points (one row when a row alone is larger), so no array holds the whole
-    grid.  Each slab's xi is a new array, which the consumer may overwrite.
+    its coefficient; factors x**0 = 1 are skipped, which is exact.  The cost
+    is summed from grid axis 0 on.  Each point's bits depend on its indices
+    only, never on the other points evaluated with it.
     """
     mix = model.mixture
     axes = range(model.n_species) if axes is None else axes
     terms = range(len(mix.coeffs)) if terms is None else terms
-    dims, n = len(axes), len(axis)
-    pows = [axis[:, None] ** mix.exponents[None, terms, s] for s in axes]  # column j: terms[j]
+    pows = [axis ** mix.exponents[terms, s][:, None] for s in axes]  # row j: terms[j]
     costs = [per_axis(s, axis) for s in axes]
+
+    def at(index):
+        parts = [costs[i][index[i]] for i in range(len(axes))]
+        xi = np.zeros(np.broadcast_shapes(*(part.shape for part in parts)))
+        for j, t in enumerate(terms):
+            factors = (pows[i][j][index[i]] for i, s in enumerate(axes) if mix.exponents[t, s])
+            xi += math.prod(factors) * mix.coeffs[t]
+        # the per-axis sum, unnamed so that the caller holds its only reference
+        return xi, sum(parts[1:], parts[0])
+
+    return at
+
+
+def _grid(model: ModelSpec, axis: np.ndarray, per_axis, axes=None, terms=None):
+    """Yield `_kernel`'s (xi, summed cost) on the whole grid axis^len(axes),
+    slab by slab.
+
+    A slab is a block of leading-axis rows in C order, of at most
+    _SLAB_POINTS points (one row when a row alone is larger), so no array
+    holds the whole grid.  Each slab's xi is a new array, which the consumer
+    may overwrite.
+    """
+    at = _kernel(model, axis, per_axis, axes, terms)
+    dims = model.n_species if axes is None else len(axes)
+    n = len(axis)
     rows = max(1, _SLAB_POINTS // n ** (dims - 1))
     for lo in range(0, n, rows):
-        lead = slice(lo, lo + rows)
-        xi = np.zeros((len(axis[lead]),) + (n,) * (dims - 1))
-        for j, t in enumerate(terms):
-            factors = (_along(i, dims, pows[i][lead if i == 0 else slice(None), j])
-                       for i, s in enumerate(axes) if mix.exponents[t, s])
-            xi += math.prod(factors) * mix.coeffs[t]
-        # the per-axis sum, unnamed so that the consumer holds its only reference
-        yield xi, sum((_along(i, dims, costs[i]) for i in range(1, dims)),
-                      _along(0, dims, costs[0][lead]))
+        yield at([_on(0, dims, slice(lo, lo + rows))] + [_on(i, dims) for i in range(1, dims)])
+
+
+def _cut(best: float) -> float:
+    """The least bound of a box `_grid_start` keeps, given the greatest value
+    seen."""
+    return best - _PRUNE * max(1.0, abs(best))
+
+
+def _grid_start(model: ModelSpec, value, cost, axis: np.ndarray, side: int) -> tuple[int, int]:
+    """The first greatest value in C order of the rule value(xi, c) on the
+    grid axis^S, as (C-order index, values computed), by branch and bound
+    over boxes of grid points down to boxes of side `side`.
+
+    Every coefficient is nonnegative, so xi and every cost are nondecreasing
+    in each coordinate, and each rule rises with xi and falls with c: on a
+    box, value(xi at its upper corner, cost at its lower corner) bounds the
+    rule from above (H. Tuy, "Monotonic optimization", SIAM J. Optim. 11
+    (2000)).  The grid is the root box, of side a power of two times `side`.
+    Each level splits every box into 2^S boxes of half its side, bounds
+    them, evaluates the rule at both corners of each, and drops the boxes
+    whose bound is below the greatest value seen by more than _PRUNE
+    max(1, |value|).  The boxes of side `side` left are evaluated whole,
+    greatest bound first, in slabs of at most _SLAB_POINTS points, until the
+    next bound falls below that cut.  When `side` covers the grid, the
+    grid is one box, evaluated by `_grid` with no bound.
+
+    The bound is exact in floating point for the plain rules, since
+    rounding is monotone; the slack covers the few ulps by which the
+    truncated quotient may fall as xi rises, ulps of numbers within about 9
+    (the entropy at the clamp) of the greatest value.  So no dropped box
+    holds a value at or above the greatest, and every value is `_kernel`'s,
+    bit for bit: the result is the whole grid scan's.
+    """
+    S, n = model.n_species, len(axis)
+    if side >= n:  # one box, the whole grid, slab by slab
+        evals = 0
+        for xi, c in _grid(model, axis, cost):
+            values = value(xi, c)
+            i = int(np.argmax(values))
+            if evals == 0 or values.flat[i] > best:
+                best, flat = values.flat[i], evals + i
+            evals += values.size
+        return flat, evals
+    at = _kernel(model, axis, cost)
+    lo = np.zeros((1, S), dtype=np.intp)  # the root
+    width, best, evals = side, -np.inf, 0
+    while width < n:
+        width *= 2
+    while width > side:
+        width //= 2
+        lo = (lo[:, None, :] + width * np.array(list(np.ndindex(*(2,) * S)))).reshape(-1, S)
+        lo = lo[(lo < n).all(-1)]
+        (xi_lo, c_lo), (xi_hi, c_hi) = at(lo.T), at(np.minimum(lo + width - 1, n - 1).T)
+        bound = value(xi_hi, c_lo)
+        best = max(best, value(xi_lo, c_lo).max(), value(xi_hi, c_hi).max())
+        evals += 3 * len(lo)
+        keep = ~(bound < _cut(best))  # a NaN bound is kept
+        lo, bound = lo[keep], bound[keep]
+    order = np.argsort(-bound, kind="stable")
+    lo, bound = lo[order], bound[order]
+    per_slab = max(1, _SLAB_POINTS // side**S)
+    offsets = [np.arange(side)[_on(1 + i, S + 1)] for i in range(S)]
+    top, flat = -np.inf, n**S
+    for start in range(0, len(lo), per_slab):
+        slab = slice(start, start + per_slab)
+        boxes = lo[slab][~(bound[slab] < _cut(best))]
+        if not len(boxes):
+            break
+        index = [np.minimum(boxes[:, i].reshape((-1,) + (1,) * S) + offsets[i], n - 1)
+                 for i in range(S)]
+        values = value(*at(index))
+        evals += values.size
+        m = values.max()
+        best = max(best, m)
+        if m < top:
+            continue
+        hits = np.nonzero(values == m)
+        first = int(np.ravel_multi_index(
+            [np.broadcast_to(k, values.shape)[hits] for k in index], (n,) * S).min())
+        if m > top or first < flat:
+            top, flat = m, first
+    return flat, evals
 
 
 def _starts(model: ModelSpec, value, cost):
     """The search's starts in [0, 1)^S, one per row, and the number of grid
-    points evaluated to choose them: the search's whole per-S policy.
+    values computed to choose them: the search's whole per-S policy.
 
     One species: the best point of a 4001-point grid.  Two or three:
     origin-perturbed points, a coarse 3^S grid and the best point of the
     grid of 201 points per axis (pitch 1/200).  Four to six: origin-perturbed
     points and the 2^S corners of an inner box, with no grid.  The best grid
-    point is the first greatest value in C order of the rule value(xi, c) on
-    `_grid`'s slabs.
+    point is the first greatest value in C order of the rule value(xi, c),
+    found by `_grid_start` with the box side of _GRIDS: the whole grid, one
+    box, for one or two species, and branch and bound down to boxes of 4^3
+    points for three.
     """
     S = model.n_species
     if S == 1:
-        fixed, n = np.empty((0, 1)), 4001
+        fixed = np.empty((0, 1))
     else:
-        k, lo, step, n = (3, 0.15, 0.3, 201) if S <= 3 else (2, 0.2, 0.4, 0)
+        k, lo, step = (3, 0.15, 0.3) if S <= 3 else (2, 0.2, 0.4)
         fixed = np.array([np.full(S, eps) for eps in (1e-4, 1e-2, 0.1)]
                          + [lo + step * np.array(combo) for combo in np.ndindex(*([k] * S))])
-    if not n:
+    if S not in _GRIDS:
         return fixed, 0
+    n, side = _GRIDS[S]
     axis = _box_axis(n)
-    evals = 0
-    for xi, c in _grid(model, axis, cost):  # the first greatest value in C order wins
-        values = value(xi, c)
-        i = int(np.argmax(values))
-        if evals == 0 or values.flat[i] > best:
-            best, flat = values.flat[i], evals + i
-        evals += values.size
+    flat, evals = _grid_start(model, value, cost, axis, side)
     return np.vstack([fixed, axis[list(np.unravel_index(flat, (n,) * S))]]), evals
 
 
@@ -417,14 +529,19 @@ def _search(model: ModelSpec, value, grad, cost) -> MaximizeResult:
     value takes xi and the summed cost as arrays of one shape (or
     broadcastable), cost(s, a) is species s's cost at the coordinates a
     (slice(None) for every species of a (K, S) batch), and grad takes a
-    (K, S) batch of points.  The package's one search: more than six
+    (K, S) batch of points.  For three species value must rise with xi
+    and fall with c, and cost(s, a) rise with a, as in every rule of the
+    package: the grid is searched by bounds that rest on this
+    (`_grid_start`).  The package's one search: more than six
     species are refused, `_starts` gives the starts, one `_ascend` moves
     them all at once on the rule at points (`_pointwise`), and the result is
     the best polished start, ties going to the smallest norm, then the
     coordinates.  For |S| <= 3 the grid's best point is one start and no
     run ends below its start, so the result is never below the best grid
-    point: it is grid-certified.  fun_evals counts the points evaluated,
-    grid included.
+    point: it is grid-certified.  fun_evals counts the rule's values
+    computed: those on the grid (every grid point for one or two species;
+    for three, the bounds, corners and boxes of `_grid_start`), then the
+    ascent's.
     """
     if model.n_species > 6:
         raise ValueError("the landscape search supports at most 6 species")
@@ -447,6 +564,8 @@ def maximize_f(model: ModelSpec, beta: float, objective: str = "plain") -> Maxim
     """
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
+    if not math.isfinite(beta * beta * model.xi1()):
+        raise ValueError(f"beta = {beta!r} is too large: beta^2 xi(1) is not finite")
     if objective not in ("plain", "tilde"):
         raise ValueError(f"unknown objective {objective!r}, expected 'plain' or 'tilde'")
     res = _search(model, *_objective(model, beta, objective))

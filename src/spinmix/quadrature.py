@@ -23,7 +23,7 @@ component and slab, and one over the pivot nodes.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, roots_legendre
+from scipy.special import gammaln, roots_legendre
 
 from .landscape import _grid
 from .montecarlo import FiniteModel
@@ -53,6 +53,22 @@ def log_sphere_surface(d: int) -> float:
 def log_overlap_density(r: np.ndarray, d: int) -> np.ndarray:
     """log density of the overlap of two uniform points on a d-sphere."""
     return log_sphere_surface(d - 1) - log_sphere_surface(d) + ((d - 3) / 2.0) * np.log1p(-r * r)
+
+
+def _logsumexp(a: np.ndarray, axis=None):
+    """log(sum(exp(a))) over axis (every axis by default), bit for bit
+    scipy.special.logsumexp's on finite input (scipy 1.17): the greatest
+    elements are counted, m, and left out of the shifted sum, s, and the
+    result is log1p(s / m) + log(m) + max."""
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    top = np.max(a, axis=axis, keepdims=True)
+    at_top = a == top
+    shifted = a - top
+    np.exp(shifted, out=shifted)
+    shifted[at_top] = 0.0
+    m = np.sum(at_top, axis=axis, keepdims=True, dtype=float)
+    out = np.log1p(np.sum(shifted, axis=axis, keepdims=True) / m) + np.log(m) + top
+    return out.squeeze(axis)[()]
 
 
 def _plan(mix) -> tuple[int, list[list[int]]]:
@@ -94,9 +110,9 @@ def _log_integral(fm: FiniteModel, beta: float, n_nodes: int) -> float:
             xi *= nb2  # the block N beta^2 xi + cost, built in xi's memory
             xi += cost
             del cost  # the logsumexp's temporaries may reuse its memory
-            sums.append(logsumexp(xi, axis=tuple(range(1, len(comp) + 1))))
+            sums.append(_logsumexp(xi, axis=tuple(range(1, len(comp) + 1))))
         total = total + np.concatenate(sums)
-    return float(logsumexp(total)) / fm.N
+    return float(_logsumexp(total)) / fm.N
 
 
 def log_E_Z2_exact(fm: FiniteModel, beta: float) -> float:

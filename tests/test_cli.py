@@ -122,6 +122,15 @@ def test_scan_rejects_empty_grid(tmp_path, capsys):
         assert "grid" in capsys.readouterr().err
 
 
+def test_scan_refuses_a_beta_whose_square_overflows(tmp_path, capsys):
+    # beta^2 xi(1) = inf would give max_f = inf and a nan max_f_tilde
+    out = tmp_path / "scan.csv"
+    code = main(["scan", "--model", str(MODELS_DIR / "two_species_quadratic.json"),
+                 "--beta", "1e200", "--out", str(out)])
+    assert code == 1 and not out.exists()
+    assert "beta = 1e+200" in capsys.readouterr().err
+
+
 def test_scan_requires_beta_flags(tmp_path, capsys):
     code = main(["scan", "--model", SK, "--out", str(tmp_path / "scan.csv")])
     assert code == 1

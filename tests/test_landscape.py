@@ -200,6 +200,15 @@ def test_maximize_rejects_bad_objective(sk):
             maximize_f(sk, beta)
 
 
+def test_maximize_refuses_a_beta_whose_square_overflows(pure3, three_species_equal):
+    # beta^2 xi(1) = inf: the value was nan and still grid-certified; the
+    # grid's bounds need finite values
+    for model in (pure3, three_species_equal):
+        with pytest.raises(ValueError, match="beta = 1e"):
+            maximize_f(model, 1e155)
+    assert math.isfinite(maximize_f(pure3, 1e150).value)
+
+
 def _separable_model(rng, S):
     # every species carries one or two pure terms of degree 2-4 and nothing
     # couples the species
@@ -301,21 +310,26 @@ def _grid_points(model, axis, lead=slice(None)):
     return R, entropy, xi
 
 
-def _grid_optima(model, axis, rows=None):
-    # the first greatest value in C order on the grid axis^S, point and
-    # value, of f and its truncated twin at beta = 1 and of minus the plain
-    # and truncated ratios, by brute force over blocks of `rows` leading rows
+def _grid_rules(model, xi, entropy, betas):
+    # on brute-force xi and entropy, the values of f and its truncated twin at
+    # each beta, then of minus the plain and truncated ratios
     xi1 = model.xi1()
     energies = (lambda xi: xi, lambda xi: xi1 * xi / (xi1 + xi))
+    values = [beta * beta * energy(xi) - entropy for beta in betas for energy in energies]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return values + [np.where(xi > 0.0, -(entropy + TOL_ZERO) / energy(xi), -np.inf)
+                         for energy in energies]
+
+
+def _grid_optima(model, axis, rows=None, betas=(1.0,)):
+    # the first greatest value in C order on the grid axis^S, point and
+    # value, of each of _grid_rules, by brute force over blocks of `rows`
+    # leading rows
     rows = rows or len(axis)
-    best = [None] * 4
+    best = [None] * (2 * len(betas) + 2)
     for lo in range(0, len(axis), rows):
         R, entropy, xi = _grid_points(model, axis, slice(lo, lo + rows))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = [energy(xi) - entropy for energy in energies]
-            values += [np.where(xi > 0.0, -(entropy + TOL_ZERO) / energy(xi), -np.inf)
-                       for energy in energies]
-        for k, v in enumerate(values):
+        for k, v in enumerate(_grid_rules(model, xi, entropy, betas)):
             i = np.unravel_index(int(np.argmax(v)), v.shape)
             if best[k] is None or v[i] > best[k][1]:
                 best[k] = (np.array([r.ravel()[j] for r, j in zip(R, i)]), v[i])
@@ -369,23 +383,131 @@ def test_search_starts_from_the_grid_argmax(sk, pure3, cubic_two_species, monkey
             assert _above(res.value, value)
 
 
-@pytest.mark.parametrize("rows", [1, 4, None], ids=["1", "4", "whole"])
-def test_slabs_leave_the_search_unchanged(rows, sk, cubic_two_species, three_species_equal,
-                                          monkeypatch):
-    # slabs of one leading-axis row, of 4 rows, which divide neither 201 nor
-    # 4001, or one slab holding the whole grid: every search hands _ascend the
-    # brute-force grid argmax, so its result does not depend on the slabs
-    calls = _record_ascents(monkeypatch)
-    for model in (sk, cubic_two_species, three_species_equal):
-        S = model.n_species
-        axis = landscape._box_axis(4001 if S == 1 else 201)
-        monkeypatch.setattr(landscape, "_SLAB_POINTS",
-                            2**62 if rows is None else rows * len(axis) ** (S - 1))
-        results = _search_results(model)
-        for res, (point, _), (_, X0, _) in zip(results, _grid_optima(model, axis, 20),
-                                               calls[-4:]):
-            assert np.array_equal(X0[-1], point)
-            assert res.grid_certified and res.fun_evals > len(axis) ** S
+def _rules(model, betas, monkeypatch):
+    # (value, cost) of maximize_f's f and truncated twin at each beta, then of
+    # the plain and truncated ratio searches, in the order of _grid_rules
+    rules = [landscape._objective(model, beta, objective)[::2]
+             for beta in betas for objective in ("plain", "tilde")]
+
+    def grab(model, value, grad, cost):
+        rules.append((value, cost))
+        return landscape.MaximizeResult(np.zeros(model.n_species), -1.0, 0, True, True, 0)
+
+    with monkeypatch.context() as m:
+        m.setattr(criticality, "_search", grab)
+        for objective in ("plain", "tilde"):
+            criticality._ratio_min(model, objective, TOL_ZERO)
+    return rules
+
+
+def _start_of(model, value, cost, side=None):
+    # _starts' grid start as (C-order index, value), the value in the bits of
+    # the tensor-product kernel, and the grid values computed
+    n, default = landscape._GRIDS[model.n_species]
+    axis = landscape._box_axis(n)
+    flat, evals = landscape._grid_start(model, value, cost, axis, side or default)
+    index = np.unravel_index(flat, (n,) * model.n_species)
+    at = landscape._kernel(model, axis, cost)
+    return index, value(*at([np.array(i) for i in index])), evals
+
+
+_BETAS = (0.4, 0.8, 1.2)
+
+
+@pytest.mark.parametrize("name", ["sk", "cubic_two_species", "three_species_equal", "seed_0",
+                                  "seed_5"])
+def test_grid_start_is_the_brute_force_grid_optimum(name, request, monkeypatch):
+    # the grid start, found whole for one and two species and by branch and
+    # bound for three, is the brute-force first greatest value in C order of
+    # f and its truncated twin at several betas and of both ratios, and slabs
+    # of one or 4 leading rows, which divide neither 201 nor 4001, leave it
+    # unchanged
+    model = (random_model(np.random.default_rng(int(name[5:])), 3) if name.startswith("seed")
+             else request.getfixturevalue(name))
+    n, side = landscape._GRIDS[model.n_species]
+    axis = landscape._box_axis(n)
+    for (value, cost), (point, expected) in zip(_rules(model, _BETAS, monkeypatch),
+                                                _grid_optima(model, axis, 20, _BETAS)):
+        index, found, evals = _start_of(model, value, cost)
+        assert np.array_equal(axis[list(index)], point)
+        assert found == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        for rows in (1, 4):
+            with monkeypatch.context() as m:
+                m.setattr(landscape, "_SLAB_POINTS", rows * n ** (model.n_species - 1))
+                assert _start_of(model, value, cost)[:2] == (index, found)
+        # fun_evals' grid part: the values computed, bounds and corners
+        # included; all n^S for a grid evaluated whole, a few percent of the
+        # grid by branch and bound
+        assert evals == n ** model.n_species if side == n else evals < 0.1 * n**3
+
+
+def test_grid_tie_goes_to_the_first_point_in_c_order(monkeypatch):
+    # a symmetric model in equal proportions: minus the truncated ratio is
+    # greatest on the three axes, at three points whose xi (one pure term,
+    # the others exactly 0) and summed cost are bitwise equal; the first in C
+    # order wins, though the three lie in different boxes, and in different
+    # slabs when a slab holds one box
+    names = ("a", "b", "c")
+    model = ModelSpec(SpeciesSet(names, np.full(3, 1.0 / 3.0)),
+                      Mixture.from_terms(names, {(3, 0, 0): 1.0, (0, 3, 0): 1.0, (0, 0, 3): 1.0}))
+    value, cost = _rules(model, (), monkeypatch)[1]
+    axis = landscape._box_axis(201)
+    values = np.concatenate([value(xi, c).ravel() for xi, c in landscape._grid(model, axis, cost)])
+    ties = np.flatnonzero(values == values.max())
+    assert [np.unravel_index(t, (201,) * 3) for t in ties] == [(0, 0, 134), (0, 134, 0),
+                                                               (134, 0, 0)]
+    # min(xi, 2.9) ties on the corner where xi >= 2.9, across many boxes,
+    # which are evaluated greatest bound first, then in the order of their
+    # splitting, not in C order
+    plateau = lambda xi, c: np.minimum(xi, 2.9) - c
+    zero = lambda s, a: np.zeros_like(a)
+    corner = _start_of(model, plateau, zero, 201)
+    for points in (64, 2**62):
+        monkeypatch.setattr(landscape, "_SLAB_POINTS", points)
+        index, found, _ = _start_of(model, value, cost)
+        assert index == (0, 0, 134) and found == values.max()
+        assert _start_of(model, plateau, zero)[:2] == corner[:2]
+
+
+def _record_slabs(monkeypatch, seen):
+    # mark in the C-order mask `seen` the grid points that _grid_start
+    # evaluates in its slabs of whole boxes
+    kernel = landscape._kernel
+
+    def recording(*args):
+        at = kernel(*args)
+
+        def record(index):
+            if isinstance(index[0], np.ndarray) and index[0].ndim == seen.ndim + 1:
+                seen[tuple(np.broadcast_arrays(*index))] = True
+            return at(index)
+
+        return record
+
+    monkeypatch.setattr(landscape, "_kernel", recording)
+
+
+@pytest.mark.parametrize("boxes", [1, 7, None], ids=["1", "7", "whole"])
+def test_no_pruned_box_holds_a_value_above_the_best(boxes, monkeypatch):
+    # slabs of one box, of 7 boxes, or of every box left: every grid point
+    # that branch and bound leaves unevaluated is below its best value, by
+    # brute force, and the start is the dense grid scan's, bit for bit
+    model = random_model(np.random.default_rng(5), 3)
+    n, side = landscape._GRIDS[3]
+    axis = landscape._box_axis(n)
+    rules = _rules(model, (0.6,), monkeypatch)
+    starts = [_start_of(model, value, cost, n) for value, cost in rules]
+    monkeypatch.setattr(landscape, "_SLAB_POINTS", 2**62 if boxes is None else boxes * side**3)
+    seen = np.zeros((len(rules),) + (n,) * 3, dtype=bool)
+    for (value, cost), (index, found, _), mask in zip(rules, starts, seen):
+        with monkeypatch.context() as m:
+            _record_slabs(m, mask)
+            assert _start_of(model, value, cost)[:2] == (index, found)
+        assert 0 < mask.sum() < 0.1 * mask.size
+    for lo in range(0, n, 20):
+        _, entropy, xi = _grid_points(model, axis, slice(lo, lo + 20))
+        for v, (_, found, _), mask in zip(_grid_rules(model, xi, entropy, (0.6,)), starts, seen):
+            assert (v[~mask[lo:lo + 20]] < found).all()
 
 
 @pytest.mark.parametrize("rows", [1, 4])
@@ -414,7 +536,8 @@ def test_grid_tie_across_a_slab_boundary_goes_to_the_first_point(rows, cubic_two
     # start stops where it began and the smallest norm wins
     assert res.value == -2.0 and res.converged and res.grid_certified
     assert np.array_equal(res.argmax, np.full(2, 1e-4))
-    # fun_evals counts the points evaluated: the grid's, then each start's
+    # fun_evals counts the values computed: all 201^2 of the grid, which two
+    # species evaluate whole with no bound, then each start's
     assert res.fun_evals == 201 * 201 + len(calls[0][1])
 
 

@@ -25,6 +25,26 @@ def test_overlap_density_normalized():
         assert val == pytest.approx(1.0, abs=1e-10)
 
 
+def test_logsumexp_is_scipys_bit_for_bit():
+    # random finite blocks, blocks with repeated maxima (rounded values, one
+    # constant block) and every axis tuple the quadrature reduces over
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        block = rng.normal(size=tuple(rng.integers(1, 30, size=1 + trial % 3)))
+        block *= rng.uniform(0.1, 800.0)
+        if trial % 3 == 0:
+            block = np.round(block)
+        if trial == 5:
+            block[...] = -3.0
+        for axis in [None] + [tuple(range(k, block.ndim)) for k in range(1, block.ndim)]:
+            expected = logsumexp(block, axis=axis)
+            found = quadrature._logsumexp(block, axis=axis)
+            assert type(found) is type(expected) and np.shape(found) == np.shape(expected)
+            assert np.asarray(found).tobytes() == np.asarray(expected).tobytes()
+
+
 @pytest.mark.parametrize("N", [50, 100, 200, 400])
 def test_zero_beta_gives_zero(sk, N):
     fm = build_finite_model(sk, N)

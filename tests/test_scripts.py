@@ -93,12 +93,15 @@ def test_ab_compare_prints_one_row_per_job(capsys):
     assert _script("ab_compare").run([src, src, "--pairs", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "1 pairs; medians in ms; ratio = change / parent"
-    assert lines[1].split() == ["job", "parent", "change", "ratio", "change", "wins"]
-    jobs = [line.rsplit(None, 4)[0] for line in lines[2:]]
+    assert lines[1].split() == ["job", "parent", "change", "ratio", "change", "wins", "same"]
+    jobs = [line.rsplit(None, 5)[0] for line in lines[2:]]
     assert jobs == [f"verdict {name}" for name in ("sk", "pure3", "pure4", "two_species_quadratic")] \
         + [f"maximize_f {o} S={S}" for S in range(3, 7) for o in ("plain", "tilde")] \
-        + ["estimate_free_energy pure3", "log_E_Z2_exact two_species_quadratic"]
+        + ["scan pair S=3", "beta_m, beta_m_tilde S=3", "estimate_free_energy pure3",
+           "log_E_Z2_exact two_species_quadratic", "log_E_Z2_exact chain S=3"]
     for line in lines[2:]:
-        parent, change, ratio, wins = map(float, line.split()[-4:])
+        parent, change, ratio, wins = map(float, line.split()[-5:-1])
         assert parent > 0.0 and change > 0.0 and wins in (0.0, 1.0)
         assert ratio == pytest.approx(change / parent, abs=1e-3)
+        # one package on both sides computes the same bits
+        assert line.split()[-1] == "yes"
