@@ -16,7 +16,12 @@ pair to pair.  The jobs, fixed:
   0.6, and beta_m and beta_m_tilde, on the seeded three-species model;
   estimate_free_energy on pure3 at N = 40 with 4096 samples;
   log_E_Z2_exact on two_species_quadratic at N = 400 and on the seeded
-  three-species model, a chain, at N = 3200.
+  three-species model, a chain, at N = 3200;
+  the six log_E_Z2_exact calls of verify's second-moment checks on sk: N = 50,
+  100 and 200, each at beta 0 and at half of beta_m.
+
+A package that holds its Gauss-Legendre rules for the process runs every
+log_E_Z2_exact job warm after that job's first pair.
 
 For each job it prints the median wall time of each side, their ratio
 (change over parent), the share of pairs in which the change was faster,
@@ -93,6 +98,10 @@ def jobs(pkg) -> dict:
     out["log_E_Z2_exact two_species_quadratic"] = lambda: pkg.log_E_Z2_exact(fm2, 0.5)
     fm3 = pkg.build_finite_model(three, 3200)
     out["log_E_Z2_exact chain S=3"] = lambda: pkg.log_E_Z2_exact(fm3, 0.2)
+    half_beta_m = 0.5 * pkg.beta_m(fixtures["sk"])
+    ladder = [(pkg.build_finite_model(fixtures["sk"], N), beta)
+              for N in (50, 100, 200) for beta in (0.0, half_beta_m)]
+    out["log_E_Z2_exact verify ladder sk"] = lambda: [pkg.log_E_Z2_exact(fm, b) for fm, b in ladder]
     return out
 
 

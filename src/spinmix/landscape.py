@@ -564,8 +564,13 @@ def maximize_f(model: ModelSpec, beta: float, objective: str = "plain") -> Maxim
     """
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
-    if not math.isfinite(beta * beta * model.xi1()):
+    xi1 = model.xi1()
+    if not math.isfinite(beta * beta * xi1):
         raise ValueError(f"beta = {beta!r} is too large: beta^2 xi(1) is not finite")
+    # the truncated energy's numerator, beta^2 xi(1) xi(r), is at most this
+    if objective == "tilde" and not math.isfinite(beta * beta * xi1 * xi1):
+        raise ValueError(f"beta = {beta!r} is too large for the truncated functional: "
+                         "beta^2 xi(1)^2 is not finite")
     if objective not in ("plain", "tilde"):
         raise ValueError(f"unknown objective {objective!r}, expected 'plain' or 'tilde'")
     res = _search(model, *_objective(model, beta, objective))

@@ -18,12 +18,20 @@ an r1 r2 r3 term) the O(n^3) of the full grid; the node ladder stops where a
 rung would sum more than 513^3 points.  Everything is assembled in the log
 domain; the only exponentiation happens inside shifted logsumexps, one per
 component and slab, and one over the pivot nodes.
+
+The Gauss-Legendre rule of a rung depends on the rung alone, so the module's
+`roots_legendre` is scipy's, solved once per rung per process and held for
+at most the ladder's six rungs, with read-only arrays.  `_log_integral` looks
+that name up on every rung, so a wrapper bound to it sees one call per rung
+on every call, warm or cold.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.special import gammaln, roots_legendre
+from scipy import special
 
 from .landscape import _grid
 from .montecarlo import FiniteModel
@@ -45,9 +53,19 @@ class QuadratureError(RuntimeError):
         self.nodes = nodes
 
 
+@functools.lru_cache(maxsize=len(_NODE_LADDER))
+def roots_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's n-node Gauss-Legendre (nodes, weights), solved once per n;
+    the arrays are shared by every caller, so they are read-only."""
+    rule = special.roots_legendre(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def log_sphere_surface(d: int) -> float:
     """log of the surface area of the unit sphere in R^d."""
-    return np.log(2.0) + (d / 2.0) * np.log(np.pi) - gammaln(d / 2.0)
+    return np.log(2.0) + (d / 2.0) * np.log(np.pi) - special.gammaln(d / 2.0)
 
 
 def log_overlap_density(r: np.ndarray, d: int) -> np.ndarray:
@@ -87,11 +105,12 @@ def _plan(mix) -> tuple[int, list[list[int]]]:
     return 0, [list(range(1, S))]
 
 
-def _log_integral(fm: FiniteModel, beta: float, n_nodes: int) -> float:
+def _log_integral(fm: FiniteModel, beta: float, n_nodes: int,
+                  plan: tuple[int, list[list[int]]]) -> float:
     nodes, weights = roots_legendre(n_nodes)
     mix, nb2 = fm.model.mixture, fm.N * beta * beta
     touches = mix.exponents > 0
-    p, comps = _plan(mix)
+    p, comps = plan
     costs = [np.log(weights) + log_overlap_density(nodes, n_s) for n_s in fm.block_sizes]
     zeros = np.zeros(n_nodes)
 
@@ -129,10 +148,11 @@ def log_E_Z2_exact(fm: FiniteModel, beta: float) -> float:
     prev = None
     # a rung sums n^(1 + largest component) points, capped for time rather
     # than memory: a coupled three-species model stops at 513 nodes
-    largest = max(map(len, _plan(fm.model.mixture)[1]), default=0)
+    plan = _plan(fm.model.mixture)
+    largest = max(map(len, plan[1]), default=0)
     ladder = [n for n in _NODE_LADDER if n ** (1 + largest) <= _MAX_POINTS]
     for n_nodes in ladder:
-        val = _log_integral(fm, beta, n_nodes)
+        val = _log_integral(fm, beta, n_nodes, plan)
         residual = abs(val - prev) if prev is not None else np.inf
         if residual <= _REFINE_TOL:
             return val

@@ -131,6 +131,20 @@ def test_scan_refuses_a_beta_whose_square_overflows(tmp_path, capsys):
     assert "beta = 1e+200" in capsys.readouterr().err
 
 
+# the ascent's products overflow for beta^2 above about 1e155, though it converges
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_scan_refuses_a_beta_whose_truncated_numerator_overflows(tmp_path, capsys):
+    # beta^2 xi(1) = 1e308 is finite, but the truncated energy's numerator
+    # beta^2 xi(1) xi(r) reaches 3e308 and gave max_f_tilde = inf
+    out = tmp_path / "scan.csv"
+    beta = repr(math.sqrt(1e308 / 3.0))
+    code = main(["scan", "--model", str(MODELS_DIR / "two_species_quadratic.json"),
+                 "--beta", beta, "--out", str(out)])
+    assert code == 1 and not out.exists()
+    assert f"beta = {beta}" in capsys.readouterr().err
+
+
 def test_scan_requires_beta_flags(tmp_path, capsys):
     code = main(["scan", "--model", SK, "--out", str(tmp_path / "scan.csv")])
     assert code == 1

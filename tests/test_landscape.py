@@ -209,6 +209,18 @@ def test_maximize_refuses_a_beta_whose_square_overflows(pure3, three_species_equ
     assert math.isfinite(maximize_f(pure3, 1e150).value)
 
 
+# the ascent's products overflow for beta^2 above about 1e155, though it converges
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_maximize_refuses_a_beta_whose_truncated_numerator_overflows(two_quad):
+    # xi(1) = 3: beta^2 xi(1) is finite but beta^2 xi(1) xi(r) is not near
+    # r = 1; the value was inf, unconverged and still grid-certified
+    beta = math.sqrt(1e308 / two_quad.xi1())
+    with pytest.raises(ValueError, match="beta = 5.77.*truncated"):
+        maximize_f(two_quad, beta, "tilde")
+    assert math.isfinite(maximize_f(two_quad, math.sqrt(1e307) / two_quad.xi1(), "tilde").value)
+
+
 def _separable_model(rng, S):
     # every species carries one or two pure terms of degree 2-4 and nothing
     # couples the species

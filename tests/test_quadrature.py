@@ -234,7 +234,8 @@ def test_elimination_matches_the_full_grid(name, n_nodes, request):
     for frac in (0.0, 0.5, 0.9):
         beta = frac * _BETA_M[name]
         expected = log_second_moment_by_full_grid(model, fm.block_sizes, beta, n_nodes)
-        assert abs(quadrature._log_integral(fm, beta, n_nodes) - expected) <= 1e-15
+        found = quadrature._log_integral(fm, beta, n_nodes, quadrature._plan(model.mixture))
+        assert abs(found - expected) <= 1e-15
 
 
 def test_exhausted_ladder_reports_the_last_residual(sk):
@@ -252,7 +253,7 @@ def test_the_elimination_plan_bounds_the_ladder(sk, two_quad, three_species_equa
     # non-pivot species stops at 513 nodes, every other one at 2049
     asked = []
 
-    def never_converges(fm, beta, n_nodes):
+    def never_converges(fm, beta, n_nodes, plan):
         asked.append(n_nodes)
         return float(len(asked))
 
@@ -264,3 +265,70 @@ def test_the_elimination_plan_bounds_the_ladder(sk, two_quad, three_species_equa
             log_E_Z2_exact(build_finite_model(model, 200), 0.3)
         assert err.value.nodes == last
         assert asked == [n for n in quadrature._NODE_LADDER if n <= last]
+
+
+def test_each_call_plans_the_elimination_once(chain_three_species, monkeypatch):
+    # the plan is made once per call and handed to every rung
+    plans = []
+    plan = quadrature._plan
+
+    def recording_plan(mix):
+        plans.append(plan(mix))
+        return plans[-1]
+
+    monkeypatch.setattr(quadrature, "_plan", recording_plan)
+    log_E_Z2_exact(build_finite_model(chain_three_species, 3200), 0.2)
+    assert plans == [(1, [[0], [2]])]
+
+
+def test_a_hook_on_roots_legendre_sees_every_rung_cold_or_warm(sk, chain_three_species,
+                                                              monkeypatch):
+    # the bench's node cap and trace wrap the module attribute, outside the
+    # cache, and count one call per rung: a warm call must climb the same
+    # rungs through the hook as a cold one
+    asked = []
+    cached = quadrature.roots_legendre
+    cached.cache_clear()
+
+    def recording(n):
+        asked.append(n)
+        return cached(n)
+
+    monkeypatch.setattr(quadrature, "roots_legendre", recording)
+    for model, N, rungs in ((sk, 400, [65, 129]), (chain_three_species, 12800,
+                                                    [65, 129, 257, 513])):
+        fm = build_finite_model(model, N)
+        runs = []
+        for _ in range(2):
+            asked.clear()
+            runs.append((log_E_Z2_exact(fm, 0.2).hex(), list(asked)))
+        assert runs[0] == runs[1] and runs[0][1] == rungs
+    assert cached.cache_info().currsize == 4
+
+
+def test_the_cached_rule_is_scipys_and_read_only():
+    from scipy.special import roots_legendre
+
+    assert quadrature.roots_legendre.cache_info().maxsize == len(quadrature._NODE_LADDER)
+    for n in (65, 129):
+        rule = quadrature.roots_legendre(n)
+        assert quadrature.roots_legendre(n) is rule
+        for cached, fresh in zip(rule, roots_legendre(n)):
+            assert cached.tobytes() == fresh.tobytes()
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0.0
+
+
+def test_warm_values_are_scipys_bit_for_bit(sk, two_quad, chain_three_species, monkeypatch):
+    # the value from the cached rules, warm, against the value with scipy's
+    # roots_legendre solved afresh on every rung
+    from scipy.special import roots_legendre
+
+    for model, N, beta in ((sk, 3200, 0.5), (two_quad, 400, 0.3), (chain_three_species, 3200, 0.2)):
+        fm = build_finite_model(model, N)
+        log_E_Z2_exact(fm, beta)
+        warm = log_E_Z2_exact(fm, beta)
+        with monkeypatch.context() as patched:
+            patched.setattr(quadrature, "roots_legendre", roots_legendre)
+            assert log_E_Z2_exact(fm, beta).hex() == warm.hex()

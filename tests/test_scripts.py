@@ -98,7 +98,8 @@ def test_ab_compare_prints_one_row_per_job(capsys):
     assert jobs == [f"verdict {name}" for name in ("sk", "pure3", "pure4", "two_species_quadratic")] \
         + [f"maximize_f {o} S={S}" for S in range(3, 7) for o in ("plain", "tilde")] \
         + ["scan pair S=3", "beta_m, beta_m_tilde S=3", "estimate_free_energy pure3",
-           "log_E_Z2_exact two_species_quadratic", "log_E_Z2_exact chain S=3"]
+           "log_E_Z2_exact two_species_quadratic", "log_E_Z2_exact chain S=3",
+           "log_E_Z2_exact verify ladder sk"]
     for line in lines[2:]:
         parent, change, ratio, wins = map(float, line.split()[-5:-1])
         assert parent > 0.0 and change > 0.0 and wins in (0.0, 1.0)
