@@ -12,8 +12,11 @@ pair to pair.  The jobs, fixed:
 
   verdict on the four fixtures under models/;
   maximize_f, plain and truncated, at beta 0.8 on seeded 3-6 species models;
-  the pair of maximize_f calls a scan row makes, plain and truncated at beta
+  the pair of maximize_f calls a scan row made, plain and truncated at beta
   0.6, and beta_m and beta_m_tilde, on the seeded three-species model;
+  the command line, ``spinmix.cli.main`` writing into a temporary directory:
+  ``scan --beta 0.6`` on the seeded 3-6 species models, and ``critical`` on
+  two_species_quadratic, whose searches a package may batch;
   estimate_free_energy on pure3 at N = 40 with 4096 samples;
   log_E_Z2_exact on two_species_quadratic at N = 400 and on the seeded
   three-species model, a chain, at N = 3200;
@@ -29,12 +32,16 @@ and whether the two sides' results were bitwise equal in every pair.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import enum
+import importlib
 import importlib.util
+import io
 import json
 import statistics
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -56,6 +63,7 @@ def load(src: str, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    importlib.import_module(f"{name}.cli")
     return module
 
 
@@ -73,8 +81,20 @@ def random_model(seed: int, S: int) -> str:
                        "terms": [{"degrees": d, "delta_sq": float(c)} for d, c in terms]})
 
 
-def jobs(pkg) -> dict:
-    """Name -> a call of no arguments, every input built beforehand."""
+def command(pkg, argv: list[str], out: Path):
+    """A call of the package's command line that writes to ``out``; its result
+    is the exit code and the file written."""
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = pkg.cli.main([*argv, "--out", str(out)])
+        return code, out.read_text()
+
+    return call
+
+
+def jobs(pkg, tmp: Path) -> dict:
+    """Name -> a call of no arguments, every input built beforehand; command
+    line jobs read and write files in ``tmp``."""
     fixtures = {name: pkg.load_model(MODELS_DIR / f"{name}.json") for name in FIXTURES}
     out = {f"verdict {name}": (lambda m=model: pkg.verdict(m)) for name, model in fixtures.items()}
 
@@ -91,6 +111,14 @@ def jobs(pkg) -> dict:
     three = pkg.loads_model(random_model(3, 3))
     out["scan pair S=3"] = lambda: [search(three, SCAN_BETA, o) for o in ("plain", "tilde")]
     out["beta_m, beta_m_tilde S=3"] = lambda: (pkg.beta_m(three), pkg.beta_m_tilde(three))
+    for S in SEARCH_SPECIES:
+        path = tmp / f"random_s{S}.json"
+        path.write_text(random_model(S, S))
+        out[f"cli scan S={S}"] = command(pkg, ["scan", "--model", str(path), "--beta",
+                                               repr(SCAN_BETA)], tmp / f"scan_s{S}.csv")
+    out["cli critical two_species_quadratic"] = command(
+        pkg, ["critical", "--model", str(MODELS_DIR / "two_species_quadratic.json")],
+        tmp / "critical.json")
     fm = pkg.build_finite_model(fixtures["pure3"], 40)
     disorder = pkg.sample_disorder(fm, seed=1)
     out["estimate_free_energy pure3"] = lambda: pkg.estimate_free_energy(fm, disorder, 0.5, 4096, 1)
@@ -131,12 +159,15 @@ def run(argv=None):
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    sides = [jobs(load(args.parent_src, "spinmix_parent")),
-             jobs(load(args.change_src, "spinmix_change"))]
-    times = {name: ([], []) for name in sides[0]}
-    same = dict.fromkeys(times, True)
-    with warnings.catch_warnings():
+    times, same = {}, {}
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the estimator's low-ESS warning
+        sides = []
+        for src, name in ((args.parent_src, "spinmix_parent"), (args.change_src, "spinmix_change")):
+            (Path(tmp) / name).mkdir()
+            sides.append(jobs(load(src, name), Path(tmp) / name))
+        times = {name: ([], []) for name in sides[0]}
+        same = dict.fromkeys(times, True)
         for pair in range(args.pairs):
             for name, (parent, change) in times.items():
                 results = [None, None]

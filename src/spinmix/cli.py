@@ -115,8 +115,7 @@ def cmd_scan(args) -> int:
     grid = _beta_grid(args)
     lines = [_stamp_lines(model) + SCAN_HEADER]
     for beta in grid:
-        plain = landscape.maximize_f(model, beta, "plain")
-        tilde = landscape.maximize_f(model, beta, "tilde")
+        plain, tilde = landscape.maximize_each(model, beta, ("plain", "tilde"))
         lam_max = float(np.linalg.eigvalsh(landscape.hessian_at_zero(model, beta)).max())
         argmax = ";".join(_float_cell(x) for x in plain.argmax)
         lines.append(

@@ -17,12 +17,14 @@ exactly when beta^2 is at most an infimum over the points with xi(r) > 0
   beta_c_talagrand^2  inf (-(log(1 - r) + r) + t) / xi(r)      (one species)
 
 that is, the objective's cost plus t over its energy term at beta = 1, both
-from landscape's objective table.  Each infimum is one landscape `_search`
-of minus the ratio, the search maximize_f runs, with the same grid, starts,
+from landscape's objective table.  Each infimum is a landscape `_search` of
+minus the ratio, the search maximize_f runs, with the same grid, starts,
 certification and batched ascent (`landscape._ascend`).  Minus the ratio is
 one rule of x = xi(r) and the summed cost c, -(c + t) / energy(x), and -inf
-where x = 0; the search evaluates it on the grid and at points alike, and
-its gradient, 0 where x = 0, takes a batch of points.
+where x = 0, with the partials (c + t) energy'(x) / energy(x)^2 in x and
+-1 / energy(x) in c (both 0 where x = 0), from which the search takes the
+gradient by the chain rule (`_ratio_rule`).  The plain and truncated ratios
+share the entropy, so the verdict finds both infima in one batched search.
 Each threshold is capped at beta_H, the r -> 0 limit of the same ratio;
 above beta_H the origin is unstable, so the cap is exact and lands
 origin-driven models (SK) on beta_H.
@@ -115,45 +117,58 @@ def check_nsd(model: ModelSpec, beta: float) -> tuple[float, bool]:
     return lam_max, lam_max <= TOL_SING * _sing_scale(model, beta)
 
 
-def _ratio_min(model: ModelSpec, objective: str, tol_zero: float) -> tuple[float, MaximizeResult]:
-    """Infimum of (cost(r) + tol_zero) / energy(xi(r)) over xi(r) > 0, as
-    (beta, search) with beta = sqrt(infimum), capped at beta_H, and search
-    the landscape `_search` of minus the ratio.
+def _ratio_rule(model: ModelSpec, objective: str, tol_zero: float):
+    """Minus the objective's threshold ratio as a `_search` rule, with the
+    cost and its gradient: (rule, cost, dcost).
 
-    cost is the objective's separable cost and energy its energy term at
-    beta = 1, both from landscape's table: the entropy with x ("plain") or
-    xi(1) x / (xi(1) + x) ("tilde"), or -(log(1 - r) + r) with x
-    ("talagrand").
+    The ratio is (c + tol_zero) / energy(x), of x = xi(r) and the summed cost
+    c, with cost and energy the objective's at beta = 1 from landscape's
+    table: the entropy with x ("plain") or xi(1) x / (xi(1) + x) ("tilde"),
+    or -(log(1 - r) + r) with x ("talagrand").  The rule's value is minus
+    the ratio, -inf where x = 0, and its partials, with inv = 1 / energy(x)
+    (0 where x = 0), are (c + tol_zero) energy'(x) inv^2 in x and -inv in c.
+    """
+    energy, slope, cost, dcost = _energy(model, 1.0, objective)
+
+    def value(x, c):
+        return np.divide(-(c + tol_zero), energy(x), out=np.full(np.shape(x), -np.inf),
+                         where=x > 0.0)
+
+    def partials(x, c):
+        inv = np.divide(1.0, energy(x), out=np.zeros(np.shape(x)), where=x > 0.0)
+        return (c + tol_zero) * slope(x) * inv * inv, -inv
+
+    return (value, partials), cost, dcost
+
+
+def _ratio_min(model: ModelSpec, objectives, tol_zero: float) -> list[tuple[float, MaximizeResult]]:
+    """Infimum of each objective's ratio (cost(r) + tol_zero) / energy(xi(r))
+    over xi(r) > 0 (`_ratio_rule`), as (beta, search) with beta =
+    sqrt(infimum), capped at beta_H, and search the landscape `_search` of
+    minus the ratio.
+
+    The objectives share one cost, so one batched `_search` finds every
+    infimum: "plain" and "tilde" share the entropy, and "talagrand" goes
+    alone.
     """
     if model.xi1() <= 0.0:
         raise ValueError("threshold computation requires xi(1) > 0")
     _check_tolerance("tol_zero", tol_zero)
-    mix = model.mixture
-    energy, slope, cost, dcost = _energy(model, 1.0, objective)
-
-    def neg_ratio(x, c):
-        return np.divide(-(c + tol_zero), energy(x), out=np.full(np.shape(x), -np.inf),
-                         where=x > 0.0)
-
-    def neg_ratio_grad(r):
-        xir = mix.eval(r)
-        inv = np.divide(1.0, energy(xir), out=np.zeros(len(r)), where=xir > 0.0)
-        num = cost(slice(None), r).sum(-1) + tol_zero
-        return (num * slope(r) * inv * inv)[:, None] * mix.grad(r) - dcost(r) * inv[:, None]
-
-    search = _search(model, neg_ratio, neg_ratio_grad, cost)
-    beta = min(math.sqrt(-search.value * (1.0 - _ROUND_DOWN)), beta_hessian_singular(model))
-    return beta, search
+    built = [_ratio_rule(model, objective, tol_zero) for objective in objectives]
+    (_, cost, dcost), rules = built[0], [rule for rule, _, _ in built]
+    beta_H = beta_hessian_singular(model)
+    return [(min(math.sqrt(-search.value * (1.0 - _ROUND_DOWN)), beta_H), search)
+            for search in _search(model, rules, cost, dcost)]
 
 
 def beta_m(model: ModelSpec, *, tol_zero: float = TOL_ZERO) -> float:
     """Second-moment threshold: largest beta with max f_beta <= tol_zero."""
-    return _ratio_min(model, "plain", tol_zero)[0]
+    return _ratio_min(model, ("plain",), tol_zero)[0][0]
 
 
 def beta_m_tilde(model: ModelSpec, *, tol_zero: float = TOL_ZERO) -> float:
     """Threshold of the truncated functional; upper-bounds beta_m."""
-    return _ratio_min(model, "tilde", tol_zero)[0]
+    return _ratio_min(model, ("tilde",), tol_zero)[0][0]
 
 
 def beta_c_talagrand(model: ModelSpec, *, tol_zero: float = TOL_ZERO) -> float:
@@ -164,7 +179,7 @@ def beta_c_talagrand(model: ModelSpec, *, tol_zero: float = TOL_ZERO) -> float:
     |S| = 1).  Serves as an independent oracle for beta_c in the
     single-species case.
     """
-    return _ratio_min(model, "talagrand", tol_zero)[0]
+    return _ratio_min(model, ("talagrand",), tol_zero)[0][0]
 
 
 @dataclass(frozen=True)
@@ -216,8 +231,7 @@ def verdict(
     """
     _check_tolerance("tol_sing", tol_sing)
     positive = model.mixture.positive_off_origin()
-    b_m, plain = _ratio_min(model, "plain", tol_zero)
-    b_t = beta_m_tilde(model, tol_zero=tol_zero)
+    (b_m, plain), (b_t, _) = _ratio_min(model, ("plain", "tilde"), tol_zero)
     b_H = beta_hessian_singular(model)
     cert = maximize_f(model, b_m)
     spectrum = tuple(float(v) for v in np.linalg.eigvalsh(hessian_at_zero(model, b_m)))

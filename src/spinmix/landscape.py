@@ -17,21 +17,27 @@ is `f_hessian` at 0).
 All three functionals are one table, `_energy`: an energy term in
 x = xi(r) minus a separable cost, the entropy for f_beta and its truncated
 variant and -(log(1-r) + r) for g_beta.  An objective of the global search,
-`_search`, is one rule value(x, c) of x = xi(r) and of the cost summed over
-species, c, with its gradient and the per-axis cost; f, its truncated twin
-and g are value = energy(x) - c (`_objective`), and `criticality`'s
-threshold ratios are rules of the same two pieces.  `_search` evaluates the
-rule on the certification grid and at the points of its local phase, and
-the pointwise functions evaluate it at one point, so each objective is
+`_search`, is a rule: a value value(x, c) of x = xi(r) and of the cost
+summed over species, c, and its two partials, dvalue/dx and dvalue/dc.  f,
+its truncated twin and g are value = energy(x) - c, with partials
+(energy'(x), -1) (`_objective`), and `criticality`'s threshold ratios are
+rules of the same two pieces.  `_search` evaluates the rule on the
+certification grid and at the points of its local phase, and takes the
+gradient by the chain rule, dvalue/dx grad xi + dvalue/dc grad c; the
+pointwise functions evaluate the rule at one point, so each objective is
 written once.  `_starts` alone holds the per-S policy (`_GRIDS`): the grid
 (4001 points for one species, 201 per axis for two or three, none for four
 to six), whose best point is one start, and the fixed starts.  `_search`
-refuses more than six species and returns the best of its starts after its
-local phase, `_ascend`, which moves every start at once as one (K, S)
-batch by projected quasi-Newton steps, so the objective and its gradient
-are evaluated on batches of points, elementwise and without BLAS.  No run
-ends below its start, so a gridded result is never below the grid's best
-point.
+refuses more than six species and returns, for each of several rules that
+share one cost, the best of its starts after one local phase for them all,
+`_ascend`, which moves every start of every rule at once as one batch by
+projected quasi-Newton steps, so the rules and their gradients are
+evaluated on batches of points, elementwise and without BLAS.  A batch
+takes as many rounds as its slowest start, and each rule's result is the
+one it reaches alone, bit for bit.  No run ends below its start, so a
+gridded result is never below the grid's best point.  `maximize_f` is one
+search of one rule; `maximize_each` searches f and its truncated twin at a
+beta as one batch (`spinmix scan`).
 
 The tensor-product kernel `_kernel` (a sum of xi's terms and a separable
 per-axis sum at points of the grid axis^k, over some or all species) is
@@ -49,6 +55,8 @@ whole grid's, bit for bit.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -66,6 +74,7 @@ __all__ = [
     "f_hessian",
     "hessian_at_zero",
     "maximize_f",
+    "maximize_each",
     "DOMAIN_CLAMP",
     "TOL_ZERO",
 ]
@@ -104,10 +113,9 @@ def _energy(model: ModelSpec, beta: float, objective: str):
     """The objective's pieces (energy, slope, cost, dcost); f = energy(xi(r))
     minus the sum over species of the separable cost.
 
-    energy(x) is the energy term as a function of x = xi(r) and slope(r) its
-    derivative dE/dx at r; cost(s, a) is the cost of axis s at a (s may be
-    an index, or slice(None) for every axis at once) and dcost(r) its
-    gradient.
+    energy(x) is the energy term as a function of x = xi(r) and slope(x) its
+    derivative; cost(s, a) is the cost of axis s at a (s may be an index, or
+    slice(None) for every axis at once) and dcost(r) its gradient.
 
       "plain"      beta^2 x                          entropy
       "tilde"      beta^2 xi(1) x / (xi(1) + x)      entropy
@@ -128,44 +136,41 @@ def _energy(model: ModelSpec, beta: float, objective: str):
         def dcost(r):
             return r / (1.0 - r)
     else:
+        half = -0.5 * lam
+
         def cost(s, a):
-            return -0.5 * lam[s] * np.log1p(-a * a)
+            return half[s] * np.log1p(-a * a)
 
         def dcost(r):
             return lam * r / (1.0 - r * r)
     if objective != "tilde":
-        return (lambda x: b2 * x), (lambda r: b2), cost, dcost
+        return (lambda x: b2 * x), (lambda x: b2), cost, dcost
     xi1 = model.xi1()
     if xi1 <= 0.0:
         raise ValueError("truncated functional requires xi(1) > 0")
-    mix = model.mixture
 
     def energy(x):
         return b2 * xi1 * x / (xi1 + x)
 
-    def slope(r):
-        return b2 * xi1 * xi1 / (xi1 + mix.eval(r)) ** 2
+    def slope(x):
+        return b2 * xi1 * xi1 / (xi1 + x) ** 2
 
     return energy, slope, cost, dcost
 
 
 def _objective(model: ModelSpec, beta: float, objective: str):
-    """Return (value, grad, cost), `_search`'s arguments for f, its truncated
-    twin or g: f(r) = value(xi(r), sum over s of cost(s, r(s))).
-
-    grad takes one point, or a (K, S) batch of points with one row per
-    point; for f it evaluates neither xi nor the cost.
-    """
-    mix = model.mixture
+    """Return (rule, cost, dcost), `_search`'s arguments for f, its truncated
+    twin or g: f(r) = value(xi(r), sum over s of cost(s, r(s))), with the
+    rule (value, partials) and partials(x, c) = (dvalue/dx, dvalue/dc)."""
     energy, slope, cost, dcost = _energy(model, beta, objective)
 
     def value(x, c):
         return energy(x) - c
 
-    def grad(r):
-        return np.expand_dims(slope(r), -1) * mix.grad(r) - dcost(r)
+    def partials(x, c):
+        return slope(x), -1.0
 
-    return value, grad, cost
+    return (value, partials), cost, dcost
 
 
 def _pointwise(model: ModelSpec, value, cost):
@@ -176,7 +181,7 @@ def _pointwise(model: ModelSpec, value, cost):
 
 
 def _at(model: ModelSpec, beta: float, objective: str, r) -> float:
-    value, _, cost = _objective(model, beta, objective)
+    (value, _), cost, _ = _objective(model, beta, objective)
     return float(_pointwise(model, value, cost)(_coerce_r(model.n_species, r)))
 
 
@@ -197,7 +202,11 @@ def g_beta(model: ModelSpec, beta: float, r: float) -> float:
 
 def f_grad(model: ModelSpec, beta: float, r) -> np.ndarray:
     """Analytic gradient: -lam*r/(1-r^2) + beta^2 * grad xi."""
-    return _objective(model, beta, "plain")[1](_coerce_r(model.n_species, r))
+    r = _coerce_r(model.n_species, r)
+    (_, partials), cost, dcost = _objective(model, beta, "plain")
+    mix = model.mixture
+    dx, dc = partials(mix.eval(r), cost(slice(None), r).sum(-1))
+    return dx * mix.grad(r) + dc * dcost(r)
 
 
 def f_hessian(model: ModelSpec, beta: float, r) -> np.ndarray:
@@ -231,9 +240,13 @@ class MaximizeResult:
     fun_evals: int
 
 
+@functools.cache
 def _box_axis(n: int) -> np.ndarray:
-    """n points on [0, 1 - DOMAIN_CLAMP], the axis of the certification grids."""
-    return np.linspace(0.0, 1.0 - DOMAIN_CLAMP, n)
+    """n points on [0, 1 - DOMAIN_CLAMP], the axis of the certification grids:
+    made once per n and per process, and read-only, since searches share it."""
+    axis = np.linspace(0.0, 1.0 - DOMAIN_CLAMP, n)
+    axis.setflags(write=False)
+    return axis
 
 
 def _on(i: int, dims: int, k=slice(None)) -> tuple:
@@ -349,15 +362,16 @@ def _grid_start(model: ModelSpec, value, cost, axis: np.ndarray, side: int) -> t
     order = np.argsort(-bound, kind="stable")
     lo, bound = lo[order], bound[order]
     per_slab = max(1, _SLAB_POINTS // side**S)
-    offsets = [np.arange(side)[_on(1 + i, S + 1)] for i in range(S)]
+    # a slab's boxes lie along the last axis, so that numpy's loops run along
+    # the boxes, not along a box's side
+    offsets = [np.arange(side)[_on(i, S + 1)] for i in range(S)]
     top, flat = -np.inf, n**S
     for start in range(0, len(lo), per_slab):
         slab = slice(start, start + per_slab)
         boxes = lo[slab][~(bound[slab] < _cut(best))]
         if not len(boxes):
             break
-        index = [np.minimum(boxes[:, i].reshape((-1,) + (1,) * S) + offsets[i], n - 1)
-                 for i in range(S)]
+        index = [np.minimum(offsets[i] + boxes[:, i], n - 1) for i in range(S)]
         values = value(*at(index))
         evals += values.size
         m = values.max()
@@ -400,11 +414,14 @@ def _starts(model: ModelSpec, value, cost):
     return np.vstack([fixed, axis[list(np.unravel_index(flat, (n,) * S))]]), evals
 
 
-def _ascend(fun, grad, X0):
-    """Maximize fun from every row of X0 at once over [0, 1 - DOMAIN_CLAMP]^S.
+def _ascend(evaluate, X0):
+    """Maximize from every row of X0 at once over [0, 1 - DOMAIN_CLAMP]^S.
 
-    fun maps a (K, S) batch of points to K values and grad to their (K, S)
-    gradients, each row independently of the others.  Every start takes
+    evaluate(X, rows) maps a (K, S) batch of points, the current points of
+    the starts from rows `rows` of X0 (ascending), to their K values and a
+    function gradient(j) that gives the (len(j), S) gradients at rows j of
+    the batch (ascending), from the pieces the values were computed from;
+    each row is computed independently of the others.  Every start takes
     projected quasi-Newton steps: coordinates within eps of a bound whose
     gradient points out of the box are held there by a plain projected
     gradient step (Bertsekas's active set, eps the size of the projected
@@ -414,12 +431,14 @@ def _ascend(fun, grad, X0):
     no coordinate by more than 1.  After a step that gives a curvature pair
     the next search begins at 1 if the step was its search's first trial
     and not the start's first pair, else at _GROW times the step, at most
-    1; after a step along which fun is not concave, at _GROW times it.
+    1; after a step along which the value is not concave, at _GROW times
+    it.
 
-    Each round evaluates fun once, at every live start's current trial
-    point, and grad once, at the trial points accepted; a start is never
-    held back by the others.  Starts leave the batch as they stop, so a
-    row's path is the one it takes alone, bit for bit.
+    Each round evaluates the value once, at every live start's current
+    trial point, and the gradient at the trials accepted, from the same
+    evaluation; a start is never held back by the others.  Starts leave the
+    batch as they stop, so a row's path is the one it takes alone, bit for
+    bit, whatever the other rows are.
 
     A start is converged when its projected gradient has sup norm at most
     _GTOL, or at a relative-f stop: a trial that changes f by at most
@@ -434,47 +453,53 @@ def _ascend(fun, grad, X0):
     along its gradient.
 
     Returns (X, F, converged, evals): the final points and values, a
-    boolean per row, and the number of points fun evaluated.
+    boolean per row, and the number of points evaluated per row.
     """
-    hi = 1.0 - DOMAIN_CLAMP
+    hi, tiny = 1.0 - DOMAIN_CLAMP, np.finfo(float).tiny
+    total = np.add.reduce  # a.sum(axis), without its Python-level wrapper
 
     def direction(x, g, H):
         """The projected gradient's sup norm, the search direction, its slope
         on the free coordinates and the gradient on the held ones."""
-        pg = np.abs(np.minimum(np.maximum(x + g, 0.0), hi) - x).max(-1)
-        eps = np.minimum(pg, _EPS_ACTIVE)[:, None]
+        pg = np.maximum.reduce(np.abs(np.minimum(np.maximum(x + g, 0.0), hi) - x), 0)
+        eps = np.minimum(pg, _EPS_ACTIVE)
         free = ((x > eps) | (g >= 0.0)) & ((x < hi - eps) | (g <= 0.0))
         gf = np.where(free, g, 0.0)
-        d = np.where(free, (H * gf[:, None, :]).sum(-1), g)
-        return pg, d, (gf * d).sum(-1), g - gf
+        d = np.where(free, total(H * gf, 1), g)
+        return pg, d, total(gf * d, 0), g - gf
 
-    x = np.clip(np.asarray(X0, dtype=float), 0.0, hi)
-    K, S = x.shape
-    X, F, converged = x.copy(), np.empty(K), np.zeros(K, dtype=bool)
-    f, g = np.array(fun(x), dtype=float), np.array(grad(x), dtype=float)  # updated in place
-    evals = K
-    H = np.eye(S) * np.ones((K, 1, 1))
+    # the state is species-major, a column per start, so that each operation
+    # runs along the starts; every sum over species is over at most six
+    # terms, which numpy adds in order whatever the layout
+    x = np.minimum(np.maximum(np.asarray(X0, dtype=float).T, 0.0), hi, order="C")
+    S, K = x.shape
+    X, F, converged = x.T.copy(), np.empty(K), np.zeros(K, dtype=bool)
+    rows = np.arange(K)             # the row of X0 each live start came from
+    evals = np.ones(K, dtype=np.int64)
+    f, gradient = evaluate(x.T, rows)
+    f, g = np.array(f, dtype=float), np.array(gradient(rows).T)  # updated in place
+    H = np.eye(S)[:, :, None] * np.ones(K)
     pg, d, gd, ga = direction(x, g, H)
-    alpha = 1.0 / np.maximum(np.abs(d).max(-1), 1.0)  # the current trial step
+    alpha = 1.0 / np.maximum(np.abs(d).max(0), 1.0)  # the current trial step
     fresh = np.ones(K, dtype=bool)  # no curvature pair yet: H is the identity
     tries = np.zeros(K, dtype=int)  # trials of the current line search
-    rows = np.arange(K)             # the row of X0 each live start came from
     done = ok = pg <= _GTOL
-    for _ in range(_MAXITER):
+    for rounds in range(_MAXITER):
         if done.any():
-            X[rows[done]], F[rows[done]], converged[rows[done]] = x[done], f[done], ok[done]
+            out = rows[done]
+            X[out], F[out], converged[out] = x.compress(done, 1).T, f[done], ok[done]
+            evals[out] += rounds
             keep = ~done
-            x, f, g, H, d, gd, ga, alpha, fresh, tries, rows = (
-                a[keep] for a in (x, f, g, H, d, gd, ga, alpha, fresh, tries, rows))
+            x, g, H, d, ga, f, gd, alpha, fresh, tries, rows = (
+                a.compress(keep, -1) for a in (x, g, H, d, ga, f, gd, alpha, fresh, tries, rows))
         if not rows.size:
             break
-        xt = np.minimum(np.maximum(x + alpha[:, None] * d, 0.0), hi)
-        ft = fun(xt)
-        evals += rows.size
+        xt = np.minimum(np.maximum(x + alpha * d, 0.0), hi)
+        ft, gradient = evaluate(xt.T, rows)
         tries += 1
         # Bertsekas's predicted gain: the slope on the free coordinates, the
         # projected move on the held ones
-        gain = alpha * gd + (ga * (xt - x)).sum(-1)
+        gain = alpha * gd + total(ga * (xt - x), 0)
         change, tol = ft - f, _FTOL * np.maximum(np.abs(f), 1.0)
         moved = change >= _ARMIJO * gain
         flat = (change <= tol) & (moved | ((gain <= tol) & (change >= -tol)))
@@ -482,76 +507,160 @@ def _ascend(fun, grad, X0):
         # the predicted slope and f(xt), kept within [0.1, 0.5] of the step
         back = ~moved
         if back.any():
-            b, a = np.flatnonzero(back), alpha[back]
-            quad = 0.5 * gain[b] * a / np.maximum(gain[b] - change[b], np.finfo(float).tiny)
+            b = back.nonzero()[0]
+            a, gb = alpha[b], gain[b]
+            quad = 0.5 * gb * a / np.maximum(gb - change[b], tiny)
             alpha[b] = np.fmin(np.fmax(quad, 0.1 * a), 0.5 * a)
         # an accepted step moves the start, and ends it when flat; the others
         # get a curvature pair and a new direction
-        j = np.flatnonzero(moved & ~flat)
-        s = xt[j] - x[j]
-        x[moved], f[moved], ok = xt[moved], ft[moved], flat.copy()
+        ok = flat
+        j = (moved & ~flat).nonzero()[0]
         if j.size:
-            g_new = grad(x[j])
-            y = g[j] - g_new  # the change in the gradient of -fun
-            g[j] = g_new
-            sy, yy = (s * y).sum(-1), (y * y).sum(-1)
+            g_new = gradient(j).T
+            xj = xt.take(j, 1)  # the starts' new points
+            s = xj - x.take(j, 1)
+            y = g.take(j, 1) - g_new  # the change in the gradient of -f
+            g[:, j] = g_new
+            sy, yy = total(s * y, 0), total(y * y, 0)
             curved = sy > _CURVATURE * yy
             c = j
             if not curved.all():
-                c, s, y, sy, yy = j[curved], s[curved], y[curved], sy[curved], yy[curved]
+                c = j[curved]
+                s, y, sy, yy = (a.compress(curved, -1) for a in (s, y, sy, yy))
             # BFGS, H + v s' + s v'; the first pair scales the identity to the
             # curvature it saw
-            Hc = H[c] * np.where(fresh[c], sy / yy, 1.0)[:, None, None]
-            Hy = (Hc * y[:, None, :]).sum(-1)
-            rho = (1.0 / sy)[:, None]
-            v = (0.5 * rho * ((y * Hy).sum(-1)[:, None] * rho + 1.0)) * s - rho * Hy
-            H[c] = Hc + v[:, :, None] * s[:, None, :] + s[:, :, None] * v[:, None, :]
+            Hc = H.take(c, 2) * np.where(fresh[c], sy / yy, 1.0)
+            Hy = total(Hc * y, 1)
+            rho = 1.0 / sy
+            v = (0.5 * rho * (total(y * Hy, 0) * rho + 1.0)) * s - rho * Hy
+            Hc += v[:, None, :] * s
+            Hc += s[:, None, :] * v
+            H[:, :, c] = Hc
             grown = _GROW * alpha[j]
             alpha[j] = np.where(~curved, grown, np.where((tries[j] == 1) & ~fresh[j], 1.0,
                                                          np.minimum(1.0, grown)))
             alpha[c[fresh[c]]] = 1.0
             fresh[c] = False
             tries[j] = 0
-            pg_j, d[j], gd[j], ga[j] = direction(x[j], g[j], H[j])
+            pg_j, d[:, j], gd[j], ga[:, j] = direction(xj, g_new, H.take(j, 2))
             ok[j] = pg_j <= _GTOL
+        np.copyto(x, xt, where=moved)
+        np.copyto(f, ft, where=moved)
         # stopped: a projected-gradient or relative-f stop, or a failed line
         # search
         done = ok | (back & (tries >= _BACKTRACKS))
     else:  # out of rounds: the starts that did not stop are not converged
-        X[rows], F[rows], converged[rows] = x, f, ok
+        X[rows], F[rows], converged[rows] = x.T, f, ok
+        evals[rows] += _MAXITER
     return X, F, converged, evals
 
 
-def _search(model: ModelSpec, value, grad, cost) -> MaximizeResult:
-    """Greatest value of the objective value(xi(r), sum over s of cost(s,
-    r(s))), whose gradient is grad, over [0, 1 - DOMAIN_CLAMP]^S.
+def _search(model: ModelSpec, rules, cost, dcost) -> list[MaximizeResult]:
+    """Greatest value of each rule's objective value(xi(r), sum over s of
+    cost(s, r(s))) over [0, 1 - DOMAIN_CLAMP]^S, one result per rule, from
+    one batched ascent.
 
-    value takes xi and the summed cost as arrays of one shape (or
-    broadcastable), cost(s, a) is species s's cost at the coordinates a
-    (slice(None) for every species of a (K, S) batch), and grad takes a
-    (K, S) batch of points.  For three species value must rise with xi
-    and fall with c, and cost(s, a) rise with a, as in every rule of the
-    package: the grid is searched by bounds that rest on this
-    (`_grid_start`).  The package's one search: more than six
-    species are refused, `_starts` gives the starts, one `_ascend` moves
-    them all at once on the rule at points (`_pointwise`), and the result is
-    the best polished start, ties going to the smallest norm, then the
-    coordinates.  For |S| <= 3 the grid's best point is one start and no
-    run ends below its start, so the result is never below the best grid
-    point: it is grid-certified.  fun_evals counts the rule's values
-    computed: those on the grid (every grid point for one or two species;
-    for three, the bounds, corners and boxes of `_grid_start`), then the
-    ascent's.
+    A rule is (value, partials): value takes xi and the summed cost as
+    arrays of one shape (or broadcastable), and partials(x, c) gives its
+    partial derivatives in x and in c, each a number or an array of that
+    shape.  The rules share the cost: cost(s, a) is species s's cost at the
+    coordinates a (slice(None) for every species of a (K, S) batch) and
+    dcost its gradient on a (K, S) batch.  For three species each value
+    must rise with xi and fall with c, and cost(s, a) rise with a, as in
+    every rule of the package: the grid is searched by bounds that rest on
+    this (`_grid_start`).
+
+    The package's one search: more than six species are refused, `_starts`
+    gives each rule's starts, and one `_ascend` moves the starts of every
+    rule at once, in as many rounds as its slowest start takes.  Each round
+    computes xi (`Mixture.eval`, one power table per point) and the summed
+    cost once for the whole batch, then each rule's value on its rows; at
+    the trial points accepted it computes grad xi and the cost's gradient,
+    each rule's partials from the xi and c already found, and the gradient
+    by the chain rule, dvalue/dx grad xi + dvalue/dc grad c.  A rule's rows
+    take the path they take in a search of that rule alone, so its result
+    is that search's, bit for bit.  The result is the best polished start,
+    ties going to the smallest norm, then the coordinates.  For |S| <= 3
+    the grid's best point is one start and no run ends below its start, so
+    the result is never below the best grid point: it is grid-certified.
+    fun_evals counts the rule's values computed: those on the grid (every
+    grid point for one or two species; for three, the bounds, corners and
+    boxes of `_grid_start`), then the ascent's at the rule's starts.
     """
     if model.n_species > 6:
         raise ValueError("the landscape search supports at most 6 species")
-    starts, grid_evals = _starts(model, value, cost)
-    X, F, ok, evals = _ascend(_pointwise(model, value, cost), grad, starts)
+    starts, grid_evals = zip(*(_starts(model, value, cost) for value, _ in rules))
+    bounds = list(itertools.accumulate((len(X0) for X0 in starts), initial=0))
+    first = np.array(bounds)
+    mix = model.mixture
+
+    def parts(index, edges):
+        """The slices of a sorted index that fall in each rule's rows, and
+        where they start in it; edges are the rules' first rows in what the
+        index indexes."""
+        cut = index.searchsorted(edges)
+        at = cut.tolist()
+        return [slice(lo, hi) for lo, hi in zip(at, at[1:])], cut
+
+    split = [None, None]  # the live rows and their parts, kept until the rows change
+
+    def evaluate(X, rows):
+        xi, c = mix.eval(X), np.add.reduce(cost(slice(None), X), -1)
+        if split[0] is not rows:
+            split[:] = rows, parts(rows, first)
+        live, cut = split[1]
+
+        def gradient(j):
+            Xj, xj, cj = X.take(j, 0), xi.take(j), c.take(j)
+            dx, dc = np.empty(len(j)), np.empty(len(j))
+            for (_, partials), part in zip(rules, parts(j, cut)[0]):
+                dx[part], dc[part] = partials(xj[part], cj[part])
+            return dx[:, None] * mix.grad(Xj) + dc[:, None] * dcost(Xj)
+
+        F = np.empty(len(X))
+        for (value, _), part in zip(rules, live):
+            F[part] = value(xi[part], c[part])
+        return F, gradient
+
+    X, F, ok, evals = _ascend(evaluate, np.concatenate(starts))
     norms = np.sqrt((X * X).sum(-1))
-    best = min(range(len(X)), key=lambda k: (-F[k], norms[k], tuple(X[k])))
-    return MaximizeResult(argmax=X[best], value=float(F[best]), starts_used=len(starts),
-                          converged=bool(ok[best]), grid_certified=grid_evals > 0,
-                          fun_evals=grid_evals + evals)
+    results = []
+    for lo, hi, grid in zip(bounds[:-1], bounds[1:], grid_evals):
+        best = min(range(lo, hi), key=lambda k: (-F[k], norms[k], tuple(X[k])))
+        results.append(MaximizeResult(
+            argmax=X[best], value=float(F[best]), starts_used=hi - lo,
+            converged=bool(ok[best]), grid_certified=grid > 0,
+            fun_evals=grid + int(np.add.reduce(evals[lo:hi]))))
+    return results
+
+
+def _maximize(model: ModelSpec, beta: float, objectives) -> list[MaximizeResult]:
+    """maximize_f of each objective at beta, in one `_search`."""
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
+    if not objectives:
+        raise ValueError("no objective to maximize")
+    for objective in objectives:
+        if objective not in ("plain", "tilde"):
+            raise ValueError(f"unknown objective {objective!r}, expected 'plain' or 'tilde'")
+    b2, xi1 = beta * beta, model.xi1()
+    if not math.isfinite(b2 * xi1):
+        raise ValueError(f"beta = {beta!r} is too large: beta^2 xi(1) is not finite")
+    # the truncated energy's numerator, beta^2 xi(1) xi(r), is at most this
+    if "tilde" in objectives and not math.isfinite(b2 * xi1 * xi1):
+        raise ValueError(f"beta = {beta!r} is too large for the truncated functional: "
+                         "beta^2 xi(1)^2 is not finite")
+    # the ascent's inner products of gradients, and of their differences,
+    # are at most about S (2 beta^2 max_s d_s xi(1))^2
+    scale = 2.0 * b2 * float(model.mixture.grad(np.ones(model.n_species)).max())
+    if not math.isfinite(model.n_species * scale * scale):
+        raise ValueError(f"beta = {beta!r} is too large for the ascent: "
+                         "S (2 beta^2 max_s d_s xi(1))^2 is not finite")
+    built = [_objective(model, beta, objective) for objective in objectives]
+    (_, cost, dcost), rules = built[0], [rule for rule, _, _ in built]
+    return [replace(res, argmax=np.zeros(model.n_species), value=0.0, converged=True)
+            if res.value <= 0.0 else res  # the origin anchors value 0 and wins ties
+            for res in _search(model, rules, cost, dcost)]
 
 
 def maximize_f(model: ModelSpec, beta: float, objective: str = "plain") -> MaximizeResult:
@@ -561,19 +670,13 @@ def maximize_f(model: ModelSpec, beta: float, objective: str = "plain") -> Maxim
     together with the starts by projected quasi-Newton ascent.  The origin
     (value exactly 0) is always a candidate and wins ties, so the reported
     value is always >= 0.  Non-convergence is flagged, never silently wrong.
+    A beta at which the ascent's products of gradients would overflow is
+    refused.
     """
-    if not (math.isfinite(beta) and beta >= 0.0):
-        raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
-    xi1 = model.xi1()
-    if not math.isfinite(beta * beta * xi1):
-        raise ValueError(f"beta = {beta!r} is too large: beta^2 xi(1) is not finite")
-    # the truncated energy's numerator, beta^2 xi(1) xi(r), is at most this
-    if objective == "tilde" and not math.isfinite(beta * beta * xi1 * xi1):
-        raise ValueError(f"beta = {beta!r} is too large for the truncated functional: "
-                         "beta^2 xi(1)^2 is not finite")
-    if objective not in ("plain", "tilde"):
-        raise ValueError(f"unknown objective {objective!r}, expected 'plain' or 'tilde'")
-    res = _search(model, *_objective(model, beta, objective))
-    if res.value <= 0.0:  # the origin anchors value 0 and wins ties
-        return replace(res, argmax=np.zeros(model.n_species), value=0.0, converged=True)
-    return res
+    return _maximize(model, beta, (objective,))[0]
+
+
+def maximize_each(model: ModelSpec, beta: float, objectives) -> list[MaximizeResult]:
+    """maximize_f of each objective ("plain", "tilde") at beta, as one
+    batched search: each result is maximize_f's, bit for bit."""
+    return _maximize(model, beta, tuple(objectives))

@@ -11,11 +11,17 @@ expression,
 
     d^a xi(x) = sum_p  c_p * prod_s (p(s))_a(s) * x^max(p - a, 0)
 
-with (n)_a the falling factorial; the weights and lowered exponents are
-tabulated once per mixture for every a of order one and two, so the
-gradient, the Hessian and the degree-2 matrix Q = Hessian at 0 are lookups
-into one table.  Besides evaluation and derivatives this module implements
-the band recentering transform
+with (n)_a the falling factorial, so xi (a = 0), the gradient, the Hessian
+and the degree-2 matrix Q = Hessian at 0 read one table per order.  The
+falling factorials and the lowered exponents depend on the exponents alone
+and are tabulated once per process for each exponent matrix (`_layout`),
+the weights once per mixture, each order on first use.  At a point, each
+order reads a power table, x(s)^d for the distinct lowered exponents d of
+the order, one numpy power for all of them, and each monomial is the
+product of its nonzero-exponent factors in species order; the bits are
+those of one power per (point, multi-index, term, species) entry.  Besides
+evaluation and derivatives this module implements the band recentering
+transform
 
     xi_r(x) = xi((1 - r^2) x + r^2) - xi(r^2)      (elementwise in r)
 
@@ -27,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -89,6 +95,49 @@ def _coerce_r(n_species: int, r) -> np.ndarray:
     if not np.all((r >= 0.0) & (r < 1.0)):  # NaN fails both comparisons
         raise ValueError(f"overlap vector {r} outside [0, 1)^S")
     return r
+
+
+@lru_cache(maxsize=64)
+def _layout(shape: tuple[int, int], data: bytes, order: int):
+    """The kernel's (falling, degrees, factors) for derivative order 0, 1 or
+    2 of the mixtures whose exponent matrix, int64 in C order, has this
+    shape and these bytes: they depend on the exponents alone, so each is
+    made once per process for every mixture of that form, read-only, on
+    first use (the 64 forms used last are kept).
+
+    The multi-indices a of the order are 0 for xi, e_s for the gradient and
+    e_s + e_t for every ordered pair (s, t) for the Hessian; falling[a, p] is
+    prod_s (p(s))_a(s), with (n)_a the falling factorial.  degrees is an
+    (S, n) array whose every row holds the n distinct lowered exponents
+    max(p - a, 0) of the order, 0 first when it occurs.  factors[:, a, p] are
+    the columns of the flattened power table (`Mixture._monomials`) that hold
+    x(s)^max(p(s) - a(s), 0) for each species s where that exponent is
+    nonzero, in species order, padded with column 0, species 0's x^0 = 1; a
+    monomial with fewer factors than another has a zero exponent, so 0 is a
+    degree.
+    """
+    S = shape[1]
+    p = np.frombuffer(data, dtype=np.int64).reshape(shape)
+    alphas = np.eye(S, dtype=np.int64)
+    if order != 1:
+        alphas = alphas[:1] * 0 if order == 0 else (alphas[:, None] + alphas).reshape(-1, S)
+    alphas = alphas[:, None, :]
+    falling = (np.where(alphas > 0, p, 1) * np.where(alphas > 1, p - 1, 1)).prod(axis=-1)
+    lowered = np.maximum(p - alphas, 0)
+    present = np.bincount(lowered.ravel()) > 0
+    degrees = present.nonzero()[0]
+    n = len(degrees)
+    # a column rises with the species, so sorting puts each entry's
+    # nonzero-exponent columns first, in species order, and S n last
+    column = (present.cumsum() - 1)[lowered] + n * np.arange(S)
+    nonzero = lowered > 0
+    factors = np.sort(np.where(nonzero, column, S * n), -1)
+    factors = factors[..., :int(nonzero.sum(-1).max(initial=0))]
+    factors = np.where(factors < S * n, factors, 0).transpose(2, 0, 1).copy()
+    layout = falling, degrees[None].repeat(S, 0), factors
+    for a in layout:
+        a.setflags(write=False)
+    return layout
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,36 +231,57 @@ class Mixture:
         Supports batched input with species on the last axis.
         """
         x = self._coerce_point(x)
-        mono = (x[..., None, :] ** self.exponents).prod(-1)
-        if mono.ndim == 1:
-            return float(mono @ self.coeffs)
+        if x.ndim == 1:
+            return float(self._monomials(x, 0)[0] @ self.coeffs)
         # a batch is summed row by row, without BLAS, so that no row's value
         # depends on the rows beside it
-        return (mono * self.coeffs).sum(-1)
+        return np.add.reduce(self.coeffs * self._monomials(x, 0), -1)[..., 0]
 
     @cached_property
-    def _partials_tables(self):
-        """Per derivative order k = 1, 2: the weights c_p * prod_s (p(s))_a(s),
-        with (n)_a the falling factorial, and the lowered exponents
-        max(p - a, 0), one row per multi-index a of order k (e_s for the
-        gradient, e_s + e_t for every ordered pair (s, t) for the Hessian)."""
-        eye = np.eye(self.n_species, dtype=np.int64)
-        p = self.exponents
-        tables = []
-        for alphas in (eye, (eye[:, None] + eye[None, :]).reshape(-1, self.n_species)):
-            a = alphas[:, None, :]
-            falling = (np.where(a > 0, p, 1) * np.where(a > 1, p - 1, 1)).prod(axis=-1)
-            tables.append((self.coeffs * falling, np.maximum(p - a, 0)))
-        return tables
+    def _tables(self) -> dict:
+        """The kernel's tables by derivative order, each made on first use
+        (`_table`)."""
+        return {}
+
+    def _table(self, order: int):
+        """The kernel's (weights, degrees, factors) for derivative order 0, 1
+        or 2 (`_layout`), with weights c_p * prod_s (p(s))_a(s), one row per
+        multi-index a of the order."""
+        table = self._tables.get(order)
+        if table is None:
+            falling, degrees, factors = _layout(self.exponents.shape, self.exponents.tobytes(),
+                                                order)
+            table = self._tables[order] = (self.coeffs * falling, degrees, factors)
+        return table
+
+    def _monomials(self, x, order: int) -> np.ndarray:
+        """x^max(p - a, 0) for every multi-index a of the given order and
+        every term p, on the last two axes, at x (species on the last axis),
+        in C order.
+
+        One power table per point holds x(s)^d for each distinct lowered
+        exponent d of the order, one numpy power for the whole table; each
+        monomial is the product of its nonzero-exponent factors in species
+        order.  Its bits are those of the product over every species of
+        x(s)^max(p - a, 0)(s), one numpy power per entry (tests/test_mixture.py
+        keeps that expression): a factor x^0 = 1 is exact, and numpy computes
+        x^2 as x*x exactly when the exponent array has one element, there
+        for one species and one term, here for one species and one distinct
+        exponent, which differ only where every exponent is 0.  The result
+        is in C order, as the per-entry form's, since numpy's order of
+        summation over terms depends on the layout.
+        """
+        _, degrees, factors = self._table(order)
+        table = (x[..., None] ** degrees).reshape(x.shape[:-1] + (-1,))
+        return np.multiply.reduce(table.take(factors, -1), -3)
 
     def _partials(self, x, order: int) -> np.ndarray:
         """Every partial derivative of xi of the given order at x, one per
-        multi-index on the last axis, sum_p weight * x^(lowered p), with the
-        0**0 = 1 convention; a batch of points has species on the last axis
-        and gets the same expression and reduction order row by row."""
+        multi-index on the last axis, sum_p weight * x^(lowered p); a batch
+        of points has species on the last axis and gets the same expression
+        and reduction order row by row."""
         x = self._coerce_point(x)
-        weights, lowered = self._partials_tables[order - 1]
-        return (weights * (x[..., None, None, :] ** lowered).prod(-1)).sum(-1)
+        return np.add.reduce(self._table(order)[0] * self._monomials(x, order), -1)
 
     def grad(self, x) -> np.ndarray:
         """Gradient of xi at x; a batch of points gives one row per point."""

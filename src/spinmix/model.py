@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,11 @@ class ModelSpec:
         return self.species.n
 
     def xi1(self) -> float:
+        return self._xi1
+
+    @cached_property
+    def _xi1(self) -> float:
+        """xi(1), computed on first use and kept with the model."""
         return float(self.mixture.eval(1.0))
 
 

@@ -282,9 +282,9 @@ def test_seven_species_are_refused_before_any_search(monkeypatch):
 def test_certificate_rejects_an_infimum_one_percent_too_large(pure3, monkeypatch):
     exact = criticality._ratio_min
 
-    def too_large(model, objective, tol_zero):
-        beta, search = exact(model, objective, tol_zero)
-        return beta * math.sqrt(1.01), search
+    def too_large(model, objectives, tol_zero):
+        return [(beta * math.sqrt(1.01), search)
+                for beta, search in exact(model, objectives, tol_zero)]
 
     monkeypatch.setattr(criticality, "_ratio_min", too_large)
     rep = verdict(pure3)

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +197,9 @@ def test_maximize_tilde_never_exceeds_plain(cubic_two_species):
 def test_maximize_rejects_bad_objective(sk):
     with pytest.raises(ValueError):
         maximize_f(sk, 0.5, "bogus")
+    for objectives in ((), ("plain", "bogus")):
+        with pytest.raises(ValueError, match="objective"):
+            landscape.maximize_each(sk, 0.5, objectives)
     for beta in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="beta"):
             maximize_f(sk, beta)
@@ -206,19 +211,53 @@ def test_maximize_refuses_a_beta_whose_square_overflows(pure3, three_species_equ
     for model in (pure3, three_species_equal):
         with pytest.raises(ValueError, match="beta = 1e"):
             maximize_f(model, 1e155)
-    assert math.isfinite(maximize_f(pure3, 1e150).value)
+    # beta^2 xi(1) is finite here, but the ascent's products are not
+    with pytest.raises(ValueError, match="beta = 1e.*ascent"):
+        maximize_f(pure3, 1e150)
 
 
-# the ascent's products overflow for beta^2 above about 1e155, though it converges
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_maximize_refuses_a_beta_whose_truncated_numerator_overflows(two_quad):
     # xi(1) = 3: beta^2 xi(1) is finite but beta^2 xi(1) xi(r) is not near
     # r = 1; the value was inf, unconverged and still grid-certified
     beta = math.sqrt(1e308 / two_quad.xi1())
     with pytest.raises(ValueError, match="beta = 5.77.*truncated"):
         maximize_f(two_quad, beta, "tilde")
-    assert math.isfinite(maximize_f(two_quad, math.sqrt(1e307) / two_quad.xi1(), "tilde").value)
+    # admitted by the numerator, refused for the ascent's products
+    with pytest.raises(ValueError, match="beta = 1.05.*ascent"):
+        maximize_f(two_quad, math.sqrt(1e307) / two_quad.xi1(), "tilde")
+
+
+def _largest_admitted_beta(model):
+    # the greatest beta maximize_f admits, from just above the ascent's limit
+    beta = math.sqrt(math.sqrt(sys.float_info.max / model.n_species)
+                     / (2.0 * model.mixture.grad(np.ones(model.n_species)).max()))
+    for _ in range(64):
+        try:
+            maximize_f(model, beta)
+            return beta
+        except ValueError:
+            beta = math.nextafter(beta, 0.0)
+    raise AssertionError("no beta admitted near the ascent's limit")
+
+
+def test_maximize_refuses_the_betas_at_which_the_ascent_overflows(two_quad, pure3):
+    # the ascent's products of gradients overflowed, with 31 RuntimeWarnings
+    # (plain) and 62 (truncated) at beta^2 = 1e160 on two_species_quadratic,
+    # though it converged; such a beta is refused, and the largest one
+    # admitted runs without a warning
+    for objective in ("plain", "tilde"):
+        with pytest.raises(ValueError, match="beta = 1e.*too large for the ascent"):
+            maximize_f(two_quad, 1e80, objective)
+    models = [two_quad, pure3, random_model(np.random.default_rng(2), 3)]
+    for model in models:
+        beta = _largest_admitted_beta(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for res in [maximize_f(model, beta, o) for o in ("plain", "tilde")]:
+                assert math.isfinite(res.value) and res.converged
+            landscape.maximize_each(model, beta, ("plain", "tilde"))
+        with pytest.raises(ValueError, match="ascent"):
+            maximize_f(model, math.nextafter(beta, math.inf))
 
 
 def _separable_model(rng, S):
@@ -247,65 +286,86 @@ def test_maximize_matches_the_separable_oracle(S):
     assert values[-1] > 0.0
 
 
-def _batch_objectives(monkeypatch):
-    # the plain and truncated f and the plain ratio of a coupled 4-species model
+def _batch_rules():
+    # a coupled 4-species model, and the plain and truncated f at beta 0.9
+    # and minus the plain and truncated ratios: four rules of one cost
     names = ("a", "b", "c", "d")
     terms = {(2, 0, 0, 0): 0.9, (0, 3, 0, 0): 0.5, (0, 0, 2, 0): 1.3, (0, 0, 0, 4): 0.7,
              (1, 1, 0, 0): 0.4, (0, 1, 1, 0): 0.6, (0, 0, 1, 1): 0.3, (2, 0, 1, 0): 0.5}
     model = ModelSpec(SpeciesSet(names, np.array([0.1, 0.2, 0.3, 0.4])),
                       Mixture.from_terms(names, terms))
-    objectives = [landscape._objective(model, 0.9, objective) for objective in ("plain", "tilde")]
-    search = landscape._search
+    rules = [landscape._objective(model, 0.9, objective)[0] for objective in ("plain", "tilde")]
+    rules += [criticality._ratio_rule(model, objective, TOL_ZERO)[0]
+              for objective in ("plain", "tilde")]
+    _, cost, dcost = landscape._objective(model, 0.9, "plain")
+    return model, rules, cost, dcost
 
-    def grab(model, value, grad, cost):
-        objectives.append((value, grad, cost))
-        return search(model, value, grad, cost)
 
-    monkeypatch.setattr(criticality, "_search", grab)
-    criticality._ratio_min(model, "plain", TOL_ZERO)
-    # the starts and the point form _search gives _ascend
-    X0, _ = landscape._starts(model, objectives[0][0], objectives[0][2])
-    return X0, [(landscape._pointwise(model, value, cost), grad)
-                for value, grad, cost in objectives]
+def _values(evaluate, X):
+    # the values an ascent's evaluate gives on a batch of its starts, all rows
+    return evaluate(X, np.arange(len(X)))[0]
 
 
 def test_ascent_rows_do_not_depend_on_the_batch(monkeypatch):
     # the determinism contract: each start's result is bit for bit the one it
-    # reaches alone, and adding, removing or reordering starts moves no other
-    X0, objectives = _batch_objectives(monkeypatch)
-    for fun, grad in objectives:
-        X, F, ok, _ = landscape._ascend(fun, grad, X0)
-        for k in range(len(X0)):
-            Xk, Fk, okk, _ = landscape._ascend(fun, grad, X0[k:k + 1])
-            assert Xk.tobytes() == X[k].tobytes() and Fk.tobytes() == F[k:k + 1].tobytes()
-            assert okk[0] == ok[k]
-        order = np.arange(len(X0))[::-3]
-        Xs, Fs, oks, _ = landscape._ascend(fun, grad, X0[order])
-        assert Xs.tobytes() == X[order].tobytes() and Fs.tobytes() == F[order].tobytes()
-        assert np.array_equal(oks, ok[order])
+    # reaches alone, and adding, removing or reordering starts moves no other;
+    # in one batch of the plain and truncated f and of both ratios, each
+    # rule's rows and result are those of the search of that rule alone,
+    # evaluation counts and starts included
+    model, rules, cost, dcost = _batch_rules()
+    calls = _record_ascents(monkeypatch)
+    mixed = landscape._search(model, rules, cost, dcost)
+    alone = [landscape._search(model, [rule], cost, dcost)[0] for rule in rules]
+    (_, X0, (X, F, ok, evals)), *lone = calls
+    assert len(lone) == len(rules)
+    lo = 0
+    for res, ref, (evaluate, X0r, (Xr, Fr, okr, evalsr)) in zip(mixed, alone, lone):
+        rows = slice(lo, lo + len(X0r))
+        lo += len(X0r)
+        assert X0[rows].tobytes() == X0r.tobytes()
+        assert X[rows].tobytes() == Xr.tobytes() and F[rows].tobytes() == Fr.tobytes()
+        assert np.array_equal(ok[rows], okr) and np.array_equal(evals[rows], evalsr)
+        assert res.argmax.tobytes() == ref.argmax.tobytes() and res.value == ref.value
+        assert (res.converged, res.grid_certified, res.fun_evals, res.starts_used) == (
+            ref.converged, ref.grid_certified, ref.fun_evals, ref.starts_used)
+        for k in range(len(X0r)):
+            Xk, Fk, okk, ek = landscape._ascend(evaluate, X0r[k:k + 1])
+            assert Xk.tobytes() == Xr[k].tobytes() and Fk.tobytes() == Fr[k:k + 1].tobytes()
+            assert okk[0] == okr[k] and ek[0] == evalsr[k]
+        order = np.arange(len(X0r))[::-3]
+        Xs, Fs, oks, es = landscape._ascend(evaluate, X0r[order])
+        assert Xs.tobytes() == Xr[order].tobytes() and Fs.tobytes() == Fr[order].tobytes()
+        assert np.array_equal(oks, okr[order]) and np.array_equal(es, evalsr[order])
+    assert lo == len(X0)
+
+
+def _joint(fun, grad):
+    # _ascend's evaluate from a value function and a gradient function
+    return lambda X, rows: (fun(X), lambda j: grad(X[j]))
 
 
 def test_ascent_convergence_flag_names_its_stop(monkeypatch):
     ascend = landscape._ascend
     # projected-gradient stop: f = -sum(x) ends at the origin, where the
     # projected gradient is exactly 0
-    X, F, ok, _ = ascend(lambda X: -X.sum(-1), lambda X: -np.ones_like(X), np.array([[0.3, 0.7]]))
+    X, F, ok, _ = ascend(_joint(lambda X: -X.sum(-1), lambda X: -np.ones_like(X)),
+                         np.array([[0.3, 0.7]]))
     assert ok[0] and np.array_equal(X, np.zeros((1, 2)))
     # relative-f stop: on 1e6 - u^2 - u^4, u = x - 0.5, f stops resolving
     # steps long before the gradient falls to the projected-gradient tolerance
     fun = lambda X: 1e6 - ((X - 0.5) ** 2 + (X - 0.5) ** 4).sum(-1)
     grad = lambda X: -2.0 * (X - 0.5) - 4.0 * (X - 0.5) ** 3
-    X, F, ok, _ = ascend(fun, grad, np.array([[0.2]]))
+    X, F, ok, _ = ascend(_joint(fun, grad), np.array([[0.2]]))
     assert ok[0] and abs(X[0, 0] - 0.5) < 1e-4
     assert np.abs(grad(X)).max() > landscape._GTOL
     # the round budget: one round leaves the start short of the maximum
     with monkeypatch.context() as m:
         m.setattr(landscape, "_MAXITER", 1)
-        X, F, ok, evals = ascend(fun, grad, np.array([[0.2]]))
-    assert not ok[0] and evals == 2
+        X, F, ok, evals = ascend(_joint(fun, grad), np.array([[0.2]]))
+    assert not ok[0] and evals.tolist() == [2]
     # a failed line search: the gradient claims an ascent that every trial,
     # however short, contradicts by far more than f's resolution
-    X, F, ok, _ = ascend(lambda X: -1e30 * X.sum(-1), lambda X: np.ones_like(X),
+    X, F, ok, _ = ascend(_joint(lambda X: -1e30 * X.sum(-1), lambda X: np.ones_like(X)),
                          np.array([[0.0]]))
     assert not ok[0] and X[0, 0] == 0.0
 
@@ -352,19 +412,20 @@ def _search_results(model):
     # maximize_f and the ratio's search, each plain and truncated, in the
     # order of _grid_optima
     results = [maximize_f(model, 1.0, objective) for objective in ("plain", "tilde")]
-    results += [criticality._ratio_min(model, objective, TOL_ZERO)[1]
+    results += [criticality._ratio_min(model, (objective,), TOL_ZERO)[0][1]
                 for objective in ("plain", "tilde")]
     return results
 
 
 def _record_ascents(monkeypatch):
-    # (fun, X0, F) of every _ascend call; the real ascent runs unchanged
+    # (evaluate, X0, result) of every _ascend call; the real ascent runs
+    # unchanged
     calls = []
     ascend = landscape._ascend
 
-    def record(fun, grad, X0):
-        out = ascend(fun, grad, X0)
-        calls.append((fun, X0, out[1]))
+    def record(evaluate, X0):
+        out = ascend(evaluate, X0)
+        calls.append((evaluate, X0, out))
         return out
 
     monkeypatch.setattr(landscape, "_ascend", record)
@@ -388,27 +449,30 @@ def test_search_starts_from_the_grid_argmax(sk, pure3, cubic_two_species, monkey
     calls = _record_ascents(monkeypatch)
     for model in (sk, pure3, cubic_two_species):
         axis = landscape._box_axis(4001 if model.n_species == 1 else 201)
-        for res, (point, value), (fun, X0, _) in zip(
+        for res, (point, value), (evaluate, X0, _) in zip(
                 _search_results(model), _grid_optima(model, axis), calls[-4:]):
             assert np.array_equal(X0[-1], point)
-            assert res.grid_certified and res.value >= fun(X0[-1:])[0]
+            assert res.grid_certified and res.value >= _values(evaluate, X0[-1:])[0]
             assert _above(res.value, value)
 
 
 def _rules(model, betas, monkeypatch):
     # (value, cost) of maximize_f's f and truncated twin at each beta, then of
     # the plain and truncated ratio searches, in the order of _grid_rules
-    rules = [landscape._objective(model, beta, objective)[::2]
-             for beta in betas for objective in ("plain", "tilde")]
+    rules = []
+    for beta in betas:
+        for objective in ("plain", "tilde"):
+            (value, _), cost, _ = landscape._objective(model, beta, objective)
+            rules.append((value, cost))
 
-    def grab(model, value, grad, cost):
-        rules.append((value, cost))
-        return landscape.MaximizeResult(np.zeros(model.n_species), -1.0, 0, True, True, 0)
+    def grab(model, searched, cost, dcost):
+        rules.extend((value, cost) for value, _ in searched)
+        return [landscape.MaximizeResult(np.zeros(model.n_species), -1.0, 0, True, True, 0)
+                for _ in searched]
 
     with monkeypatch.context() as m:
         m.setattr(criticality, "_search", grab)
-        for objective in ("plain", "tilde"):
-            criticality._ratio_min(model, objective, TOL_ZERO)
+        criticality._ratio_min(model, ("plain", "tilde"), TOL_ZERO)
     return rules
 
 
@@ -542,7 +606,8 @@ def test_grid_tie_across_a_slab_boundary_goes_to_the_first_point(rows, cubic_two
     c = per_axis(0, axis)[:, None] + per_axis(1, axis)[None, :]
     first = np.unravel_index(int(np.argmax(-c)), c.shape)
     assert first == (3, 7)
-    res = landscape._search(cubic_two_species, lambda xi, c: -c, np.zeros_like, per_axis)
+    (res,) = landscape._search(cubic_two_species, [(lambda xi, c: -c, lambda xi, c: (0.0, -1.0))],
+                               per_axis, np.zeros_like)
     assert np.array_equal(calls[0][1][-1], axis[list(first)])
     # off the grid the rule is -2 everywhere and its gradient 0, so every
     # start stops where it began and the smallest norm wins
@@ -555,18 +620,15 @@ def test_grid_tie_across_a_slab_boundary_goes_to_the_first_point(rows, cubic_two
 
 def test_no_ascent_row_ends_below_its_start(sk, pure3, pure4, two_quad, monkeypatch):
     # _ascend accepts no step that lowers the objective, exactly: on the
-    # 4-species batch objectives and on every gridded search's batch
-    X0, objectives = _batch_objectives(monkeypatch)
+    # 4-species batch of four rules and on every gridded search's batch
     hi = 1.0 - landscape.DOMAIN_CLAMP
-    for fun, grad in objectives:
-        F = landscape._ascend(fun, grad, X0)[1]
-        assert (F >= fun(np.clip(X0, 0.0, hi))).all()
     calls = _record_ascents(monkeypatch)
+    landscape._search(*_batch_rules())
     for model in _gridded_models(sk, pure3, pure4, two_quad):
         _search_results(model)
-    assert len(calls) == 4 * 9
-    for fun, X0, F in calls:
-        assert (F >= fun(np.clip(X0, 0.0, hi))).all()
+    assert len(calls) == 1 + 4 * 9
+    for evaluate, X0, (_, F, _, _) in calls:
+        assert (F >= _values(evaluate, np.clip(X0, 0.0, hi))).all()
 
 
 def test_search_is_never_below_the_brute_force_grid_optimum(sk, pure3, pure4, two_quad):

@@ -130,6 +130,83 @@ def test_hessian_matches_finite_differences(m, data):
     assert rel_close(fd, m.hessian(x), 1e-6)
 
 
+def _pow_per_entry(m, x, order):
+    # the reference: xi (order 0) or every partial of order 1 or 2, with one
+    # numpy power per (point, multi-index, term, species) entry
+    S = m.n_species
+    eye = np.eye(S, dtype=np.int64)
+    p = m.exponents
+    if order == 0:
+        mono = (x[..., None, :] ** p).prod(-1)
+        return float(mono @ m.coeffs) if mono.ndim == 1 else (mono * m.coeffs).sum(-1)
+    a = (eye if order == 1 else (eye[:, None] + eye[None, :]).reshape(-1, S))[:, None, :]
+    weights = m.coeffs * (np.where(a > 0, p, 1) * np.where(a > 1, p - 1, 1)).prod(axis=-1)
+    return (weights * (x[..., None, None, :] ** np.maximum(p - a, 0)).prod(-1)).sum(-1)
+
+
+def _kernel_mixtures():
+    # one-term one-species mixtures (numpy squares their one-element exponent
+    # array as x*x), a one-term two-species one, recentred mixtures with
+    # degree-1 terms, and seeded mixtures of one to six species
+    yield from (sk_mixture(), pure_model(3).mixture, pure_model(4).mixture,
+                Mixture.from_terms(("a",), {(2,): 1.0, (4,): 0.5}),
+                Mixture.from_terms(("a", "b"), {(2, 0): 1.5}),
+                Mixture.from_terms(("a", "b"), {(2, 2): 0.7}),
+                two_species_quadratic_model().mixture,
+                pure_model(3).mixture.tilde_transform(0.4),
+                two_species_quadratic_model().mixture.tilde_transform(np.array([0.3, 0.6])))
+    rng = np.random.default_rng(11)
+    for S in range(1, 7):
+        for _ in range(4):
+            terms = {}
+            for _ in range(int(rng.integers(1, 3 * S + 2))):
+                degs = tuple(int(d) for d in rng.integers(0, 5, size=S) * (rng.random(S) < 0.5))
+                if sum(degs) >= 1:
+                    terms[degs] = float(rng.uniform(0.1, 2.0))
+            yield Mixture.from_terms(tuple("abcdef"[:S]), terms or {(2,) * S: 1.0})
+
+
+def _layouts(X):
+    # the batch as C-ordered rows, as the transposed view of a species-major
+    # array (the search's layout, Fortran order), as rows gathered from that
+    # view, and as a view with a stride between species
+    Xt = np.ascontiguousarray(X.T).T
+    rows = np.arange(len(X))
+    return X, Xt, Xt[rows], np.stack([X, X], -1)[..., 0]
+
+
+def test_power_table_kernel_is_the_pow_per_entry_expression_bitwise():
+    # xi, the gradient and the Hessian, at single points and on batches of
+    # 1, 3 and 134 rows with coordinates at 0 and at the search's clamp, in
+    # every layout a batch takes, against the reference on C-ordered rows
+    rng = np.random.default_rng(5)
+    for m in _kernel_mixtures():
+        S = m.n_species
+        for K in (1, 3, 134):
+            X = rng.uniform(0.0, 1.0, size=(K, S))
+            X[rng.random((K, S)) < 0.2] = 0.0
+            X[rng.random((K, S)) < 0.2] = 1.0 - 1e-8
+            wants = [_pow_per_entry(m, X, order) for order in (0, 1, 2)]
+            for layout, Y in enumerate(_layouts(X)):
+                for got, want in zip((m.eval(Y), m.grad(Y), m._partials(Y, 2)), wants):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (m, K, layout)
+            for x in X[:3]:
+                assert m.eval(x) == _pow_per_entry(m, x, 0)
+                assert m.grad(x).tobytes() == _pow_per_entry(m, x, 1).tobytes()
+                assert m.hessian(x).tobytes() == _pow_per_entry(m, x, 2).reshape(S, S).tobytes()
+
+
+def test_mixtures_of_one_form_share_the_kernel_layout():
+    # the layout depends on the exponents alone; the weights are the mixture's
+    a = Mixture.from_terms(("a", "b"), {(2, 0): 1.0, (1, 2): 0.5})
+    b = Mixture.from_terms(("a", "b"), {(2, 0): 3.0, (1, 2): 0.25})
+    for order in (0, 1, 2):
+        (wa, *layout_a), (wb, *layout_b) = a._table(order), b._table(order)
+        assert all(x is y and not x.flags.writeable for x, y in zip(layout_a, layout_b))
+        assert not np.array_equal(wa, wb)
+    assert a.eval(np.array([0.5, 0.5])) != b.eval(np.array([0.5, 0.5]))
+
+
 def test_degree2_matrix_equals_hessian_at_origin():
     rng = np.random.default_rng(3)
     for n in (1, 2, 3):

@@ -97,7 +97,9 @@ def test_ab_compare_prints_one_row_per_job(capsys):
     jobs = [line.rsplit(None, 5)[0] for line in lines[2:]]
     assert jobs == [f"verdict {name}" for name in ("sk", "pure3", "pure4", "two_species_quadratic")] \
         + [f"maximize_f {o} S={S}" for S in range(3, 7) for o in ("plain", "tilde")] \
-        + ["scan pair S=3", "beta_m, beta_m_tilde S=3", "estimate_free_energy pure3",
+        + ["scan pair S=3", "beta_m, beta_m_tilde S=3"] \
+        + [f"cli scan S={S}" for S in range(3, 7)] + ["cli critical two_species_quadratic"] \
+        + ["estimate_free_energy pure3",
            "log_E_Z2_exact two_species_quadratic", "log_E_Z2_exact chain S=3",
            "log_E_Z2_exact verify ladder sk"]
     for line in lines[2:]:
