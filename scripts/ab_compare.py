@@ -21,10 +21,13 @@ pair to pair.  The jobs, fixed:
   log_E_Z2_exact on two_species_quadratic at N = 400 and on the seeded
   three-species model, a chain, at N = 3200;
   the six log_E_Z2_exact calls of verify's second-moment checks on sk: N = 50,
-  100 and 200, each at beta 0 and at half of beta_m.
+  100 and 200, each at beta 0 and at half of beta_m;
+  the N ladder of the benchmark's second-moment workload on
+  two_species_quadratic: log_E_Z2_exact at N = 100, 400, 1600 and 3200, each
+  at beta 0 and at half of beta_m.
 
-A package that holds its Gauss-Legendre rules for the process runs every
-log_E_Z2_exact job warm after that job's first pair.
+A package that holds its Gauss-Legendre rules and xi grids for the process
+runs every log_E_Z2_exact job warm after that job's first pair.
 
 For each job it prints the median wall time of each side, their ratio
 (change over parent), the share of pairs in which the change was faster,
@@ -126,10 +129,14 @@ def jobs(pkg, tmp: Path) -> dict:
     out["log_E_Z2_exact two_species_quadratic"] = lambda: pkg.log_E_Z2_exact(fm2, 0.5)
     fm3 = pkg.build_finite_model(three, 3200)
     out["log_E_Z2_exact chain S=3"] = lambda: pkg.log_E_Z2_exact(fm3, 0.2)
-    half_beta_m = 0.5 * pkg.beta_m(fixtures["sk"])
-    ladder = [(pkg.build_finite_model(fixtures["sk"], N), beta)
-              for N in (50, 100, 200) for beta in (0.0, half_beta_m)]
-    out["log_E_Z2_exact verify ladder sk"] = lambda: [pkg.log_E_Z2_exact(fm, b) for fm, b in ladder]
+    for job, name, sizes in (("verify ladder sk", "sk", (50, 100, 200)),
+                             ("N ladder two_species_quadratic", "two_species_quadratic",
+                              (100, 400, 1600, 3200))):
+        half_beta_m = 0.5 * pkg.beta_m(fixtures[name])
+        ladder = [(pkg.build_finite_model(fixtures[name], N), beta)
+                  for N in sizes for beta in (0.0, half_beta_m)]
+        out[f"log_E_Z2_exact {job}"] = (
+            lambda ladder=ladder: [pkg.log_E_Z2_exact(fm, b) for fm, b in ladder])
     return out
 
 
@@ -177,11 +184,11 @@ def run(argv=None):
                     (parent, change)[side].append(time.perf_counter() - start)
                 same[name] &= bits(results[0]) == bits(results[1])
     print(f"{args.pairs} pairs; medians in ms; ratio = change / parent")
-    print(f"{'job':40} {'parent':>9} {'change':>9} {'ratio':>7} {'change wins':>12} {'same':>5}")
+    print(f"{'job':46} {'parent':>9} {'change':>9} {'ratio':>7} {'change wins':>12} {'same':>5}")
     for name, (parent, change) in times.items():
         a, b = statistics.median(parent), statistics.median(change)
         wins = sum(c < p for p, c in zip(parent, change)) / args.pairs
-        print(f"{name:40} {1e3 * a:9.3f} {1e3 * b:9.3f} {b / a:7.3f} {wins:12.2f} "
+        print(f"{name:46} {1e3 * a:9.3f} {1e3 * b:9.3f} {b / a:7.3f} {wins:12.2f} "
               f"{'yes' if same[name] else 'no':>5}")
     return 0
 

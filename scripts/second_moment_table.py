@@ -29,6 +29,10 @@ def run(argv=None):
     args = ap.parse_args(argv)
 
     model = load_model(args.model)
+    try:
+        finite = [build_finite_model(model, N) for N in args.sizes]
+    except ValueError as err:  # a size too small for the model's species
+        ap.error(f"argument --sizes: {err}")
     beta = args.beta if args.beta is not None else 0.5 * beta_m(model)
     max_f = maximize_f(model, beta).value
     limit = beta * beta * model.xi1() + max_f
@@ -38,8 +42,8 @@ def run(argv=None):
         c = -0.5 * float(np.linalg.slogdet(-M / model.species.lam[:, None])[1])
         print(f"Laplace constant c = {c!r}")
     print(f"{'N':>6}  {'(1/N) log E Z^2':>18}  {'gap':>12}  {'N*gap':>10}")
-    for N in args.sizes:
-        val = log_E_Z2_exact(build_finite_model(model, N), beta)
+    for fm in finite:
+        N, val = fm.N, log_E_Z2_exact(fm, beta)
         print(f"{N:6d}  {val:18.10f}  {val - limit:12.3e}  {N * (val - limit):10.6f}")
     return 0
 

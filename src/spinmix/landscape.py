@@ -27,7 +27,8 @@ gradient by the chain rule, dvalue/dx grad xi + dvalue/dc grad c; the
 pointwise functions evaluate the rule at one point, so each objective is
 written once.  `_starts` alone holds the per-S policy (`_GRIDS`): the grid
 (4001 points for one species, 201 per axis for two or three, none for four
-to six), whose best point is one start, and the fixed starts.  `_search`
+to six), whose best point is one start, and the fixed starts; a grid
+searched whole is computed once for all the rules.  `_search`
 refuses more than six species and returns, for each of several rules that
 share one cost, the best of its starts after one local phase for them all,
 `_ascend`, which moves every start of every rule at once as one batch by
@@ -260,7 +261,8 @@ def _kernel(model: ModelSpec, axis: np.ndarray, per_axis, axes=None, terms=None)
     along grid axis i (every species by default): a function of one index
     per grid axis, each an integer array or slices and new axes (`_on`),
     whose results broadcast together, returning (xi, sum_i
-    per_axis(axes[i], axis)[index[i]]) at those grid points.
+    per_axis(axes[i], axis)[index[i]]) at those grid points, or xi alone
+    when per_axis is None.
 
     xi is the sum of the mixture's `terms` (every term by default), in the
     order given, each the product of its per-axis powers in axes order times
@@ -272,14 +274,16 @@ def _kernel(model: ModelSpec, axis: np.ndarray, per_axis, axes=None, terms=None)
     axes = range(model.n_species) if axes is None else axes
     terms = range(len(mix.coeffs)) if terms is None else terms
     pows = [axis ** mix.exponents[terms, s][:, None] for s in axes]  # row j: terms[j]
-    costs = [per_axis(s, axis) for s in axes]
+    costs = None if per_axis is None else [per_axis(s, axis) for s in axes]
 
     def at(index):
-        parts = [costs[i][index[i]] for i in range(len(axes))]
-        xi = np.zeros(np.broadcast_shapes(*(part.shape for part in parts)))
+        parts = [(axis if costs is None else costs[i])[index[i]] for i in range(len(axes))]
+        xi = np.zeros(np.broadcast(*parts).shape)
         for j, t in enumerate(terms):
             factors = (pows[i][j][index[i]] for i, s in enumerate(axes) if mix.exponents[t, s])
             xi += math.prod(factors) * mix.coeffs[t]
+        if costs is None:
+            return xi
         # the per-axis sum, unnamed so that the caller holds its only reference
         return xi, sum(parts[1:], parts[0])
 
@@ -287,8 +291,8 @@ def _kernel(model: ModelSpec, axis: np.ndarray, per_axis, axes=None, terms=None)
 
 
 def _grid(model: ModelSpec, axis: np.ndarray, per_axis, axes=None, terms=None):
-    """Yield `_kernel`'s (xi, summed cost) on the whole grid axis^len(axes),
-    slab by slab.
+    """Yield `_kernel`'s (xi, summed cost), or xi alone when per_axis is
+    None, on the whole grid axis^len(axes), slab by slab.
 
     A slab is a block of leading-axis rows in C order, of at most
     _SLAB_POINTS points (one row when a row alone is larger), so no array
@@ -309,6 +313,21 @@ def _cut(best: float) -> float:
     return best - _PRUNE * max(1.0, abs(best))
 
 
+def _grid_scan(model: ModelSpec, values, cost, axis: np.ndarray) -> list[tuple[int, int]]:
+    """`_grid_start` of each rule of `values` on the whole grid, with no
+    bound: one pass of `_grid`, whose slabs' xi and summed cost serve every
+    rule."""
+    best, flat, evals = [-np.inf] * len(values), [0] * len(values), 0
+    for xi, c in _grid(model, axis, cost):
+        for k, value in enumerate(values):
+            v = value(xi, c)
+            i = int(np.argmax(v))
+            if evals == 0 or v.flat[i] > best[k]:
+                best[k], flat[k] = v.flat[i], evals + i
+        evals += xi.size
+    return [(f, evals) for f in flat]
+
+
 def _grid_start(model: ModelSpec, value, cost, axis: np.ndarray, side: int) -> tuple[int, int]:
     """The first greatest value in C order of the rule value(xi, c) on the
     grid axis^S, as (C-order index, values computed), by branch and bound
@@ -325,7 +344,7 @@ def _grid_start(model: ModelSpec, value, cost, axis: np.ndarray, side: int) -> t
     max(1, |value|).  The boxes of side `side` left are evaluated whole,
     greatest bound first, in slabs of at most _SLAB_POINTS points, until the
     next bound falls below that cut.  When `side` covers the grid, the
-    grid is one box, evaluated by `_grid` with no bound.
+    grid is one box, evaluated by `_grid_scan` with no bound.
 
     The bound is exact in floating point for the plain rules, since
     rounding is monotone; the slack covers the few ulps by which the
@@ -336,14 +355,7 @@ def _grid_start(model: ModelSpec, value, cost, axis: np.ndarray, side: int) -> t
     """
     S, n = model.n_species, len(axis)
     if side >= n:  # one box, the whole grid, slab by slab
-        evals = 0
-        for xi, c in _grid(model, axis, cost):
-            values = value(xi, c)
-            i = int(np.argmax(values))
-            if evals == 0 or values.flat[i] > best:
-                best, flat = values.flat[i], evals + i
-            evals += values.size
-        return flat, evals
+        return _grid_scan(model, [value], cost, axis)[0]
     at = _kernel(model, axis, cost)
     lo = np.zeros((1, S), dtype=np.intp)  # the root
     width, best, evals = side, -np.inf, 0
@@ -386,18 +398,20 @@ def _grid_start(model: ModelSpec, value, cost, axis: np.ndarray, side: int) -> t
     return flat, evals
 
 
-def _starts(model: ModelSpec, value, cost):
-    """The search's starts in [0, 1)^S, one per row, and the number of grid
-    values computed to choose them: the search's whole per-S policy.
+def _starts(model: ModelSpec, values, cost) -> list[tuple[np.ndarray, int]]:
+    """The search's starts in [0, 1)^S for each rule of `values`, one per
+    row, and the number of grid values computed to choose them: the search's
+    whole per-S policy.
 
     One species: the best point of a 4001-point grid.  Two or three:
     origin-perturbed points, a coarse 3^S grid and the best point of the
     grid of 201 points per axis (pitch 1/200).  Four to six: origin-perturbed
     points and the 2^S corners of an inner box, with no grid.  The best grid
     point is the first greatest value in C order of the rule value(xi, c),
-    found by `_grid_start` with the box side of _GRIDS: the whole grid, one
-    box, for one or two species, and branch and bound down to boxes of 4^3
-    points for three.
+    found with the box side of _GRIDS: for one or two species the whole
+    grid is one box, whose xi and summed cost are computed once for every
+    rule (`_grid_scan`), and for three each rule's branch and bound
+    (`_grid_start`) goes down to boxes of 4^3 points.
     """
     S = model.n_species
     if S == 1:
@@ -407,11 +421,13 @@ def _starts(model: ModelSpec, value, cost):
         fixed = np.array([np.full(S, eps) for eps in (1e-4, 1e-2, 0.1)]
                          + [lo + step * np.array(combo) for combo in np.ndindex(*([k] * S))])
     if S not in _GRIDS:
-        return fixed, 0
+        return [(fixed, 0) for _ in values]
     n, side = _GRIDS[S]
     axis = _box_axis(n)
-    flat, evals = _grid_start(model, value, cost, axis, side)
-    return np.vstack([fixed, axis[list(np.unravel_index(flat, (n,) * S))]]), evals
+    found = (_grid_scan(model, values, cost, axis) if side >= n
+             else [_grid_start(model, value, cost, axis, side) for value in values])
+    return [(np.vstack([fixed, axis[list(np.unravel_index(flat, (n,) * S))]]), evals)
+            for flat, evals in found]
 
 
 def _ascend(evaluate, X0):
@@ -571,7 +587,8 @@ def _search(model: ModelSpec, rules, cost, dcost) -> list[MaximizeResult]:
     this (`_grid_start`).
 
     The package's one search: more than six species are refused, `_starts`
-    gives each rule's starts, and one `_ascend` moves the starts of every
+    gives each rule's starts, from one pass over the grid for one or two
+    species, and one `_ascend` moves the starts of every
     rule at once, in as many rounds as its slowest start takes.  Each round
     computes xi (`Mixture.eval`, one power table per point) and the summed
     cost once for the whole batch, then each rule's value on its rows; at
@@ -589,7 +606,7 @@ def _search(model: ModelSpec, rules, cost, dcost) -> list[MaximizeResult]:
     """
     if model.n_species > 6:
         raise ValueError("the landscape search supports at most 6 species")
-    starts, grid_evals = zip(*(_starts(model, value, cost) for value, _ in rules))
+    starts, grid_evals = zip(*_starts(model, [value for value, _ in rules], cost))
     bounds = list(itertools.accumulate((len(X0) for X0 in starts), initial=0))
     first = np.array(bounds)
     mix = model.mixture

@@ -24,16 +24,29 @@ The Gauss-Legendre rule of a rung depends on the rung alone, so the module's
 at most the ladder's six rungs, with read-only arrays.  `_log_integral` looks
 that name up on every rung, so a wrapper bound to it sees one call per rung
 on every call, warm or cold.
+
+xi on a rung's nodes depends on neither N nor beta: the pivot's xi vector
+and each component's xi grid are held (`_xi_grids`), read-only, keyed by
+the exponent matrix's shape and bytes, the coefficients' bytes and the
+rung, for every rung whose grids each fit in one slab of
+landscape._SLAB_POINTS points.  The rungs used least recently are dropped
+past _HELD_POINTS = 2^20 points (8 MB) in all; larger rungs, every rung of a
+coupled three-species model among them, stream slab by slab.  A call builds
+each block N beta^2 xi + cost from the held xi, broadcasting the component's
+cost, and the logsumexp shifts that block in place; the value is bitwise
+the one computed without holding anything.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 
 import numpy as np
 from scipy import special
 
-from .landscape import _grid
+from . import landscape
+from .landscape import _grid, _on
 from .montecarlo import FiniteModel
 
 __all__ = ["QuadratureError", "log_sphere_surface", "log_overlap_density", "log_E_Z2_exact"]
@@ -42,6 +55,11 @@ _NODE_LADDER = (65, 129, 257, 513, 1025, 2049)
 # two consecutive refinements must agree to this, absolutely
 _REFINE_TOL = 1e-9
 _MAX_POINTS = 513**3  # the most points one rung may sum
+# the rungs' xi grids held for later calls (`_xi_grids`), least recently
+# used first, and the most points they may hold together: four slabs of
+# landscape._SLAB_POINTS, 8 MB
+_HELD: collections.OrderedDict = collections.OrderedDict()
+_HELD_POINTS = 2**20
 
 
 class QuadratureError(RuntimeError):
@@ -63,9 +81,12 @@ def roots_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
+_LOG_2, _LOG_PI = np.log(2.0), np.log(np.pi)
+
+
 def log_sphere_surface(d: int) -> float:
     """log of the surface area of the unit sphere in R^d."""
-    return np.log(2.0) + (d / 2.0) * np.log(np.pi) - special.gammaln(d / 2.0)
+    return _LOG_2 + (d / 2.0) * _LOG_PI - special.gammaln(d / 2.0)
 
 
 def log_overlap_density(r: np.ndarray, d: int) -> np.ndarray:
@@ -77,15 +98,19 @@ def _logsumexp(a: np.ndarray, axis=None):
     """log(sum(exp(a))) over axis (every axis by default), bit for bit
     scipy.special.logsumexp's on finite input (scipy 1.17): the greatest
     elements are counted, m, and left out of the shifted sum, s, and the
-    result is log1p(s / m) + log(m) + max."""
+    result is log1p(s / m) + log(m) + max.
+
+    The shift and the exponential are computed in a's memory, so a is
+    overwritten: pass a copy of an array that is still needed.
+    """
     axis = tuple(range(a.ndim)) if axis is None else axis
-    top = np.max(a, axis=axis, keepdims=True)
+    top = a.max(axis=axis, keepdims=True)
     at_top = a == top
-    shifted = a - top
-    np.exp(shifted, out=shifted)
-    shifted[at_top] = 0.0
-    m = np.sum(at_top, axis=axis, keepdims=True, dtype=float)
-    out = np.log1p(np.sum(shifted, axis=axis, keepdims=True) / m) + np.log(m) + top
+    a -= top
+    np.exp(a, out=a)
+    a[at_top] = 0.0
+    m = at_top.sum(axis=axis, keepdims=True, dtype=float)
+    out = np.log1p(a.sum(axis=axis, keepdims=True) / m) + np.log(m) + top
     return out.squeeze(axis)[()]
 
 
@@ -105,31 +130,73 @@ def _plan(mix) -> tuple[int, list[list[int]]]:
     return 0, [list(range(1, S))]
 
 
+def _xi_grids(model, nodes: np.ndarray, plan: tuple[int, list[list[int]]]):
+    """xi on a rung's grids, as (xi_p, blocks): xi_p sums the pivot's own
+    terms at the nodes, and blocks holds per component the slabs of the sum
+    of its terms on the grid nodes^(1 + len(comp)), pivot axis first.
+
+    A rung whose every grid fits in one slab of landscape._SLAB_POINTS points
+    is held (`_HELD`), read-only, keyed by the exponent matrix's shape and
+    bytes, the coefficients' bytes and the node count, so every later call
+    on that mixture and rung reads it; its component grids are then one slab
+    each.  The plan must be the mixture's `_plan`, which the exponents fix.
+    Any other rung is streamed, each slab a new array.
+    """
+    (p, comps), n = plan, len(nodes)
+    sizes = [n ** (1 + len(comp)) for comp in comps]
+    if max(sizes, default=n) > landscape._SLAB_POINTS or n + sum(sizes) > _HELD_POINTS:
+        return _stream_xi(model, nodes, plan)
+    mix = model.mixture
+    key = mix.exponents.shape, mix.exponents.tobytes(), mix.coeffs.tobytes(), n
+    held = _HELD.get(key)
+    if held is None:
+        xi_p, blocks = _stream_xi(model, nodes, plan)
+        held = _HELD[key] = xi_p, *(xi for block in blocks for xi in block)
+        for xi in held:
+            xi.flags.writeable = False
+        while _held_points() > _HELD_POINTS:  # never the rung just held
+            _HELD.popitem(last=False)
+    else:
+        _HELD.move_to_end(key)
+    return held[0], [(xi,) for xi in held[1:]]
+
+
+def _stream_xi(model, nodes: np.ndarray, plan: tuple[int, list[list[int]]]):
+    """`_xi_grids`, slab by slab from landscape's `_grid`."""
+    p, comps = plan
+    touches = model.mixture.exponents > 0
+    pivot_terms = np.flatnonzero(touches.sum(axis=1) == touches[:, p])  # on p alone
+    xi_p = np.concatenate(list(_grid(model, nodes, None, [p], pivot_terms)))
+    comp_terms = (np.flatnonzero(touches[:, comp].any(axis=1)) for comp in comps)
+    return xi_p, [_grid(model, nodes, None, [p, *comp], terms)
+                  for comp, terms in zip(comps, comp_terms)]
+
+
+def _held_points() -> int:
+    """The points of every grid held."""
+    return sum(xi.size for held in _HELD.values() for xi in held)
+
+
 def _log_integral(fm: FiniteModel, beta: float, n_nodes: int,
                   plan: tuple[int, list[list[int]]]) -> float:
     nodes, weights = roots_legendre(n_nodes)
-    mix, nb2 = fm.model.mixture, fm.N * beta * beta
-    touches = mix.exponents > 0
+    nb2 = fm.N * beta * beta
     p, comps = plan
     costs = [np.log(weights) + log_overlap_density(nodes, n_s) for n_s in fm.block_sizes]
-    zeros = np.zeros(n_nodes)
-
-    def per_axis(s, axis):  # the pivot's cost enters once, in the pivot vector
-        return zeros if s == p else costs[s]
-
     # the pivot's own terms, plus each component reduced by a logsumexp over
     # its sub-grid per pivot node; one logsumexp over the pivot nodes
-    pivot_terms = np.flatnonzero(~np.delete(touches, p, axis=1).any(axis=1))
-    xi_p = np.concatenate([xi for xi, _ in _grid(fm.model, nodes, per_axis, [p], pivot_terms)])
+    xi_p, blocks = _xi_grids(fm.model, nodes, plan)
     total = costs[p] + nb2 * (fm.model.xi1() + xi_p)
-    for comp in comps:
-        terms = np.flatnonzero(touches[:, comp].any(axis=1))
+    for comp, slabs in zip(comps, blocks):
+        # the component's cost, along the block's axes after the pivot's
+        parts = [costs[s][_on(i, len(comp) + 1)] for i, s in enumerate(comp, 1)]
+        cost = sum(parts[1:], parts[0])
         sums = []
-        for xi, cost in _grid(fm.model, nodes, per_axis, [p, *comp], terms):
-            xi *= nb2  # the block N beta^2 xi + cost, built in xi's memory
-            xi += cost
-            del cost  # the logsumexp's temporaries may reuse its memory
-            sums.append(_logsumexp(xi, axis=tuple(range(1, len(comp) + 1))))
+        for xi in slabs:
+            # the block N beta^2 xi + cost, in xi's memory unless xi is held
+            block = np.multiply(xi, nb2, out=xi if xi.flags.writeable else None)
+            block += cost
+            sums.append(_logsumexp(block, axis=tuple(range(1, len(comp) + 1))))
         total = total + np.concatenate(sums)
     return float(_logsumexp(total)) / fm.N
 

@@ -454,6 +454,25 @@ def test_search_starts_from_the_grid_argmax(sk, pure3, cubic_two_species, monkey
             assert np.array_equal(X0[-1], point)
             assert res.grid_certified and res.value >= _values(evaluate, X0[-1:])[0]
             assert _above(res.value, value)
+    # one and two species compute the grid's xi and summed cost in one pass
+    # for every rule of a search: f, its truncated twin and minus both
+    # ratios here; each result, fun_evals included, is the rule's lone
+    # search's, bit for bit
+    grid, passes = landscape._grid, []
+    monkeypatch.setattr(landscape, "_grid", lambda *args: passes.append(args) or grid(*args))
+    for model in (sk, cubic_two_species):
+        rules = [landscape._objective(model, 0.8, objective)[0] for objective in ("plain", "tilde")]
+        rules += [criticality._ratio_rule(model, objective, TOL_ZERO)[0]
+                  for objective in ("plain", "tilde")]
+        _, cost, dcost = landscape._objective(model, 0.8, "plain")
+        passes.clear()
+        together = landscape._search(model, rules, cost, dcost)
+        assert len(passes) == 1
+        for res, rule in zip(together, rules):
+            (ref,) = landscape._search(model, [rule], cost, dcost)
+            assert res.argmax.tobytes() == ref.argmax.tobytes() and res.value == ref.value
+            assert (res.fun_evals, res.starts_used, res.converged) == (
+                ref.fun_evals, ref.starts_used, ref.converged)
 
 
 def _rules(model, betas, monkeypatch):

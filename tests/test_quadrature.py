@@ -40,7 +40,7 @@ def test_logsumexp_is_scipys_bit_for_bit():
             block[...] = -3.0
         for axis in [None] + [tuple(range(k, block.ndim)) for k in range(1, block.ndim)]:
             expected = logsumexp(block, axis=axis)
-            found = quadrature._logsumexp(block, axis=axis)
+            found = quadrature._logsumexp(block.copy(), axis=axis)  # it overwrites its input
             assert type(found) is type(expected) and np.shape(found) == np.shape(expected)
             assert np.asarray(found).tobytes() == np.asarray(expected).tobytes()
 
@@ -320,15 +320,52 @@ def test_the_cached_rule_is_scipys_and_read_only():
                 cached[0] = 0.0
 
 
-def test_warm_values_are_scipys_bit_for_bit(sk, two_quad, chain_three_species, monkeypatch):
-    # the value from the cached rules, warm, against the value with scipy's
-    # roots_legendre solved afresh on every rung
+def test_warm_values_are_scipys_bit_for_bit(sk, two_quad, chain_three_species,
+                                            three_species_equal, monkeypatch):
+    # the value from the cached rules and held xi grids, warm, against a cold
+    # call (nothing held), a call that holds nothing (every grid streamed)
+    # and the value with scipy's roots_legendre solved afresh on every rung;
+    # the coupled model's rungs exceed a slab, so they stream and are not held
     from scipy.special import roots_legendre
 
-    for model, N, beta in ((sk, 3200, 0.5), (two_quad, 400, 0.3), (chain_three_species, 3200, 0.2)):
+    for model, N, beta in ((sk, 3200, 0.5), (two_quad, 400, 0.3), (chain_three_species, 3200, 0.2),
+                           (three_species_equal, 400, 0.2)):
         fm = build_finite_model(model, N)
-        log_E_Z2_exact(fm, beta)
+        quadrature._HELD.clear()
+        cold = log_E_Z2_exact(fm, beta)
+        assert bool(quadrature._HELD) == (model is not three_species_equal)
+        for held in quadrature._HELD.values():
+            for xi in held:
+                assert not xi.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    xi[...] = 0.0
         warm = log_E_Z2_exact(fm, beta)
+        assert warm.hex() == cold.hex()
         with monkeypatch.context() as patched:
             patched.setattr(quadrature, "roots_legendre", roots_legendre)
             assert log_E_Z2_exact(fm, beta).hex() == warm.hex()
+            patched.setattr(quadrature, "_HELD_POINTS", 0)
+            assert log_E_Z2_exact(fm, beta).hex() == warm.hex()
+
+
+def test_held_grids_stay_within_their_budget(sk, two_quad, cubic_two_species, chain_three_species,
+                                             three_species_equal, monkeypatch):
+    # calls over several models, the coupled one at N = 3200 among them: the
+    # held points never exceed the budget of four slabs; a budget of one
+    # 257-node chain rung evicts the rungs used least recently, and the
+    # values are unchanged
+    assert quadrature._HELD_POINTS == 4 * landscape._SLAB_POINTS
+    calls = [(sk, 3200, 0.5), (two_quad, 3200, 0.3), (cubic_two_species, 1600, 0.3),
+             (chain_three_species, 3200, 0.2), (three_species_equal, 3200, 0.2)]
+    values = []
+    for model, N, beta in calls:
+        values.append(log_E_Z2_exact(build_finite_model(model, N), beta).hex())
+        assert 0 < quadrature._held_points() <= quadrature._HELD_POINTS
+    chain_rung = 2 * 257**2 + 257
+    monkeypatch.setattr(quadrature, "_HELD_POINTS", chain_rung)
+    quadrature._HELD.clear()
+    for (model, N, beta), value in list(zip(calls, values))[:4]:
+        assert log_E_Z2_exact(build_finite_model(model, N), beta).hex() == value
+        assert quadrature._held_points() <= chain_rung
+    assert [key[-1] for key in quadrature._HELD] == [257]
+    assert quadrature._held_points() == chain_rung

@@ -54,6 +54,17 @@ def test_second_moment_table_prints_one_row_per_size(capsys):
         assert abs(float(n_gap) - 0.5 * math.log(2.0)) <= 1.0 / int(N)
 
 
+def test_second_moment_table_refuses_a_size_too_small_for_the_model(capsys):
+    # argparse's usage error, exit 2, naming the size, before any table
+    with pytest.raises(SystemExit) as exit_:
+        _script("second_moment_table").run(["--model", str(MODELS_DIR / "sk.json"),
+                                            "--sizes", "50", "2"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and "argument --sizes: N=2 too small" in captured.err
+
+
 def test_verify_pass_rate_counts_the_failures_of_each_check(capsys):
     code = _script("verify_pass_rate").run(["--seeds", "3", "5", "--N", "20", "--samples", "200"])
     assert code == 0
@@ -101,7 +112,7 @@ def test_ab_compare_prints_one_row_per_job(capsys):
         + [f"cli scan S={S}" for S in range(3, 7)] + ["cli critical two_species_quadratic"] \
         + ["estimate_free_energy pure3",
            "log_E_Z2_exact two_species_quadratic", "log_E_Z2_exact chain S=3",
-           "log_E_Z2_exact verify ladder sk"]
+           "log_E_Z2_exact verify ladder sk", "log_E_Z2_exact N ladder two_species_quadratic"]
     for line in lines[2:]:
         parent, change, ratio, wins = map(float, line.split()[-5:-1])
         assert parent > 0.0 and change > 0.0 and wins in (0.0, 1.0)
