@@ -26,12 +26,19 @@ pair to pair.  The jobs, fixed:
   two_species_quadratic: log_E_Z2_exact at N = 100, 400, 1600 and 3200, each
   at beta 0 and at half of beta_m.
 
-A package that holds its Gauss-Legendre rules and xi grids for the process
-runs every log_E_Z2_exact job warm after that job's first pair.
+Before the timed pairs, each job runs once more on each side, untimed, under
+tracemalloc, for the peak of the memory it allocates (numpy's arrays
+included), the parent's side first.  That first run is a cold one: a
+package that holds its Gauss-Legendre rules and xi grids for the process
+runs every log_E_Z2_exact job warm in every timed pair.  What the two
+packages share is allocated once, in the run that first needs it: scipy
+imports scipy.linalg on a process's first Gauss-Legendre rule, which the
+parent's first quadrature job pays.
 
 For each job it prints the median wall time of each side, their ratio
 (change over parent), the share of pairs in which the change was faster,
-and whether the two sides' results were bitwise equal in every pair.
+each side's peak traced allocation in MB, and whether the two sides'
+results were bitwise equal in every pair.
 """
 
 import argparse
@@ -46,6 +53,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -157,6 +165,16 @@ def bits(result):
     return result
 
 
+def peak_mb(job) -> float:
+    """The peak memory traced during one run of a job, in MB."""
+    tracemalloc.start()
+    try:
+        job()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def run(argv=None):
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -175,6 +193,7 @@ def run(argv=None):
             sides.append(jobs(load(src, name), Path(tmp) / name))
         times = {name: ([], []) for name in sides[0]}
         same = dict.fromkeys(times, True)
+        peaks = {name: [peak_mb(side[name]) for side in sides] for name in times}
         for pair in range(args.pairs):
             for name, (parent, change) in times.items():
                 results = [None, None]
@@ -183,13 +202,15 @@ def run(argv=None):
                     results[side] = sides[side][name]()
                     (parent, change)[side].append(time.perf_counter() - start)
                 same[name] &= bits(results[0]) == bits(results[1])
-    print(f"{args.pairs} pairs; medians in ms; ratio = change / parent")
-    print(f"{'job':46} {'parent':>9} {'change':>9} {'ratio':>7} {'change wins':>12} {'same':>5}")
+    print(f"{args.pairs} pairs; medians in ms; ratio = change / parent; "
+          "peak traced MB of one untimed run")
+    print(f"{'job':46} {'parent':>9} {'change':>9} {'ratio':>7} {'change wins':>12} "
+          f"{'parent MB':>10} {'change MB':>10} {'same':>5}")
     for name, (parent, change) in times.items():
         a, b = statistics.median(parent), statistics.median(change)
         wins = sum(c < p for p, c in zip(parent, change)) / args.pairs
         print(f"{name:46} {1e3 * a:9.3f} {1e3 * b:9.3f} {b / a:7.3f} {wins:12.2f} "
-              f"{'yes' if same[name] else 'no':>5}")
+              f"{peaks[name][0]:10.3f} {peaks[name][1]:10.3f} {'yes' if same[name] else 'no':>5}")
     return 0
 
 

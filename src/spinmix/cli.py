@@ -131,6 +131,11 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the JSON report goes to --out and the table beside it with a .csv
+    # suffix, which must be another file
+    if args.out and Path(args.out).with_suffix(".csv") == Path(args.out):
+        raise ValueError(f"--out {args.out} would be overwritten by the CSV table written "
+                         "beside it with the suffix .csv; choose another suffix")
     model = _load(args)
     run = verify_mod.run_verify(model, N=args.N, n_samples=args.samples, seed=args.seed)
     for c in run.checks:

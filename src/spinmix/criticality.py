@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .landscape import TOL_ZERO, MaximizeResult, _energy, _search
+from .landscape import TOL_ZERO, MaximizeResult, _energy, _form, _search
 from .landscape import hessian_at_zero, maximize_f
 from .model import ModelSpec
 
@@ -127,6 +127,9 @@ def _ratio_rule(model: ModelSpec, objective: str, tol_zero: float):
     or -(log(1 - r) + r) with x ("talagrand").  The rule's value is minus
     the ratio, -inf where x = 0, and its partials, with inv = 1 / energy(x)
     (0 where x = 0), are (c + tol_zero) energy'(x) inv^2 in x and -inv in c.
+    Its energy form (`landscape._form`) is Dinkelbach's parametrization: at
+    L < 0, minus the ratio is at least L exactly where -L energy(x) - c is
+    at least tol_zero, f's form at beta^2 = -L.
     """
     energy, slope, cost, dcost = _energy(model, 1.0, objective)
 
@@ -138,7 +141,8 @@ def _ratio_rule(model: ModelSpec, objective: str, tol_zero: float):
         inv = np.divide(1.0, energy(x), out=np.zeros(np.shape(x)), where=x > 0.0)
         return (c + tol_zero) * slope(x) * inv * inv, -inv
 
-    return (value, partials), cost, dcost
+    form = _form(objective, energy, slope, lambda L: (-L, tol_zero))
+    return (value, partials, form), cost, dcost
 
 
 def _ratio_min(model: ModelSpec, objectives, tol_zero: float) -> list[tuple[float, MaximizeResult]]:

@@ -49,9 +49,14 @@ one or two species, and `quadrature`'s blocks over which it eliminates
 species.  For three species the search's grid of 8.1M points is searched by
 branch and bound (`_grid_start`): xi and every cost are nondecreasing in
 each coordinate, so the corners of a box of grid points bound the rule on
-it, and only the boxes that may hold the greatest value are evaluated,
-whole, in slabs of the same size.  The best point and its value are the
-whole grid's, bit for bit.
+it, and a rule E(xi) minus the entropy, with E concave and nondecreasing,
+is also bounded to second order from one box-enclosure layer, `_enclose`:
+xi at the box's corners and centre, grad xi at the centre, hess xi at the
+upper corner, which bounds it entrywise, and the entropy's value, gradient
+and least curvature.  f, its truncated twin and minus both threshold
+ratios (by Dinkelbach's parametrization) are all such rules.  Only the
+boxes that may hold the greatest value are evaluated, whole; the best point
+and its value are the whole grid's, bit for bit.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,10 +165,25 @@ def _energy(model: ModelSpec, beta: float, objective: str):
     return energy, slope, cost, dcost
 
 
+def _form(objective: str, energy, slope, level):
+    """A rule's energy form for `_grid_start`'s second-order bound, (energy,
+    slope, level) with the objective's energy term and its derivative from
+    `_energy`, or None for "talagrand", whose cost is not the entropy.
+
+    level(L) gives (w, t) such that a point where the rule's value is at
+    least L has w energy(xi) - entropy at least t (`_may_hold`), w >= 0:
+    (1, L) for f and its truncated twin, (-L, tol_zero) for minus a
+    threshold ratio, whose energy is taken at beta = 1 (Dinkelbach's
+    parametrization).
+    """
+    return None if objective == "talagrand" else (energy, slope, level)
+
+
 def _objective(model: ModelSpec, beta: float, objective: str):
     """Return (rule, cost, dcost), `_search`'s arguments for f, its truncated
     twin or g: f(r) = value(xi(r), sum over s of cost(s, r(s))), with the
-    rule (value, partials) and partials(x, c) = (dvalue/dx, dvalue/dc)."""
+    rule (value, partials, form), partials(x, c) = (dvalue/dx, dvalue/dc)
+    and form the energy form (`_form`)."""
     energy, slope, cost, dcost = _energy(model, beta, objective)
 
     def value(x, c):
@@ -171,7 +192,7 @@ def _objective(model: ModelSpec, beta: float, objective: str):
     def partials(x, c):
         return slope(x), -1.0
 
-    return (value, partials), cost, dcost
+    return (value, partials, _form(objective, energy, slope, lambda L: (1.0, L))), cost, dcost
 
 
 def _pointwise(model: ModelSpec, value, cost):
@@ -182,7 +203,7 @@ def _pointwise(model: ModelSpec, value, cost):
 
 
 def _at(model: ModelSpec, beta: float, objective: str, r) -> float:
-    (value, _), cost, _ = _objective(model, beta, objective)
+    (value, _, _), cost, _ = _objective(model, beta, objective)
     return float(_pointwise(model, value, cost)(_coerce_r(model.n_species, r)))
 
 
@@ -204,7 +225,7 @@ def g_beta(model: ModelSpec, beta: float, r: float) -> float:
 def f_grad(model: ModelSpec, beta: float, r) -> np.ndarray:
     """Analytic gradient: -lam*r/(1-r^2) + beta^2 * grad xi."""
     r = _coerce_r(model.n_species, r)
-    (_, partials), cost, dcost = _objective(model, beta, "plain")
+    (_, partials, _), cost, dcost = _objective(model, beta, "plain")
     mix = model.mixture
     dx, dc = partials(mix.eval(r), cost(slice(None), r).sum(-1))
     return dx * mix.grad(r) + dc * dcost(r)
@@ -313,6 +334,119 @@ def _cut(best: float) -> float:
     return best - _PRUNE * max(1.0, abs(best))
 
 
+class _Enclosure(NamedTuple):
+    """`_enclose`'s pieces on a batch of boxes [a, b], one row per box."""
+
+    c: np.ndarray       # (K, S) centres
+    h: np.ndarray       # (K, S) half-widths: |r - c| <= h on the box
+    xi_a: np.ndarray    # (K,) xi at a, its least value on the box
+    xi_b: np.ndarray    # (K,) xi at b, its greatest
+    xi_c: np.ndarray    # (K,) xi at c
+    grad_c: np.ndarray  # (K, S) grad xi at c
+    hess_b: np.ndarray  # (K, S, S) hess xi at b, entrywise its greatest
+    cost_c: np.ndarray  # (K,) the entropy at c, summed over species
+    dcost_c: np.ndarray  # (K, S) its gradient at c
+    curv_a: np.ndarray  # (K, S) -lam (1 + a^2) / (1 - a^2)^2, the greatest
+    #                     on the box of minus the entropy's second derivative
+
+
+def _enclose(model: ModelSpec, a: np.ndarray, b: np.ndarray) -> _Enclosure:
+    """The enclosures of xi and of the entropy -1/2 sum_s lam_s log(1 - r_s^2)
+    on a (K, S) batch of boxes [a, b] in [0, 1)^S, one row per box.
+
+    Every coefficient is nonnegative, so xi and each of its partial
+    derivatives is nondecreasing in each coordinate: on a box xi lies in
+    [xi(a), xi(b)] and hess xi lies entrywise in [0, hess xi(b)].  The
+    entropy's second derivative in r_s, lam_s (1 + r_s^2) / (1 - r_s^2)^2,
+    rises with r_s, so it is least at a.
+    """
+    mix, lam = model.mixture, model.species.lam
+    c = 0.5 * (a + b)
+    # one ulp above the rounded distances, each within half an ulp
+    h = np.nextafter(np.maximum(b - c, c - a), np.inf)
+    aa, cc = a * a, c * c
+    xi_a, xi_b, xi_c = mix.eval(np.stack((a, b, c)))
+    return _Enclosure(
+        c, h, xi_a, xi_b, xi_c, mix.grad(c),
+        mix._partials(b, 2).reshape(b.shape + b.shape[-1:]),
+        np.add.reduce(-0.5 * lam * np.log1p(-cc), -1), lam * c / (1.0 - cc),
+        -lam * (1.0 + aa) / (1.0 - aa) ** 2)
+
+
+def _may_hold(model: ModelSpec, form, a: np.ndarray, b: np.ndarray, level: float) -> np.ndarray:
+    """Whether each box [a, b] of a (K, S) batch may hold a point where the
+    rule of energy form `form` (`_form`) is at least `level`, as `_kernel`
+    computes it: False only where the second-order bound rules it out.
+
+    With (w, t) = form's level(level) and E = w energy, concave and
+    nondecreasing, the box must hold a point where phi = E(xi) - entropy is
+    at least t.  On a box of centre c and half-width h (`_enclose`), Taylor's
+    theorem with r = c + d gives
+
+        phi(r) <= phi(c) + sum_s max_{|d_s| <= h_s} (g_s d_s + U_ss d_s^2 / 2)
+                  + sum_{s != u} U_su h_s h_u / 2,
+
+    with g = grad phi(c) and U = E'(xi(a)) hess xi(b) + diag(curv_a): the
+    Hessian of phi is E'(xi) hess xi + E''(xi) grad xi grad xi' minus the
+    entropy's, the middle term is at most 0, E' falls as xi rises from
+    xi(a), and hess xi rises to hess xi(b).  The maximum over d_s is
+    g_s^2 / (2 |U_ss|) where U_ss < 0 and the peak lies inside, |g_s| <
+    -U_ss h_s, else |g_s| h_s + U_ss h_s^2 / 2.
+
+    Rounding.  Each piece of the bound, and the rule's value at a grid
+    point as `_kernel` computes it, is a sum of at most S^2 + S + 1 terms,
+    each made by at most 3 S + T + 8 operations (T the terms of xi), every
+    one of them within an ulp (numpy's pow, log1p and arithmetic): fewer
+    than S^2 + 4 S + T + 10 roundings of relative size eps, and a further
+    eps / (1 - r^2) where 1 - r^2 is formed.  Twice that count covers the
+    products of errors, so on the box computed and exact values differ by
+    less than
+
+        margin = 2 (S^2 + 4 S + T + 10) eps / min_s (1 - b_s^2) * M,
+
+    with M the sum of the pieces' magnitudes: E(xi(b)) and sum_s lam_s (the
+    energy at any point of the box, and the entropy, whose value there is
+    at most sum_s lam_s / (2 (1 - b_s^2))), |t|, E(xi(c)) and the entropy at
+    c, the two parts of each |g_s| h_s, and each |U_su| h_s h_u.  A box is
+    ruled out only where bound + margin < t.
+    """
+    energy, slope, at = form
+    w, t = at(level)
+    K, S = a.shape
+    lam = model.species.lam
+    keep = np.ones(K, dtype=bool)
+    if not (math.isfinite(w) and w >= 0.0 and math.isfinite(t)):
+        return keep
+    terms = model.mixture.n_terms
+    units = 2 * (S * S + 4 * S + terms + 10) * np.finfo(float).eps
+    # the largest temporary, hess xi's gather of at most S factors for the
+    # S^2 partials of every term, stays within _SLAB_POINTS scalars
+    per = max(1, _SLAB_POINTS // (S**3 * max(terms, 1)))
+    for lo in range(0, K, per):
+        box = slice(lo, lo + per)
+        e = _enclose(model, a[box], b[box])
+        # the energy's gradient at c, and its part of U (a slope may be a
+        # number)
+        rise = w * np.asarray(slope(e.xi_c))[..., None] * e.grad_c
+        curve = w * np.asarray(slope(e.xi_a))[..., None, None] * e.hess_b
+        g = np.abs(rise - e.dcost_c)  # |g_s|
+        # the energy's part of U_su h_s h_u, summed over every pair and over
+        # the diagonal, and -U_ss h_s
+        cross = curve * (e.h[:, :, None] * e.h[:, None, :])
+        pairs, diagonal = cross.sum((1, 2)), cross.diagonal(0, 1, 2).sum(-1)
+        drop = -(curve.diagonal(0, 1, 2) + e.curv_a) * e.h
+        inner = g < drop
+        peak = np.where(inner, 0.5 * g * g / np.where(inner, drop, 1.0) * e.h,
+                        (g - 0.5 * drop) * e.h)
+        centre = w * energy(e.xi_c)
+        bound = centre - e.cost_c + peak.sum(-1) + 0.5 * (pairs - diagonal)
+        size = (w * energy(e.xi_b) + lam.sum() + abs(t) + centre + e.cost_c
+                + ((rise + e.dcost_c - e.curv_a * e.h) * e.h).sum(-1) + pairs)
+        margin = units * size / (1.0 - b[box] * b[box]).min(-1)
+        keep[box] = ~(bound + margin < t)
+    return keep
+
+
 def _grid_scan(model: ModelSpec, values, cost, axis: np.ndarray) -> list[tuple[int, int]]:
     """`_grid_start` of each rule of `values` on the whole grid, with no
     bound: one pass of `_grid`, whose slabs' xi and summed cost serve every
@@ -328,7 +462,8 @@ def _grid_scan(model: ModelSpec, values, cost, axis: np.ndarray) -> list[tuple[i
     return [(f, evals) for f in flat]
 
 
-def _grid_start(model: ModelSpec, value, cost, axis: np.ndarray, side: int) -> tuple[int, int]:
+def _grid_start(model: ModelSpec, value, cost, axis: np.ndarray, side: int,
+                form=None) -> tuple[int, int]:
     """The first greatest value in C order of the rule value(xi, c) on the
     grid axis^S, as (C-order index, values computed), by branch and bound
     over boxes of grid points down to boxes of side `side`.
@@ -337,21 +472,29 @@ def _grid_start(model: ModelSpec, value, cost, axis: np.ndarray, side: int) -> t
     in each coordinate, and each rule rises with xi and falls with c: on a
     box, value(xi at its upper corner, cost at its lower corner) bounds the
     rule from above (H. Tuy, "Monotonic optimization", SIAM J. Optim. 11
-    (2000)).  The grid is the root box, of side a power of two times `side`.
-    Each level splits every box into 2^S boxes of half its side, bounds
-    them, evaluates the rule at both corners of each, and drops the boxes
-    whose bound is below the greatest value seen by more than _PRUNE
-    max(1, |value|).  The boxes of side `side` left are evaluated whole,
-    greatest bound first, in slabs of at most _SLAB_POINTS points, until the
-    next bound falls below that cut.  When `side` covers the grid, the
+    (2000)).  That corner bound is first order in the box's side, so a rule
+    with an energy form (`_form`), E(xi) minus the entropy, is bounded by
+    the least of it and a second-order bound (`_may_hold`).  The grid is the
+    root box, of side a power of two times `side`.  Each level splits every
+    box into 2^S boxes of half its side, bounds them, evaluates the rule at
+    both corners of each, and drops the boxes whose corner bound is below
+    the greatest value seen by more than _PRUNE max(1, |value|), the cut
+    (`_cut`), then those of the others that the second-order bound rules out
+    at the cut.  The boxes of side `side` left are evaluated whole, greatest
+    corner bound first, in slabs of at most _SLAB_POINTS points, until the
+    next corner bound falls below the cut.  When `side` covers the grid, the
     grid is one box, evaluated by `_grid_scan` with no bound.
 
-    The bound is exact in floating point for the plain rules, since
+    The corner bound is exact in floating point for the plain rules, since
     rounding is monotone; the slack covers the few ulps by which the
     truncated quotient may fall as xi rises, ulps of numbers within about 9
-    (the entropy at the clamp) of the greatest value.  So no dropped box
-    holds a value at or above the greatest, and every value is `_kernel`'s,
-    bit for bit: the result is the whole grid scan's.
+    (the entropy at the clamp) of the greatest value.  The second-order
+    bound carries its own rounding margin.  So no dropped box holds a value
+    at or above the greatest, and every value is `_kernel`'s, bit for bit:
+    the result is the whole grid scan's.  The values computed are, for each
+    box bounded, its two corner values and its corner bound, one more (the
+    value at its centre) when it is bounded to second order, and every point
+    of the boxes evaluated whole.
     """
     S, n = model.n_species, len(axis)
     if side >= n:  # one box, the whole grid, slab by slab
@@ -365,11 +508,16 @@ def _grid_start(model: ModelSpec, value, cost, axis: np.ndarray, side: int) -> t
         width //= 2
         lo = (lo[:, None, :] + width * np.array(list(np.ndindex(*(2,) * S)))).reshape(-1, S)
         lo = lo[(lo < n).all(-1)]
-        (xi_lo, c_lo), (xi_hi, c_hi) = at(lo.T), at(np.minimum(lo + width - 1, n - 1).T)
+        hi = np.minimum(lo + width - 1, n - 1)
+        (xi_lo, c_lo), (xi_hi, c_hi) = at(lo.T), at(hi.T)
         bound = value(xi_hi, c_lo)
         best = max(best, value(xi_lo, c_lo).max(), value(xi_hi, c_hi).max())
         evals += 3 * len(lo)
         keep = ~(bound < _cut(best))  # a NaN bound is kept
+        if form is not None:
+            kept = keep.nonzero()[0]
+            keep[kept] = _may_hold(model, form, axis[lo[kept]], axis[hi[kept]], _cut(best))
+            evals += len(kept)
         lo, bound = lo[keep], bound[keep]
     order = np.argsort(-bound, kind="stable")
     lo, bound = lo[order], bound[order]
@@ -398,10 +546,10 @@ def _grid_start(model: ModelSpec, value, cost, axis: np.ndarray, side: int) -> t
     return flat, evals
 
 
-def _starts(model: ModelSpec, values, cost) -> list[tuple[np.ndarray, int]]:
-    """The search's starts in [0, 1)^S for each rule of `values`, one per
-    row, and the number of grid values computed to choose them: the search's
-    whole per-S policy.
+def _starts(model: ModelSpec, rules, cost) -> list[tuple[np.ndarray, int]]:
+    """The search's starts in [0, 1)^S for each rule (value, partials, form)
+    of `rules`, one per row, and the number of grid values computed to
+    choose them: the search's whole per-S policy.
 
     One species: the best point of a 4001-point grid.  Two or three:
     origin-perturbed points, a coarse 3^S grid and the best point of the
@@ -411,7 +559,8 @@ def _starts(model: ModelSpec, values, cost) -> list[tuple[np.ndarray, int]]:
     found with the box side of _GRIDS: for one or two species the whole
     grid is one box, whose xi and summed cost are computed once for every
     rule (`_grid_scan`), and for three each rule's branch and bound
-    (`_grid_start`) goes down to boxes of 4^3 points.
+    (`_grid_start`, bounded to second order where the rule has an energy
+    form) goes down to boxes of 4^3 points.
     """
     S = model.n_species
     if S == 1:
@@ -421,11 +570,12 @@ def _starts(model: ModelSpec, values, cost) -> list[tuple[np.ndarray, int]]:
         fixed = np.array([np.full(S, eps) for eps in (1e-4, 1e-2, 0.1)]
                          + [lo + step * np.array(combo) for combo in np.ndindex(*([k] * S))])
     if S not in _GRIDS:
-        return [(fixed, 0) for _ in values]
+        return [(fixed, 0) for _ in rules]
     n, side = _GRIDS[S]
     axis = _box_axis(n)
-    found = (_grid_scan(model, values, cost, axis) if side >= n
-             else [_grid_start(model, value, cost, axis, side) for value in values])
+    found = (_grid_scan(model, [value for value, _, _ in rules], cost, axis) if side >= n
+             else [_grid_start(model, value, cost, axis, side, form)
+                   for value, _, form in rules])
     return [(np.vstack([fixed, axis[list(np.unravel_index(flat, (n,) * S))]]), evals)
             for flat, evals in found]
 
@@ -576,15 +726,16 @@ def _search(model: ModelSpec, rules, cost, dcost) -> list[MaximizeResult]:
     cost(s, r(s))) over [0, 1 - DOMAIN_CLAMP]^S, one result per rule, from
     one batched ascent.
 
-    A rule is (value, partials): value takes xi and the summed cost as
-    arrays of one shape (or broadcastable), and partials(x, c) gives its
+    A rule is (value, partials, form): value takes xi and the summed cost as
+    arrays of one shape (or broadcastable), partials(x, c) gives its
     partial derivatives in x and in c, each a number or an array of that
-    shape.  The rules share the cost: cost(s, a) is species s's cost at the
-    coordinates a (slice(None) for every species of a (K, S) batch) and
-    dcost its gradient on a (K, S) batch.  For three species each value
-    must rise with xi and fall with c, and cost(s, a) rise with a, as in
-    every rule of the package: the grid is searched by bounds that rest on
-    this (`_grid_start`).
+    shape, and form is its energy form (`_form`) or None.  The rules share
+    the cost: cost(s, a) is species s's cost at the coordinates a
+    (slice(None) for every species of a (K, S) batch) and dcost its
+    gradient on a (K, S) batch.  For three species each value must rise
+    with xi and fall with c, and cost(s, a) rise with a, as in every rule of
+    the package, and a form must be the rule's, with the entropy as its
+    cost: the grid is searched by bounds that rest on this (`_grid_start`).
 
     The package's one search: more than six species are refused, `_starts`
     gives each rule's starts, from one pass over the grid for one or two
@@ -601,12 +752,14 @@ def _search(model: ModelSpec, rules, cost, dcost) -> list[MaximizeResult]:
     the grid's best point is one start and no run ends below its start, so
     the result is never below the best grid point: it is grid-certified.
     fun_evals counts the rule's values computed: those on the grid (every
-    grid point for one or two species; for three, the bounds, corners and
-    boxes of `_grid_start`), then the ascent's at the rule's starts.
+    grid point for one or two species; for three, the corners, bounds,
+    centres and boxes of `_grid_start`, a few thousand of the grid's 8.1M
+    points for the package's rules), then the ascent's at the rule's
+    starts.
     """
     if model.n_species > 6:
         raise ValueError("the landscape search supports at most 6 species")
-    starts, grid_evals = zip(*_starts(model, [value for value, _ in rules], cost))
+    starts, grid_evals = zip(*_starts(model, rules, cost))
     bounds = list(itertools.accumulate((len(X0) for X0 in starts), initial=0))
     first = np.array(bounds)
     mix = model.mixture
@@ -630,12 +783,12 @@ def _search(model: ModelSpec, rules, cost, dcost) -> list[MaximizeResult]:
         def gradient(j):
             Xj, xj, cj = X.take(j, 0), xi.take(j), c.take(j)
             dx, dc = np.empty(len(j)), np.empty(len(j))
-            for (_, partials), part in zip(rules, parts(j, cut)[0]):
+            for (_, partials, _), part in zip(rules, parts(j, cut)[0]):
                 dx[part], dc[part] = partials(xj[part], cj[part])
             return dx[:, None] * mix.grad(Xj) + dc[:, None] * dcost(Xj)
 
         F = np.empty(len(X))
-        for (value, _), part in zip(rules, live):
+        for (value, _, _), part in zip(rules, live):
             F[part] = value(xi[part], c[part])
         return F, gradient
 

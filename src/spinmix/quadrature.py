@@ -21,7 +21,8 @@ component and slab, and one over the pivot nodes.
 
 The Gauss-Legendre rule of a rung depends on the rung alone, so the module's
 `roots_legendre` is scipy's, solved once per rung per process and held for
-at most the ladder's six rungs, with read-only arrays.  `_log_integral` looks
+at most the ladder's six rungs, with read-only arrays, and so are its log
+weights and log1p(-x^2) at its nodes (`_log_rule`).  `_log_integral` looks
 that name up on every rung, so a wrapper bound to it sees one call per rung
 on every call, warm or cold.
 
@@ -81,6 +82,18 @@ def roots_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
+@functools.lru_cache(maxsize=len(_NODE_LADDER))
+def _log_rule(n: int, rule=roots_legendre) -> tuple[np.ndarray, np.ndarray]:
+    """log of the n-node rule's weights and log1p(-x^2) at its nodes, from
+    the cached rule (bound at definition, so a hook on the module attribute
+    sees no call from here): computed once per rung and process, read-only."""
+    nodes, weights = rule(n)
+    held = np.log(weights), np.log1p(-nodes * nodes)
+    for a in held:
+        a.flags.writeable = False
+    return held
+
+
 _LOG_2, _LOG_PI = np.log(2.0), np.log(np.pi)
 
 
@@ -91,7 +104,12 @@ def log_sphere_surface(d: int) -> float:
 
 def log_overlap_density(r: np.ndarray, d: int) -> np.ndarray:
     """log density of the overlap of two uniform points on a d-sphere."""
-    return log_sphere_surface(d - 1) - log_sphere_surface(d) + ((d - 3) / 2.0) * np.log1p(-r * r)
+    return _log_density(np.log1p(-r * r), d)
+
+
+def _log_density(log1m: np.ndarray, d: int) -> np.ndarray:
+    """`log_overlap_density` from log1m = log1p(-r^2)."""
+    return log_sphere_surface(d - 1) - log_sphere_surface(d) + ((d - 3) / 2.0) * log1m
 
 
 def _logsumexp(a: np.ndarray, axis=None):
@@ -179,10 +197,11 @@ def _held_points() -> int:
 
 def _log_integral(fm: FiniteModel, beta: float, n_nodes: int,
                   plan: tuple[int, list[list[int]]]) -> float:
-    nodes, weights = roots_legendre(n_nodes)
+    nodes, _ = roots_legendre(n_nodes)
+    log_weights, log1m = _log_rule(n_nodes)
     nb2 = fm.N * beta * beta
     p, comps = plan
-    costs = [np.log(weights) + log_overlap_density(nodes, n_s) for n_s in fm.block_sizes]
+    costs = [log_weights + _log_density(log1m, n_s) for n_s in fm.block_sizes]
     # the pivot's own terms, plus each component reduced by a logsumexp over
     # its sub-grid per pivot node; one logsumexp over the pivot nodes
     xi_p, blocks = _xi_grids(fm.model, nodes, plan)

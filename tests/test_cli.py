@@ -206,6 +206,28 @@ def test_verify_deterministic(tmp_path):
     assert csv_lines[2] == "beta,N,estimate,stderr,prediction,residual"
 
 
+@pytest.mark.parametrize("name", ["run.csv", "run"])
+def test_verify_refuses_an_out_that_its_csv_table_would_overwrite(name, tmp_path, capsys,
+                                                                   monkeypatch):
+    # the JSON report and the table beside it with the suffix .csv would be
+    # one file: a usage error naming the path, before any check runs; an
+    # --out without a suffix puts the table in run.csv beside run
+    out = tmp_path / name
+
+    def reached(*args, **kwargs):
+        raise AssertionError("the battery ran before --out was checked")
+
+    monkeypatch.setattr(verify_mod, "run_verify", reached)
+    if name == "run.csv":
+        assert main(["verify", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: --out {out} would be ")
+        assert not out.exists()
+    else:
+        with pytest.raises(AssertionError, match="the battery ran"):
+            main(["verify", "--out", str(out)])
+
+
 def test_verify_over_budget(capsys):
     code = main(["verify", "--N", "20000", "--samples", "200"])
     assert code == 1

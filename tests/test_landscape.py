@@ -476,16 +476,17 @@ def test_search_starts_from_the_grid_argmax(sk, pure3, cubic_two_species, monkey
 
 
 def _rules(model, betas, monkeypatch):
-    # (value, cost) of maximize_f's f and truncated twin at each beta, then of
-    # the plain and truncated ratio searches, in the order of _grid_rules
+    # (value, cost, form) of maximize_f's f and truncated twin at each beta,
+    # then of the plain and truncated ratio searches, in the order of
+    # _grid_rules
     rules = []
     for beta in betas:
         for objective in ("plain", "tilde"):
-            (value, _), cost, _ = landscape._objective(model, beta, objective)
-            rules.append((value, cost))
+            (value, _, form), cost, _ = landscape._objective(model, beta, objective)
+            rules.append((value, cost, form))
 
     def grab(model, searched, cost, dcost):
-        rules.extend((value, cost) for value, _ in searched)
+        rules.extend((value, cost, form) for value, _, form in searched)
         return [landscape.MaximizeResult(np.zeros(model.n_species), -1.0, 0, True, True, 0)
                 for _ in searched]
 
@@ -495,18 +496,28 @@ def _rules(model, betas, monkeypatch):
     return rules
 
 
-def _start_of(model, value, cost, side=None):
+def _start_of(model, value, cost, side=None, form=None):
     # _starts' grid start as (C-order index, value), the value in the bits of
     # the tensor-product kernel, and the grid values computed
     n, default = landscape._GRIDS[model.n_species]
     axis = landscape._box_axis(n)
-    flat, evals = landscape._grid_start(model, value, cost, axis, side or default)
+    flat, evals = landscape._grid_start(model, value, cost, axis, side or default, form)
     index = np.unravel_index(flat, (n,) * model.n_species)
     at = landscape._kernel(model, axis, cost)
     return index, value(*at([np.array(i) for i in index])), evals
 
 
-_BETAS = (0.4, 0.8, 1.2)
+def _model(name, request):
+    # a fixture by name, or seed_<k>: the three-species random model of seed k
+    if name.startswith("seed"):
+        return random_model(np.random.default_rng(int(name[5:])), 3)
+    return request.getfixturevalue(name)
+
+
+def _betas(model):
+    # f is searched at 0.4, 0.8, 1.2 and 1.2 beta_m, where its maximum is
+    # positive away from the origin
+    return 0.4, 0.8, 1.2, 1.2 * criticality.beta_m(model)
 
 
 @pytest.mark.parametrize("name", ["sk", "cubic_two_species", "three_species_equal", "seed_0",
@@ -517,23 +528,23 @@ def test_grid_start_is_the_brute_force_grid_optimum(name, request, monkeypatch):
     # f and its truncated twin at several betas and of both ratios, and slabs
     # of one or 4 leading rows, which divide neither 201 nor 4001, leave it
     # unchanged
-    model = (random_model(np.random.default_rng(int(name[5:])), 3) if name.startswith("seed")
-             else request.getfixturevalue(name))
+    model = _model(name, request)
     n, side = landscape._GRIDS[model.n_species]
     axis = landscape._box_axis(n)
-    for (value, cost), (point, expected) in zip(_rules(model, _BETAS, monkeypatch),
-                                                _grid_optima(model, axis, 20, _BETAS)):
-        index, found, evals = _start_of(model, value, cost)
+    betas = _betas(model)
+    for (value, cost, form), (point, expected) in zip(_rules(model, betas, monkeypatch),
+                                                      _grid_optima(model, axis, 20, betas)):
+        index, found, evals = _start_of(model, value, cost, form=form)
         assert np.array_equal(axis[list(index)], point)
         assert found == pytest.approx(expected, rel=1e-12, abs=1e-12)
         for rows in (1, 4):
             with monkeypatch.context() as m:
                 m.setattr(landscape, "_SLAB_POINTS", rows * n ** (model.n_species - 1))
-                assert _start_of(model, value, cost)[:2] == (index, found)
+                assert _start_of(model, value, cost, form=form)[:2] == (index, found)
         # fun_evals' grid part: the values computed, bounds and corners
-        # included; all n^S for a grid evaluated whole, a few percent of the
+        # included; all n^S for a grid evaluated whole, under 0.5% of the
         # grid by branch and bound
-        assert evals == n ** model.n_species if side == n else evals < 0.1 * n**3
+        assert evals == n ** model.n_species if side == n else evals < 0.005 * n**3
 
 
 def test_grid_tie_goes_to_the_first_point_in_c_order(monkeypatch):
@@ -545,7 +556,7 @@ def test_grid_tie_goes_to_the_first_point_in_c_order(monkeypatch):
     names = ("a", "b", "c")
     model = ModelSpec(SpeciesSet(names, np.full(3, 1.0 / 3.0)),
                       Mixture.from_terms(names, {(3, 0, 0): 1.0, (0, 3, 0): 1.0, (0, 0, 3): 1.0}))
-    value, cost = _rules(model, (), monkeypatch)[1]
+    value, cost, form = _rules(model, (), monkeypatch)[1]
     axis = landscape._box_axis(201)
     values = np.concatenate([value(xi, c).ravel() for xi, c in landscape._grid(model, axis, cost)])
     ties = np.flatnonzero(values == values.max())
@@ -553,56 +564,131 @@ def test_grid_tie_goes_to_the_first_point_in_c_order(monkeypatch):
                                                                (134, 0, 0)]
     # min(xi, 2.9) ties on the corner where xi >= 2.9, across many boxes,
     # which are evaluated greatest bound first, then in the order of their
-    # splitting, not in C order
+    # splitting, not in C order; it has no energy form, so the corner bound
+    # alone prunes
     plateau = lambda xi, c: np.minimum(xi, 2.9) - c
     zero = lambda s, a: np.zeros_like(a)
     corner = _start_of(model, plateau, zero, 201)
     for points in (64, 2**62):
         monkeypatch.setattr(landscape, "_SLAB_POINTS", points)
-        index, found, _ = _start_of(model, value, cost)
+        index, found, _ = _start_of(model, value, cost, form=form)
         assert index == (0, 0, 134) and found == values.max()
         assert _start_of(model, plateau, zero)[:2] == corner[:2]
 
 
-def _record_slabs(monkeypatch, seen):
-    # mark in the C-order mask `seen` the grid points that _grid_start
-    # evaluates in its slabs of whole boxes
-    kernel = landscape._kernel
+def _leaf_points(monkeypatch):
+    # the C-order indices of the grid points that _grid_start evaluates in
+    # its slabs of whole boxes, one array per slab
+    kernel, seen = landscape._kernel, []
 
-    def recording(*args):
-        at = kernel(*args)
+    def recording(model, axis, *args):
+        at = kernel(model, axis, *args)
 
         def record(index):
-            if isinstance(index[0], np.ndarray) and index[0].ndim == seen.ndim + 1:
-                seen[tuple(np.broadcast_arrays(*index))] = True
+            if isinstance(index[0], np.ndarray) and index[0].ndim > 1:
+                shape = (len(axis),) * len(index)
+                seen.append(np.ravel_multi_index(np.broadcast_arrays(*index), shape).ravel())
             return at(index)
 
         return record
 
     monkeypatch.setattr(landscape, "_kernel", recording)
+    return seen
 
 
-@pytest.mark.parametrize("boxes", [1, 7, None], ids=["1", "7", "whole"])
-def test_no_pruned_box_holds_a_value_above_the_best(boxes, monkeypatch):
-    # slabs of one box, of 7 boxes, or of every box left: every grid point
-    # that branch and bound leaves unevaluated is below its best value, by
-    # brute force, and the start is the dense grid scan's, bit for bit
-    model = random_model(np.random.default_rng(5), 3)
+@pytest.mark.parametrize("name, boxes", [("seed_5", 1), ("seed_5", 7), ("seed_5", None),
+                                         ("seed_1", None), ("three_species_equal", None)],
+                         ids=["1", "7", "whole", "seed_1-whole", "three_species_equal-whole"])
+def test_no_pruned_box_holds_a_value_above_the_best(name, boxes, request, monkeypatch):
+    # slabs of one box, of 7 boxes, or of every box left, for f and its
+    # truncated twin at each beta and both ratios: every grid point that
+    # branch and bound leaves unevaluated is below its best value, and the
+    # start is the grid's first greatest value in C order, in the kernel's
+    # bits over the whole grid
+    model = _model(name, request)
     n, side = landscape._GRIDS[3]
     axis = landscape._box_axis(n)
-    rules = _rules(model, (0.6,), monkeypatch)
-    starts = [_start_of(model, value, cost, n) for value, cost in rules]
-    monkeypatch.setattr(landscape, "_SLAB_POINTS", 2**62 if boxes is None else boxes * side**3)
-    seen = np.zeros((len(rules),) + (n,) * 3, dtype=bool)
-    for (value, cost), (index, found, _), mask in zip(rules, starts, seen):
-        with monkeypatch.context() as m:
-            _record_slabs(m, mask)
-            assert _start_of(model, value, cost)[:2] == (index, found)
-        assert 0 < mask.sum() < 0.1 * mask.size
-    for lo in range(0, n, 20):
-        _, entropy, xi = _grid_points(model, axis, slice(lo, lo + 20))
-        for v, (_, found, _), mask in zip(_grid_rules(model, xi, entropy, (0.6,)), starts, seen):
-            assert (v[~mask[lo:lo + 20]] < found).all()
+    rules = _rules(model, _betas(model), monkeypatch)
+    starts, evaluated = [], []
+    with monkeypatch.context() as m:
+        m.setattr(landscape, "_SLAB_POINTS", 2**62 if boxes is None else boxes * side**3)
+        seen = _leaf_points(m)
+        for value, cost, form in rules:
+            seen.clear()
+            starts.append(landscape._grid_start(model, value, cost, axis, side, form)[0])
+            evaluated.append(np.unique(np.concatenate(seen)))
+    at = landscape._kernel(model, axis, rules[0][1])
+    found = [value(*at(np.unravel_index(flat, (n,) * 3)))
+             for (value, _, _), flat in zip(rules, starts)]
+    best = [(-np.inf, -1)] * len(rules)
+    lo = 0
+    for xi, c in landscape._grid(model, axis, rules[0][1]):
+        for k, ((value, _, _), points) in enumerate(zip(rules, evaluated)):
+            v = value(xi, c).ravel()
+            i = int(np.argmax(v))
+            if v[i] > best[k][0]:
+                best[k] = (v[i], lo + i)
+            unseen = np.ones(v.size, dtype=bool)
+            unseen[points[(points >= lo) & (points < lo + v.size)] - lo] = False
+            assert (v[unseen] < found[k]).all()
+        lo += xi.size
+    assert lo == n**3
+    for (top, first), flat, value, points in zip(best, starts, found, evaluated):
+        assert (top, first) == (value, flat)
+        assert 0 < len(points) < 0.005 * n**3
+
+
+@pytest.mark.parametrize("name", ["three_species_equal", "seed_1", "seed_5"])
+def test_enclosures_hold_every_point_of_their_boxes(name, request, monkeypatch):
+    # at random points r of random boxes [a, b] of [0, 1 - DOMAIN_CLAMP]^3,
+    # some of them reaching the last grid point: r lies within h of the
+    # centre c; xi lies in [xi(a), xi(b)], hess xi entrywise in [0, hess
+    # xi(b)] and grad xi within hess xi(b) |r - c| of grad xi(c); the entropy
+    # lies above its quadratic lower bound from c; and the second-order bound
+    # of every rule lets each box through at the level of its value at r and
+    # at the box's corners
+    model = _model(name, request)
+    mix, lam = model.mixture, model.species.lam
+    rng = np.random.default_rng(11)
+    hi, K = 1.0 - landscape.DOMAIN_CLAMP, 300
+    a = rng.uniform(0.0, hi, (K, 3)) * rng.choice([0.0, 1.0, 1.0], (K, 3))
+    b = np.minimum(a + (hi - a) * rng.choice([0.0, 0.01, 0.1, 1.0], (K, 3)), hi)
+    b[:20] = hi
+    r = np.clip(a + (b - a) * rng.uniform(size=(K, 3)), a, b)
+    e = landscape._enclose(model, a, b)
+    d = r - e.c
+    assert (np.abs(d) <= e.h).all()
+    xi, grad, hess = mix.eval(r), mix.grad(r), mix._partials(r, 2).reshape(K, 3, 3)
+    tol = 1e-12
+    assert (e.xi_a <= xi * (1 + tol)).all() and (xi <= e.xi_b * (1 + tol)).all()
+    assert (hess >= 0.0).all() and (hess <= e.hess_b * (1 + tol)).all()
+    reach = (e.hess_b @ np.abs(d)[..., None])[..., 0]
+    assert (np.abs(grad - e.grad_c) <= reach * (1 + tol) + tol * np.abs(grad)).all()
+    entropy = (-0.5 * lam * np.log1p(-r * r)).sum(-1)
+    lower = e.cost_c + (e.dcost_c * d).sum(-1) - 0.5 * (e.curv_a * d * d).sum(-1)
+    rounding = tol * (1.0 + (lam / (1.0 - b * b)).sum(-1))
+    assert (entropy >= lower - rounding).all()
+    for value, cost, form in _rules(model, _betas(model), monkeypatch):
+        at = landscape._pointwise(model, value, cost)
+        levels = np.maximum(np.maximum(at(r), at(a)), at(b))
+        for k in range(0, K, 3):
+            assert landscape._may_hold(model, form, a[k:k + 1], b[k:k + 1], float(levels[k]))[0]
+
+
+def test_enclosures_are_computed_in_chunks_within_a_slab(three_species_equal, monkeypatch):
+    # the second-order bound encloses at most _SLAB_POINTS // (S^3 T) boxes
+    # at a time, T the terms of xi, so that its largest temporary, hess xi's
+    # gather, stays within a slab; the start does not depend on the chunks
+    model = three_species_equal
+    (value, _, form), cost, _ = landscape._objective(model, 0.8, "tilde")
+    whole = _start_of(model, value, cost, form=form)
+    enclose, sizes = landscape._enclose, []
+    monkeypatch.setattr(landscape, "_enclose",
+                        lambda m, a, b: sizes.append(len(a)) or enclose(m, a, b))
+    monkeypatch.setattr(landscape, "_SLAB_POINTS", 2**12)
+    assert _start_of(model, value, cost, form=form) == whole
+    per = 2**12 // (27 * model.mixture.n_terms)
+    assert max(sizes) == per and sum(sizes) > 2 * per
 
 
 @pytest.mark.parametrize("rows", [1, 4])
@@ -625,7 +711,8 @@ def test_grid_tie_across_a_slab_boundary_goes_to_the_first_point(rows, cubic_two
     c = per_axis(0, axis)[:, None] + per_axis(1, axis)[None, :]
     first = np.unravel_index(int(np.argmax(-c)), c.shape)
     assert first == (3, 7)
-    (res,) = landscape._search(cubic_two_species, [(lambda xi, c: -c, lambda xi, c: (0.0, -1.0))],
+    (res,) = landscape._search(cubic_two_species,
+                               [(lambda xi, c: -c, lambda xi, c: (0.0, -1.0), None)],
                                per_axis, np.zeros_like)
     assert np.array_equal(calls[0][1][-1], axis[list(first)])
     # off the grid the rule is -2 everywhere and its gradient 0, so every

@@ -318,6 +318,12 @@ def test_the_cached_rule_is_scipys_and_read_only():
             assert not cached.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 0.0
+        # the rung's log weights and log1p(-x^2), held with it
+        nodes, weights = roots_legendre(n)
+        held = quadrature._log_rule(n)
+        assert quadrature._log_rule(n) is held
+        for cached, fresh in zip(held, (np.log(weights), np.log1p(-nodes * nodes))):
+            assert cached.tobytes() == fresh.tobytes() and not cached.flags.writeable
 
 
 def test_warm_values_are_scipys_bit_for_bit(sk, two_quad, chain_three_species,

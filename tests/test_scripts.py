@@ -103,9 +103,11 @@ def test_ab_compare_prints_one_row_per_job(capsys):
     src = str(SCRIPTS_DIR.parent / "src")
     assert _script("ab_compare").run([src, src, "--pairs", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "1 pairs; medians in ms; ratio = change / parent"
-    assert lines[1].split() == ["job", "parent", "change", "ratio", "change", "wins", "same"]
-    jobs = [line.rsplit(None, 5)[0] for line in lines[2:]]
+    assert lines[0] == ("1 pairs; medians in ms; ratio = change / parent; "
+                        "peak traced MB of one untimed run")
+    assert lines[1].split() == ["job", "parent", "change", "ratio", "change", "wins",
+                                "parent", "MB", "change", "MB", "same"]
+    jobs = [line.rsplit(None, 7)[0] for line in lines[2:]]
     assert jobs == [f"verdict {name}" for name in ("sk", "pure3", "pure4", "two_species_quadratic")] \
         + [f"maximize_f {o} S={S}" for S in range(3, 7) for o in ("plain", "tilde")] \
         + ["scan pair S=3", "beta_m, beta_m_tilde S=3"] \
@@ -114,8 +116,12 @@ def test_ab_compare_prints_one_row_per_job(capsys):
            "log_E_Z2_exact two_species_quadratic", "log_E_Z2_exact chain S=3",
            "log_E_Z2_exact verify ladder sk", "log_E_Z2_exact N ladder two_species_quadratic"]
     for line in lines[2:]:
-        parent, change, ratio, wins = map(float, line.split()[-5:-1])
+        parent, change, ratio, wins, parent_mb, change_mb = map(float, line.split()[-7:-1])
         assert parent > 0.0 and change > 0.0 and wins in (0.0, 1.0)
-        assert ratio == pytest.approx(change / parent, abs=1e-3)
+        # each printed figure is rounded to its last digit, 5e-4
+        slack = 5e-4 + 5e-4 * (1.0 + change / parent) / (parent - 5e-4)
+        assert ratio == pytest.approx(change / parent, abs=slack)
+        # every job allocates numpy arrays, which tracemalloc traces
+        assert parent_mb > 0.0 and change_mb > 0.0
         # one package on both sides computes the same bits
         assert line.split()[-1] == "yes"
