@@ -16,17 +16,19 @@ exactly when beta^2 is at most an infimum over the points with xi(r) > 0
   beta_m_tilde^2      inf (E(r) + t) / (xi(1) xi(r) / (xi(1) + xi(r)))
   beta_c_talagrand^2  inf (-(log(1 - r) + r) + t) / xi(r)      (one species)
 
-that is, the objective's cost plus t over its energy term at beta = 1, both
-from landscape's objective table.  Each infimum is a landscape `_search` of
-minus the ratio, the search maximize_f runs, with the same grid, starts,
-certification and batched ascent (`landscape._ascend`).  Minus the ratio is
-one rule of x = xi(r) and the summed cost c, -(c + t) / energy(x), and -inf
-where x = 0, with the partials (c + t) energy'(x) / energy(x)^2 in x and
--1 / energy(x) in c (both 0 where x = 0), from which the search takes the
-gradient by the chain rule (`_ratio_rule`).  The plain and truncated ratios
-share the entropy, so the verdict finds both infima in one batched search.
-Each threshold is capped at beta_H, the r -> 0 limit of the same ratio;
-above beta_H the origin is unstable, so the cap is exact and lands
+that is, the objective's cost plus t over its energy term at beta = 1.  Each
+infimum is a landscape `_search` of minus the ratio, the search maximize_f
+runs, with the same grid, starts, certification and batched ascent
+(`landscape._ascend`).  Every searched rule is (A, B, C) and a kind.  Its
+energy term is A x / (B + C x) of x = xi(r), with (A, B, C) the objective's
+from landscape's table (`landscape._energy`): beta^2 x is (beta^2, 1, 0),
+the truncated term (beta^2 xi(1), xi(1), 1).  f is the kind "energy minus
+the summed cost c"; minus a ratio is the other kind, -(c + t) / energy at
+beta = 1, of the same (A, B, C).  This module supplies only t: landscape
+alone turns a rule into its value and partials.  The plain and truncated
+ratios share the entropy, so the verdict finds both infima in one batched
+search.  Each threshold is capped at beta_H, the r -> 0 limit of the same
+ratio; above beta_H the origin is unstable, so the cap is exact and lands
 origin-driven models (SK) on beta_H.
 
 The verdict is EQUAL when M(beta_m) is singular to within tolerance (then
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .landscape import TOL_ZERO, MaximizeResult, _energy, _form, _search
+from .landscape import TOL_ZERO, _energy, _search
 from .landscape import hessian_at_zero, maximize_f
 from .model import ModelSpec
 
@@ -117,39 +119,12 @@ def check_nsd(model: ModelSpec, beta: float) -> tuple[float, bool]:
     return lam_max, lam_max <= TOL_SING * _sing_scale(model, beta)
 
 
-def _ratio_rule(model: ModelSpec, objective: str, tol_zero: float):
-    """Minus the objective's threshold ratio as a `_search` rule, with the
-    cost and its gradient: (rule, cost, dcost).
-
-    The ratio is (c + tol_zero) / energy(x), of x = xi(r) and the summed cost
-    c, with cost and energy the objective's at beta = 1 from landscape's
-    table: the entropy with x ("plain") or xi(1) x / (xi(1) + x) ("tilde"),
-    or -(log(1 - r) + r) with x ("talagrand").  The rule's value is minus
-    the ratio, -inf where x = 0, and its partials, with inv = 1 / energy(x)
-    (0 where x = 0), are (c + tol_zero) energy'(x) inv^2 in x and -inv in c.
-    Its energy form (`landscape._form`) is Dinkelbach's parametrization: at
-    L < 0, minus the ratio is at least L exactly where -L energy(x) - c is
-    at least tol_zero, f's form at beta^2 = -L.
-    """
-    energy, slope, cost, dcost = _energy(model, 1.0, objective)
-
-    def value(x, c):
-        return np.divide(-(c + tol_zero), energy(x), out=np.full(np.shape(x), -np.inf),
-                         where=x > 0.0)
-
-    def partials(x, c):
-        inv = np.divide(1.0, energy(x), out=np.zeros(np.shape(x)), where=x > 0.0)
-        return (c + tol_zero) * slope(x) * inv * inv, -inv
-
-    form = _form(objective, energy, slope, lambda L: (-L, tol_zero))
-    return (value, partials, form), cost, dcost
-
-
-def _ratio_min(model: ModelSpec, objectives, tol_zero: float) -> list[tuple[float, MaximizeResult]]:
-    """Infimum of each objective's ratio (cost(r) + tol_zero) / energy(xi(r))
-    over xi(r) > 0 (`_ratio_rule`), as (beta, search) with beta =
-    sqrt(infimum), capped at beta_H, and search the landscape `_search` of
-    minus the ratio.
+def _ratio_min(model: ModelSpec, objectives, tol_zero: float) -> tuple[float, list]:
+    """Infimum of each objective's ratio (cost(r) + tol_zero) / E(xi(r)) over
+    xi(r) > 0, with cost and E the objective's at beta = 1 from landscape's
+    table (`landscape._energy`), as (beta_H, [(beta, search), ...]) with
+    beta = sqrt(infimum), capped at beta_H, and search the landscape
+    `_search` of minus the ratio.
 
     The objectives share one cost, so one batched `_search` finds every
     infimum: "plain" and "tilde" share the entropy, and "talagrand" goes
@@ -158,21 +133,25 @@ def _ratio_min(model: ModelSpec, objectives, tol_zero: float) -> list[tuple[floa
     if model.xi1() <= 0.0:
         raise ValueError("threshold computation requires xi(1) > 0")
     _check_tolerance("tol_zero", tol_zero)
-    built = [_ratio_rule(model, objective, tol_zero) for objective in objectives]
-    (_, cost, dcost), rules = built[0], [rule for rule, _, _ in built]
+    rules, costs, dcosts = zip(*(_energy(model, 1.0, objective) for objective in objectives))
+    rules = [rule._replace(ratio=True, t=tol_zero) for rule in rules]
     beta_H = beta_hessian_singular(model)
-    return [(min(math.sqrt(-search.value * (1.0 - _ROUND_DOWN)), beta_H), search)
-            for search in _search(model, rules, cost, dcost)]
+    return beta_H, [(min(math.sqrt(-search.value * (1.0 - _ROUND_DOWN)), beta_H), search)
+                    for search in _search(model, rules, costs[0], dcosts[0])]
+
+
+def _threshold(model: ModelSpec, objective: str, tol_zero: float) -> float:
+    return _ratio_min(model, (objective,), tol_zero)[1][0][0]
 
 
 def beta_m(model: ModelSpec, *, tol_zero: float = TOL_ZERO) -> float:
     """Second-moment threshold: largest beta with max f_beta <= tol_zero."""
-    return _ratio_min(model, ("plain",), tol_zero)[0][0]
+    return _threshold(model, "plain", tol_zero)
 
 
 def beta_m_tilde(model: ModelSpec, *, tol_zero: float = TOL_ZERO) -> float:
     """Threshold of the truncated functional; upper-bounds beta_m."""
-    return _ratio_min(model, ("tilde",), tol_zero)[0][0]
+    return _threshold(model, "tilde", tol_zero)
 
 
 def beta_c_talagrand(model: ModelSpec, *, tol_zero: float = TOL_ZERO) -> float:
@@ -183,7 +162,7 @@ def beta_c_talagrand(model: ModelSpec, *, tol_zero: float = TOL_ZERO) -> float:
     |S| = 1).  Serves as an independent oracle for beta_c in the
     single-species case.
     """
-    return _ratio_min(model, ("talagrand",), tol_zero)[0][0]
+    return _threshold(model, "talagrand", tol_zero)
 
 
 @dataclass(frozen=True)
@@ -201,17 +180,11 @@ class CritReport:
     tolerances: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "beta_m": self.beta_m,
-            "beta_m_tilde": self.beta_m_tilde,
-            "beta_H": self.beta_H if np.isfinite(self.beta_H) else "inf",
-            "spectrum_at_beta_m": list(self.spectrum_at_beta_m),
-            "verdict": self.verdict.value,
-            "xi_positive_off_origin": self.xi_positive_off_origin,
-            "beta_c": self.beta_c,
-            "witnesses": self.witnesses,
-            "tolerances": self.tolerances,
-        }
+        """Every field, with an infinite beta_H as "inf", the spectrum as a
+        list and the verdict as its value."""
+        return {**vars(self), "beta_H": self.beta_H if np.isfinite(self.beta_H) else "inf",
+                "spectrum_at_beta_m": list(self.spectrum_at_beta_m),
+                "verdict": self.verdict.value}
 
     def to_json(self, **extra) -> str:
         doc = self.to_dict()
@@ -235,8 +208,7 @@ def verdict(
     """
     _check_tolerance("tol_sing", tol_sing)
     positive = model.mixture.positive_off_origin()
-    (b_m, plain), (b_t, _) = _ratio_min(model, ("plain", "tilde"), tol_zero)
-    b_H = beta_hessian_singular(model)
+    b_H, ((b_m, plain), (b_t, _)) = _ratio_min(model, ("plain", "tilde"), tol_zero)
     cert = maximize_f(model, b_m)
     spectrum = tuple(float(v) for v in np.linalg.eigvalsh(hessian_at_zero(model, b_m)))
     lam_max = spectrum[-1]

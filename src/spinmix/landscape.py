@@ -14,31 +14,37 @@ derivatives, and the Hessian of f_beta at the origin
 with Q the degree-2 coefficient matrix of the mixture (`hessian_at_zero`
 is `f_hessian` at 0).
 
-All three functionals are one table, `_energy`: an energy term in
-x = xi(r) minus a separable cost, the entropy for f_beta and its truncated
-variant and -(log(1-r) + r) for g_beta.  An objective of the global search,
-`_search`, is a rule: a value value(x, c) of x = xi(r) and of the cost
-summed over species, c, and its two partials, dvalue/dx and dvalue/dc.  f,
-its truncated twin and g are value = energy(x) - c, with partials
-(energy'(x), -1) (`_objective`), and `criticality`'s threshold ratios are
-rules of the same two pieces.  `_search` evaluates the rule on the
+All three functionals are one table, `_energy`: an energy term in x = xi(r)
+minus a separable cost, the entropy for f_beta and its truncated variant and
+-(log(1-r) + r) for g_beta.  Every energy term has one form, E(x) = A x /
+(B + C x): beta^2 x is (beta^2, 1, 0), the xi(1) -> infinity limit of the
+truncated beta^2 xi(1) x / (xi(1) + x), which is (beta^2 xi(1), xi(1), 1).
+An objective of the global search, `_search`, is a rule (`_Rule`): (A, B, C)
+and a kind, a function of x = xi(r) and of the cost summed over species, c.
+f, its truncated twin and g are the kind E(x) - c, with partials (E'(x), -1)
+in x and c; `criticality`'s threshold ratios are the other kind, -(c + t) /
+E(x) at beta = 1, with partials ((c + t) E'(x) / E(x)^2, -1 / E(x)).  Only
+this module turns a rule into its value (`_value`), its partials
+(`_partials`) and its level for the second-order bound (`_may_hold`).  A
+batch is one rule whose fields hold one entry per row, which one expression
+evaluates, whatever kinds its rows are.  `_search` evaluates the rule on the
 certification grid and at the points of its local phase, and takes the
 gradient by the chain rule, dvalue/dx grad xi + dvalue/dc grad c; the
 pointwise functions evaluate the rule at one point, so each objective is
 written once.  `_starts` alone holds the per-S policy (`_GRIDS`): the grid
 (4001 points for one species, 201 per axis for two or three, none for four
 to six), whose best point is one start, and the fixed starts; a grid
-searched whole is computed once for all the rules.  `_search`
-refuses more than six species and returns, for each of several rules that
-share one cost, the best of its starts after one local phase for them all,
-`_ascend`, which moves every start of every rule at once as one batch by
-projected quasi-Newton steps, so the rules and their gradients are
-evaluated on batches of points, elementwise and without BLAS.  A batch
-takes as many rounds as its slowest start, and each rule's result is the
-one it reaches alone, bit for bit.  No run ends below its start, so a
-gridded result is never below the grid's best point.  `maximize_f` is one
-search of one rule; `maximize_each` searches f and its truncated twin at a
-beta as one batch (`spinmix scan`).
+searched whole is computed once for all the rules.  `_search` refuses more
+than six species and returns, for each of several rules that share one cost,
+the best of its starts after one local phase for them all, `_ascend`, which
+moves every start of every rule at once as one batch by projected
+quasi-Newton steps, so the rules and their gradients are evaluated on
+batches of points, elementwise and without BLAS.  A batch takes as many
+rounds as its slowest start, and each rule's result is the one it reaches
+alone, bit for bit.  No run ends below its start, so a gridded result is
+never below the grid's best point.  `maximize_f` is one search of one rule;
+`maximize_each` searches f and its truncated twin at a beta as one batch
+(`spinmix scan`).
 
 The tensor-product kernel `_kernel` (a sum of xi's terms and a separable
 per-axis sum at points of the grid axis^k, over some or all species) is
@@ -49,14 +55,14 @@ one or two species, and `quadrature`'s blocks over which it eliminates
 species.  For three species the search's grid of 8.1M points is searched by
 branch and bound (`_grid_start`): xi and every cost are nondecreasing in
 each coordinate, so the corners of a box of grid points bound the rule on
-it, and a rule E(xi) minus the entropy, with E concave and nondecreasing,
-is also bounded to second order from one box-enclosure layer, `_enclose`:
-xi at the box's corners and centre, grad xi at the centre, hess xi at the
-upper corner, which bounds it entrywise, and the entropy's value, gradient
-and least curvature.  f, its truncated twin and minus both threshold
-ratios (by Dinkelbach's parametrization) are all such rules.  Only the
-boxes that may hold the greatest value are evaluated, whole; the best point
-and its value are the whole grid's, bit for bit.
+it, and a rule whose cost is the entropy, E(xi) minus the entropy with E
+concave and nondecreasing, is also bounded to second order from one
+box-enclosure layer, `_enclose`: xi at the box's corners and centre, grad xi
+at the centre, hess xi at the upper corner, which bounds it entrywise, and
+the entropy's value, gradient and least curvature.  f, its truncated twin
+and minus both threshold ratios (by Dinkelbach's parametrization) are all
+such rules.  Only the boxes that may hold the greatest value are evaluated,
+whole; the best point and its value are the whole grid's, bit for bit.
 """
 
 from __future__ import annotations
@@ -116,95 +122,110 @@ _GROW = 4.0
 _CURVATURE = 2.2e-16
 
 
+def _entropy(lam, a):
+    """The entropy's cost -1/2 lam log(1 - a^2) at the coordinates a, with lam
+    one species' proportion along a grid axis, or every species' on a (K, S)
+    batch of points."""
+    return -0.5 * lam * np.log1p(-a * a)
+
+
+def _entropy_grad(lam, r):
+    return lam * r / (1.0 - r * r)
+
+
+def _g_cost(lam, a):
+    """g's cost -(log(1 - a) + a), of one species."""
+    return -(np.log1p(-a) + a)
+
+
+def _g_cost_grad(lam, r):
+    return r / (1.0 - r)
+
+
+class _Rule(NamedTuple):
+    """A searched objective of x = xi(r) and c, the cost summed over species,
+    through the energy E(x) = A x / (B + C x): E(x) - c, or when `ratio`,
+    -(c + t) / E(x), minus a threshold ratio, -inf where E(x) = 0.  In a
+    batch (`_search`) a field its rules do not share is an array, one entry
+    per row."""
+
+    A: float
+    B: float
+    C: float
+    ratio: bool = False
+    t: float = 0.0
+
+
 def _energy(model: ModelSpec, beta: float, objective: str):
-    """The objective's pieces (energy, slope, cost, dcost); f = energy(xi(r))
-    minus the sum over species of the separable cost.
+    """The objective's rule (`_Rule`) and its cost: (rule, cost, dcost), with
+    f = E(xi(r)) minus the sum over species of cost(lam_s, r_s), and dcost
+    the cost's gradient, cost(lam, r) and dcost(lam, r) on a (K, S) batch.
 
-    energy(x) is the energy term as a function of x = xi(r) and slope(x) its
-    derivative; cost(s, a) is the cost of axis s at a (s may be an index, or
-    slice(None) for every axis at once) and dcost(r) its gradient.
+      "plain"      E = beta^2 x                      (A, B, C) = (beta^2, 1, 0)
+      "tilde"      E = beta^2 xi(1) x / (xi(1) + x)  (beta^2 xi(1), xi(1), 1)
+      "talagrand"  E = beta^2 x                      (beta^2, 1, 0)
 
-      "plain"      beta^2 x                          entropy
-      "tilde"      beta^2 xi(1) x / (xi(1) + x)      entropy
-      "talagrand"  beta^2 x                          -(log(1 - r) + r), one species
-
-    with the entropy -1/2 lam_s log(1 - r^2); "talagrand" makes f the g
-    criterion.
+    with the entropy as cost (`_entropy`), but for "talagrand", the g
+    criterion of one species, whose cost is -(log(1 - r) + r) (`_g_cost`).
+    At beta = 1 each is the energy of the objective's threshold ratio.
     """
     b2 = beta * beta
-    lam = model.species.lam
-    if objective == "talagrand":
-        if model.n_species != 1:
-            raise ValueError("the g criterion applies to single-species models only")
-
-        def cost(s, a):
-            return -(np.log1p(-a) + a)
-
-        def dcost(r):
-            return r / (1.0 - r)
-    else:
-        half = -0.5 * lam
-
-        def cost(s, a):
-            return half[s] * np.log1p(-a * a)
-
-        def dcost(r):
-            return lam * r / (1.0 - r * r)
+    if objective == "talagrand" and model.n_species != 1:
+        raise ValueError("the g criterion applies to single-species models only")
+    cost, dcost = ((_g_cost, _g_cost_grad) if objective == "talagrand"
+                   else (_entropy, _entropy_grad))
     if objective != "tilde":
-        return (lambda x: b2 * x), (lambda x: b2), cost, dcost
+        return _Rule(b2, 1.0, 0.0), cost, dcost
     xi1 = model.xi1()
     if xi1 <= 0.0:
         raise ValueError("truncated functional requires xi(1) > 0")
-
-    def energy(x):
-        return b2 * xi1 * x / (xi1 + x)
-
-    def slope(x):
-        return b2 * xi1 * xi1 / (xi1 + x) ** 2
-
-    return energy, slope, cost, dcost
+    return _Rule(b2 * xi1, xi1, 1.0), cost, dcost
 
 
-def _form(objective: str, energy, slope, level):
-    """A rule's energy form for `_grid_start`'s second-order bound, (energy,
-    slope, level) with the objective's energy term and its derivative from
-    `_energy`, or None for "talagrand", whose cost is not the entropy.
-
-    level(L) gives (w, t) such that a point where the rule's value is at
-    least L has w energy(xi) - entropy at least t (`_may_hold`), w >= 0:
-    (1, L) for f and its truncated twin, (-L, tol_zero) for minus a
-    threshold ratio, whose energy is taken at beta = 1 (Dinkelbach's
-    parametrization).
-    """
-    return None if objective == "talagrand" else (energy, slope, level)
+def _kinds(ratio, of_f, of_ratio):
+    """of_f() on the rows of kind f and of_ratio() on the ratio rows, with
+    ratio the rule's flag: one for a single rule or for a batch of one kind,
+    else one per row (`_search`).  A kind no row has is not computed."""
+    if isinstance(ratio, np.ndarray):
+        return np.where(ratio, of_ratio(), of_f())
+    return of_ratio() if ratio else of_f()
 
 
-def _objective(model: ModelSpec, beta: float, objective: str):
-    """Return (rule, cost, dcost), `_search`'s arguments for f, its truncated
-    twin or g: f(r) = value(xi(r), sum over s of cost(s, r(s))), with the
-    rule (value, partials, form), partials(x, c) = (dvalue/dx, dvalue/dc)
-    and form the energy form (`_form`)."""
-    energy, slope, cost, dcost = _energy(model, beta, objective)
-
-    def value(x, c):
-        return energy(x) - c
-
-    def partials(x, c):
-        return slope(x), -1.0
-
-    return (value, partials, _form(objective, energy, slope, lambda L: (1.0, L))), cost, dcost
+def _value(rule: _Rule, x, c):
+    """The rule's value at x = xi(r) and the summed cost c."""
+    A, B, C, ratio, t = rule
+    energy = A * x / (B + C * x)
+    return _kinds(ratio, lambda: energy - c, lambda: np.divide(
+        -(c + t), energy, out=np.full(np.shape(energy), -np.inf), where=energy > 0.0))
 
 
-def _pointwise(model: ModelSpec, value, cost):
-    """The rule value(x, c) as a function of r: value(xi(r), sum over s of
-    cost(s, r(s))), at one point or on a (K, S) batch of points."""
-    mix = model.mixture
-    return lambda r: value(mix.eval(r), cost(slice(None), r).sum(-1))
+def _partials(rule: _Rule, x, c):
+    """The rule's partial derivatives in x and in c, ((c + t) E'(x) inv^2,
+    -inv) with inv = 1 / E(x) for minus a ratio (0 where E(x) = 0) and inv =
+    1 for f, whose partials are (E'(x), -1), with E'(x) = A B / (B + C x)^2."""
+    A, B, C, ratio, t = rule
+    den = B + C * x
+    slope = A * B / den ** 2
+
+    def inverse():
+        energy = A * x / den
+        return np.divide(1.0, energy, out=np.zeros(np.shape(energy)), where=energy > 0.0)
+
+    inv = _kinds(ratio, lambda: 1.0, inverse)
+    return _kinds(ratio, lambda: slope, lambda: (c + t) * slope * inv * inv), -inv
+
+
+def _take(rule: _Rule, index) -> _Rule:
+    """The batch's rule at the rows `index`: each field held per row taken."""
+    return _Rule(*(f.take(index) if isinstance(f, np.ndarray) else f for f in rule))
 
 
 def _at(model: ModelSpec, beta: float, objective: str, r) -> float:
-    (value, _, _), cost, _ = _objective(model, beta, objective)
-    return float(_pointwise(model, value, cost)(_coerce_r(model.n_species, r)))
+    """The objective at the point r: its rule's value at xi(r) and the sum
+    over s of cost(lam_s, r(s))."""
+    rule, cost, _ = _energy(model, beta, objective)
+    r = _coerce_r(model.n_species, r)
+    return float(_value(rule, model.mixture.eval(r), cost(model.species.lam, r).sum(-1)))
 
 
 def f_beta(model: ModelSpec, beta: float, r) -> float:
@@ -225,10 +246,10 @@ def g_beta(model: ModelSpec, beta: float, r: float) -> float:
 def f_grad(model: ModelSpec, beta: float, r) -> np.ndarray:
     """Analytic gradient: -lam*r/(1-r^2) + beta^2 * grad xi."""
     r = _coerce_r(model.n_species, r)
-    (_, partials, _), cost, dcost = _objective(model, beta, "plain")
-    mix = model.mixture
-    dx, dc = partials(mix.eval(r), cost(slice(None), r).sum(-1))
-    return dx * mix.grad(r) + dc * dcost(r)
+    rule, cost, dcost = _energy(model, beta, "plain")
+    mix, lam = model.mixture, model.species.lam
+    dx, dc = _partials(rule, mix.eval(r), cost(lam, r).sum(-1))
+    return dx * mix.grad(r) + dc * dcost(lam, r)
 
 
 def f_hessian(model: ModelSpec, beta: float, r) -> np.ndarray:
@@ -282,8 +303,8 @@ def _kernel(model: ModelSpec, axis: np.ndarray, per_axis, axes=None, terms=None)
     along grid axis i (every species by default): a function of one index
     per grid axis, each an integer array or slices and new axes (`_on`),
     whose results broadcast together, returning (xi, sum_i
-    per_axis(axes[i], axis)[index[i]]) at those grid points, or xi alone
-    when per_axis is None.
+    per_axis(lam[axes[i]], axis)[index[i]]) at those grid points, lam the
+    species' proportions, or xi alone when per_axis is None.
 
     xi is the sum of the mixture's `terms` (every term by default), in the
     order given, each the product of its per-axis powers in axes order times
@@ -295,7 +316,7 @@ def _kernel(model: ModelSpec, axis: np.ndarray, per_axis, axes=None, terms=None)
     axes = range(model.n_species) if axes is None else axes
     terms = range(len(mix.coeffs)) if terms is None else terms
     pows = [axis ** mix.exponents[terms, s][:, None] for s in axes]  # row j: terms[j]
-    costs = None if per_axis is None else [per_axis(s, axis) for s in axes]
+    costs = None if per_axis is None else [per_axis(model.species.lam[s], axis) for s in axes]
 
     def at(index):
         parts = [(axis if costs is None else costs[i])[index[i]] for i in range(len(axes))]
@@ -373,15 +394,19 @@ def _enclose(model: ModelSpec, a: np.ndarray, b: np.ndarray) -> _Enclosure:
         -lam * (1.0 + aa) / (1.0 - aa) ** 2)
 
 
-def _may_hold(model: ModelSpec, form, a: np.ndarray, b: np.ndarray, level: float) -> np.ndarray:
+def _may_hold(model: ModelSpec, rule: _Rule, a: np.ndarray, b: np.ndarray,
+              level: float) -> np.ndarray:
     """Whether each box [a, b] of a (K, S) batch may hold a point where the
-    rule of energy form `form` (`_form`) is at least `level`, as `_kernel`
+    rule, with the entropy as its cost, is at least `level`, as `_kernel`
     computes it: False only where the second-order bound rules it out.
 
-    With (w, t) = form's level(level) and E = w energy, concave and
-    nondecreasing, the box must hold a point where phi = E(xi) - entropy is
-    at least t.  On a box of centre c and half-width h (`_enclose`), Taylor's
-    theorem with r = c + d gives
+    The rule's level (w, t) is (1, level) for E(xi) - c, and (-level,
+    rule.t) for minus a ratio (Dinkelbach's parametrization: at level < 0,
+    -(c + t) / E is at least level exactly where -level E - c is at least
+    t).  With E now w times the rule's energy, concave and nondecreasing,
+    the box must hold a point where phi = E(xi) - entropy is at least t.  On
+    a box of centre c and half-width h (`_enclose`), Taylor's theorem with
+    r = c + d gives
 
         phi(r) <= phi(c) + sum_s max_{|d_s| <= h_s} (g_s d_s + U_ss d_s^2 / 2)
                   + sum_{s != u} U_su h_s h_u / 2,
@@ -410,8 +435,8 @@ def _may_hold(model: ModelSpec, form, a: np.ndarray, b: np.ndarray, level: float
     c, the two parts of each |g_s| h_s, and each |U_su| h_s h_u.  A box is
     ruled out only where bound + margin < t.
     """
-    energy, slope, at = form
-    w, t = at(level)
+    w, t = (-level, rule.t) if rule.ratio else (1.0, level)
+    form = rule._replace(ratio=False)  # E(x) - c, read at c = 0 for E and E'
     K, S = a.shape
     lam = model.species.lam
     keep = np.ones(K, dtype=bool)
@@ -425,10 +450,9 @@ def _may_hold(model: ModelSpec, form, a: np.ndarray, b: np.ndarray, level: float
     for lo in range(0, K, per):
         box = slice(lo, lo + per)
         e = _enclose(model, a[box], b[box])
-        # the energy's gradient at c, and its part of U (a slope may be a
-        # number)
-        rise = w * np.asarray(slope(e.xi_c))[..., None] * e.grad_c
-        curve = w * np.asarray(slope(e.xi_a))[..., None, None] * e.hess_b
+        # the energy's gradient at c, and its part of U
+        rise = w * _partials(form, e.xi_c, 0.0)[0][..., None] * e.grad_c
+        curve = w * _partials(form, e.xi_a, 0.0)[0][..., None, None] * e.hess_b
         g = np.abs(rise - e.dcost_c)  # |g_s|
         # the energy's part of U_su h_s h_u, summed over every pair and over
         # the diagonal, and -U_ss h_s
@@ -438,23 +462,22 @@ def _may_hold(model: ModelSpec, form, a: np.ndarray, b: np.ndarray, level: float
         inner = g < drop
         peak = np.where(inner, 0.5 * g * g / np.where(inner, drop, 1.0) * e.h,
                         (g - 0.5 * drop) * e.h)
-        centre = w * energy(e.xi_c)
+        centre = w * _value(form, e.xi_c, 0.0)
         bound = centre - e.cost_c + peak.sum(-1) + 0.5 * (pairs - diagonal)
-        size = (w * energy(e.xi_b) + lam.sum() + abs(t) + centre + e.cost_c
+        size = (w * _value(form, e.xi_b, 0.0) + lam.sum() + abs(t) + centre + e.cost_c
                 + ((rise + e.dcost_c - e.curv_a * e.h) * e.h).sum(-1) + pairs)
         margin = units * size / (1.0 - b[box] * b[box]).min(-1)
         keep[box] = ~(bound + margin < t)
     return keep
 
 
-def _grid_scan(model: ModelSpec, values, cost, axis: np.ndarray) -> list[tuple[int, int]]:
-    """`_grid_start` of each rule of `values` on the whole grid, with no
-    bound: one pass of `_grid`, whose slabs' xi and summed cost serve every
-    rule."""
-    best, flat, evals = [-np.inf] * len(values), [0] * len(values), 0
+def _grid_scan(model: ModelSpec, rules, cost, axis: np.ndarray) -> list[tuple[int, int]]:
+    """`_grid_start` of each of `rules` on the whole grid, with no bound: one
+    pass of `_grid`, whose slabs' xi and summed cost serve every rule."""
+    best, flat, evals = [-np.inf] * len(rules), [0] * len(rules), 0
     for xi, c in _grid(model, axis, cost):
-        for k, value in enumerate(values):
-            v = value(xi, c)
+        for k, rule in enumerate(rules):
+            v = _value(rule, xi, c)
             i = int(np.argmax(v))
             if evals == 0 or v.flat[i] > best[k]:
                 best[k], flat[k] = v.flat[i], evals + i
@@ -462,9 +485,9 @@ def _grid_scan(model: ModelSpec, values, cost, axis: np.ndarray) -> list[tuple[i
     return [(f, evals) for f in flat]
 
 
-def _grid_start(model: ModelSpec, value, cost, axis: np.ndarray, side: int,
-                form=None) -> tuple[int, int]:
-    """The first greatest value in C order of the rule value(xi, c) on the
+def _grid_start(model: ModelSpec, rule: _Rule, cost, axis: np.ndarray,
+                side: int) -> tuple[int, int]:
+    """The first greatest value in C order of the rule (`_value`) on the
     grid axis^S, as (C-order index, values computed), by branch and bound
     over boxes of grid points down to boxes of side `side`.
 
@@ -473,17 +496,17 @@ def _grid_start(model: ModelSpec, value, cost, axis: np.ndarray, side: int,
     box, value(xi at its upper corner, cost at its lower corner) bounds the
     rule from above (H. Tuy, "Monotonic optimization", SIAM J. Optim. 11
     (2000)).  That corner bound is first order in the box's side, so a rule
-    with an energy form (`_form`), E(xi) minus the entropy, is bounded by
-    the least of it and a second-order bound (`_may_hold`).  The grid is the
-    root box, of side a power of two times `side`.  Each level splits every
-    box into 2^S boxes of half its side, bounds them, evaluates the rule at
-    both corners of each, and drops the boxes whose corner bound is below
-    the greatest value seen by more than _PRUNE max(1, |value|), the cut
-    (`_cut`), then those of the others that the second-order bound rules out
-    at the cut.  The boxes of side `side` left are evaluated whole, greatest
-    corner bound first, in slabs of at most _SLAB_POINTS points, until the
-    next corner bound falls below the cut.  When `side` covers the grid, the
-    grid is one box, evaluated by `_grid_scan` with no bound.
+    whose cost is the entropy is bounded by the least of it and a
+    second-order bound (`_may_hold`).  The grid is the root box, of side a
+    power of two times `side`, which must be less than the grid's (the whole
+    grid's scan is `_grid_scan`).  Each level splits every box into 2^S boxes
+    of half its side, bounds them, evaluates the rule at both corners of
+    each, and drops the boxes whose corner bound is below the greatest value
+    seen by more than _PRUNE max(1, |value|), the cut (`_cut`), then those of
+    the others that the second-order bound rules out at the cut.  The boxes
+    of side `side` left are evaluated whole, greatest corner bound first, in
+    slabs of at most _SLAB_POINTS points, until the next corner bound falls
+    below the cut.
 
     The corner bound is exact in floating point for the plain rules, since
     rounding is monotone; the slack covers the few ulps by which the
@@ -497,8 +520,6 @@ def _grid_start(model: ModelSpec, value, cost, axis: np.ndarray, side: int,
     of the boxes evaluated whole.
     """
     S, n = model.n_species, len(axis)
-    if side >= n:  # one box, the whole grid, slab by slab
-        return _grid_scan(model, [value], cost, axis)[0]
     at = _kernel(model, axis, cost)
     lo = np.zeros((1, S), dtype=np.intp)  # the root
     width, best, evals = side, -np.inf, 0
@@ -510,13 +531,13 @@ def _grid_start(model: ModelSpec, value, cost, axis: np.ndarray, side: int,
         lo = lo[(lo < n).all(-1)]
         hi = np.minimum(lo + width - 1, n - 1)
         (xi_lo, c_lo), (xi_hi, c_hi) = at(lo.T), at(hi.T)
-        bound = value(xi_hi, c_lo)
-        best = max(best, value(xi_lo, c_lo).max(), value(xi_hi, c_hi).max())
+        bound = _value(rule, xi_hi, c_lo)
+        best = max(best, _value(rule, xi_lo, c_lo).max(), _value(rule, xi_hi, c_hi).max())
         evals += 3 * len(lo)
         keep = ~(bound < _cut(best))  # a NaN bound is kept
-        if form is not None:
+        if cost is _entropy:
             kept = keep.nonzero()[0]
-            keep[kept] = _may_hold(model, form, axis[lo[kept]], axis[hi[kept]], _cut(best))
+            keep[kept] = _may_hold(model, rule, axis[lo[kept]], axis[hi[kept]], _cut(best))
             evals += len(kept)
         lo, bound = lo[keep], bound[keep]
     order = np.argsort(-bound, kind="stable")
@@ -532,7 +553,7 @@ def _grid_start(model: ModelSpec, value, cost, axis: np.ndarray, side: int,
         if not len(boxes):
             break
         index = [np.minimum(offsets[i] + boxes[:, i], n - 1) for i in range(S)]
-        values = value(*at(index))
+        values = _value(rule, *at(index))
         evals += values.size
         m = values.max()
         best = max(best, m)
@@ -547,20 +568,19 @@ def _grid_start(model: ModelSpec, value, cost, axis: np.ndarray, side: int,
 
 
 def _starts(model: ModelSpec, rules, cost) -> list[tuple[np.ndarray, int]]:
-    """The search's starts in [0, 1)^S for each rule (value, partials, form)
-    of `rules`, one per row, and the number of grid values computed to
-    choose them: the search's whole per-S policy.
+    """The search's starts in [0, 1)^S for each of `rules`, one per row, and
+    the number of grid values computed to choose them: the search's whole
+    per-S policy.
 
     One species: the best point of a 4001-point grid.  Two or three:
     origin-perturbed points, a coarse 3^S grid and the best point of the
     grid of 201 points per axis (pitch 1/200).  Four to six: origin-perturbed
     points and the 2^S corners of an inner box, with no grid.  The best grid
-    point is the first greatest value in C order of the rule value(xi, c),
-    found with the box side of _GRIDS: for one or two species the whole
-    grid is one box, whose xi and summed cost are computed once for every
-    rule (`_grid_scan`), and for three each rule's branch and bound
-    (`_grid_start`, bounded to second order where the rule has an energy
-    form) goes down to boxes of 4^3 points.
+    point is the rule's first greatest value in C order, found with the box
+    side of _GRIDS: for one or two species the whole grid is one box, whose
+    xi and summed cost are computed once for every rule (`_grid_scan`), and
+    for three each rule's branch and bound (`_grid_start`, bounded to second
+    order where the cost is the entropy) goes down to boxes of 4^3 points.
     """
     S = model.n_species
     if S == 1:
@@ -573,9 +593,8 @@ def _starts(model: ModelSpec, rules, cost) -> list[tuple[np.ndarray, int]]:
         return [(fixed, 0) for _ in rules]
     n, side = _GRIDS[S]
     axis = _box_axis(n)
-    found = (_grid_scan(model, [value for value, _, _ in rules], cost, axis) if side >= n
-             else [_grid_start(model, value, cost, axis, side, form)
-                   for value, _, form in rules])
+    found = (_grid_scan(model, rules, cost, axis) if side >= n
+             else [_grid_start(model, rule, cost, axis, side) for rule in rules])
     return [(np.vstack([fixed, axis[list(np.unravel_index(flat, (n,) * S))]]), evals)
             for flat, evals in found]
 
@@ -722,29 +741,27 @@ def _ascend(evaluate, X0):
 
 
 def _search(model: ModelSpec, rules, cost, dcost) -> list[MaximizeResult]:
-    """Greatest value of each rule's objective value(xi(r), sum over s of
-    cost(s, r(s))) over [0, 1 - DOMAIN_CLAMP]^S, one result per rule, from
-    one batched ascent.
+    """Greatest value of each rule (`_Rule`) at xi(r) and the sum over s of
+    cost(lam_s, r(s)), over [0, 1 - DOMAIN_CLAMP]^S, one result per rule,
+    from one batched ascent.
 
-    A rule is (value, partials, form): value takes xi and the summed cost as
-    arrays of one shape (or broadcastable), partials(x, c) gives its
-    partial derivatives in x and in c, each a number or an array of that
-    shape, and form is its energy form (`_form`) or None.  The rules share
-    the cost: cost(s, a) is species s's cost at the coordinates a
-    (slice(None) for every species of a (K, S) batch) and dcost its
-    gradient on a (K, S) batch.  For three species each value must rise
-    with xi and fall with c, and cost(s, a) rise with a, as in every rule of
-    the package, and a form must be the rule's, with the entropy as its
-    cost: the grid is searched by bounds that rest on this (`_grid_start`).
+    The rules share the cost: cost(lam_s, a) is species s's cost at the
+    coordinates a (cost(lam, X) every species' on a (K, S) batch) and
+    dcost(lam, X) its gradient on a (K, S) batch.  For three species each
+    rule must rise with xi and fall with c, and the cost rise with a, as
+    every rule of nonnegative (A, B, C) does, and a rule whose cost is the
+    entropy (`_entropy`) is also bounded to second order: the grid is
+    searched by bounds that rest on this (`_grid_start`).
 
     The package's one search: more than six species are refused, `_starts`
     gives each rule's starts, from one pass over the grid for one or two
     species, and one `_ascend` moves the starts of every
     rule at once, in as many rounds as its slowest start takes.  Each round
     computes xi (`Mixture.eval`, one power table per point) and the summed
-    cost once for the whole batch, then each rule's value on its rows; at
-    the trial points accepted it computes grad xi and the cost's gradient,
-    each rule's partials from the xi and c already found, and the gradient
+    cost once for the whole batch, then every row's value in one
+    expression, each row holding its rule's fields (`_value`); at the trial
+    points accepted it computes grad xi and the cost's gradient, the
+    partials from the xi and c already found (`_partials`), and the gradient
     by the chain rule, dvalue/dx grad xi + dvalue/dc grad c.  A rule's rows
     take the path they take in a search of that rule alone, so its result
     is that search's, bit for bit.  The result is the best polished start,
@@ -761,36 +778,23 @@ def _search(model: ModelSpec, rules, cost, dcost) -> list[MaximizeResult]:
         raise ValueError("the landscape search supports at most 6 species")
     starts, grid_evals = zip(*_starts(model, rules, cost))
     bounds = list(itertools.accumulate((len(X0) for X0 in starts), initial=0))
-    first = np.array(bounds)
-    mix = model.mixture
-
-    def parts(index, edges):
-        """The slices of a sorted index that fall in each rule's rows, and
-        where they start in it; edges are the rules' first rows in what the
-        index indexes."""
-        cut = index.searchsorted(edges)
-        at = cut.tolist()
-        return [slice(lo, hi) for lo, hi in zip(at, at[1:])], cut
-
-    split = [None, None]  # the live rows and their parts, kept until the rows change
+    # the batch's rule: a field the rules share is one value, any other one
+    # entry per start
+    batch = _Rule(*(v[0] if len(set(v)) == 1 else np.repeat(v, np.diff(bounds))
+                    for v in zip(*rules)))
+    rowwise = any(isinstance(f, np.ndarray) for f in batch)
+    mix, lam = model.mixture, model.species.lam
 
     def evaluate(X, rows):
-        xi, c = mix.eval(X), np.add.reduce(cost(slice(None), X), -1)
-        if split[0] is not rows:
-            split[:] = rows, parts(rows, first)
-        live, cut = split[1]
+        xi, c = mix.eval(X), np.add.reduce(cost(lam, X), -1)
+        rule = _take(batch, rows) if rowwise else batch
 
         def gradient(j):
-            Xj, xj, cj = X.take(j, 0), xi.take(j), c.take(j)
-            dx, dc = np.empty(len(j)), np.empty(len(j))
-            for (_, partials, _), part in zip(rules, parts(j, cut)[0]):
-                dx[part], dc[part] = partials(xj[part], cj[part])
-            return dx[:, None] * mix.grad(Xj) + dc[:, None] * dcost(Xj)
+            Xj = X.take(j, 0)
+            dx, dc = _partials(_take(rule, j) if rowwise else rule, xi.take(j), c.take(j))
+            return (dx * mix.grad(Xj).T + dc * dcost(lam, Xj).T).T
 
-        F = np.empty(len(X))
-        for (value, _, _), part in zip(rules, live):
-            F[part] = value(xi[part], c[part])
-        return F, gradient
+        return _value(rule, xi, c), gradient
 
     X, F, ok, evals = _ascend(evaluate, np.concatenate(starts))
     norms = np.sqrt((X * X).sum(-1))
@@ -826,11 +830,10 @@ def _maximize(model: ModelSpec, beta: float, objectives) -> list[MaximizeResult]
     if not math.isfinite(model.n_species * scale * scale):
         raise ValueError(f"beta = {beta!r} is too large for the ascent: "
                          "S (2 beta^2 max_s d_s xi(1))^2 is not finite")
-    built = [_objective(model, beta, objective) for objective in objectives]
-    (_, cost, dcost), rules = built[0], [rule for rule, _, _ in built]
+    rules, costs, dcosts = zip(*(_energy(model, beta, objective) for objective in objectives))
     return [replace(res, argmax=np.zeros(model.n_species), value=0.0, converged=True)
             if res.value <= 0.0 else res  # the origin anchors value 0 and wins ties
-            for res in _search(model, rules, cost, dcost)]
+            for res in _search(model, rules, costs[0], dcosts[0])]
 
 
 def maximize_f(model: ModelSpec, beta: float, objective: str = "plain") -> MaximizeResult:

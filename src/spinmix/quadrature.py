@@ -44,7 +44,6 @@ import collections
 import functools
 
 import numpy as np
-from scipy import special
 
 from . import landscape
 from .landscape import _grid, _on
@@ -75,7 +74,11 @@ class QuadratureError(RuntimeError):
 @functools.lru_cache(maxsize=len(_NODE_LADDER))
 def roots_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """scipy's n-node Gauss-Legendre (nodes, weights), solved once per n;
-    the arrays are shared by every caller, so they are read-only."""
+    the arrays are shared by every caller, so they are read-only.  scipy is
+    imported here, on first use, so that a process that never integrates
+    never loads it."""
+    from scipy import special
+
     rule = special.roots_legendre(n)
     for a in rule:
         a.flags.writeable = False
@@ -99,6 +102,8 @@ _LOG_2, _LOG_PI = np.log(2.0), np.log(np.pi)
 
 def log_sphere_surface(d: int) -> float:
     """log of the surface area of the unit sphere in R^d."""
+    from scipy import special
+
     return _LOG_2 + (d / 2.0) * _LOG_PI - special.gammaln(d / 2.0)
 
 

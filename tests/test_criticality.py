@@ -279,12 +279,22 @@ def test_seven_species_are_refused_before_any_search(monkeypatch):
             compute(model)
 
 
+def test_verdict_computes_beta_H_once(two_quad, monkeypatch):
+    # the ratio search's cap and the report share one beta_hessian_singular
+    calls = []
+    closed_form = criticality.beta_hessian_singular
+    monkeypatch.setattr(criticality, "beta_hessian_singular",
+                        lambda model: calls.append(model) or closed_form(model))
+    rep = verdict(two_quad)
+    assert len(calls) == 1 and rep.beta_H == closed_form(two_quad)
+
+
 def test_certificate_rejects_an_infimum_one_percent_too_large(pure3, monkeypatch):
     exact = criticality._ratio_min
 
     def too_large(model, objectives, tol_zero):
-        return [(beta * math.sqrt(1.01), search)
-                for beta, search in exact(model, objectives, tol_zero)]
+        beta_H, found = exact(model, objectives, tol_zero)
+        return beta_H, [(beta * math.sqrt(1.01), search) for beta, search in found]
 
     monkeypatch.setattr(criticality, "_ratio_min", too_large)
     rep = verdict(pure3)

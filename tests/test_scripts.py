@@ -121,7 +121,31 @@ def test_ab_compare_prints_one_row_per_job(capsys):
         # each printed figure is rounded to its last digit, 5e-4
         slack = 5e-4 + 5e-4 * (1.0 + change / parent) / (parent - 5e-4)
         assert ratio == pytest.approx(change / parent, abs=slack)
-        # every job allocates numpy arrays, which tracemalloc traces
+        # every job allocates numpy arrays, which tracemalloc traces; one
+        # package on both sides allocates the same, whichever side runs
+        # first, so no shared lazy import is billed to one side
         assert parent_mb > 0.0 and change_mb > 0.0
+        assert abs(parent_mb - change_mb) <= 0.01
         # one package on both sides computes the same bits
         assert line.split()[-1] == "yes"
+
+
+def test_code_lines_leaves_out_docstrings_comments_and_blank_lines(tmp_path, capsys):
+    # 11 lines: a module docstring over two lines, a comment, a blank line,
+    # a function with a one-line docstring, a statement over three lines and
+    # a code line with a trailing comment; 5 of them are code
+    (tmp_path / "small.py").write_text(
+        '"""A module\n'
+        'docstring."""\n'
+        "# a comment\n"
+        "\n"
+        "def f(x):\n"
+        '    """One line."""\n'
+        "    return (x +\n"
+        "            1 +\n"
+        "            2)\n"
+        "\n"
+        "y = f(0)  # trailing\n")
+    assert _script("code_lines").run([str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["module", "lines", "code"], ["small", "11", "5"], ["total", "11", "5"]]
