@@ -9,6 +9,16 @@ quadrature (zero at beta = 0, residual shrinking with N).  The three
 estimates meet their predictions in one comparison, which writes both the
 check and its table row.  Everything is driven by a single seed through
 counter-based streams, so repeated runs produce byte-identical output.
+
+The two covariance checks use neither beta nor the drawn disorder, so one
+worker thread (never more) runs them while the calling thread runs the
+rest, and numpy's normal generation and BLAS products release the GIL for
+the overlap.  Each check reads only its own streams (``SPOT_CHECKS``,
+``EMPIRICAL_COVARIANCE``, ``COVARIANCE_DISORDER``) and the results are
+joined in the serial order, so no output bit depends on the schedule.  The
+contractions of the drawn disorder, the quadrature and every estimator that
+can warn stay on the calling thread, which keeps the warnings' order and
+leaves allocation tracing (``tracemalloc``) to one thread.
 """
 
 from __future__ import annotations
@@ -109,23 +119,43 @@ def _empirical_covariance(model: ModelSpec, seed: int) -> CheckResult:
 
 
 def run_verify(model: ModelSpec, *, N: int, n_samples: int, seed: int) -> VerifyRun:
-    """Run the full battery; raises ValueError when N or the model are out
-    of range for the quadrature and tensor budget, or the sample count is
-    out of the estimators' range."""
+    """Run the full battery; raises ValueError, before any check runs, when
+    N or the model are out of range for the quadrature and tensor budget, or
+    the sample count or the seed is out of the estimators' range.  The
+    covariance checks run on one worker thread; when they and a later stage
+    both raise, theirs is the exception raised, as in the serial order."""
+    # imported here, on first use, so that a process that never verifies
+    # never loads it
+    from concurrent.futures import ThreadPoolExecutor
+
     if model.n_species > 3:
         raise ValueError("verification battery supports at most 3 species")
     montecarlo._check_samples(n_samples)
+    fm = montecarlo.build_finite_model(model, N)
+    disorder = montecarlo.sample_disorder(fm, seed=seed)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        covariance = [worker.submit(_covariance_spot_checks, seed),
+                      worker.submit(_empirical_covariance, model, seed)]
+        try:
+            checks, table, records = _estimates(disorder, n_samples, seed)
+        finally:
+            covariance = [c.result() for c in covariance]
+    return VerifyRun(tuple(covariance + checks), tuple(table), records)
+
+
+def _estimates(disorder: montecarlo.DisorderSample, n_samples: int,
+               seed: int) -> tuple[list[CheckResult], list[tuple], tuple]:
+    """The battery after the covariance checks, in order: the estimates at
+    beta = beta_m / 2, the quadrature ladder and the determinism re-estimate.
+    This is the calling thread's share, which holds every contraction of the
+    drawn disorder, every quadrature and every estimator that can warn."""
+    fm = disorder.fm
+    model, N = fm.model, fm.N
     checks: list[CheckResult] = []
     table: list[tuple] = []
-
-    checks.append(_covariance_spot_checks(seed))
-    checks.append(_empirical_covariance(model, seed))
-
     b_m = criticality.beta_m(model)
     beta = 0.5 * b_m if math.isfinite(b_m) else 0.25
     xi1 = model.xi1()
-    fm = montecarlo.build_finite_model(model, N)
-    disorder = montecarlo.sample_disorder(fm, seed=seed)
 
     def compare(name, res, prediction, bound, detail):
         # a non-finite estimate (a level set with no hits) is infinitely far off
@@ -166,4 +196,4 @@ def run_verify(model: ModelSpec, *, N: int, n_samples: int, seed: int) -> Verify
                               "identical seed reproduces the estimate bit for bit"))
 
     records = tuple(montecarlo.estimator_record(fm, res) for res in (fe, ls, band))
-    return VerifyRun(tuple(checks), tuple(table), records)
+    return checks, table, records

@@ -255,6 +255,27 @@ def test_verify_checks_the_sample_count_before_any_check(samples, message, capsy
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("N, message", [
+    ("2", "error: N=2 too small: need at least 3 per species (3)\n"),
+    ("20000", "error: term (2,) pushes tensor budget to 400000000 > 100000000 scalars\n"),
+], ids=["N=2", "over-budget"])
+def test_verify_checks_N_before_any_check(N, message, capsys, monkeypatch):
+    # the finite model is built and the disorder drawn before the worker
+    # thread starts: a refused N runs neither covariance check (recorded as
+    # well as raised, since a worker's exception is only seen when joined)
+    calls = []
+
+    def reached(*args):
+        calls.append(args)
+        raise AssertionError("a covariance check ran before N was checked")
+
+    monkeypatch.setattr(verify_mod, "_covariance_spot_checks", reached)
+    monkeypatch.setattr(verify_mod, "_empirical_covariance", reached)
+    assert main(["verify", "--N", N, "--samples", "1000"]) == 1
+    assert capsys.readouterr().err == message
+    assert calls == []
+
+
 def test_verify_refuses_a_negative_seed(capsys):
     assert main(["verify", "--seed", "-1"]) == 1
     assert capsys.readouterr().err == (
