@@ -17,7 +17,10 @@ pair to pair.  The jobs, fixed:
   the command line, ``spinmix.cli.main`` writing into a temporary directory:
   ``scan --beta 0.6`` on the seeded 3-6 species models, and ``critical`` on
   two_species_quadratic, whose searches a package may batch;
-  estimate_free_energy on pure3 at N = 40 with 4096 samples;
+  estimate_free_energy on pure3 at N = 40 with 4096 samples, where the Monte
+  Carlo loop is bound by its matrix products, and band_probe on sk at N = 40
+  with 2500 samples at beta 0.1, 0.2, 0.3 and 0.4, where it is bound by its
+  draws;
   log_E_Z2_exact on two_species_quadratic at N = 400 and on the seeded
   three-species model, a chain, at N = 3200;
   the six log_E_Z2_exact calls of verify's second-moment checks on sk: N = 50,
@@ -39,7 +42,10 @@ and one such rule is computed, and each side's command line prints its
 help, which builds its argument parser and with it argparse's first
 instances of its classes.
 
-For each job it prints the median wall time of each side, their ratio
+The header names the BLAS thread variables and each side's spare cores,
+the cores its Monte Carlo loop may add a helper thread on (none for a
+package without that rule), so that every comparison states which path it
+timed.  For each job it prints the median wall time of each side, their ratio
 (change over parent), the share of pairs in which the change was faster,
 each side's peak traced allocation in MB, and whether the two sides'
 results were bitwise equal in every pair.
@@ -53,6 +59,7 @@ import importlib
 import importlib.util
 import io
 import json
+import os
 import statistics
 import sys
 import tempfile
@@ -71,6 +78,8 @@ FIXTURES = ("sk", "pure3", "pure4", "two_species_quadratic")
 SEARCH_BETA = 0.8
 SEARCH_SPECIES = range(3, 7)
 SCAN_BETA = 0.6
+PROBE_BETAS = (0.1, 0.2, 0.3, 0.4)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def load(src: str, name: str):
@@ -143,6 +152,10 @@ def jobs(pkg, tmp: Path) -> dict:
     fm = pkg.build_finite_model(fixtures["pure3"], 40)
     disorder = pkg.sample_disorder(fm, seed=1)
     out["estimate_free_energy pure3"] = lambda: pkg.estimate_free_energy(fm, disorder, 0.5, 4096, 1)
+    fm_sk = pkg.build_finite_model(fixtures["sk"], 40)
+    disorder_sk = pkg.sample_disorder(fm_sk, seed=1)
+    out["band_probe sk"] = lambda: pkg.montecarlo.band_probe(
+        disorder_sk, 1, pkg.rng.PROBE_CENTER, PROBE_BETAS, 2500)
     fm2 = pkg.build_finite_model(fixtures["two_species_quadratic"], 400)
     out["log_E_Z2_exact two_species_quadratic"] = lambda: pkg.log_E_Z2_exact(fm2, 0.5)
     fm3 = pkg.build_finite_model(three, 3200)
@@ -198,10 +211,11 @@ def run(argv=None):
     times, same = {}, {}
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the estimator's low-ESS warning
-        sides = []
+        packages, sides = [], []
         for src, name in ((args.parent_src, "spinmix_parent"), (args.change_src, "spinmix_change")):
             (Path(tmp) / name).mkdir()
-            sides.append(jobs(load(src, name), Path(tmp) / name))
+            packages.append(load(src, name))
+            sides.append(jobs(packages[-1], Path(tmp) / name))
         times = {name: ([], []) for name in sides[0]}
         same = dict.fromkeys(times, True)
         peaks = {name: [peak_mb(side[name]) for side in sides] for name in times}
@@ -213,6 +227,11 @@ def run(argv=None):
                     results[side] = sides[side][name]()
                     (parent, change)[side].append(time.perf_counter() - start)
                 same[name] &= bits(results[0]) == bits(results[1])
+    cpus = len(os.sched_getaffinity(0))
+    spare = [side.montecarlo._spare_cores(os.environ, cpus)
+             if hasattr(side.montecarlo, "_spare_cores") else 0 for side in packages]
+    print(" ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS)
+          + f"; {cpus} CPUs; spare cores: parent {spare[0]}, change {spare[1]}")
     print(f"{args.pairs} pairs; medians in ms; ratio = change / parent; "
           "peak traced MB of one untimed run")
     print(f"{'job':46} {'parent':>9} {'change':>9} {'ratio':>7} {'change wins':>12} "

@@ -34,7 +34,8 @@ modes: J_a's single row meets each row's block directly.
 
 Memory bound.  The row chunk is _CONTRACT_BUDGET // (draws * max(left,
 right)), so no intermediate holds more than _CONTRACT_BUDGET scalars and at
-most two are live at once (4 MB at most), whatever the batch size.  A
+most two are live at once (4 MB at most), whatever the batch size.  The
+bound is per thread: with ``_hamiltonians``'s helper it is 8 MB.  A
 smaller bound would re-read J_a, which for pure p = 4 at N = 50 is 50 MB,
 more often per row.  A chunk of disorder draws holds at most _DRAW_BUDGET
 scalars of tensors (512 KB), or one draw when a single draw is larger.
@@ -54,7 +55,8 @@ normals, so its norm is 0 only if every one of them is exactly 0 (about
 2^-156 at most) or, on a band, if it is exactly parallel to the center;
 ``_place`` raises rather than place it.  ``_place`` is the
 one sphere and band placement: ``sample_uniform`` and ``sample_on_band``
-call it on a one-row view.  The matrix is contracted a chunk at a time.
+call it on a one-row view.  The matrix is contracted a chunk at a time by
+``_contract``, the product ``evaluate_H_batch`` makes of one chunk.
 The empirical covariance's disorder tensors come the same way from one
 stream per term, a chunk of draws in one ``standard_normal`` per term.
 Inputs are checked once, on entry, before any draw: ``fm`` is the
@@ -63,12 +65,28 @@ beta, the band's center and overlap.  ``_free_energy`` is the shared
 log-mean-exp tail; H does not depend on beta, so ``band_probe``, behind
 both ``verify``'s band check and ``band-probe``, draws and contracts one
 band for its whole beta grid.
+
+Threads.  The calling thread runs the loop and, when the process has a
+spare core, one helper runs it beside it.  Each thread takes the next chunk
+and draws its rows under one lock, so chunks are drawn in order and
+configuration i keeps its normals; it then places and contracts them
+outside the lock into its own slice of H.  Every chunk's product is the
+same BLAS call on the same rows whichever thread makes it, so H is the same
+to the bit.  The spare core is the process's CPUs less the threads OpenBLAS
+runs its products on (``_spare_cores``), at most one, held in the semaphore
+``_SPARE`` and taken without waiting; ``verify``'s covariance worker takes
+the same slot.  With OpenBLAS on every CPU, its default, no helper starts:
+a split then ran slower (by 3-22% on pure p = 3 and 6-49% on SK at N = 40,
+on 2 vCPUs).  The helper calls only private functions and numpy, never a
+public function, which a tracer may wrap.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -488,18 +506,78 @@ def _check(fm: FiniteModel, disorder: DisorderSample, n_samples: int, *betas: fl
         raise ValueError(f"beta must be finite, got {betas}")
 
 
+def _spare_cores(environ, cpus: int) -> int:
+    """The cores the Monte Carlo loop may add a thread on: the process's
+    ``cpus`` minus the threads OpenBLAS runs its products on, capped at one.
+
+    OpenBLAS reads its thread count from the first positive integer of
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS, in that
+    order, and otherwise uses every CPU; any other value is ignored.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return min(1, max(0, cpus - threads))
+    return 0
+
+
+# the one spare-core slot of the process, taken without waiting by whoever
+# adds a thread: ``_hamiltonians``'s helper or ``verify``'s covariance worker
+_SPARE = threading.Semaphore(_spare_cores(
+    os.environ, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1))
+
+
 def _hamiltonians(disorder: DisorderSample, rng: np.random.Generator, n_samples: int,
                   blocks: list[tuple]) -> np.ndarray:
     """H at configuration i < n_samples: normals [i N, (i + 1) N) of ``rng``,
     read in order a chunk of rows at a time and put in place by ``_place``
-    with ``blocks``."""
-    buf = np.empty((min(_CHUNK, n_samples), disorder.fm.N))
+    with ``blocks``.
+
+    The calling thread and, when it takes the spare-core slot, one helper
+    run the same loop: draw the next chunk under a lock, then place and
+    contract it outside the lock into its own slice of H.  A thread stops at
+    its first error, the other once it sees one; the error of the earliest
+    chunk is raised, as a serial loop would raise it.
+    """
+    fm = disorder.fm
+    tensors = tuple(J[None] for J in disorder.tensors)
     h = np.empty(n_samples)
-    for start in range(0, n_samples, _CHUNK):
-        rows = buf[: min(_CHUNK, n_samples - start)]
-        rng.standard_normal(out=rows)
-        _place(rows, blocks)
-        h[start : start + len(rows)] = evaluate_H_batch(disorder, rows)
+    starts = iter(range(0, n_samples, _CHUNK))
+    lock = threading.Lock()
+    errors = []  # (chunk start, exception)
+
+    def run():
+        start = -1
+        try:
+            buf = np.empty((min(_CHUNK, n_samples), fm.N))
+            while True:
+                with lock:
+                    start = next(starts, n_samples)
+                    if errors or start == n_samples:
+                        return
+                    rows = buf[: min(_CHUNK, n_samples - start)]
+                    rng.standard_normal(out=rows)
+                _place(rows, blocks)
+                h[start : start + len(rows)] = _contract(fm, tensors, rows)[0]
+        except BaseException as exc:
+            errors.append((start, exc))
+
+    if n_samples > _CHUNK and _SPARE.acquire(blocking=False):
+        try:
+            helper = threading.Thread(target=run, name="spinmix-chunks")
+            helper.start()
+            run()  # which raises nothing: errors are kept
+            helper.join()
+        finally:
+            _SPARE.release()
+    else:
+        run()
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
     return h
 
 

@@ -16,9 +16,14 @@ rest, and numpy's normal generation and BLAS products release the GIL for
 the overlap.  Each check reads only its own streams (``SPOT_CHECKS``,
 ``EMPIRICAL_COVARIANCE``, ``COVARIANCE_DISORDER``) and the results are
 joined in the serial order, so no output bit depends on the schedule.  The
-contractions of the drawn disorder, the quadrature and every estimator that
-can warn stay on the calling thread, which keeps the warnings' order and
-leaves allocation tracing (``tracemalloc``) to one thread.
+quadrature and every estimator that can warn stay on the calling thread,
+which keeps the warnings' order and leaves allocation tracing
+(``tracemalloc``) to one thread.  The worker holds the spare-core slot of
+``montecarlo`` while its checks run, when the slot is free, so the
+estimates beside it contract on the calling thread alone and the battery
+never runs three threads on two cores.  Once the worker is done, and
+outside ``verify``, an estimate's contractions may run on the helper thread
+of ``montecarlo._hamiltonians``, which calls no public function.
 """
 
 from __future__ import annotations
@@ -122,8 +127,9 @@ def run_verify(model: ModelSpec, *, N: int, n_samples: int, seed: int) -> Verify
     """Run the full battery; raises ValueError, before any check runs, when
     N or the model are out of range for the quadrature and tensor budget, or
     the sample count or the seed is out of the estimators' range.  The
-    covariance checks run on one worker thread; when they and a later stage
-    both raise, theirs is the exception raised, as in the serial order."""
+    covariance checks run on one worker thread, which holds the spare-core
+    slot while they run; when they and a later stage both raise, theirs is
+    the exception raised, as in the serial order."""
     # imported here, on first use, so that a process that never verifies
     # never loads it
     from concurrent.futures import ThreadPoolExecutor
@@ -133,9 +139,14 @@ def run_verify(model: ModelSpec, *, N: int, n_samples: int, seed: int) -> Verify
     montecarlo._check_samples(n_samples)
     fm = montecarlo.build_finite_model(model, N)
     disorder = montecarlo.sample_disorder(fm, seed=seed)
+    # the worker holds the spare-core slot, if it is free, until its checks
+    # end, so the estimators beside it run on the calling thread alone
+    spare = montecarlo._SPARE.acquire(blocking=False)
     with ThreadPoolExecutor(max_workers=1) as worker:
         covariance = [worker.submit(_covariance_spot_checks, seed),
                       worker.submit(_empirical_covariance, model, seed)]
+        if spare:
+            worker.submit(montecarlo._SPARE.release)
         try:
             checks, table, records = _estimates(disorder, n_samples, seed)
         finally:
@@ -147,8 +158,8 @@ def _estimates(disorder: montecarlo.DisorderSample, n_samples: int,
                seed: int) -> tuple[list[CheckResult], list[tuple], tuple]:
     """The battery after the covariance checks, in order: the estimates at
     beta = beta_m / 2, the quadrature ladder and the determinism re-estimate.
-    This is the calling thread's share, which holds every contraction of the
-    drawn disorder, every quadrature and every estimator that can warn."""
+    This is the calling thread's share, which holds every quadrature and
+    every estimator that can warn."""
     fm = disorder.fm
     model, N = fm.model, fm.N
     checks: list[CheckResult] = []

@@ -1,4 +1,5 @@
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -110,3 +111,18 @@ def random_model(rng: np.random.Generator, n_species: int, max_total: int = 4) -
         w = rng.uniform(0.2, 0.8, size=n_species)
         lam = w / w.sum()
     return ModelSpec(SpeciesSet(names, lam), random_mixture(rng, n_species, max_total))
+
+
+def watched(monkeypatch, *targets):
+    """Patch each (owner, name), an attribute of a module or a class, to
+    record, per name, the threads that call it; returns those sets and the
+    live-thread count at every call."""
+    idents, counts = {}, []
+    for owner, name in targets:
+        def watch(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            counts.append(threading.active_count())
+            idents.setdefault(_name, set()).add(threading.get_ident())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, watch)
+    return idents, counts

@@ -1,6 +1,13 @@
+import inspect
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,7 +38,7 @@ from spinmix import (
 from spinmix import montecarlo, quadrature
 from spinmix.rng import BAND, PROBE_CENTER, UNIFORM, stream
 
-from conftest import random_model
+from conftest import random_model, watched
 from oracles import hamiltonian_by_masks, rel_close
 
 
@@ -499,6 +506,271 @@ def test_a_zero_block_is_an_error(band, sk, cubic_two_species, monkeypatch):
             estimate_band_free_energy(fm, d, center, r, 0.3, 200, seed=5)
         else:
             estimate_free_energy(fm, d, 0.3, 200, seed=5)
+
+
+# ----------------------------------------------------------------------
+# the chunk loop shared by the calling thread and a helper
+
+
+def _slot(monkeypatch, free: bool) -> None:
+    """Force the spare-core slot free (a helper may start) or taken."""
+    monkeypatch.setattr(montecarlo, "_SPARE", threading.Semaphore(int(free)))
+
+
+def _loop_case(case, band, sk, cubic_two_species):
+    model = {"sk": sk, "cubic_two_species": cubic_two_species, "pure3": pure_model(3)}[case]
+    fm = build_finite_model(model, 18)
+    center = sample_uniform(fm, stream(43)) if band else None
+    r = np.linspace(0.2, 0.5, fm.n_species)
+    blocks = montecarlo._blocks(fm, center, r) if band else montecarlo._blocks(fm)
+    return fm, sample_disorder(fm, seed=41), BAND if band else UNIFORM, blocks
+
+
+@pytest.mark.parametrize("case", ["sk", "cubic_two_species", "pure3"])
+@pytest.mark.parametrize("band", [False, True])
+def test_the_helper_changes_no_bit_of_H(case, band, sk, cubic_two_species, monkeypatch):
+    fm, d, role, blocks = _loop_case(case, band, sk, cubic_two_species)
+
+    def both(n):
+        h = []
+        for free in (True, False):
+            _slot(monkeypatch, free)
+            h.append(montecarlo._hamiltonians(d, stream(42, role), n, blocks))
+        return h
+
+    for n in (100, 1024, 1025, 2500, 4096):
+        free, taken = both(n)
+        assert free.tobytes() == taken.tobytes()
+    monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+    free, taken = both(1025)
+    assert free.tobytes() == taken.tobytes()
+
+
+class _Jittered:
+    """A stream whose every draw first waits a random fraction of a
+    millisecond, as a draw delayed by the scheduler would."""
+
+    def __init__(self, seed):
+        self._rng = stream(42, UNIFORM)
+        self._wait = np.random.default_rng(seed)
+
+    def standard_normal(self, out):
+        time.sleep(self._wait.uniform(0.0, 1e-3))
+        self._rng.standard_normal(out=out)
+
+
+def test_the_loop_agrees_under_frequent_switches(cubic_two_species, monkeypatch):
+    # three callers and one spare-core slot, a hundred chunks each: the
+    # caller that takes the slot shares its chunks with a helper, and a lost
+    # update of the chunk order or of the stream would change H
+    fm = build_finite_model(cubic_two_species, 18)
+    d = sample_disorder(fm, seed=41)
+    blocks = montecarlo._blocks(fm)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+    _slot(monkeypatch, False)
+    expected = montecarlo._hamiltonians(d, stream(42, UNIFORM), 700, blocks)
+    _slot(monkeypatch, True)
+    results = [None] * 3
+
+    def run(i):
+        results[i] = montecarlo._hamiltonians(d, _Jittered(i), 700, blocks)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [h.tobytes() for h in results] == [expected.tobytes()] * len(results)
+
+
+def test_the_helper_changes_no_estimate(cubic_two_species, monkeypatch):
+    fm = build_finite_model(cubic_two_species, 18)
+    d = sample_disorder(fm, seed=41)
+    center = sample_uniform(fm, stream(43))
+
+    def estimates():
+        return (estimate_free_energy(fm, d, 0.4, 2500, seed=5),
+                estimate_level_set(fm, d, 0.4, 0.1, 2500, seed=5),
+                estimate_band_free_energy(fm, d, center, 0.2, 0.4, 2500, seed=5),
+                montecarlo.band_probe(d, 5, PROBE_CENTER, [0.1, 0.3], 2500))
+
+    _slot(monkeypatch, True)
+    free = estimates()
+    _slot(monkeypatch, False)
+    assert estimates() == free
+
+
+class _Chunks:
+    """A generator that records which chunk it drew into each buffer and
+    zeroes, in the last row of chunk j, the species block ``zero[j]``."""
+
+    def __init__(self, zero):
+        self._rng = stream(46)
+        self._zero = zero
+        self.drawn = 0
+        self.chunk_of = {}
+
+    def standard_normal(self, out):
+        self._rng.standard_normal(out=out)
+        if self.drawn in self._zero:
+            out[-1, self._zero[self.drawn]] = 0.0
+        self.chunk_of[out.ctypes.data] = self.drawn
+        self.drawn += 1
+
+
+@pytest.mark.parametrize("free", [True, False], ids=["slot-free", "slot-taken"])
+def test_the_earliest_chunk_error_is_raised_and_nothing_after_it_contracted(
+        free, cubic_two_species, monkeypatch):
+    _slot(monkeypatch, free)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+    fm = build_finite_model(cubic_two_species, 18)
+    d = sample_disorder(fm, seed=41)
+    k = 5
+    rng = _Chunks({k: fm.block_slices[0], k + 1: fm.block_slices[1]})
+    contracted = []
+    place, contract = montecarlo._place, montecarlo._contract
+
+    def late_place(rows, blocks):
+        # chunk k's error is seen last, so the earliest chunk's error, not
+        # the first one seen, must be the one raised
+        if rng.chunk_of[rows.ctypes.data] == k:
+            time.sleep(0.05)
+        return place(rows, blocks)
+
+    def watch(fm, tensors, sigmas):
+        contracted.append(rng.chunk_of[sigmas.ctypes.data])
+        return contract(fm, tensors, sigmas)
+
+    monkeypatch.setattr(montecarlo, "_place", late_place)
+    monkeypatch.setattr(montecarlo, "_contract", watch)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="species block 0 "):
+        montecarlo._hamiltonians(d, rng, 20 * 64, montecarlo._blocks(fm))
+    assert sorted(contracted) == list(range(k))
+    assert rng.drawn <= k + 2
+    assert threading.active_count() == before
+    # the slot is given back
+    assert montecarlo._SPARE.acquire(blocking=False) == free
+
+
+@pytest.mark.parametrize("free", [True, False], ids=["slot-free", "slot-taken"])
+def test_a_chunk_error_stops_the_other_thread(free, cubic_two_species, monkeypatch):
+    # only chunk k fails, and chunk k+1's contraction is slow, so the error
+    # is kept before the thread holding chunk k+1 looks for its next chunk
+    _slot(monkeypatch, free)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+    fm = build_finite_model(cubic_two_species, 18)
+    d = sample_disorder(fm, seed=41)
+    k = 5
+    rng = _Chunks({k: fm.block_slices[0]})
+    contracted = []
+    contract = montecarlo._contract
+
+    def slow_contract(fm, tensors, sigmas):
+        contracted.append(rng.chunk_of[sigmas.ctypes.data])
+        if contracted[-1] == k + 1:
+            time.sleep(0.05)
+        return contract(fm, tensors, sigmas)
+
+    monkeypatch.setattr(montecarlo, "_contract", slow_contract)
+    with pytest.raises(FloatingPointError, match="species block 0 "):
+        montecarlo._hamiltonians(d, rng, 20 * 64, montecarlo._blocks(fm))
+    assert set(range(k)) <= set(contracted) <= set(range(k + 2))
+    assert rng.drawn <= k + 2
+
+
+def test_the_helper_calls_no_public_function(sk, monkeypatch):
+    # the bench traces every public function of these modules and Mixture's
+    # methods, and a traced span must not open on a second thread
+    from spinmix import rng as rng_module
+
+    _slot(monkeypatch, True)
+    fm = build_finite_model(sk, 18)
+    d = sample_disorder(fm, seed=41)
+    center = sample_uniform(fm, stream(43))
+    public = [(montecarlo, name) for name in montecarlo.__all__
+              if inspect.isfunction(getattr(montecarlo, name))]
+    public += [(rng_module, name) for name in rng_module.__all__
+               if inspect.isfunction(getattr(rng_module, name))]
+    public += [(Mixture, name) for name, fn in vars(Mixture).items()
+               if not name.startswith("_") and inspect.isfunction(fn)]
+    idents, _ = watched(monkeypatch, *public)
+    # the first contraction of each thread waits for the other's, so the
+    # helper is sure to take a chunk
+    meet = threading.Barrier(2, timeout=30)
+    threads = set()
+    contract = montecarlo._contract
+
+    def contract_both(fm, tensors, sigmas):
+        # a chunk, not band_probe's center
+        if len(sigmas) > 1 and threading.get_ident() not in threads:
+            threads.add(threading.get_ident())
+            meet.wait()
+        return contract(fm, tensors, sigmas)
+
+    monkeypatch.setattr(montecarlo, "_contract", contract_both)
+    for estimate in (lambda: estimate_free_energy(fm, d, 0.4, 2500, seed=5),
+                     lambda: estimate_level_set(fm, d, 0.4, 0.1, 2500, seed=5),
+                     lambda: estimate_band_free_energy(fm, d, center, 0.2, 0.4, 2500, seed=5),
+                     lambda: montecarlo.band_probe(d, 5, PROBE_CENTER, [0.1, 0.3], 2500)):
+        threads.clear()  # a thread's ident may be reused by a later one
+        estimate()
+        assert len(threads) == 2
+    assert set().union(*idents.values()) == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("environ, cpus, spare", [
+    ({}, 1, 0), ({}, 2, 0), ({}, 64, 0),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 8, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, 0),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 0),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, 1),
+    ({"OMP_NUM_THREADS": "1"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, 0),
+    ({"OPENBLAS_NUM_THREADS": "one", "OMP_NUM_THREADS": "1"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "1.5"}, 2, 0),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2, 0),
+    ({"OPENBLAS_NUM_THREADS": "-1"}, 2, 0),
+    ({"OPENBLAS_NUM_THREADS": ""}, 2, 0),
+])
+def test_spare_cores_follow_openblas_thread_count(environ, cpus, spare):
+    assert montecarlo._spare_cores(environ, cpus) == spare
+
+
+_HELPER_RUN = """
+import threading
+import spinmix
+
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda self: (started.append(self.name), start(self))[1]
+fm = spinmix.build_finite_model(spinmix.sk_model(), 20)
+d = spinmix.sample_disorder(fm, seed=1)
+spinmix.estimate_free_energy(fm, d, 0.4, 4096, seed=1)
+print(len(started), threading.active_count())
+"""
+
+
+@pytest.mark.parametrize("blas, helpers", [("1", 1), (None, 0)],
+                         ids=["one-blas-thread", "blas-threads-unset"])
+def test_a_fresh_estimate_starts_a_helper_only_beside_pinned_blas(blas, helpers):
+    if blas is not None and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two CPUs")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    env["PYTHONPATH"] = str(Path(montecarlo.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", _HELPER_RUN], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.split() == [str(helpers), "1"]
 
 
 def _draws_per_chunk(fm) -> int:

@@ -3,6 +3,7 @@ writes what its docstring promises."""
 
 import importlib.util
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -98,11 +99,21 @@ def test_output_digest_quick_listing_is_reproducible(tmp_path, capsys):
         assert len(digest) == 64 and (tmp_path / "a" / name).is_file()
 
 
-def test_ab_compare_prints_one_row_per_job(capsys):
-    # the same package on both sides, one pair
+def test_ab_compare_prints_one_row_per_job(capsys, monkeypatch):
+    # the same package on both sides, one pair, with the BLAS thread count
+    # unset: no Monte Carlo loop then adds a helper thread, whose
+    # intermediates would overlap the caller's by schedule and move the
+    # traced peak by up to a tenth of a MB from run to run
+    blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    for var in blas:
+        monkeypatch.delenv(var, raising=False)
     src = str(SCRIPTS_DIR.parent / "src")
     assert _script("ab_compare").run([src, src, "--pairs", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
+    # the header states which path of the Monte Carlo loop was timed
+    assert lines.pop(0) == (" ".join(f"{var}=unset" for var in blas)
+                            + f"; {len(os.sched_getaffinity(0))} CPUs; "
+                            "spare cores: parent 0, change 0")
     assert lines[0] == ("1 pairs; medians in ms; ratio = change / parent; "
                         "peak traced MB of one untimed run")
     assert lines[1].split() == ["job", "parent", "change", "ratio", "change", "wins",
@@ -112,7 +123,7 @@ def test_ab_compare_prints_one_row_per_job(capsys):
         + [f"maximize_f {o} S={S}" for S in range(3, 7) for o in ("plain", "tilde")] \
         + ["scan pair S=3", "beta_m, beta_m_tilde S=3"] \
         + [f"cli scan S={S}" for S in range(3, 7)] + ["cli critical two_species_quadratic"] \
-        + ["estimate_free_energy pure3",
+        + ["estimate_free_energy pure3", "band_probe sk",
            "log_E_Z2_exact two_species_quadratic", "log_E_Z2_exact chain S=3",
            "log_E_Z2_exact verify ladder sk", "log_E_Z2_exact N ladder two_species_quadratic"]
     for line in lines[2:]:

@@ -10,6 +10,8 @@ import pytest
 from spinmix import criticality, montecarlo, pure_model, quadrature, sk_model
 from spinmix import verify
 
+from conftest import watched
+
 _ARGS = {"N": 20, "n_samples": 400, "seed": 3}
 
 
@@ -105,32 +107,37 @@ def test_one_thread_raising_is_raised(module, name, message, monkeypatch):
     assert threading.active_count() == before
 
 
-def _watched(monkeypatch, *targets):
-    """Patch each (module, name) to record, per name, the threads that call
-    it; returns those sets and the live-thread count at every call."""
-    idents, counts = {}, []
-    for module, name in targets:
-        def watch(*args, _name=name, _original=getattr(module, name), **kwargs):
-            counts.append(threading.active_count())
-            idents.setdefault(_name, set()).add(threading.get_ident())
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, watch)
-    return idents, counts
-
-
-def test_one_worker_thread_runs_the_covariance_checks(monkeypatch):
+@pytest.mark.parametrize("slot", [None, 1], ids=["slot-as-is", "slot-free"])
+def test_one_worker_thread_runs_the_covariance_checks(slot, monkeypatch):
+    # with the spare-core slot free the worker takes it, so no estimate of
+    # several chunks adds a helper thread while the worker runs
+    if slot is not None:
+        monkeypatch.setattr(montecarlo, "_SPARE", threading.Semaphore(slot))
+    monkeypatch.setattr(montecarlo, "_CHUNK", 64)
     before = threading.active_count()
-    idents, counts = _watched(
+    idents, counts = watched(
         monkeypatch, (verify, "_covariance_spot_checks"), (verify, "_empirical_covariance"),
         (criticality, "beta_m"), (montecarlo, "estimate_free_energy"),
         (quadrature, "log_E_Z2_exact"))
+    slot_free, covariance = [], verify._empirical_covariance
+
+    def holding(*args):
+        free = montecarlo._SPARE.acquire(blocking=False)
+        if free:
+            montecarlo._SPARE.release()
+        slot_free.append(free)
+        return covariance(*args)
+
+    monkeypatch.setattr(verify, "_empirical_covariance", holding)
     verify.run_verify(sk_model(), **_ARGS)
     assert threading.active_count() == before
     assert max(counts) <= before + 1
+    assert slot_free == [False]  # the worker holds the slot, if there is one
     caller = {threading.get_ident()}
     assert idents["_covariance_spot_checks"] == idents["_empirical_covariance"] != caller
     assert idents["beta_m"] == idents["estimate_free_energy"] == idents["log_E_Z2_exact"] == caller
+    if slot is not None:  # given back when the worker's checks ended
+        assert montecarlo._SPARE.acquire(blocking=False)
 
 
 @pytest.mark.parametrize("model", [sk_model(), pure_model(3)], ids=["sk", "pure3"])
@@ -138,9 +145,9 @@ def test_traced_and_warning_code_stays_on_the_calling_thread(model, monkeypatch)
     # the contraction and the quadrature hold the bench's allocation spans,
     # which start and stop tracemalloc, and _free_energy is where an
     # estimator warns: none of them may run on the worker thread
-    idents, _ = _watched(monkeypatch, (montecarlo, "evaluate_H"),
-                         (montecarlo, "evaluate_H_batch"), (quadrature, "log_E_Z2_exact"),
-                         (montecarlo, "_free_energy"))
+    idents, _ = watched(monkeypatch, (montecarlo, "evaluate_H"),
+                        (montecarlo, "evaluate_H_batch"), (quadrature, "log_E_Z2_exact"),
+                        (montecarlo, "_free_energy"))
     verify.run_verify(model, N=12, n_samples=200, seed=5)
     assert idents == dict.fromkeys(
         ["evaluate_H", "evaluate_H_batch", "log_E_Z2_exact", "_free_energy"],
