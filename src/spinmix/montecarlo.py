@@ -74,18 +74,26 @@ outside the lock into its own slice of H.  Every chunk's product is the
 same BLAS call on the same rows whichever thread makes it, so H is the same
 to the bit.  The spare core is the process's CPUs less the threads OpenBLAS
 runs its products on (``_spare_cores``), at most one, held in the semaphore
-``_SPARE`` and taken without waiting; ``verify``'s covariance worker takes
-the same slot.  With OpenBLAS on every CPU, its default, no helper starts:
-a split then ran slower (by 3-22% on pure p = 3 and 6-49% on SK at N = 40,
-on 2 vCPUs).  The helper calls only private functions and numpy, never a
-public function, which a tracer may wrap.
+``_SPARE`` and taken without waiting through ``_holding_spare``, which
+``verify``'s covariance worker uses too.  With OpenBLAS on every CPU, its
+default, no helper starts: a split then ran slower (by 3-22% on pure p = 3
+and 6-49% on SK at N = 40, on 2 vCPUs).  A process cannot see its
+neighbours, so BLAS pinned to one thread in each of several processes
+that share the CPUs (``xargs -P``, a job array without a cpuset) lets each
+of them add a helper; two such processes on 2 vCPUs did the same work about
+3% slower than without helpers.  A process given one CPU of its own
+(``taskset``, a cpuset) has no spare core and starts none.  The helper
+calls only private functions and numpy, never a public function, which a
+tracer may wrap.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
+import re
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -510,25 +518,37 @@ def _spare_cores(environ, cpus: int) -> int:
     """The cores the Monte Carlo loop may add a thread on: the process's
     ``cpus`` minus the threads OpenBLAS runs its products on, capped at one.
 
-    OpenBLAS reads its thread count from the first positive integer of
-    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS, in that
-    order, and otherwise uses every CPU; any other value is ignored.
+    OpenBLAS takes its thread count from the first of OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS and OMP_NUM_THREADS that reads as a positive number,
+    and otherwise uses every CPU.  It reads each with C's ``atoi``: leading
+    white space, a sign and the digits up to the first other character, so
+    "1.5" and "1x" are 1, and a value with no leading digits is 0.
     """
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            threads = int(environ.get(var, ""))
-        except ValueError:
-            continue
+        digits = re.match(r"[ \t\n\v\f\r]*([+-]?[0-9]+)", environ.get(var, ""))
+        threads = int(digits[1]) if digits else 0
         if threads > 0:
             return min(1, max(0, cpus - threads))
     return 0
 
 
-# the one spare-core slot of the process, taken without waiting by whoever
-# adds a thread: ``_hamiltonians``'s helper or ``verify``'s covariance worker
+# the one spare-core slot of the process, taken by ``_holding_spare``
 _SPARE = threading.Semaphore(_spare_cores(
     os.environ, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
     else os.cpu_count() or 1))
+
+
+@contextlib.contextmanager
+def _holding_spare():
+    """Take the spare-core slot if it is free, without waiting; yield whether
+    it was taken, and give it back on exit.  Whoever adds a thread holds it
+    first: ``_hamiltonians`` for its helper, ``verify`` for its worker."""
+    taken = _SPARE.acquire(blocking=False)
+    try:
+        yield taken
+    finally:
+        if taken:
+            _SPARE.release()
 
 
 def _hamiltonians(disorder: DisorderSample, rng: np.random.Generator, n_samples: int,
@@ -566,16 +586,13 @@ def _hamiltonians(disorder: DisorderSample, rng: np.random.Generator, n_samples:
         except BaseException as exc:
             errors.append((start, exc))
 
-    if n_samples > _CHUNK and _SPARE.acquire(blocking=False):
-        try:
-            helper = threading.Thread(target=run, name="spinmix-chunks")
+    with _holding_spare() if n_samples > _CHUNK else contextlib.nullcontext() as spare:
+        helper = threading.Thread(target=run, name="spinmix-chunks") if spare else None
+        if helper:
             helper.start()
-            run()  # which raises nothing: errors are kept
+        run()  # which raises nothing: errors are kept
+        if helper:
             helper.join()
-        finally:
-            _SPARE.release()
-    else:
-        run()
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
     return h

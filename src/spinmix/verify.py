@@ -19,9 +19,10 @@ joined in the serial order, so no output bit depends on the schedule.  The
 quadrature and every estimator that can warn stay on the calling thread,
 which keeps the warnings' order and leaves allocation tracing
 (``tracemalloc``) to one thread.  The worker holds the spare-core slot of
-``montecarlo`` while its checks run, when the slot is free, so the
-estimates beside it contract on the calling thread alone and the battery
-never runs three threads on two cores.  Once the worker is done, and
+``montecarlo`` while its checks run, when the slot is free, and the
+estimates start only once it has tried to take it, so the estimates beside
+it contract on the calling thread alone and the battery never runs three
+threads on two cores.  Once the worker is done, and
 outside ``verify``, an estimate's contractions may run on the helper thread
 of ``montecarlo._hamiltonians``, which calls no public function.
 """
@@ -29,6 +30,7 @@ of ``montecarlo._hamiltonians``, which calls no public function.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,19 +141,28 @@ def run_verify(model: ModelSpec, *, N: int, n_samples: int, seed: int) -> Verify
     montecarlo._check_samples(n_samples)
     fm = montecarlo.build_finite_model(model, N)
     disorder = montecarlo.sample_disorder(fm, seed=seed)
-    # the worker holds the spare-core slot, if it is free, until its checks
-    # end, so the estimators beside it run on the calling thread alone
-    spare = montecarlo._SPARE.acquire(blocking=False)
+    slot_tried = threading.Event()
     with ThreadPoolExecutor(max_workers=1) as worker:
-        covariance = [worker.submit(_covariance_spot_checks, seed),
-                      worker.submit(_empirical_covariance, model, seed)]
-        if spare:
-            worker.submit(montecarlo._SPARE.release)
+        covariance = worker.submit(_covariance_checks, model, seed, slot_tried)
+        # the estimates start once the worker has tried the spare-core slot,
+        # so that it, not an estimate's helper, holds the slot when it is free
+        slot_tried.wait()
         try:
             checks, table, records = _estimates(disorder, n_samples, seed)
         finally:
-            covariance = [c.result() for c in covariance]
+            covariance = covariance.result()
     return VerifyRun(tuple(covariance + checks), tuple(table), records)
+
+
+def _covariance_checks(model: ModelSpec, seed: int,
+                       slot_tried: threading.Event) -> list[CheckResult]:
+    """The worker's share, in order: the covariance spot checks and the
+    empirical covariance.  It holds the spare-core slot of ``montecarlo``
+    while they run, when the slot is free, and sets ``slot_tried`` once it
+    has tried to take it."""
+    with montecarlo._holding_spare():
+        slot_tried.set()
+        return [_covariance_spot_checks(seed), _empirical_covariance(model, seed)]
 
 
 def _estimates(disorder: montecarlo.DisorderSample, n_samples: int,

@@ -735,13 +735,29 @@ def test_the_helper_calls_no_public_function(sk, monkeypatch):
     ({"OMP_NUM_THREADS": "1"}, 2, 1),
     ({"OPENBLAS_NUM_THREADS": "1"}, 1, 0),
     ({"OPENBLAS_NUM_THREADS": "one", "OMP_NUM_THREADS": "1"}, 2, 1),
-    ({"OPENBLAS_NUM_THREADS": "1.5"}, 2, 0),
+    # read as C's atoi reads them: the leading integer, else 0
+    ({"OPENBLAS_NUM_THREADS": "1.5"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "1x", "OMP_NUM_THREADS": "2"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": " +1"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "2.5", "OMP_NUM_THREADS": "1"}, 2, 0),
+    ({"OPENBLAS_NUM_THREADS": ".5", "OMP_NUM_THREADS": "2"}, 2, 0),
     ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2, 0),
     ({"OPENBLAS_NUM_THREADS": "-1"}, 2, 0),
     ({"OPENBLAS_NUM_THREADS": ""}, 2, 0),
 ])
 def test_spare_cores_follow_openblas_thread_count(environ, cpus, spare):
     assert montecarlo._spare_cores(environ, cpus) == spare
+
+
+@pytest.mark.parametrize("free", [True, False], ids=["slot-free", "slot-taken"])
+def test_holding_spare_takes_a_free_slot_and_gives_it_back(free, monkeypatch):
+    _slot(monkeypatch, free)
+    with pytest.raises(RuntimeError):
+        with montecarlo._holding_spare() as taken:
+            assert taken == free
+            assert not montecarlo._SPARE.acquire(blocking=False)
+            raise RuntimeError
+    assert montecarlo._SPARE.acquire(blocking=False) == free
 
 
 _HELPER_RUN = """

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from spinmix import montecarlo
 from spinmix.cli import SCAN_HEADER
 
 from conftest import MODELS_DIR
@@ -99,23 +100,19 @@ def test_output_digest_quick_listing_is_reproducible(tmp_path, capsys):
         assert len(digest) == 64 and (tmp_path / "a" / name).is_file()
 
 
-def test_ab_compare_prints_one_row_per_job(capsys, monkeypatch):
-    # the same package on both sides, one pair, with the BLAS thread count
-    # unset: no Monte Carlo loop then adds a helper thread, whose
-    # intermediates would overlap the caller's by schedule and move the
-    # traced peak by up to a tenth of a MB from run to run
-    blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-    for var in blas:
-        monkeypatch.delenv(var, raising=False)
+def test_ab_compare_prints_one_row_per_job(capsys):
+    # the same package on both sides, one pair, in the environment as it is
     src = str(SCRIPTS_DIR.parent / "src")
     assert _script("ab_compare").run([src, src, "--pairs", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     # the header states which path of the Monte Carlo loop was timed
-    assert lines.pop(0) == (" ".join(f"{var}=unset" for var in blas)
-                            + f"; {len(os.sched_getaffinity(0))} CPUs; "
-                            "spare cores: parent 0, change 0")
+    blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    cpus = len(os.sched_getaffinity(0))
+    spare = montecarlo._spare_cores(os.environ, cpus)
+    assert lines.pop(0) == (" ".join(f"{var}={os.environ.get(var, 'unset')}" for var in blas)
+                            + f"; {cpus} CPUs; spare cores: parent {spare}, change {spare}")
     assert lines[0] == ("1 pairs; medians in ms; ratio = change / parent; "
-                        "peak traced MB of one untimed run")
+                        "peak traced MB of one untimed run on one thread")
     assert lines[1].split() == ["job", "parent", "change", "ratio", "change", "wins",
                                 "parent", "MB", "change", "MB", "same"]
     jobs = [line.rsplit(None, 7)[0] for line in lines[2:]]

@@ -1,6 +1,7 @@
 """The verify battery's two threads: the covariance checks on one worker,
 everything else on the calling thread, joined in the serial order."""
 
+import contextlib
 import sys
 import threading
 import time
@@ -138,6 +139,28 @@ def test_one_worker_thread_runs_the_covariance_checks(slot, monkeypatch):
     assert idents["beta_m"] == idents["estimate_free_energy"] == idents["log_E_Z2_exact"] == caller
     if slot is not None:  # given back when the worker's checks ended
         assert montecarlo._SPARE.acquire(blocking=False)
+
+
+def test_the_worker_tries_the_slot_before_any_estimate(monkeypatch):
+    # a worker that starts late still takes the free slot first: the
+    # estimates wait for its try, so no helper holds the slot before it
+    monkeypatch.setattr(montecarlo, "_SPARE", threading.Semaphore(1))
+    monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+    caller, holding, tries = threading.get_ident(), montecarlo._holding_spare, []
+
+    @contextlib.contextmanager
+    def late_worker():
+        if threading.get_ident() != caller:
+            time.sleep(0.2)
+        with holding() as taken:
+            tries.append((threading.get_ident() == caller, taken))
+            yield taken
+
+    monkeypatch.setattr(montecarlo, "_holding_spare", late_worker)
+    verify.run_verify(sk_model(), **_ARGS)
+    assert tries[0] == (False, True)
+    assert len(tries) > 1  # the estimates' loops, after it
+    assert montecarlo._SPARE.acquire(blocking=False)
 
 
 @pytest.mark.parametrize("model", [sk_model(), pure_model(3)], ids=["sk", "pure3"])
