@@ -21,6 +21,8 @@ pair to pair.  The jobs, fixed:
   Carlo loop is bound by its matrix products, and band_probe on sk at N = 40
   with 2500 samples at beta 0.1, 0.2, 0.3 and 0.4, where it is bound by its
   draws;
+  run_verify, the battery ``spinmix verify`` runs on two threads, on sk and
+  on two_species_quadratic at N = 40 with 10,000 samples;
   log_E_Z2_exact on two_species_quadratic at N = 400 and on the seeded
   three-species model, a chain, at N = 3200;
   the six log_E_Z2_exact calls of verify's second-moment checks on sk: N = 50,
@@ -49,15 +51,21 @@ timed.  For each job it prints the median wall time of each side, their ratio
 (change over parent), the share of pairs in which the change was faster,
 each side's peak traced allocation in MB, and whether the two sides'
 results were bitwise equal in every pair.  The peak is of one untimed run
-with the side's spare-core slot held, so on one thread: a helper's
-intermediates overlap the caller's by schedule, which moved the traced peak
-of one package from 1.12 to 1.26 MB from run to run.
+on one thread, after a full garbage collection: with the side's spare-core
+slot held, so that no Monte Carlo helper starts, and with every thread pool
+the run makes replaced by one that runs each task as it is submitted, so
+that verify's covariance worker runs before its estimates, in the serial
+order.  Threads overlap their intermediates by schedule: a helper's moved
+the traced peak of one package from 1.12 to 1.26 MB from run to run, and
+verify's worker moved it by up to 0.5 MB.
 """
 
 import argparse
+import concurrent.futures
 import contextlib
 import dataclasses
 import enum
+import gc
 import importlib
 import importlib.util
 import io
@@ -70,6 +78,7 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 # imported here, before any traced run, so that neither side is billed for them
@@ -82,6 +91,7 @@ SEARCH_BETA = 0.8
 SEARCH_SPECIES = range(3, 7)
 SCAN_BETA = 0.6
 PROBE_BETAS = (0.1, 0.2, 0.3, 0.4)
+VERIFY_FIXTURES = ("sk", "two_species_quadratic")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -159,6 +169,9 @@ def jobs(pkg, tmp: Path) -> dict:
     disorder_sk = pkg.sample_disorder(fm_sk, seed=1)
     out["band_probe sk"] = lambda: pkg.montecarlo.band_probe(
         disorder_sk, 1, pkg.rng.PROBE_CENTER, PROBE_BETAS, 2500)
+    for name in VERIFY_FIXTURES:
+        out[f"verify {name}"] = (lambda m=fixtures[name]: pkg.verify.run_verify(
+            m, N=40, n_samples=10_000, seed=1))
     fm2 = pkg.build_finite_model(fixtures["two_species_quadratic"], 400)
     out["log_E_Z2_exact two_species_quadratic"] = lambda: pkg.log_E_Z2_exact(fm2, 0.5)
     fm3 = pkg.build_finite_model(three, 3200)
@@ -191,11 +204,32 @@ def bits(result):
     return result
 
 
+class Inline(concurrent.futures.Executor):
+    """A thread pool that runs each task on the calling thread as it is
+    submitted."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
 def peak_mb(job, pkg) -> float:
     """The peak memory traced during one run of a job, in MB, with the
-    package's spare-core slot held, if it has one: the run is then on one
-    thread, and no schedule moves its peak."""
-    with getattr(pkg.montecarlo, "_holding_spare", contextlib.nullcontext)():
+    package's spare-core slot held, if it has one, and its thread pools
+    inline (`Inline`): the run is then on one thread, and no schedule moves
+    its peak.  A full garbage collection runs first: without it, when the
+    garbage of earlier runs was collected moved verify's peak over 0.022 MB
+    (1.643 to 1.666 MB on two_species_quadratic)."""
+    gc.collect()
+    with (getattr(pkg.montecarlo, "_holding_spare", contextlib.nullcontext)(),
+          mock.patch.object(concurrent.futures, "ThreadPoolExecutor", Inline)):
         tracemalloc.start()
         try:
             job()

@@ -101,7 +101,7 @@ def _probe_csv(model: ModelSpec, rows) -> str:
 
 def cmd_critical(args) -> int:
     model = _load(args)
-    report = criticality.verdict(model, tol_zero=args.tol_zero, tol_sing=args.tol_sing)
+    report = criticality.verdict(model)
     text = report.to_json(model_hash=model_hash(model), tool_version=__version__)
     _write(args.out, text)
     if args.out:
@@ -201,8 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("critical", help="threshold report for a model file")
     model_flag(p, required=True)
     out_flag(p)
-    p.add_argument("--tol-sing", type=float, default=criticality.TOL_SING)
-    p.add_argument("--tol-zero", type=float, default=landscape.TOL_ZERO)
     p.set_defaults(func=cmd_critical)
 
     p = sub.add_parser("scan", help="landscape scan over a beta grid (CSV)")

@@ -2,7 +2,7 @@
 
 Three thresholds are computed per model:
 
-  beta_m        largest beta with max_{r in [0,1)^S} f_beta(r) <= tol_zero
+  beta_m        largest beta with max_{r in [0,1)^S} f_beta(r) <= TOL_ZERO
   beta_m_tilde  same with the truncated functional (always >= beta_m)
   beta_H        smallest beta at which M(beta) = -diag(lam) + beta^2 Q
                 acquires a nonnegative eigenvalue (closed form)
@@ -10,7 +10,7 @@ Three thresholds are computed per model:
 f_beta = -E(r) + beta^2 xi(r), with E(r) = -1/2 sum_s lam_s log(1 - r_s^2),
 is affine in beta^2, and so is its truncated variant, so max f <= t holds
 exactly when beta^2 is at most an infimum over the points with xi(r) > 0
-(t = tol_zero):
+(t = TOL_ZERO):
 
   beta_m^2            inf (E(r) + t) / xi(r)
   beta_m_tilde^2      inf (E(r) + t) / (xi(1) xi(r) / (xi(1) + xi(r)))
@@ -24,7 +24,7 @@ energy term is A x / (B + C x) of x = xi(r), with (A, B, C) the objective's
 from landscape's table (`landscape._energy`): beta^2 x is (beta^2, 1, 0),
 the truncated term (beta^2 xi(1), xi(1), 1).  f is the kind "energy minus
 the summed cost c"; minus a ratio is the other kind, -(c + t) / energy at
-beta = 1, of the same (A, B, C).  This module supplies only t: landscape
+beta = 1, of the same (A, B, C), with t landscape's TOL_ZERO: landscape
 alone turns a rule into its value and partials.  The plain and truncated
 ratios share the entropy, so the verdict finds both infima in one batched
 search.  Each threshold is capped at beta_H, the r -> 0 limit of the same
@@ -37,7 +37,7 @@ STRICTLY_LESS when its top eigenvalue is clearly negative, and
 INCONCLUSIVE when the mixture is not strictly positive off the origin on
 the unit box (the hypothesis under which the verdict is meaningful), the
 eigenvalue cannot be classified, or the certificate fails: one global
-maximization of f at beta_m, whose value must not exceed tol_zero.  The
+maximization of f at beta_m, whose value must not exceed TOL_ZERO.  The
 report's witnesses give the plain ratio's argmin, minimum, grid
 certification and convergence, and the certificate's argmax, value,
 convergence and grid certification.
@@ -72,7 +72,7 @@ __all__ = [
 TOL_SING = 1e-6     # singularity band, relative to the scale of M
 BETA_TOL = 1e-9     # stated absolute accuracy of every threshold in beta
 # beta^2 is taken this fraction below the ratio infimum, so that rounding in
-# f cannot lift max f_beta above tol_zero at the reported threshold
+# f cannot lift max f_beta above TOL_ZERO at the reported threshold
 _ROUND_DOWN = 1e-12
 
 
@@ -88,11 +88,6 @@ def _sing_scale(model: ModelSpec, beta: float) -> float:
     Q = model.mixture.degree2_matrix()
     q_norm = float(np.max(np.abs(np.linalg.eigvalsh(Q)))) if Q.any() else 0.0
     return lam_norm + beta * beta * q_norm
-
-
-def _check_tolerance(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def beta_hessian_singular(model: ModelSpec) -> float:
@@ -119,8 +114,8 @@ def check_nsd(model: ModelSpec, beta: float) -> tuple[float, bool]:
     return lam_max, lam_max <= TOL_SING * _sing_scale(model, beta)
 
 
-def _ratio_min(model: ModelSpec, objectives, tol_zero: float) -> tuple[float, list]:
-    """Infimum of each objective's ratio (cost(r) + tol_zero) / E(xi(r)) over
+def _ratio_min(model: ModelSpec, objectives) -> tuple[float, list]:
+    """Infimum of each objective's ratio (cost(r) + TOL_ZERO) / E(xi(r)) over
     xi(r) > 0, with cost and E the objective's at beta = 1 from landscape's
     table (`landscape._energy`), as (beta_H, [(beta, search), ...]) with
     beta = sqrt(infimum), capped at beta_H, and search the landscape
@@ -132,37 +127,36 @@ def _ratio_min(model: ModelSpec, objectives, tol_zero: float) -> tuple[float, li
     """
     if model.xi1() <= 0.0:
         raise ValueError("threshold computation requires xi(1) > 0")
-    _check_tolerance("tol_zero", tol_zero)
     rules, costs, dcosts = zip(*(_energy(model, 1.0, objective) for objective in objectives))
-    rules = [rule._replace(ratio=True, t=tol_zero) for rule in rules]
+    rules = [rule._replace(ratio=True) for rule in rules]
     beta_H = beta_hessian_singular(model)
     return beta_H, [(min(math.sqrt(-search.value * (1.0 - _ROUND_DOWN)), beta_H), search)
                     for search in _search(model, rules, costs[0], dcosts[0])]
 
 
-def _threshold(model: ModelSpec, objective: str, tol_zero: float) -> float:
-    return _ratio_min(model, (objective,), tol_zero)[1][0][0]
+def _threshold(model: ModelSpec, objective: str) -> float:
+    return _ratio_min(model, (objective,))[1][0][0]
 
 
-def beta_m(model: ModelSpec, *, tol_zero: float = TOL_ZERO) -> float:
-    """Second-moment threshold: largest beta with max f_beta <= tol_zero."""
-    return _threshold(model, "plain", tol_zero)
+def beta_m(model: ModelSpec) -> float:
+    """Second-moment threshold: largest beta with max f_beta <= TOL_ZERO."""
+    return _threshold(model, "plain")
 
 
-def beta_m_tilde(model: ModelSpec, *, tol_zero: float = TOL_ZERO) -> float:
+def beta_m_tilde(model: ModelSpec) -> float:
     """Threshold of the truncated functional; upper-bounds beta_m."""
-    return _threshold(model, "tilde", tol_zero)
+    return _threshold(model, "tilde")
 
 
-def beta_c_talagrand(model: ModelSpec, *, tol_zero: float = TOL_ZERO) -> float:
+def beta_c_talagrand(model: ModelSpec) -> float:
     """Single-species critical inverse-temperature via the g criterion.
 
-    Largest beta with sup_r g_beta(r) <= tol_zero, capped at the
+    Largest beta with sup_r g_beta(r) <= TOL_ZERO, capped at the
     origin-instability threshold (g''(0) = lambda_max of M(beta) when
     |S| = 1).  Serves as an independent oracle for beta_c in the
     single-species case.
     """
-    return _threshold(model, "talagrand", tol_zero)
+    return _threshold(model, "talagrand")
 
 
 @dataclass(frozen=True)
@@ -192,28 +186,22 @@ class CritReport:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def verdict(
-    model: ModelSpec,
-    *,
-    tol_zero: float = TOL_ZERO,
-    tol_sing: float = TOL_SING,
-) -> CritReport:
+def verdict(model: ModelSpec) -> CritReport:
     """Full criticality report for a model.
 
     EQUAL means beta_c equals beta_m and is reported; STRICTLY_LESS means
     beta_m < beta_c and beta_c itself is not computed (beta_m_tilde is a
     certified lower bound on beta_c); INCONCLUSIVE withholds the verdict.
     One global maximization of f at beta_m certifies the ratio infimum:
-    its value must not exceed tol_zero.
+    its value must not exceed TOL_ZERO.
     """
-    _check_tolerance("tol_sing", tol_sing)
     positive = model.mixture.positive_off_origin()
-    b_H, ((b_m, plain), (b_t, _)) = _ratio_min(model, ("plain", "tilde"), tol_zero)
+    b_H, ((b_m, plain), (b_t, _)) = _ratio_min(model, ("plain", "tilde"))
     cert = maximize_f(model, b_m)
     spectrum = tuple(float(v) for v in np.linalg.eigvalsh(hessian_at_zero(model, b_m)))
     lam_max = spectrum[-1]
-    band = tol_sing * _sing_scale(model, b_m)
-    if not positive or cert.value > tol_zero:
+    band = TOL_SING * _sing_scale(model, b_m)
+    if not positive or cert.value > TOL_ZERO:
         v = Verdict.INCONCLUSIVE
     elif abs(lam_max) <= band:
         v = Verdict.EQUAL
@@ -241,5 +229,5 @@ def verdict(
         xi_positive_off_origin=positive,
         beta_c=float(b_m) if v is Verdict.EQUAL else None,
         witnesses=witnesses,
-        tolerances={"tol_zero": tol_zero, "tol_sing": tol_sing, "beta_tol": BETA_TOL},
+        tolerances={"tol_zero": TOL_ZERO, "tol_sing": TOL_SING, "beta_tol": BETA_TOL},
     )

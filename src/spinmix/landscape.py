@@ -23,11 +23,13 @@ An objective of the global search, `_search`, is a rule (`_Rule`): (A, B, C)
 and a kind, a function of x = xi(r) and of the cost summed over species, c.
 f, its truncated twin and g are the kind E(x) - c, with partials (E'(x), -1)
 in x and c; `criticality`'s threshold ratios are the other kind, -(c + t) /
-E(x) at beta = 1, with partials ((c + t) E'(x) / E(x)^2, -1 / E(x)).  Only
-this module turns a rule into its value (`_value`), its partials
-(`_partials`) and its level for the second-order bound (`_may_hold`).  A
-batch is one rule whose fields hold one entry per row, which one expression
-evaluates, whatever kinds its rows are.  `_search` evaluates the rule on the
+E(x) at beta = 1 with t = TOL_ZERO, with partials ((c + t) E'(x) / E(x)^2,
+-1 / E(x)).  Only this module turns a rule into its value (`_value`), its
+partials (`_partials`) and its level for the second-order bound
+(`_may_hold`), each branching once on the kind.  A batch is one rule whose
+fields hold one entry per row, which one expression evaluates; the rules of
+one search share their kind (`maximize_f` searches f, `criticality` the
+ratios), so the kind is never per row.  `_search` evaluates the rule on the
 certification grid and at the points of its local phase, and takes the
 gradient by the chain rule, dvalue/dx grad xi + dvalue/dc grad c; the
 pointwise functions evaluate the rule at one point, so each objective is
@@ -145,15 +147,14 @@ def _g_cost_grad(lam, r):
 class _Rule(NamedTuple):
     """A searched objective of x = xi(r) and c, the cost summed over species,
     through the energy E(x) = A x / (B + C x): E(x) - c, or when `ratio`,
-    -(c + t) / E(x), minus a threshold ratio, -inf where E(x) = 0.  In a
-    batch (`_search`) a field its rules do not share is an array, one entry
-    per row."""
+    -(c + TOL_ZERO) / E(x), minus a threshold ratio, -inf where E(x) = 0.  In
+    a batch (`_search`) a coefficient its rules do not share is an array, one
+    entry per row; the kind `ratio` is always shared."""
 
     A: float
     B: float
     C: float
     ratio: bool = False
-    t: float = 0.0
 
 
 def _energy(model: ModelSpec, beta: float, objective: str):
@@ -182,37 +183,28 @@ def _energy(model: ModelSpec, beta: float, objective: str):
     return _Rule(b2 * xi1, xi1, 1.0), cost, dcost
 
 
-def _kinds(ratio, of_f, of_ratio):
-    """of_f() on the rows of kind f and of_ratio() on the ratio rows, with
-    ratio the rule's flag: one for a single rule or for a batch of one kind,
-    else one per row (`_search`).  A kind no row has is not computed."""
-    if isinstance(ratio, np.ndarray):
-        return np.where(ratio, of_ratio(), of_f())
-    return of_ratio() if ratio else of_f()
-
-
 def _value(rule: _Rule, x, c):
     """The rule's value at x = xi(r) and the summed cost c."""
-    A, B, C, ratio, t = rule
+    A, B, C, ratio = rule
     energy = A * x / (B + C * x)
-    return _kinds(ratio, lambda: energy - c, lambda: np.divide(
-        -(c + t), energy, out=np.full(np.shape(energy), -np.inf), where=energy > 0.0))
+    if not ratio:
+        return energy - c
+    return np.divide(-(c + TOL_ZERO), energy, out=np.full(np.shape(energy), -np.inf),
+                     where=energy > 0.0)
 
 
 def _partials(rule: _Rule, x, c):
-    """The rule's partial derivatives in x and in c, ((c + t) E'(x) inv^2,
-    -inv) with inv = 1 / E(x) for minus a ratio (0 where E(x) = 0) and inv =
-    1 for f, whose partials are (E'(x), -1), with E'(x) = A B / (B + C x)^2."""
-    A, B, C, ratio, t = rule
+    """The rule's partial derivatives in x and in c: (E'(x), -1) for f, with
+    E'(x) = A B / (B + C x)^2, and ((c + TOL_ZERO) E'(x) inv^2, -inv) for
+    minus a ratio, with inv = 1 / E(x), 0 where E(x) = 0."""
+    A, B, C, ratio = rule
     den = B + C * x
     slope = A * B / den ** 2
-
-    def inverse():
-        energy = A * x / den
-        return np.divide(1.0, energy, out=np.zeros(np.shape(energy)), where=energy > 0.0)
-
-    inv = _kinds(ratio, lambda: 1.0, inverse)
-    return _kinds(ratio, lambda: slope, lambda: (c + t) * slope * inv * inv), -inv
+    if not ratio:
+        return slope, -1.0
+    energy = A * x / den
+    inv = np.divide(1.0, energy, out=np.zeros(np.shape(energy)), where=energy > 0.0)
+    return (c + TOL_ZERO) * slope * inv * inv, -inv
 
 
 def _take(rule: _Rule, index) -> _Rule:
@@ -401,7 +393,7 @@ def _may_hold(model: ModelSpec, rule: _Rule, a: np.ndarray, b: np.ndarray,
     computes it: False only where the second-order bound rules it out.
 
     The rule's level (w, t) is (1, level) for E(xi) - c, and (-level,
-    rule.t) for minus a ratio (Dinkelbach's parametrization: at level < 0,
+    TOL_ZERO) for minus a ratio (Dinkelbach's parametrization: at level < 0,
     -(c + t) / E is at least level exactly where -level E - c is at least
     t).  With E now w times the rule's energy, concave and nondecreasing,
     the box must hold a point where phi = E(xi) - entropy is at least t.  On
@@ -435,7 +427,7 @@ def _may_hold(model: ModelSpec, rule: _Rule, a: np.ndarray, b: np.ndarray,
     c, the two parts of each |g_s| h_s, and each |U_su| h_s h_u.  A box is
     ruled out only where bound + margin < t.
     """
-    w, t = (-level, rule.t) if rule.ratio else (1.0, level)
+    w, t = (-level, TOL_ZERO) if rule.ratio else (1.0, level)
     form = rule._replace(ratio=False)  # E(x) - c, read at c = 0 for E and E'
     K, S = a.shape
     lam = model.species.lam
@@ -745,13 +737,13 @@ def _search(model: ModelSpec, rules, cost, dcost) -> list[MaximizeResult]:
     cost(lam_s, r(s)), over [0, 1 - DOMAIN_CLAMP]^S, one result per rule,
     from one batched ascent.
 
-    The rules share the cost: cost(lam_s, a) is species s's cost at the
-    coordinates a (cost(lam, X) every species' on a (K, S) batch) and
-    dcost(lam, X) its gradient on a (K, S) batch.  For three species each
-    rule must rise with xi and fall with c, and the cost rise with a, as
-    every rule of nonnegative (A, B, C) does, and a rule whose cost is the
-    entropy (`_entropy`) is also bounded to second order: the grid is
-    searched by bounds that rest on this (`_grid_start`).
+    The rules share their kind and the cost: cost(lam_s, a) is species s's
+    cost at the coordinates a (cost(lam, X) every species' on a (K, S)
+    batch) and dcost(lam, X) its gradient on a (K, S) batch.  For three
+    species each rule must rise with xi and fall with c, and the cost rise
+    with a, as every rule of nonnegative (A, B, C) does, and a rule whose
+    cost is the entropy (`_entropy`) is also bounded to second order: the
+    grid is searched by bounds that rest on this (`_grid_start`).
 
     The package's one search: more than six species are refused, `_starts`
     gives each rule's starts, from one pass over the grid for one or two

@@ -307,23 +307,23 @@ class DisorderSample:
     tensors: tuple[np.ndarray, ...] = field(repr=False)
 
 
-def _tensor_shapes(fm: FiniteModel, budget: int) -> list[tuple[int, ...]]:
-    """Each term's dense tensor shape (N,)*|p|, within ``budget`` scalars."""
+def _tensor_shapes(fm: FiniteModel) -> list[tuple[int, ...]]:
+    """Each term's dense tensor shape (N,)*|p|, within TENSOR_BUDGET scalars."""
     total = 0
     shapes = []
     for row in fm.model.mixture.exponents:
         k = int(row.sum())
         total += fm.N**k
         shapes.append((fm.N,) * k)
-        if total > budget:
+        if total > TENSOR_BUDGET:
             raise BudgetError(
                 f"term {tuple(int(d) for d in row)} pushes tensor budget to "
-                f"{total} > {budget} scalars"
+                f"{total} > {TENSOR_BUDGET} scalars"
             )
     return shapes
 
 
-def sample_disorder(fm: FiniteModel, seed: int, *, budget: int = TENSOR_BUDGET) -> DisorderSample:
+def sample_disorder(fm: FiniteModel, seed: int) -> DisorderSample:
     """Draw every term's coefficient tensor from its own keyed stream.
 
     Each term t gets the full dense tensor of shape (N,)*|p| from the
@@ -331,7 +331,7 @@ def sample_disorder(fm: FiniteModel, seed: int, *, budget: int = TENSOR_BUDGET) 
     draw is independent of evaluation order.
     """
     tensors = tuple(stream(seed, DISORDER, t).standard_normal(shape)
-                    for t, shape in enumerate(_tensor_shapes(fm, budget)))
+                    for t, shape in enumerate(_tensor_shapes(fm)))
     return DisorderSample(fm, int(seed), tensors)
 
 
@@ -407,7 +407,7 @@ def _disorder_hamiltonians(fm: FiniteModel, seed: int, role: int, n_draws: int,
     role, t)``, read in order.  The tensors are drawn into reused buffers and
     contracted a chunk of draws at a time, the chunk holding at most
     _DRAW_BUDGET scalars (one draw when a single draw is larger)."""
-    shapes = _tensor_shapes(fm, TENSOR_BUDGET)
+    shapes = _tensor_shapes(fm)
     chunk = max(1, _DRAW_BUDGET // sum(map(math.prod, shapes)))
     rngs = [stream(seed, role, t) for t in range(len(shapes))]
     bufs = tuple(np.empty((min(chunk, n_draws),) + shape) for shape in shapes)

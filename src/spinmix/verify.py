@@ -25,6 +25,21 @@ it contract on the calling thread alone and the battery never runs three
 threads on two cores.  Once the worker is done, and
 outside ``verify``, an estimate's contractions may run on the helper thread
 of ``montecarlo._hamiltonians``, which calls no public function.
+
+The worker starts whatever the spare cores, unlike that helper, which
+splits one estimate's chunks into products that OpenBLAS spreads over
+every CPU by default.  The worker's checks are whole stages that share
+nothing with the rest until the join.  In ``scripts/ab_compare.py`` (2
+vCPUs, N = 40, 10,000 samples, two runs of 31 pairs against a serial copy,
+BLAS thread variables unset), two_species_quadratic took 93.5 and 91.4 ms
+with the worker against 110.3 and 112.7 ms serial (the worker faster in 25
+and 26 of 31 pairs), and SK 61.0 and 56.9 ms against 57.1 and 52.5 ms
+(faster in 9 and 4): the overlap saves 17-21 ms where the estimates are
+long and costs SK about 4 ms.  The slot is held because an estimate's
+helper beside the worker makes three threads on two cores: with
+OPENBLAS_NUM_THREADS=1, a copy whose worker leaves the slot free took
+42.7 and 42.0 ms on SK against 38.5 and 37.8 ms held, and 91.2 and 87.8
+ms on two_species_quadratic against 78.2 and 74.8 ms.
 """
 
 from __future__ import annotations
@@ -44,6 +59,7 @@ __all__ = ["CheckResult", "VerifyRun", "run_verify"]
 
 _SPOT_INSTANCES = 10      # random instances of the two-route covariance check
 _COVARIANCE_DRAWS = 2000  # disorder draws of the empirical covariance check
+_COVARIANCE_N = 24        # the size at which they are drawn
 
 
 @dataclass(frozen=True)
@@ -111,7 +127,7 @@ def _covariance_spot_checks(seed: int) -> CheckResult:
 
 
 def _empirical_covariance(model: ModelSpec, seed: int) -> CheckResult:
-    fm = montecarlo.build_finite_model(model, 24)
+    fm = montecarlo.build_finite_model(model, _COVARIANCE_N)
     rng = stream(seed, EMPIRICAL_COVARIANCE)
     a = montecarlo.sample_uniform(fm, rng)
     b = montecarlo.sample_uniform(fm, rng)
@@ -122,16 +138,18 @@ def _empirical_covariance(model: ModelSpec, seed: int) -> CheckResult:
     se = float(prods.std(ddof=1)) / math.sqrt(_COVARIANCE_DRAWS)
     dev = abs(float(prods.mean()) - exact)
     return CheckResult("empirical-covariance", dev <= 5.0 * se, dev, 5.0 * se,
-                       f"{_COVARIANCE_DRAWS} disorder draws at N=24")
+                       f"{_COVARIANCE_DRAWS} disorder draws at N={_COVARIANCE_N}")
 
 
 def run_verify(model: ModelSpec, *, N: int, n_samples: int, seed: int) -> VerifyRun:
-    """Run the full battery; raises ValueError, before any check runs, when
-    N or the model are out of range for the quadrature and tensor budget, or
-    the sample count or the seed is out of the estimators' range.  The
-    covariance checks run on one worker thread, which holds the spare-core
-    slot while they run; when they and a later stage both raise, theirs is
-    the exception raised, as in the serial order."""
+    """Run the full battery.  Before any check runs it raises ValueError when
+    N or the model are out of range for the quadrature, or the sample count
+    or the seed is out of the estimators' range, and BudgetError when the
+    disorder tensors at N, or at the empirical covariance's N = 24, exceed
+    the tensor budget.  The covariance checks run on one worker thread,
+    which holds the spare-core slot while they run; when they and a later
+    stage both raise, theirs is the exception raised, as in the serial
+    order."""
     # imported here, on first use, so that a process that never verifies
     # never loads it
     from concurrent.futures import ThreadPoolExecutor
@@ -141,6 +159,10 @@ def run_verify(model: ModelSpec, *, N: int, n_samples: int, seed: int) -> Verify
     montecarlo._check_samples(n_samples)
     fm = montecarlo.build_finite_model(model, N)
     disorder = montecarlo.sample_disorder(fm, seed=seed)
+    try:
+        montecarlo._tensor_shapes(montecarlo.build_finite_model(model, _COVARIANCE_N))
+    except montecarlo.BudgetError as exc:
+        raise montecarlo.BudgetError(f"empirical covariance at N={_COVARIANCE_N}: {exc}") from None
     slot_tried = threading.Event()
     with ThreadPoolExecutor(max_workers=1) as worker:
         covariance = worker.submit(_covariance_checks, model, seed, slot_tried)

@@ -276,6 +276,27 @@ def test_verify_checks_N_before_any_check(N, message, capsys, monkeypatch):
     assert calls == []
 
 
+def test_verify_checks_the_covariance_budget_before_any_check(tmp_path, capsys, monkeypatch):
+    # pure p = 6 fits the tensor budget at N = 12 (12^6 scalars) but not at
+    # the empirical covariance's N = 24 (24^6): refused before any check or
+    # estimate runs
+    model = tmp_path / "pure6.json"
+    model.write_text(json.dumps({"species": [{"name": "a", "lambda": 1.0}],
+                                 "terms": [{"degrees": {"a": 6}, "delta_sq": 1.0}]}))
+    calls = []
+
+    def reached(*args):
+        calls.append(args)
+        raise AssertionError("a check ran before the covariance budget was checked")
+
+    for name in ("_covariance_spot_checks", "_empirical_covariance", "_estimates"):
+        monkeypatch.setattr(verify_mod, name, reached)
+    assert main(["verify", "--model", str(model), "--N", "12", "--samples", "1000"]) == 1
+    assert capsys.readouterr().err == ("error: empirical covariance at N=24: term (6,) pushes "
+                                       "tensor budget to 191102976 > 100000000 scalars\n")
+    assert calls == []
+
+
 def test_verify_refuses_a_negative_seed(capsys):
     assert main(["verify", "--seed", "-1"]) == 1
     assert capsys.readouterr().err == (
@@ -330,7 +351,7 @@ def test_version_flag(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["critical", "--model", SK, "--N", "5"],
-    ["verify", "--tol-sing", "1e-3"],
+    ["verify", "--beta", "0.3"],
 ])
 def test_flags_of_other_subcommands_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -341,13 +362,22 @@ def test_flags_of_other_subcommands_are_rejected(argv, capsys):
     assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("flag", ["--tol-zero", "--tol-sing"])
+def test_critical_has_no_tolerance_flags(flag, capsys):
+    # the tolerances are the package's constants, stated in the report
+    with pytest.raises(SystemExit) as exc:
+        main(["critical", "--model", SK, flag, "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
     # main reuses one parser: a usage error between two identical runs
     # changes neither their output nor the parser
     first, third = tmp_path / "first.json", tmp_path / "third.json"
     assert main(["critical", "--model", PURE3, "--out", str(first)]) == 0
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--tol-zero", "1e-3"])
+        main(["verify", "--beta", "0.3"])
     assert exc.value.code == 2
     assert main(["critical", "--model", PURE3, "--out", str(third)]) == 0
     assert first.read_bytes() == third.read_bytes()

@@ -89,16 +89,6 @@ def test_beta_m_requires_positive_xi1():
         beta_m(model)
 
 
-def test_tolerances_must_be_finite_and_nonnegative(sk):
-    for bad in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="tol_zero"):
-            beta_m(sk, tol_zero=bad)
-        with pytest.raises(ValueError, match="tol_zero"):
-            verdict(sk, tol_zero=bad)
-        with pytest.raises(ValueError, match="tol_sing"):
-            verdict(sk, tol_sing=bad)
-
-
 # ----------------------------------------------------------------------
 # verdicts
 
@@ -166,6 +156,17 @@ def test_report_serializes(sk):
     assert doc["verdict"] == "EQUAL"
     assert doc["model_hash"] == "abc"
     assert set(doc["tolerances"]) == {"tol_zero", "tol_sing", "beta_tol"}
+
+
+def test_the_tolerances_are_the_package_constants(sk):
+    # no call sets a tolerance; the report states the constants it used
+    assert verdict(sk).tolerances == {"tol_zero": TOL_ZERO, "tol_sing": criticality.TOL_SING,
+                                      "beta_tol": criticality.BETA_TOL}
+    for call, keyword in ((beta_m, "tol_zero"), (beta_m_tilde, "tol_zero"),
+                          (beta_c_talagrand, "tol_zero"), (verdict, "tol_zero"),
+                          (verdict, "tol_sing")):
+        with pytest.raises(TypeError):
+            call(sk, **{keyword: 0.0})
 
 
 # ----------------------------------------------------------------------
@@ -292,8 +293,8 @@ def test_verdict_computes_beta_H_once(two_quad, monkeypatch):
 def test_certificate_rejects_an_infimum_one_percent_too_large(pure3, monkeypatch):
     exact = criticality._ratio_min
 
-    def too_large(model, objectives, tol_zero):
-        beta_H, found = exact(model, objectives, tol_zero)
+    def too_large(model, objectives):
+        beta_H, found = exact(model, objectives)
         return beta_H, [(beta * math.sqrt(1.01), search) for beta, search in found]
 
     monkeypatch.setattr(criticality, "_ratio_min", too_large)

@@ -288,24 +288,25 @@ def test_maximize_matches_the_separable_oracle(S):
 
 def _batch_rules():
     # a coupled 4-species model, and the plain and truncated f at beta 0.9
-    # and minus the plain and truncated ratios: four rules of one cost
+    # and minus the plain and truncated ratios: two batches of one cost
     names = ("a", "b", "c", "d")
     terms = {(2, 0, 0, 0): 0.9, (0, 3, 0, 0): 0.5, (0, 0, 2, 0): 1.3, (0, 0, 0, 4): 0.7,
              (1, 1, 0, 0): 0.4, (0, 1, 1, 0): 0.6, (0, 0, 1, 1): 0.3, (2, 0, 1, 0): 0.5}
     model = ModelSpec(SpeciesSet(names, np.array([0.1, 0.2, 0.3, 0.4])),
                       Mixture.from_terms(names, terms))
-    return (model, *_four_rules(model, 0.9))
+    return (model, *_two_batches(model, 0.9))
 
 
-def _four_rules(model, beta):
-    # the plain and truncated f at beta, then minus the plain and truncated
-    # ratios, the rules verdict searches: four rules of one cost, with the
-    # cost and its gradient
-    rules = [landscape._energy(model, beta, objective)[0] for objective in ("plain", "tilde")]
-    rules += [landscape._energy(model, 1.0, objective)[0]._replace(ratio=True, t=TOL_ZERO)
+def _two_batches(model, beta):
+    # the package's two batches of one kind each, of one cost: the plain and
+    # truncated f at beta, which maximize_each searches, and minus the plain
+    # and truncated ratios, which verdict searches; with the cost and its
+    # gradient
+    f = [landscape._energy(model, beta, objective)[0] for objective in ("plain", "tilde")]
+    ratios = [landscape._energy(model, 1.0, objective)[0]._replace(ratio=True)
               for objective in ("plain", "tilde")]
     _, cost, dcost = landscape._energy(model, beta, "plain")
-    return rules, cost, dcost
+    return [f, ratios], cost, dcost
 
 
 def test_rules_are_bit_for_bit_the_literal_expressions(sk, two_quad):
@@ -313,7 +314,7 @@ def test_rules_are_bit_for_bit_the_literal_expressions(sk, two_quad):
     # bit for bit the literal expressions of f, its truncated twin, g and
     # minus the plain and truncated ratios (at beta = 1), at random x and c,
     # at x = 0 and at the cost of r at the clamp, the entropy's largest; a
-    # batch of all of them, one rule per row, gives the same bits
+    # batch of each kind's rules, one rule per row, gives the same bits
     rng = np.random.default_rng(3)
     hi, t, b2 = 1.0 - landscape.DOMAIN_CLAMP, TOL_ZERO, 0.9 * 0.9
     for model in (sk, two_quad):
@@ -339,20 +340,25 @@ def test_rules_are_bit_for_bit_the_literal_expressions(sk, two_quad):
         rules = []
         for (objective, ratio), want in literal.items():
             rule = landscape._energy(model, 1.0 if ratio else 0.9, objective)[0]
-            rule = rule._replace(ratio=True, t=t) if ratio else rule
+            rule = rule._replace(ratio=True) if ratio else rule
             rules.append(rule)
             got = (landscape._value(rule, x, c), *landscape._partials(rule, x, c))
             for a, b in zip(got, want):
                 assert np.broadcast_to(a, x.shape).tobytes() == np.broadcast_to(b, x.shape).tobytes()
-        # the batch: rule k on rows k, k + R, k + 2R, ...
-        R = len(rules)
-        batch = landscape._Rule(*(np.array(field)[np.arange(len(x)) % R] for field in zip(*rules)))
-        got = (landscape._value(batch, x, c), *landscape._partials(batch, x, c))
-        for k, rule in enumerate(rules):
-            want = (landscape._value(rule, x, c), *landscape._partials(rule, x, c))
-            for a, b in zip(got, want):
-                assert (np.broadcast_to(a, x.shape)[k::R].tobytes()
-                        == np.broadcast_to(b, x.shape)[k::R].tobytes())
+        # a batch of one kind: rule k on rows k, k + R, k + 2R, ..., a field
+        # the rules share, the kind always, one value as in _search
+        for ratio in (False, True):
+            kind = [rule for rule in rules if rule.ratio == ratio]
+            R = len(kind)
+            rows = np.arange(len(x)) % R
+            batch = landscape._Rule(*(v[0] if len(set(v)) == 1 else np.array(v)[rows]
+                                      for v in zip(*kind)))
+            got = (landscape._value(batch, x, c), *landscape._partials(batch, x, c))
+            for k, rule in enumerate(kind):
+                want = (landscape._value(rule, x, c), *landscape._partials(rule, x, c))
+                for a, b in zip(got, want):
+                    assert (np.broadcast_to(a, x.shape)[k::R].tobytes()
+                            == np.broadcast_to(b, x.shape)[k::R].tobytes())
 
 
 def _values(evaluate, X):
@@ -363,34 +369,36 @@ def _values(evaluate, X):
 def test_ascent_rows_do_not_depend_on_the_batch(monkeypatch):
     # the determinism contract: each start's result is bit for bit the one it
     # reaches alone, and adding, removing or reordering starts moves no other;
-    # in one batch of the plain and truncated f and of both ratios, each
-    # rule's rows and result are those of the search of that rule alone,
-    # evaluation counts and starts included
-    model, rules, cost, dcost = _batch_rules()
+    # in one batch of the plain and truncated f, and in one of both ratios,
+    # each rule's rows and result are those of the search of that rule
+    # alone, evaluation counts and starts included
+    model, batches, cost, dcost = _batch_rules()
     calls = _record_ascents(monkeypatch)
-    mixed = landscape._search(model, rules, cost, dcost)
-    alone = [landscape._search(model, [rule], cost, dcost)[0] for rule in rules]
-    (_, X0, (X, F, ok, evals)), *lone = calls
-    assert len(lone) == len(rules)
-    lo = 0
-    for res, ref, (evaluate, X0r, (Xr, Fr, okr, evalsr)) in zip(mixed, alone, lone):
-        rows = slice(lo, lo + len(X0r))
-        lo += len(X0r)
-        assert X0[rows].tobytes() == X0r.tobytes()
-        assert X[rows].tobytes() == Xr.tobytes() and F[rows].tobytes() == Fr.tobytes()
-        assert np.array_equal(ok[rows], okr) and np.array_equal(evals[rows], evalsr)
-        assert res.argmax.tobytes() == ref.argmax.tobytes() and res.value == ref.value
-        assert (res.converged, res.grid_certified, res.fun_evals, res.starts_used) == (
-            ref.converged, ref.grid_certified, ref.fun_evals, ref.starts_used)
-        for k in range(len(X0r)):
-            Xk, Fk, okk, ek = landscape._ascend(evaluate, X0r[k:k + 1])
-            assert Xk.tobytes() == Xr[k].tobytes() and Fk.tobytes() == Fr[k:k + 1].tobytes()
-            assert okk[0] == okr[k] and ek[0] == evalsr[k]
-        order = np.arange(len(X0r))[::-3]
-        Xs, Fs, oks, es = landscape._ascend(evaluate, X0r[order])
-        assert Xs.tobytes() == Xr[order].tobytes() and Fs.tobytes() == Fr[order].tobytes()
-        assert np.array_equal(oks, okr[order]) and np.array_equal(es, evalsr[order])
-    assert lo == len(X0)
+    for rules in batches:
+        calls.clear()
+        together = landscape._search(model, rules, cost, dcost)
+        alone = [landscape._search(model, [rule], cost, dcost)[0] for rule in rules]
+        (_, X0, (X, F, ok, evals)), *lone = calls
+        assert len(lone) == len(rules)
+        lo = 0
+        for res, ref, (evaluate, X0r, (Xr, Fr, okr, evalsr)) in zip(together, alone, lone):
+            rows = slice(lo, lo + len(X0r))
+            lo += len(X0r)
+            assert X0[rows].tobytes() == X0r.tobytes()
+            assert X[rows].tobytes() == Xr.tobytes() and F[rows].tobytes() == Fr.tobytes()
+            assert np.array_equal(ok[rows], okr) and np.array_equal(evals[rows], evalsr)
+            assert res.argmax.tobytes() == ref.argmax.tobytes() and res.value == ref.value
+            assert (res.converged, res.grid_certified, res.fun_evals, res.starts_used) == (
+                ref.converged, ref.grid_certified, ref.fun_evals, ref.starts_used)
+            for k in range(len(X0r)):
+                Xk, Fk, okk, ek = landscape._ascend(evaluate, X0r[k:k + 1])
+                assert Xk.tobytes() == Xr[k].tobytes() and Fk.tobytes() == Fr[k:k + 1].tobytes()
+                assert okk[0] == okr[k] and ek[0] == evalsr[k]
+            order = np.arange(len(X0r))[::-3]
+            Xs, Fs, oks, es = landscape._ascend(evaluate, X0r[order])
+            assert Xs.tobytes() == Xr[order].tobytes() and Fs.tobytes() == Fr[order].tobytes()
+            assert np.array_equal(oks, okr[order]) and np.array_equal(es, evalsr[order])
+        assert lo == len(X0)
 
 
 def _joint(fun, grad):
@@ -466,7 +474,7 @@ def _search_results(model):
     # maximize_f and the ratio's search, each plain and truncated, in the
     # order of _grid_optima
     results = [maximize_f(model, 1.0, objective) for objective in ("plain", "tilde")]
-    results += [criticality._ratio_min(model, (objective,), TOL_ZERO)[1][0][1]
+    results += [criticality._ratio_min(model, (objective,))[1][0][1]
                 for objective in ("plain", "tilde")]
     return results
 
@@ -509,21 +517,22 @@ def test_search_starts_from_the_grid_argmax(sk, pure3, cubic_two_species, monkey
             assert res.grid_certified and res.value >= _values(evaluate, X0[-1:])[0]
             assert _above(res.value, value)
     # one and two species compute the grid's xi and summed cost in one pass
-    # for every rule of a search: f, its truncated twin and minus both
+    # for every rule of a search: f and its truncated twin, or minus both
     # ratios here; each result, fun_evals included, is the rule's lone
     # search's, bit for bit
     grid, passes = landscape._grid, []
     monkeypatch.setattr(landscape, "_grid", lambda *args: passes.append(args) or grid(*args))
     for model in (sk, cubic_two_species):
-        rules, cost, dcost = _four_rules(model, 0.8)
-        passes.clear()
-        together = landscape._search(model, rules, cost, dcost)
-        assert len(passes) == 1
-        for res, rule in zip(together, rules):
-            (ref,) = landscape._search(model, [rule], cost, dcost)
-            assert res.argmax.tobytes() == ref.argmax.tobytes() and res.value == ref.value
-            assert (res.fun_evals, res.starts_used, res.converged) == (
-                ref.fun_evals, ref.starts_used, ref.converged)
+        batches, cost, dcost = _two_batches(model, 0.8)
+        for rules in batches:
+            passes.clear()
+            together = landscape._search(model, rules, cost, dcost)
+            assert len(passes) == 1
+            for res, rule in zip(together, rules):
+                (ref,) = landscape._search(model, [rule], cost, dcost)
+                assert res.argmax.tobytes() == ref.argmax.tobytes() and res.value == ref.value
+                assert (res.fun_evals, res.starts_used, res.converged) == (
+                    ref.fun_evals, ref.starts_used, ref.converged)
 
 
 def _rules(model, betas, monkeypatch):
@@ -542,7 +551,7 @@ def _rules(model, betas, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(criticality, "_search", grab)
-        criticality._ratio_min(model, ("plain", "tilde"), TOL_ZERO)
+        criticality._ratio_min(model, ("plain", "tilde"))
     return rules
 
 
@@ -788,13 +797,16 @@ def test_grid_tie_across_a_slab_boundary_goes_to_the_first_point(rows, cubic_two
 
 def test_no_ascent_row_ends_below_its_start(sk, pure3, pure4, two_quad, monkeypatch):
     # _ascend accepts no step that lowers the objective, exactly: on the
-    # 4-species batch of four rules and on every gridded search's batch
+    # 4-species model's two batches of two rules and on every gridded
+    # search's batch
     hi = 1.0 - landscape.DOMAIN_CLAMP
     calls = _record_ascents(monkeypatch)
-    landscape._search(*_batch_rules())
+    model, batches, cost, dcost = _batch_rules()
+    for rules in batches:
+        landscape._search(model, rules, cost, dcost)
     for model in _gridded_models(sk, pure3, pure4, two_quad):
         _search_results(model)
-    assert len(calls) == 1 + 4 * 9
+    assert len(calls) == 2 + 4 * 9
     for evaluate, X0, (_, F, _, _) in calls:
         assert (F >= _values(evaluate, np.clip(X0, 0.0, hi))).all()
 

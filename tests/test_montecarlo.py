@@ -212,10 +212,13 @@ def test_disorder_entries_standard_normal(sk):
     assert abs(entries.std() - 1.0) <= 5.0 / math.sqrt(entries.size)
 
 
-def test_budget_error_names_term(sk):
+def test_budget_error_names_term(sk, monkeypatch):
     fm = build_finite_model(sk, 20)
+    monkeypatch.setattr(montecarlo, "TENSOR_BUDGET", 10)
     with pytest.raises(BudgetError, match=r"term \(2,\)"):
-        sample_disorder(fm, seed=0, budget=10)
+        sample_disorder(fm, seed=0)
+    with pytest.raises(TypeError):  # the budget is the package's constant
+        sample_disorder(fm, seed=0, budget=10**8)
 
 
 # ----------------------------------------------------------------------
@@ -790,7 +793,7 @@ def test_a_fresh_estimate_starts_a_helper_only_beside_pinned_blas(blas, helpers)
 
 
 def _draws_per_chunk(fm) -> int:
-    per_draw = sum(map(math.prod, montecarlo._tensor_shapes(fm, montecarlo.TENSOR_BUDGET)))
+    per_draw = sum(map(math.prod, montecarlo._tensor_shapes(fm)))
     return max(1, montecarlo._DRAW_BUDGET // per_draw)
 
 
@@ -804,7 +807,7 @@ def test_batched_disorder_draws_match_each_draw_alone(case, cubic_two_species, p
     fm = build_finite_model({"cubic_two_species": cubic_two_species, "pure4": pure4}[case], 24)
     rng = stream(44)
     pair = np.stack([sample_uniform(fm, rng), sample_uniform(fm, rng)])
-    shapes = montecarlo._tensor_shapes(fm, montecarlo.TENSOR_BUDGET)
+    shapes = montecarlo._tensor_shapes(fm)
     monkeypatch.setattr(montecarlo, "_DRAW_BUDGET", 2 * sum(map(math.prod, shapes)))
     assert _draws_per_chunk(fm) == 2
     n = 5

@@ -120,7 +120,8 @@ def test_ab_compare_prints_one_row_per_job(capsys):
         + [f"maximize_f {o} S={S}" for S in range(3, 7) for o in ("plain", "tilde")] \
         + ["scan pair S=3", "beta_m, beta_m_tilde S=3"] \
         + [f"cli scan S={S}" for S in range(3, 7)] + ["cli critical two_species_quadratic"] \
-        + ["estimate_free_energy pure3", "band_probe sk",
+        + ["estimate_free_energy pure3", "band_probe sk", "verify sk",
+           "verify two_species_quadratic",
            "log_E_Z2_exact two_species_quadratic", "log_E_Z2_exact chain S=3",
            "log_E_Z2_exact verify ladder sk", "log_E_Z2_exact N ladder two_species_quadratic"]
     for line in lines[2:]:
