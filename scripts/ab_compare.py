@@ -14,6 +14,9 @@ pair to pair.  The jobs, fixed:
   maximize_f, plain and truncated, at beta 0.8 on seeded 3-6 species models;
   the pair of maximize_f calls a scan row made, plain and truncated at beta
   0.6, and beta_m and beta_m_tilde, on the seeded three-species model;
+  the band recentering, tilde_transform at r = 0.4, on the seeded 3-6
+  species models, whose result is the recentred mixture's exponents and
+  coefficients;
   the command line, ``spinmix.cli.main`` writing into a temporary directory:
   ``scan --beta 0.6`` on the seeded 3-6 species models, and ``critical`` on
   two_species_quadratic, whose searches a package may batch;
@@ -91,6 +94,7 @@ SEARCH_BETA = 0.8
 SEARCH_SPECIES = range(3, 7)
 SCAN_BETA = 0.6
 PROBE_BETAS = (0.1, 0.2, 0.3, 0.4)
+RECENTRE_R = 0.4
 VERIFY_FIXTURES = ("sk", "two_species_quadratic")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -154,6 +158,14 @@ def jobs(pkg, tmp: Path) -> dict:
     three = pkg.loads_model(random_model(3, 3))
     out["scan pair S=3"] = lambda: [search(three, SCAN_BETA, o) for o in ("plain", "tilde")]
     out["beta_m, beta_m_tilde S=3"] = lambda: (pkg.beta_m(three), pkg.beta_m_tilde(three))
+    for S in SEARCH_SPECIES:
+        mix = pkg.loads_model(random_model(S, S)).mixture
+
+        def recentre(mix=mix):
+            recentred = mix.tilde_transform(RECENTRE_R)
+            return recentred.exponents, recentred.coeffs
+
+        out[f"tilde_transform S={S}"] = recentre
     for S in SEARCH_SPECIES:
         path = tmp / f"random_s{S}.json"
         path.write_text(random_model(S, S))

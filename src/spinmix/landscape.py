@@ -377,12 +377,12 @@ def _enclose(model: ModelSpec, a: np.ndarray, b: np.ndarray) -> _Enclosure:
     c = 0.5 * (a + b)
     # one ulp above the rounded distances, each within half an ulp
     h = np.nextafter(np.maximum(b - c, c - a), np.inf)
-    aa, cc = a * a, c * c
+    aa = a * a
     xi_a, xi_b, xi_c = mix.eval(np.stack((a, b, c)))
     return _Enclosure(
         c, h, xi_a, xi_b, xi_c, mix.grad(c),
         mix._partials(b, 2).reshape(b.shape + b.shape[-1:]),
-        np.add.reduce(-0.5 * lam * np.log1p(-cc), -1), lam * c / (1.0 - cc),
+        np.add.reduce(_entropy(lam, c), -1), _entropy_grad(lam, c),
         -lam * (1.0 + aa) / (1.0 - aa) ** 2)
 
 

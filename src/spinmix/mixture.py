@@ -11,27 +11,29 @@ expression,
 
     d^a xi(x) = sum_p  c_p * prod_s (p(s))_a(s) * x^max(p - a, 0)
 
-with (n)_a the falling factorial, so xi (a = 0), the gradient, the Hessian
-and the degree-2 matrix Q = Hessian at 0 read one table per order.  The
-falling factorials and the lowered exponents depend on the exponents alone
-and are tabulated once per process for each exponent matrix (`_layout`),
+with (n)_a the falling factorial, read from one table per tuple of
+multi-indices a: xi (a = 0), the gradient, the Hessian and the degree-2
+matrix Q = Hessian at 0 each read the table of their order.  The falling
+factorials and the lowered exponents depend on the exponents alone and are
+tabulated once per process for each exponent matrix and tuple (`_layout`),
 the weights once per mixture, each order on first use.  At a point, each
-order reads a power table, x(s)^d for the distinct lowered exponents d of
-the order, one numpy power for all of them, and each monomial is the
-product of its nonzero-exponent factors in species order; the bits are
-those of one power per (point, multi-index, term, species) entry.  Besides
-evaluation and derivatives this module implements the band recentering
-transform
+table reads a power table, x(s)^d for the distinct lowered exponents d of
+the tuple, one numpy power for all of them, and each monomial is the
+product of its nonzero-exponent factors in species order
+(`_power_products`); the bits are those of one power per (point,
+multi-index, term, species) entry.  The band recentering transform
 
     xi_r(x) = xi((1 - r^2) x + r^2) - xi(r^2)      (elementwise in r)
 
-and its directional derivative at r = 0.
+reads the same table: its coefficients are xi's Taylor coefficients at
+r^2, d^a xi(r^2) / a! * prod_s (1 - r(s)^2)^a(s), one for every nonzero
+multi-index a under a term.  The module also gives the transform's
+directional derivative at r = 0.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -97,32 +99,40 @@ def _coerce_r(n_species: int, r) -> np.ndarray:
     return r
 
 
+@lru_cache(maxsize=None)
+def _multi_indices(S: int, order: int) -> tuple:
+    """The multi-indices of a derivative order: 0 for xi, e_s for the
+    gradient and e_s + e_t for every ordered pair (s, t) for the Hessian."""
+    return tuple(tuple(pair.count(s) for s in range(S))
+                 for pair in itertools.product(range(S), repeat=order))
+
+
 @lru_cache(maxsize=64)
-def _layout(shape: tuple[int, int], data: bytes, order: int):
-    """The kernel's (falling, degrees, factors) for derivative order 0, 1 or
-    2 of the mixtures whose exponent matrix, int64 in C order, has this
+def _layout(shape: tuple[int, int], data: bytes, alphas: tuple):
+    """The kernel's (falling, degrees, factors) for the tuple of multi-indices
+    a of the mixtures whose exponent matrix, int64 in C order, has this
     shape and these bytes: they depend on the exponents alone, so each is
     made once per process for every mixture of that form, read-only, on
-    first use (the 64 forms used last are kept).
+    first use (the 64 used last are kept).
 
-    The multi-indices a of the order are 0 for xi, e_s for the gradient and
-    e_s + e_t for every ordered pair (s, t) for the Hessian; falling[a, p] is
-    prod_s (p(s))_a(s), with (n)_a the falling factorial.  degrees is an
-    (S, n) array whose every row holds the n distinct lowered exponents
-    max(p - a, 0) of the order, 0 first when it occurs.  factors[:, a, p] are
-    the columns of the flattened power table (`Mixture._monomials`) that hold
-    x(s)^max(p(s) - a(s), 0) for each species s where that exponent is
-    nonzero, in species order, padded with column 0, species 0's x^0 = 1; a
-    monomial with fewer factors than another has a zero exponent, so 0 is a
-    degree.
+    falling[a, p] is prod_s (p(s))_a(s), with (n)_a the falling factorial,
+    so 0 where a(s) > p(s) for some s: integers, held as floats, exact below
+    2^53.  degrees is an (S, n) array whose every row holds the n distinct
+    lowered exponents max(p - a, 0) of the tuple, 0 first when it occurs.
+    factors[:, a, p] are the columns of the flattened power table
+    (`_power_products`) that hold x(s)^max(p(s) - a(s), 0) for each species
+    s where that exponent is nonzero, in species order, padded with column
+    0, species 0's x^0 = 1; a monomial with fewer factors than another has a
+    zero exponent, so 0 is a degree.
     """
     S = shape[1]
     p = np.frombuffer(data, dtype=np.int64).reshape(shape)
-    alphas = np.eye(S, dtype=np.int64)
-    if order != 1:
-        alphas = alphas[:1] * 0 if order == 0 else (alphas[:, None] + alphas).reshape(-1, S)
-    alphas = alphas[:, None, :]
-    falling = (np.where(alphas > 0, p, 1) * np.where(alphas > 1, p - 1, 1)).prod(axis=-1)
+    alphas = np.array(alphas, dtype=np.int64).reshape(-1, 1, S)
+    falling = np.ones((len(alphas),) + shape)
+    for k in range(int(alphas.max(initial=0))):
+        # clipped at 0: past a factor p(s) - p(s) = 0 a negative one would make -0
+        falling *= np.where(alphas > k, np.maximum(p - k, 0), 1)
+    falling = falling.prod(-1)
     lowered = np.maximum(p - alphas, 0)
     present = np.bincount(lowered.ravel()) > 0
     degrees = present.nonzero()[0]
@@ -138,6 +148,27 @@ def _layout(shape: tuple[int, int], data: bytes, order: int):
     for a in layout:
         a.setflags(write=False)
     return layout
+
+
+def _power_products(x, degrees, factors) -> np.ndarray:
+    """x^max(p - a, 0) for every multi-index a and term p of a layout
+    (`_layout`), on the last two axes, at x (species on the last axis), in C
+    order.
+
+    One power table per point holds x(s)^d for each distinct lowered
+    exponent d of the layout, one numpy power for the whole table; each
+    monomial is the product of its nonzero-exponent factors in species
+    order.  Its bits are those of the product over every species of
+    x(s)^max(p - a, 0)(s), one numpy power per entry (tests/test_mixture.py
+    keeps that expression): a factor x^0 = 1 is exact, and numpy computes
+    x^2 as x*x exactly when the exponent array has one element, there for
+    one species and one term, here for one species and one distinct
+    exponent, which differ only where every exponent is 0.  The result is in
+    C order, as the per-entry form's, since numpy's order of summation over
+    terms depends on the layout.
+    """
+    table = (x[..., None] ** degrees).reshape(x.shape[:-1] + (-1,))
+    return np.multiply.reduce(table.take(factors, -1), -3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,11 +262,12 @@ class Mixture:
         Supports batched input with species on the last axis.
         """
         x = self._coerce_point(x)
+        monomials = _power_products(x, *self._table(0)[1:])
         if x.ndim == 1:
-            return float(self._monomials(x, 0)[0] @ self.coeffs)
+            return float(monomials[0] @ self.coeffs)
         # a batch is summed row by row, without BLAS, so that no row's value
         # depends on the rows beside it
-        return np.add.reduce(self.coeffs * self._monomials(x, 0), -1)[..., 0]
+        return np.add.reduce(self.coeffs * monomials, -1)[..., 0]
 
     @cached_property
     def _tables(self) -> dict:
@@ -245,43 +277,22 @@ class Mixture:
 
     def _table(self, order: int):
         """The kernel's (weights, degrees, factors) for derivative order 0, 1
-        or 2 (`_layout`), with weights c_p * prod_s (p(s))_a(s), one row per
-        multi-index a of the order."""
+        or 2 (`_layout` of the order's `_multi_indices`), with weights
+        c_p * prod_s (p(s))_a(s), one row per multi-index a of the order."""
         table = self._tables.get(order)
         if table is None:
             falling, degrees, factors = _layout(self.exponents.shape, self.exponents.tobytes(),
-                                                order)
+                                                _multi_indices(self.n_species, order))
             table = self._tables[order] = (self.coeffs * falling, degrees, factors)
         return table
-
-    def _monomials(self, x, order: int) -> np.ndarray:
-        """x^max(p - a, 0) for every multi-index a of the given order and
-        every term p, on the last two axes, at x (species on the last axis),
-        in C order.
-
-        One power table per point holds x(s)^d for each distinct lowered
-        exponent d of the order, one numpy power for the whole table; each
-        monomial is the product of its nonzero-exponent factors in species
-        order.  Its bits are those of the product over every species of
-        x(s)^max(p - a, 0)(s), one numpy power per entry (tests/test_mixture.py
-        keeps that expression): a factor x^0 = 1 is exact, and numpy computes
-        x^2 as x*x exactly when the exponent array has one element, there
-        for one species and one term, here for one species and one distinct
-        exponent, which differ only where every exponent is 0.  The result
-        is in C order, as the per-entry form's, since numpy's order of
-        summation over terms depends on the layout.
-        """
-        _, degrees, factors = self._table(order)
-        table = (x[..., None] ** degrees).reshape(x.shape[:-1] + (-1,))
-        return np.multiply.reduce(table.take(factors, -1), -3)
 
     def _partials(self, x, order: int) -> np.ndarray:
         """Every partial derivative of xi of the given order at x, one per
         multi-index on the last axis, sum_p weight * x^(lowered p); a batch
         of points has species on the last axis and gets the same expression
         and reduction order row by row."""
-        x = self._coerce_point(x)
-        return np.add.reduce(self._table(order)[0] * self._monomials(x, order), -1)
+        weights, degrees, factors = self._table(order)
+        return np.add.reduce(weights * _power_products(self._coerce_point(x), degrees, factors), -1)
 
     def grad(self, x) -> np.ndarray:
         """Gradient of xi at x; a batch of points gives one row per point."""
@@ -306,36 +317,31 @@ class Mixture:
         """Recentred mixture xi_r(x) = xi((1-r^2)x + r^2) - xi(r^2).
 
         The shift acts like an external field: for r != 0 the result carries
-        degree-1 terms, so it is no base model.  At r = 0 it equals xi.  Each
-        coefficient is
+        degree-1 terms, so it is no base model.  At r = 0 it equals xi, bit
+        for bit.  The coefficient of each nonzero multi-index a under a term
+        is xi's Taylor coefficient at r^2, read from the kernel's table of
+        those a (`_layout`),
 
-            c_{p,r} = sum_{p' >= p} c_{p'} * prod_s C(p'(s), p(s))
-                      * (1-r(s)^2)^p(s) * r(s)^{2(p'(s)-p(s))}.
+            c_{a,r} = sum_p c_p * prod_s C(p(s), a(s)) * (r(s)^2)^max(p(s) - a(s), 0)
+                      * prod_s (1 - r(s)^2)^a(s),
+
+        with the binomial C(p, a) the quotient prod_s (p(s))_a(s) / a!
+        rounded to an integer: exact while the falling factorial is below
+        2^53, a few ulps off above.
         """
         r = _coerce_r(self.n_species, r)
-        one_minus = 1.0 - r * r
         r2 = r * r
-        acc: dict[tuple[int, ...], float] = {}
-        for row, c in zip(self.exponents, self.coeffs):
-            per_species = []
-            for s, d in enumerate(row):
-                d = int(d)
-                opts = [
-                    (j, math.comb(d, j) * one_minus[s] ** j * r2[s] ** (d - j))
-                    for j in range(d + 1)
-                ]
-                per_species.append(opts)
-            for combo in itertools.product(*per_species):
-                p = tuple(j for j, _ in combo)
-                if sum(p) == 0:
-                    continue  # cancelled exactly by the -xi(r^2) shift
-                w = c
-                for _, factor in combo:
-                    w *= factor
-                if w != 0.0:
-                    acc[p] = acc.get(p, 0.0) + w
-        acc = {p: w for p, w in acc.items() if w >= _COEFF_FLOOR}
-        return Mixture.from_terms(self.species, acc)
+        # the multi-indices under some term, sorted, less the first, 0
+        alphas = tuple(sorted({a for p in self.exponents.tolist()
+                               for a in itertools.product(*(range(d + 1) for d in p))}))[1:]
+        falling, degrees, factors = _layout(self.exponents.shape, self.exponents.tobytes(), alphas)
+        under = np.array(alphas, dtype=np.int64).reshape(-1, self.n_species)
+        factorials = np.cumprod(np.maximum(np.arange(under.max(initial=0) + 1), 1.0))
+        weights = self.coeffs * np.rint(falling / factorials[under].prod(-1)[:, None])
+        coeffs = (np.add.reduce(weights * _power_products(r2, degrees, factors), -1)
+                  * ((1.0 - r2) ** under).prod(-1))
+        keep = coeffs >= _COEFF_FLOOR
+        return Mixture(self.species, under[keep], coeffs[keep])
 
     def eta_direction(self, x, z) -> float:
         """Directional derivative of eps -> xi_sqrt(eps*x)(z) at eps = 0.

@@ -4,15 +4,17 @@ Everything here deliberately avoids the code paths it is used to check:
 finite differences instead of analytic derivatives, 1-d tangency root
 finding instead of the ratio minimization over the overlap box, per-species
 1-d maxima instead of the landscape search for separable models, direct
-substitution instead of the binomial coefficient transform, and full-N
-tensor contractions with block-masked configurations instead of the blocked
-matrix products of the Hamiltonian.
+substitution and an exact rational binomial expansion instead of the
+recentering transform's Taylor coefficients, and full-N tensor contractions
+with block-masked configurations instead of the blocked matrix products of
+the Hamiltonian.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import brentq
@@ -68,6 +70,27 @@ def degree2_matrix_by_hand(mixture) -> np.ndarray:
         else:
             Q[s, t] = Q[t, s] = c
     return Q
+
+
+def recentred_coefficients(mixture, r) -> dict:
+    """The coefficients of xi_r(x) = xi((1 - r^2) x + r^2) - xi(r^2) in exact
+    rational arithmetic, {multi-index: Fraction} for every nonzero one, by
+    the binomial expansion of each term p over the multi-indices a <= p:
+
+        c_{a,r} = sum_{p >= a} c_p * prod_s C(p(s), a(s))
+                  * (1 - r(s)^2)^a(s) * r(s)^(2 (p(s) - a(s))),
+
+    with the multi-index 0 left out, cancelled by the shift -xi(r^2).  The
+    floats of r and of the coefficients are taken exactly."""
+    r2 = [Fraction(float(v)) ** 2 for v in np.asarray(r, dtype=float)]
+    acc: dict = {}
+    for p, c in mixture.terms().items():
+        for a in itertools.product(*(range(d + 1) for d in p)):
+            w = Fraction(c) * math.prod(math.comb(d, j) * (1 - q) ** j * q ** (d - j)
+                                        for d, j, q in zip(p, a, r2))
+            if any(a) and w:
+                acc[a] = acc.get(a, 0) + w
+    return acc
 
 
 def laplace_constant(model, beta: float) -> float:

@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,9 +20,11 @@ from spinmix import (
     sk_model,
     two_species_quadratic_model,
 )
+from spinmix import mixture as mixture_module
 
 from conftest import random_mixture
-from oracles import degree2_matrix_by_hand, fd_gradient, fd_hessian, rel_close
+from oracles import (degree2_matrix_by_hand, fd_gradient, fd_hessian, recentred_coefficients,
+                     rel_close)
 
 
 def sk_mixture():
@@ -130,18 +134,25 @@ def test_hessian_matches_finite_differences(m, data):
     assert rel_close(fd, m.hessian(x), 1e-6)
 
 
-def _pow_per_entry(m, x, order):
-    # the reference: xi (order 0) or every partial of order 1 or 2, with one
-    # numpy power per (point, multi-index, term, species) entry
-    S = m.n_species
+def _pow_per_entry(m, x, alphas):
+    # the reference: for every multi-index a of the tuple and every term p,
+    # the weight c_p * prod_s (p(s))_a(s) and the monomial x^max(p - a, 0),
+    # with one numpy power per (point, multi-index, term, species) entry
+    falling = [[math.prod(map(math.perm, p, a)) for p in m.exponents.tolist()] for a in alphas]
+    lowered = np.maximum(m.exponents - np.array(alphas, dtype=np.int64)[:, None, :], 0)
+    return m.coeffs * np.array(falling, dtype=float), (x[..., None, None, :] ** lowered).prod(-1)
+
+
+def _orders(S):
+    # the multi-indices of xi, of the gradient and of the Hessian
     eye = np.eye(S, dtype=np.int64)
-    p = m.exponents
-    if order == 0:
-        mono = (x[..., None, :] ** p).prod(-1)
-        return float(mono @ m.coeffs) if mono.ndim == 1 else (mono * m.coeffs).sum(-1)
-    a = (eye if order == 1 else (eye[:, None] + eye[None, :]).reshape(-1, S))[:, None, :]
-    weights = m.coeffs * (np.where(a > 0, p, 1) * np.where(a > 1, p - 1, 1)).prod(axis=-1)
-    return (weights * (x[..., None, None, :] ** np.maximum(p - a, 0)).prod(-1)).sum(-1)
+    return [tuple(map(tuple, a.tolist())) for a in (eye[:1] * 0, eye, (eye[:, None] + eye).reshape(-1, S))]
+
+
+def _under_terms(m):
+    # the recentering's multi-indices: every nonzero one under some term
+    return tuple(sorted({a for p in m.terms() for a in itertools.product(*(range(d + 1) for d in p))}
+                        - {(0,) * m.n_species}))
 
 
 def _kernel_mixtures():
@@ -178,22 +189,37 @@ def _layouts(X):
 def test_power_table_kernel_is_the_pow_per_entry_expression_bitwise():
     # xi, the gradient and the Hessian, at single points and on batches of
     # 1, 3 and 134 rows with coordinates at 0 and at the search's clamp, in
-    # every layout a batch takes, against the reference on C-ordered rows
+    # every layout a batch takes, against the reference on C-ordered rows;
+    # and the recentering's table, the weights and the power-table product
+    # of every nonzero multi-index under a term (orders up to 4 in a
+    # species), at single points and on a batch of 3
     rng = np.random.default_rng(5)
     for m in _kernel_mixtures():
         S = m.n_species
+        orders = _orders(S)
         for K in (1, 3, 134):
             X = rng.uniform(0.0, 1.0, size=(K, S))
             X[rng.random((K, S)) < 0.2] = 0.0
             X[rng.random((K, S)) < 0.2] = 1.0 - 1e-8
-            wants = [_pow_per_entry(m, X, order) for order in (0, 1, 2)]
+            wants = [(w * mono).sum(-1) for w, mono in (_pow_per_entry(m, X, a) for a in orders)]
+            wants[0] = wants[0][..., 0]
             for layout, Y in enumerate(_layouts(X)):
                 for got, want in zip((m.eval(Y), m.grad(Y), m._partials(Y, 2)), wants):
                     assert got.shape == want.shape and got.tobytes() == want.tobytes(), (m, K, layout)
             for x in X[:3]:
-                assert m.eval(x) == _pow_per_entry(m, x, 0)
-                assert m.grad(x).tobytes() == _pow_per_entry(m, x, 1).tobytes()
-                assert m.hessian(x).tobytes() == _pow_per_entry(m, x, 2).reshape(S, S).tobytes()
+                (_, mono), *partials = (_pow_per_entry(m, x, a) for a in orders)
+                grad, hess = ((w * mono).sum(-1) for w, mono in partials)
+                assert m.eval(x) == float(mono[0] @ m.coeffs)
+                assert m.grad(x).tobytes() == grad.tobytes()
+                assert m.hessian(x).tobytes() == hess.reshape(S, S).tobytes()
+        under = _under_terms(m)
+        falling, degrees, factors = mixture_module._layout(m.exponents.shape,
+                                                           m.exponents.tobytes(), under)
+        for x in (*X[:3], X[:3]):
+            weights, mono = _pow_per_entry(m, x, under)
+            assert (m.coeffs * falling).tobytes() == weights.tobytes(), m
+            got = mixture_module._power_products(x, degrees, factors)
+            assert got.shape == mono.shape and got.tobytes() == mono.tobytes(), (m, x)
 
 
 def test_mixtures_of_one_form_share_the_kernel_layout():
@@ -225,6 +251,34 @@ def test_tilde_transform_at_zero_is_identity():
     m = random_mixture(rng, 2)
     t = m.tilde_transform(np.zeros(2))
     assert t.terms() == m.terms()
+
+
+def _recentring_mixtures():
+    # seeded mixtures of one to four species, every term of degree 2 to 4
+    rng = np.random.default_rng(12)
+    for S in range(1, 5):
+        for _ in range(6):
+            terms = {}
+            for _ in range(int(rng.integers(1, 2 * S + 2))):
+                degs = rng.multinomial(int(rng.integers(2, 5)), np.full(S, 1.0 / S))
+                terms[tuple(int(d) for d in degs)] = float(rng.uniform(0.1, 2.0))
+            yield Mixture.from_terms(tuple("abcd"[:S]), terms)
+
+
+def test_tilde_transform_coefficients_match_the_exact_binomial_expansion():
+    # dyadic overlaps k/16, some of them 0, so that r^2 and 1 - r^2 are exact
+    # and the oracle's rational r is the transform's: the same nonzero
+    # multi-indices, and every coefficient within a relative 4 * 2^-52 of
+    # the exact one
+    rng = np.random.default_rng(13)
+    for m in _recentring_mixtures():
+        for _ in range(3):
+            r = rng.integers(0, 16, size=m.n_species) / 16
+            r[rng.random(m.n_species) < 0.3] = 0.0
+            got, want = m.tilde_transform(r).terms(), recentred_coefficients(m, r)
+            assert list(got) == sorted(want), (m, r)
+            for a, c in got.items():
+                assert abs(Fraction(c) - want[a]) <= 4 * 2**-52 * want[a], (m, r, a)
 
 
 def test_tilde_transform_at_one_matches_xi():

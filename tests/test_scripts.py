@@ -119,6 +119,7 @@ def test_ab_compare_prints_one_row_per_job(capsys):
     assert jobs == [f"verdict {name}" for name in ("sk", "pure3", "pure4", "two_species_quadratic")] \
         + [f"maximize_f {o} S={S}" for S in range(3, 7) for o in ("plain", "tilde")] \
         + ["scan pair S=3", "beta_m, beta_m_tilde S=3"] \
+        + [f"tilde_transform S={S}" for S in range(3, 7)] \
         + [f"cli scan S={S}" for S in range(3, 7)] + ["cli critical two_species_quadratic"] \
         + ["estimate_free_energy pure3", "band_probe sk", "verify sk",
            "verify two_species_quadratic",
