@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Time two checkouts of the package against each other in one process.
 
-    python scripts/ab_compare.py PARENT_SRC CHANGE_SRC [--pairs N]
+    python scripts/ab_compare.py PARENT_SRC CHANGE_SRC [--pairs N] [--jobs SUBSTRING ...]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories, each holding a
 ``spinmix`` package.  Both are loaded into one interpreter under names of
 their own, so a pair of runs shares the process, its caches and its host
 load, and the two runs of a pair are milliseconds apart.  Each pair runs
 every job once on each side, and the side that runs first alternates from
-pair to pair.  The jobs, fixed:
+pair to pair.  ``--jobs`` keeps only the jobs whose name contains one of
+the substrings given.  The jobs, fixed:
 
   verdict on the four fixtures under models/;
   maximize_f, plain and truncated, at beta 0.8 on seeded 3-6 species models;
@@ -256,6 +257,8 @@ def run(argv=None):
     ap.add_argument("parent_src")
     ap.add_argument("change_src")
     ap.add_argument("--pairs", type=int, default=31)
+    ap.add_argument("--jobs", nargs="+", metavar="SUBSTRING",
+                    help="run only the jobs whose name contains one of these")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -268,7 +271,10 @@ def run(argv=None):
             (Path(tmp) / name).mkdir()
             packages.append(load(src, name))
             sides.append(jobs(packages[-1], Path(tmp) / name))
-        times = {name: ([], []) for name in sides[0]}
+        times = {name: ([], []) for name in sides[0]
+                 if args.jobs is None or any(part in name for part in args.jobs)}
+        if not times:
+            ap.error(f"no job name contains any of {args.jobs}")
         same = dict.fromkeys(times, True)
         peaks = {name: [peak_mb(side[name], pkg) for side, pkg in zip(sides, packages)]
                  for name in times}

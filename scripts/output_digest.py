@@ -17,6 +17,13 @@ parent commit's package:
     PYTHONPATH=../parent/src python scripts/output_digest.py --out /tmp/old > old.txt
     diff old.txt new.txt
 
+Where the listings differ, ``--compare OLD NEW`` sizes the change: for each
+file of the two output directories whose bytes differ it prints the largest
+absolute and relative difference of the numbers in it, or says that the
+text around the numbers differs, or that the file is on one side only:
+
+    python scripts/output_digest.py --compare /tmp/old /tmp/new
+
 The script uses nothing but ``spinmix.cli.main``, so it runs against any
 checkout of the package.
 """
@@ -26,11 +33,10 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
-
-from spinmix.cli import main as cli_main
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 FIXTURES = ("sk", "pure3", "pure4", "two_species_quadratic")
@@ -43,6 +49,8 @@ MONTE_CARLO_SEEDS = (3, 4)
 # CPU count the estimators' chunk loop runs on a helper thread too
 MONTE_CARLO = ["--N", "20", "--samples", "2500"]
 PROBE_BETAS = ["--beta-min", "0.1", "--beta-max", "0.5", "--beta-step", "0.2"]
+# a decimal number that is not part of a name or of a longer token
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 
 
 def random_model(seed: int, S: int) -> dict:
@@ -61,6 +69,8 @@ def random_model(seed: int, S: int) -> dict:
 
 def _run(argv: list[str], *outputs: Path) -> list[Path]:
     """One command, its console output discarded; returns its output files."""
+    from spinmix.cli import main as cli_main  # --compare runs without the package
+
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli_main(argv)
     # verify exits 2 when a check fails, which a small sample may well do
@@ -103,13 +113,45 @@ def listing(paths: list[Path]) -> list[str]:
             for path in sorted(paths)]
 
 
+def compare(old: Path, new: Path) -> list[str]:
+    """One line per file name of either directory whose bytes differ: the
+    largest absolute and relative difference of its numbers, and how many of
+    them differ; then a count of the files that are identical."""
+    names = sorted({p.name for d in (old, new) for p in d.iterdir() if p.is_file()})
+    lines = []
+    for name in names:
+        a, b = old / name, new / name
+        if not (a.is_file() and b.is_file()):
+            lines.append(f"{name}  only in {old if a.is_file() else new}")
+            continue
+        texts = a.read_text(), b.read_text()
+        if texts[0] == texts[1]:
+            continue
+        if NUMBER.sub("#", texts[0]) != NUMBER.sub("#", texts[1]):
+            lines.append(f"{name}  text differs beyond its numbers")
+            continue
+        x, y = (np.array([float(v) for v in NUMBER.findall(t)]) for t in texts)
+        diff, scale = np.abs(x - y), np.maximum(np.abs(x), np.abs(y))
+        rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0.0)
+        lines.append(f"{name}  max abs {diff.max():.3e}  max rel {rel.max():.3e}  "
+                     f"{int((diff > 0.0).sum())} of {len(x)} numbers differ")
+    lines.append(f"{len(names) - len(lines)} of {len(names)} files identical")
+    return lines
+
+
 def run(argv=None):
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--out", required=True, help="directory for the outputs")
+    task = ap.add_mutually_exclusive_group(required=True)
+    task.add_argument("--out", help="directory for the outputs")
+    task.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), type=Path,
+                      help="compare the numbers of two output directories")
     ap.add_argument("--quick", action="store_true",
                     help="only critical and scan on the four fixtures")
     args = ap.parse_args(argv)
+    if args.compare:
+        print("\n".join(compare(*args.compare)))
+        return 0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     print("\n".join(listing(write_outputs(out, args.quick))))

@@ -40,13 +40,14 @@ searched whole is computed once for all the rules.  `_search` refuses more
 than six species and returns, for each of several rules that share one cost,
 the best of its starts after one local phase for them all, `_ascend`, which
 moves every start of every rule at once as one batch by projected
-quasi-Newton steps, so the rules and their gradients are evaluated on
-batches of points, elementwise and without BLAS.  A batch takes as many
-rounds as its slowest start, and each rule's result is the one it reaches
-alone, bit for bit.  No run ends below its start, so a gridded result is
-never below the grid's best point.  `maximize_f` is one search of one rule;
-`maximize_each` searches f and its truncated twin at a beta as one batch
-(`spinmix scan`).
+quasi-Newton steps in u = artanh(r), where the entropy's log barrier
+-1/2 log(1 - r^2) is log cosh u, of curvature at most 1, so the rules and
+their gradients are evaluated on batches of points r, elementwise and
+without BLAS.  A batch takes as many rounds as its slowest start, and each
+rule's result is the one it reaches alone, bit for bit.  No run ends below
+its start, so a gridded result is never below the grid's best point.
+`maximize_f` is one search of one rule; `maximize_each` searches f and its
+truncated twin at a beta as one batch (`spinmix scan`).
 
 The tensor-product kernel `_kernel` (a sum of xi's terms and a separable
 per-axis sum at points of the grid axis^k, over some or all species) is
@@ -94,7 +95,9 @@ __all__ = [
     "TOL_ZERO",
 ]
 
-# coordinates are kept below 1 - DOMAIN_CLAMP during ascent (log singularity)
+# every point searched has coordinates at most 1 - DOMAIN_CLAMP, where the
+# entropy's log singularity is still resolved: the grids' top point, and in
+# the ascent r = min(tanh(u), 1 - DOMAIN_CLAMP), with u at most its artanh
 DOMAIN_CLAMP = 1e-8
 # values at or below this count as "the maximum is zero"
 TOL_ZERO = 1e-10
@@ -109,11 +112,11 @@ _GRIDS = {1: (4001, 4001), 2: (201, 201), 3: (201, 4)}
 # more than this times max(1, |that value|) (`_cut`)
 _PRUNE = 1e-12
 
-# the local ascent (`_ascend`): the stopping tolerances on the projected
-# gradient's sup norm and on the relative change of f, the round budget, the
-# Armijo constant, the trials one line search may take, the widest
-# active-set margin, the growth of a line search's first trial over the
-# last step taken, and the least curvature s.y / y.y of a BFGS pair
+# the local ascent (`_ascend`): the stopping tolerances on the sup norm of the
+# projected gradient in u = artanh(r) and on the relative change of f, the
+# round budget, the Armijo constant, the trials one line search may take, the
+# widest active-set margin, the growth of a line search's first trial over
+# the last step taken, and the least curvature s.y / y.y of a BFGS pair
 _GTOL = 1e-12
 _FTOL = 1e-14
 _MAXITER = 1000
@@ -598,18 +601,28 @@ def _ascend(evaluate, X0):
     the starts from rows `rows` of X0 (ascending), to their K values and a
     function gradient(j) that gives the (len(j), S) gradients at rows j of
     the batch (ascending), from the pieces the values were computed from;
-    each row is computed independently of the others.  Every start takes
-    projected quasi-Newton steps: coordinates within eps of a bound whose
-    gradient points out of the box are held there by a plain projected
-    gradient step (Bertsekas's active set, eps the size of the projected
-    gradient, at most _EPS_ACTIVE), and the others follow the start's own
-    S x S BFGS inverse Hessian, restricted to them.  An Armijo backtracking
-    search runs along the projection arc.  The first step is scaled to move
-    no coordinate by more than 1.  After a step that gives a curvature pair
-    the next search begins at 1 if the step was its search's first trial
-    and not the start's first pair, else at _GROW times the step, at most
-    1; after a step along which the value is not concave, at _GROW times
-    it.
+    each row is computed independently of the others.
+
+    The ascent moves in u = artanh(r), on the box [0, artanh(1 -
+    DOMAIN_CLAMP)]^S, where the entropy's barrier -1/2 log(1 - r^2) is
+    log cosh u, whose curvature sech^2 u is at most 1, against lam (1 + r^2)
+    / (1 - r^2)^2 in r.  Each point evaluated is r = min(tanh(u), 1 -
+    DOMAIN_CLAMP), and the u-gradient is the r-gradient times 1 - r^2.  A
+    start keeps the point r it was evaluated at beside its u: the first
+    evaluation is at X0 itself (clipped to the box), and a start that
+    accepts no step returns its row of X0, bit for bit.
+
+    Every start takes projected quasi-Newton steps in u: coordinates within
+    eps of a bound whose gradient points out of the box are held there by a
+    plain projected gradient step (Bertsekas's active set, eps the size of
+    the projected gradient, at most _EPS_ACTIVE), and the others follow the
+    start's own S x S BFGS inverse Hessian, restricted to them.  An Armijo
+    backtracking search runs along the projection arc.  The first step is
+    scaled to move no u-coordinate by more than 1.  After a step that gives
+    a curvature pair the next search begins at 1 if the step was its
+    search's first trial and not the start's first pair, else at _GROW
+    times the step, at most 1; after a step along which the value is not
+    concave, at _GROW times it.
 
     Each round evaluates the value once, at every live start's current
     trial point, and the gradient at the trials accepted, from the same
@@ -617,7 +630,7 @@ def _ascend(evaluate, X0):
     batch as they stop, so a row's path is the one it takes alone, bit for
     bit, whatever the other rows are.
 
-    A start is converged when its projected gradient has sup norm at most
+    A start is converged when its projected u-gradient has sup norm at most
     _GTOL, or at a relative-f stop: a trial that changes f by at most
     _FTOL max(|f|, 1), accepted, or rejected with a predicted gain at most
     as large.  It is not converged when _MAXITER rounds pass, or when its
@@ -629,18 +642,19 @@ def _ascend(evaluate, X0):
     nonnegative, since H is positive definite and a held coordinate moves
     along its gradient.
 
-    Returns (X, F, converged, evals): the final points and values, a
+    Returns (X, F, converged, evals): the final points r and values, a
     boolean per row, and the number of points evaluated per row.
     """
     hi, tiny = 1.0 - DOMAIN_CLAMP, np.finfo(float).tiny
+    top = np.arctanh(hi)  # the box's upper bound in u
     total = np.add.reduce  # a.sum(axis), without its Python-level wrapper
 
-    def direction(x, g, H):
+    def direction(u, g, H):
         """The projected gradient's sup norm, the search direction, its slope
         on the free coordinates and the gradient on the held ones."""
-        pg = np.maximum.reduce(np.abs(np.minimum(np.maximum(x + g, 0.0), hi) - x), 0)
+        pg = np.maximum.reduce(np.abs(np.minimum(np.maximum(u + g, 0.0), top) - u), 0)
         eps = np.minimum(pg, _EPS_ACTIVE)
-        free = ((x > eps) | (g >= 0.0)) & ((x < hi - eps) | (g <= 0.0))
+        free = ((u > eps) | (g >= 0.0)) & ((u < top - eps) | (g <= 0.0))
         gf = np.where(free, g, 0.0)
         d = np.where(free, total(H * gf, 1), g)
         return pg, d, total(gf * d, 0), g - gf
@@ -649,14 +663,16 @@ def _ascend(evaluate, X0):
     # runs along the starts; every sum over species is over at most six
     # terms, which numpy adds in order whatever the layout
     x = np.minimum(np.maximum(np.asarray(X0, dtype=float).T, 0.0), hi, order="C")
+    u = np.arctanh(x)
     S, K = x.shape
     X, F, converged = x.T.copy(), np.empty(K), np.zeros(K, dtype=bool)
     rows = np.arange(K)             # the row of X0 each live start came from
     evals = np.ones(K, dtype=np.int64)
     f, gradient = evaluate(x.T, rows)
-    f, g = np.array(f, dtype=float), np.array(gradient(rows).T)  # updated in place
+    # f and the u-gradient are updated in place
+    f, g = np.array(f, dtype=float), gradient(rows).T * (1.0 - x * x)
     H = np.eye(S)[:, :, None] * np.ones(K)
-    pg, d, gd, ga = direction(x, g, H)
+    pg, d, gd, ga = direction(u, g, H)
     alpha = 1.0 / np.maximum(np.abs(d).max(0), 1.0)  # the current trial step
     fresh = np.ones(K, dtype=bool)  # no curvature pair yet: H is the identity
     tries = np.zeros(K, dtype=int)  # trials of the current line search
@@ -667,16 +683,18 @@ def _ascend(evaluate, X0):
             X[out], F[out], converged[out] = x.compress(done, 1).T, f[done], ok[done]
             evals[out] += rounds
             keep = ~done
-            x, g, H, d, ga, f, gd, alpha, fresh, tries, rows = (
-                a.compress(keep, -1) for a in (x, g, H, d, ga, f, gd, alpha, fresh, tries, rows))
+            x, u, g, H, d, ga, f, gd, alpha, fresh, tries, rows = (
+                a.compress(keep, -1)
+                for a in (x, u, g, H, d, ga, f, gd, alpha, fresh, tries, rows))
         if not rows.size:
             break
-        xt = np.minimum(np.maximum(x + alpha * d, 0.0), hi)
+        ut = np.minimum(np.maximum(u + alpha * d, 0.0), top)
+        xt = np.minimum(np.tanh(ut), hi)
         ft, gradient = evaluate(xt.T, rows)
         tries += 1
         # Bertsekas's predicted gain: the slope on the free coordinates, the
         # projected move on the held ones
-        gain = alpha * gd + total(ga * (xt - x), 0)
+        gain = alpha * gd + total(ga * (ut - u), 0)
         change, tol = ft - f, _FTOL * np.maximum(np.abs(f), 1.0)
         moved = change >= _ARMIJO * gain
         flat = (change <= tol) & (moved | ((gain <= tol) & (change >= -tol)))
@@ -693,9 +711,9 @@ def _ascend(evaluate, X0):
         ok = flat
         j = (moved & ~flat).nonzero()[0]
         if j.size:
-            g_new = gradient(j).T
-            xj = xt.take(j, 1)  # the starts' new points
-            s = xj - x.take(j, 1)
+            xj, uj = xt.take(j, 1), ut.take(j, 1)  # the starts' new points
+            g_new = gradient(j).T * (1.0 - xj * xj)
+            s = uj - u.take(j, 1)
             y = g.take(j, 1) - g_new  # the change in the gradient of -f
             g[:, j] = g_new
             sy, yy = total(s * y, 0), total(y * y, 0)
@@ -719,9 +737,10 @@ def _ascend(evaluate, X0):
             alpha[c[fresh[c]]] = 1.0
             fresh[c] = False
             tries[j] = 0
-            pg_j, d[:, j], gd[j], ga[:, j] = direction(xj, g_new, H.take(j, 2))
+            pg_j, d[:, j], gd[j], ga[:, j] = direction(uj, g_new, H.take(j, 2))
             ok[j] = pg_j <= _GTOL
         np.copyto(x, xt, where=moved)
+        np.copyto(u, ut, where=moved)
         np.copyto(f, ft, where=moved)
         # stopped: a projected-gradient or relative-f stop, or a failed line
         # search
@@ -747,8 +766,8 @@ def _search(model: ModelSpec, rules, cost, dcost) -> list[MaximizeResult]:
 
     The package's one search: more than six species are refused, `_starts`
     gives each rule's starts, from one pass over the grid for one or two
-    species, and one `_ascend` moves the starts of every
-    rule at once, in as many rounds as its slowest start takes.  Each round
+    species, and one `_ascend` moves the starts of every rule at once, in
+    u = artanh(r), in as many rounds as its slowest start takes.  Each round
     computes xi (`Mixture.eval`, one power table per point) and the summed
     cost once for the whole batch, then every row's value in one
     expression, each row holding its rule's fields (`_value`); at the trial
@@ -832,7 +851,8 @@ def maximize_f(model: ModelSpec, beta: float, objective: str = "plain") -> Maxim
     """Global maximum of f_beta (or the truncated variant) over [0, 1)^S.
 
     One `_search` of f: a dense certification grid for |S| <= 3, polished
-    together with the starts by projected quasi-Newton ascent.  The origin
+    together with the starts by projected quasi-Newton ascent in u =
+    artanh(r), which returns points r of [0, 1 - DOMAIN_CLAMP]^S.  The origin
     (value exactly 0) is always a candidate and wins ties, so the reported
     value is always >= 0.  Non-convergence is flagged, never silently wrong.
     A beta at which the ascent's products of gradients would overflow is

@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 import threading
 from pathlib import Path
@@ -17,6 +18,15 @@ from spinmix import (
 )
 
 MODELS_DIR = Path(__file__).parent.parent / "models"
+SCRIPTS_DIR = Path(__file__).parent.parent / "scripts"
+
+
+def load_script(name: str):
+    """The module scripts/<name>.py, imported from its file."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

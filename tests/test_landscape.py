@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import warnings
@@ -17,11 +18,12 @@ from spinmix import (
     f_hessian,
     g_beta,
     hessian_at_zero,
+    loads_model,
     maximize_f,
 )
 from spinmix.landscape import TOL_ZERO
 
-from conftest import random_model
+from conftest import load_script, random_model
 from oracles import degree2_matrix_by_hand, fd_gradient, fd_hessian, rel_close, separable_max_f
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -179,6 +181,15 @@ def test_maximize_stays_inside_clamped_box(pure3):
     res = maximize_f(pure3, 5.0)
     assert np.all(res.argmax <= 1.0 - 1e-8)
     assert np.all(res.argmax >= 0.0)
+    # at beta 1e4 the maximum of f and of its truncated twin sits at the
+    # clamp on every axis of seeded models (the grid's top point for one to
+    # three species, the ascent's upper bound in artanh(r) for six), and no
+    # returned coordinate lies above it
+    hi = 1.0 - landscape.DOMAIN_CLAMP
+    for S in (1, 2, 3, 6):
+        model = loads_model(json.dumps(load_script("output_digest").random_model(0, S)))
+        for res in landscape.maximize_each(model, 1e4, ("plain", "tilde")):
+            assert res.converged and np.array_equal(res.argmax, np.full(S, hi))
 
 
 def test_maximize_value_nondecreasing_in_beta(two_quad, cubic_two_species):
@@ -809,6 +820,45 @@ def test_no_ascent_row_ends_below_its_start(sk, pure3, pure4, two_quad, monkeypa
     assert len(calls) == 2 + 4 * 9
     for evaluate, X0, (_, F, _, _) in calls:
         assert (F >= _values(evaluate, np.clip(X0, 0.0, hi))).all()
+
+
+def test_a_start_the_ascent_cannot_improve_comes_back_bit_for_bit(monkeypatch):
+    # the ascent moves in u = artanh(r) but returns the points it evaluated:
+    # re-ascending from the 4-species model's results, of f and of minus the
+    # ratios, every row whose value does not change comes back as its start,
+    # bit for bit, including starts that artanh then tanh would move
+    ascend = landscape._ascend
+    calls = _record_ascents(monkeypatch)
+    model, batches, cost, dcost = _batch_rules()
+    for rules in batches:
+        landscape._search(model, rules, cost, dcost)
+    assert len(calls) == 2
+    for evaluate, _, (X0, F0, _, _) in calls:
+        X, F, _, _ = ascend(evaluate, X0)
+        kept = F == F0
+        assert (F[~kept] > F0[~kept]).all()
+        assert X[kept].tobytes() == X0[kept].tobytes()
+        assert (np.tanh(np.arctanh(X0[kept])) != X0[kept]).any()
+
+
+def test_six_species_scan_row_takes_at_most_half_the_r_space_rounds(monkeypatch):
+    # the ascent's rounds, one evaluate call each (the first at the starts),
+    # on a scan row of a seeded six-species model: the ascent in r took 163,
+    # the one in u = artanh(r) takes 38
+    rounds = []
+    ascend = landscape._ascend
+
+    def counted(evaluate, X0):
+        def each(X, rows):
+            rounds.append(len(rows))
+            return evaluate(X, rows)
+        return ascend(each, X0)
+
+    monkeypatch.setattr(landscape, "_ascend", counted)
+    model = loads_model(json.dumps(load_script("output_digest").random_model(0, 6)))
+    results = landscape.maximize_each(model, 0.6, ("plain", "tilde"))
+    assert all(res.converged for res in results)
+    assert len(rounds) <= 163 // 2
 
 
 def test_search_is_never_below_the_brute_force_grid_optimum(sk, pure3, pure4, two_quad):

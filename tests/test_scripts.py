@@ -1,31 +1,20 @@
 """Smoke tests of the example scripts under scripts/: each run() exits 0 and
 writes what its docstring promises."""
 
-import importlib.util
 import math
 import os
-from pathlib import Path
 
 import pytest
 
 from spinmix import montecarlo
 from spinmix.cli import SCAN_HEADER
 
-from conftest import MODELS_DIR
-
-SCRIPTS_DIR = Path(__file__).parent.parent / "scripts"
-
-
-def _script(name: str):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS_DIR / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import MODELS_DIR, SCRIPTS_DIR, load_script
 
 
 def test_phase_scan_writes_the_scan_csv(tmp_path, capsys):
     out = tmp_path / "sk.csv"
-    code = _script("phase_scan").run([
+    code = load_script("phase_scan").run([
         "--model", str(MODELS_DIR / "sk.json"), "--beta-min", "0.5", "--beta-max", "0.9",
         "--beta-step", "0.2", "--out", str(out),
     ])
@@ -39,7 +28,7 @@ def test_phase_scan_writes_the_scan_csv(tmp_path, capsys):
 
 
 def test_second_moment_table_prints_one_row_per_size(capsys):
-    code = _script("second_moment_table").run([
+    code = load_script("second_moment_table").run([
         "--model", str(MODELS_DIR / "sk.json"), "--beta", "0.5", "--sizes", "50", "100",
     ])
     assert code == 0
@@ -59,8 +48,8 @@ def test_second_moment_table_prints_one_row_per_size(capsys):
 def test_second_moment_table_refuses_a_size_too_small_for_the_model(capsys):
     # argparse's usage error, exit 2, naming the size, before any table
     with pytest.raises(SystemExit) as exit_:
-        _script("second_moment_table").run(["--model", str(MODELS_DIR / "sk.json"),
-                                            "--sizes", "50", "2"])
+        load_script("second_moment_table").run(["--model", str(MODELS_DIR / "sk.json"),
+                                                "--sizes", "50", "2"])
     assert exit_.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -68,7 +57,8 @@ def test_second_moment_table_refuses_a_size_too_small_for_the_model(capsys):
 
 
 def test_verify_pass_rate_counts_the_failures_of_each_check(capsys):
-    code = _script("verify_pass_rate").run(["--seeds", "3", "5", "--N", "20", "--samples", "200"])
+    code = load_script("verify_pass_rate").run(
+        ["--seeds", "3", "5", "--N", "20", "--samples", "200"])
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("seeds 3-4, N = 20, samples = 200, ")
@@ -88,7 +78,7 @@ def test_output_digest_quick_listing_is_reproducible(tmp_path, capsys):
     # two runs list the same digests under every fixture's critical and scan name
     listings = []
     for run in ("a", "b"):
-        assert _script("output_digest").run(["--quick", "--out", str(tmp_path / run)]) == 0
+        assert load_script("output_digest").run(["--quick", "--out", str(tmp_path / run)]) == 0
         listings.append(capsys.readouterr().out.splitlines())
     assert listings[0] == listings[1]
     names = [line.split("  ")[1] for line in listings[0]]
@@ -100,10 +90,43 @@ def test_output_digest_quick_listing_is_reproducible(tmp_path, capsys):
         assert len(digest) == 64 and (tmp_path / "a" / name).is_file()
 
 
-def test_ab_compare_prints_one_row_per_job(capsys):
-    # the same package on both sides, one pair, in the environment as it is
+def test_output_digest_compare_sizes_the_numeric_differences(tmp_path, capsys):
+    # one identical file, one whose numbers differ, one whose text differs
+    # and one on one side only; names such as s3 hold no number
+    old, new = tmp_path / "old", tmp_path / "new"
+    for d in (old, new):
+        d.mkdir()
+        (d / "same.csv").write_text("beta,value\n0.5,1e-3\n")
+    (old / "scan.csv").write_text("s3,0.25,-2.0,1e-08\n")
+    (new / "scan.csv").write_text("s3,0.25,-2.5,1.5e-08\n")
+    (old / "critical.json").write_text('{"verdict": "EQUAL", "beta_m": 0.7}\n')
+    (new / "critical.json").write_text('{"verdict": "STRICTLY_LESS", "beta_m": 0.7}\n')
+    (new / "extra.csv").write_text("1\n")
+    assert load_script("output_digest").run(["--compare", str(old), str(new)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "critical.json  text differs beyond its numbers",
+        f"extra.csv  only in {new}",
+        "scan.csv  max abs 5.000e-01  max rel 3.333e-01  2 of 3 numbers differ",
+        "1 of 4 files identical"]
+
+
+def test_ab_compare_prints_one_row_per_job(tmp_path, capsys):
+    ab_compare = load_script("ab_compare")
     src = str(SCRIPTS_DIR.parent / "src")
-    assert _script("ab_compare").run([src, src, "--pairs", "1"]) == 0
+    assert list(ab_compare.jobs(ab_compare.load(src, "spinmix_jobs"), tmp_path)) == \
+        [f"verdict {name}" for name in ("sk", "pure3", "pure4", "two_species_quadratic")] \
+        + [f"maximize_f {o} S={S}" for S in range(3, 7) for o in ("plain", "tilde")] \
+        + ["scan pair S=3", "beta_m, beta_m_tilde S=3"] \
+        + [f"tilde_transform S={S}" for S in range(3, 7)] \
+        + [f"cli scan S={S}" for S in range(3, 7)] + ["cli critical two_species_quadratic"] \
+        + ["estimate_free_energy pure3", "band_probe sk", "verify sk",
+           "verify two_species_quadratic",
+           "log_E_Z2_exact two_species_quadratic", "log_E_Z2_exact chain S=3",
+           "log_E_Z2_exact verify ladder sk", "log_E_Z2_exact N ladder two_species_quadratic"]
+    # the same package on both sides, one pair, in the environment as it is,
+    # on one search, one Monte Carlo and one quadrature job
+    subset = ["verdict sk", "band_probe sk", "log_E_Z2_exact two_species_quadratic"]
+    assert ab_compare.run([src, src, "--pairs", "1", "--jobs", *subset]) == 0
     lines = capsys.readouterr().out.splitlines()
     # the header states which path of the Monte Carlo loop was timed
     blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -115,16 +138,7 @@ def test_ab_compare_prints_one_row_per_job(capsys):
                         "peak traced MB of one untimed run on one thread")
     assert lines[1].split() == ["job", "parent", "change", "ratio", "change", "wins",
                                 "parent", "MB", "change", "MB", "same"]
-    jobs = [line.rsplit(None, 7)[0] for line in lines[2:]]
-    assert jobs == [f"verdict {name}" for name in ("sk", "pure3", "pure4", "two_species_quadratic")] \
-        + [f"maximize_f {o} S={S}" for S in range(3, 7) for o in ("plain", "tilde")] \
-        + ["scan pair S=3", "beta_m, beta_m_tilde S=3"] \
-        + [f"tilde_transform S={S}" for S in range(3, 7)] \
-        + [f"cli scan S={S}" for S in range(3, 7)] + ["cli critical two_species_quadratic"] \
-        + ["estimate_free_energy pure3", "band_probe sk", "verify sk",
-           "verify two_species_quadratic",
-           "log_E_Z2_exact two_species_quadratic", "log_E_Z2_exact chain S=3",
-           "log_E_Z2_exact verify ladder sk", "log_E_Z2_exact N ladder two_species_quadratic"]
+    assert [line.rsplit(None, 7)[0] for line in lines[2:]] == subset
     for line in lines[2:]:
         parent, change, ratio, wins, parent_mb, change_mb = map(float, line.split()[-7:-1])
         assert parent > 0.0 and change > 0.0 and wins in (0.0, 1.0)
@@ -156,6 +170,6 @@ def test_code_lines_leaves_out_docstrings_comments_and_blank_lines(tmp_path, cap
         "            2)\n"
         "\n"
         "y = f(0)  # trailing\n")
-    assert _script("code_lines").run([str(tmp_path)]) == 0
+    assert load_script("code_lines").run([str(tmp_path)]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["module", "lines", "code"], ["small", "11", "5"], ["total", "11", "5"]]
