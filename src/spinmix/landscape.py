@@ -25,27 +25,30 @@ f, its truncated twin and g are the kind E(x) - c, with partials (E'(x), -1)
 in x and c; `criticality`'s threshold ratios are the other kind, -(c + t) /
 E(x) at beta = 1 with t = TOL_ZERO, with partials ((c + t) E'(x) / E(x)^2,
 -1 / E(x)).  Only this module turns a rule into its value (`_value`), its
-partials (`_partials`) and its level for the second-order bound
-(`_may_hold`), each branching once on the kind.  A batch is one rule whose
-fields hold one entry per row, which one expression evaluates; the rules of
-one search share their kind (`maximize_f` searches f, `criticality` the
-ratios), so the kind is never per row.  `_search` evaluates the rule on the
-certification grid and at the points of its local phase, and takes the
-gradient by the chain rule, dvalue/dx grad xi + dvalue/dc grad c; the
-pointwise functions evaluate the rule at one point, so each objective is
-written once.  `_starts` alone holds the per-S policy (`_GRIDS`): the grid
-(4001 points for one species, 201 per axis for two or three, none for four
-to six), whose best point is one start, and the fixed starts; a grid
+value and partials, which share B + C x and E(x) (`_partials`), and its
+level for the second-order bound (`_may_hold`), each branching once on the
+kind.  A batch is one rule whose fields hold one entry per row, which one
+expression evaluates; the rules of one search share their kind
+(`maximize_f` searches f, `criticality` the ratios), so the kind is never
+per row.  `_search` evaluates the rule on the certification grid and at
+the points of its local phase, and takes the gradient by the chain rule,
+dvalue/dx grad xi + dvalue/dc grad c; the pointwise functions evaluate the
+rule at one point, so each objective is written once.  `_starts` alone
+holds the per-S policy (`_GRIDS`): the grid (4001 points for one
+species, 201 per axis for two or three, none for four to six), whose best
+point is one start, and the fixed starts; a grid
 searched whole is computed once for all the rules.  `_search` refuses more
 than six species and returns, for each of several rules that share one cost,
 the best of its starts after one local phase for them all, `_ascend`, which
 moves every start of every rule at once as one batch by projected
 quasi-Newton steps in u = artanh(r), where the entropy's log barrier
--1/2 log(1 - r^2) is log cosh u, of curvature at most 1, so the rules and
-their gradients are evaluated on batches of points r, elementwise and
-without BLAS.  A batch takes as many rounds as its slowest start, and each
-rule's result is the one it reaches alone, bit for bit.  No run ends below
-its start, so a gridded result is never below the grid's best point.
+-1/2 log(1 - r^2) is log cosh u, of curvature at most 1, no trial moving a
+coordinate of u by more than 1, so the rules and their gradients are
+evaluated on batches of points r, elementwise and without BLAS: each round
+reads xi and grad xi at every trial from one power table per point.  A
+batch takes as many rounds as its slowest start, and each rule's result is
+the one it reaches alone, bit for bit.  No run ends below its start, so a
+gridded result is never below the grid's best point.
 `maximize_f` is one search of one rule; `maximize_each` searches f and its
 truncated twin at a beta as one batch (`spinmix scan`).
 
@@ -60,9 +63,10 @@ branch and bound (`_grid_start`): xi and every cost are nondecreasing in
 each coordinate, so the corners of a box of grid points bound the rule on
 it, and a rule whose cost is the entropy, E(xi) minus the entropy with E
 concave and nondecreasing, is also bounded to second order from one
-box-enclosure layer, `_enclose`: xi at the box's corners and centre, grad xi
-at the centre, hess xi at the upper corner, which bounds it entrywise, and
-the entropy's value, gradient and least curvature.  f, its truncated twin
+box-enclosure layer, `_enclose`: xi at the box's corners, which the kernel
+has computed for the corner bound, and at its centre, grad xi at the
+centre, hess xi at the upper corner, which bounds it entrywise, and the
+entropy's value, gradient and least curvature.  f, its truncated twin
 and minus both threshold ratios (by Dinkelbach's parametrization) are all
 such rules.  Only the boxes that may hold the greatest value are evaluated,
 whole; the best point and its value are the whole grid's, bit for bit.
@@ -186,10 +190,11 @@ def _energy(model: ModelSpec, beta: float, objective: str):
     return _Rule(b2 * xi1, xi1, 1.0), cost, dcost
 
 
-def _value(rule: _Rule, x, c):
-    """The rule's value at x = xi(r) and the summed cost c."""
+def _value(rule: _Rule, x, c, energy=None):
+    """The rule's value at x = xi(r) and the summed cost c, from the energy
+    E(x) when it is given."""
     A, B, C, ratio = rule
-    energy = A * x / (B + C * x)
+    energy = A * x / (B + C * x) if energy is None else energy
     if not ratio:
         return energy - c
     return np.divide(-(c + TOL_ZERO), energy, out=np.full(np.shape(energy), -np.inf),
@@ -197,17 +202,18 @@ def _value(rule: _Rule, x, c):
 
 
 def _partials(rule: _Rule, x, c):
-    """The rule's partial derivatives in x and in c: (E'(x), -1) for f, with
-    E'(x) = A B / (B + C x)^2, and ((c + TOL_ZERO) E'(x) inv^2, -inv) for
-    minus a ratio, with inv = 1 / E(x), 0 where E(x) = 0."""
+    """The rule's value (`_value`) and its partial derivatives in x and in c:
+    (E'(x), -1) for f, with E'(x) = A B / (B + C x)^2, and ((c + TOL_ZERO)
+    E'(x) inv^2, -inv) for minus a ratio, with inv = 1 / E(x), 0 where E(x)
+    = 0.  The two share B + C x and E(x)."""
     A, B, C, ratio = rule
     den = B + C * x
-    slope = A * B / den ** 2
-    if not ratio:
-        return slope, -1.0
     energy = A * x / den
+    value, slope = _value(rule, x, c, energy), A * B / den ** 2
+    if not ratio:
+        return value, slope, -1.0
     inv = np.divide(1.0, energy, out=np.zeros(np.shape(energy)), where=energy > 0.0)
-    return (c + TOL_ZERO) * slope * inv * inv, -inv
+    return value, (c + TOL_ZERO) * slope * inv * inv, -inv
 
 
 def _take(rule: _Rule, index) -> _Rule:
@@ -243,7 +249,7 @@ def f_grad(model: ModelSpec, beta: float, r) -> np.ndarray:
     r = _coerce_r(model.n_species, r)
     rule, cost, dcost = _energy(model, beta, "plain")
     mix, lam = model.mixture, model.species.lam
-    dx, dc = _partials(rule, mix.eval(r), cost(lam, r).sum(-1))
+    _, dx, dc = _partials(rule, mix.eval(r), cost(lam, r).sum(-1))
     return dx * mix.grad(r) + dc * dcost(lam, r)
 
 
@@ -366,9 +372,11 @@ class _Enclosure(NamedTuple):
     #                     on the box of minus the entropy's second derivative
 
 
-def _enclose(model: ModelSpec, a: np.ndarray, b: np.ndarray) -> _Enclosure:
+def _enclose(model: ModelSpec, a: np.ndarray, b: np.ndarray, xi_a: np.ndarray,
+             xi_b: np.ndarray) -> _Enclosure:
     """The enclosures of xi and of the entropy -1/2 sum_s lam_s log(1 - r_s^2)
-    on a (K, S) batch of boxes [a, b] in [0, 1)^S, one row per box.
+    on a (K, S) batch of boxes [a, b] in [0, 1)^S, one row per box, given xi
+    at the corners, xi_a and xi_b, (K,) each.
 
     Every coefficient is nonnegative, so xi and each of its partial
     derivatives is nondecreasing in each coordinate: on a box xi lies in
@@ -381,17 +389,17 @@ def _enclose(model: ModelSpec, a: np.ndarray, b: np.ndarray) -> _Enclosure:
     # one ulp above the rounded distances, each within half an ulp
     h = np.nextafter(np.maximum(b - c, c - a), np.inf)
     aa = a * a
-    xi_a, xi_b, xi_c = mix.eval(np.stack((a, b, c)))
     return _Enclosure(
-        c, h, xi_a, xi_b, xi_c, mix.grad(c),
+        c, h, xi_a, xi_b, mix.eval(c), mix.grad(c),
         mix._partials(b, 2).reshape(b.shape + b.shape[-1:]),
         np.add.reduce(_entropy(lam, c), -1), _entropy_grad(lam, c),
         -lam * (1.0 + aa) / (1.0 - aa) ** 2)
 
 
-def _may_hold(model: ModelSpec, rule: _Rule, a: np.ndarray, b: np.ndarray,
-              level: float) -> np.ndarray:
-    """Whether each box [a, b] of a (K, S) batch may hold a point where the
+def _may_hold(model: ModelSpec, rule: _Rule, a: np.ndarray, b: np.ndarray, xi_a: np.ndarray,
+              xi_b: np.ndarray, level: float) -> np.ndarray:
+    """Whether each box [a, b] of a (K, S) batch, with xi at its corners
+    xi_a and xi_b as `_kernel` computes them, may hold a point where the
     rule, with the entropy as its cost, is at least `level`, as `_kernel`
     computes it: False only where the second-order bound rules it out.
 
@@ -416,7 +424,9 @@ def _may_hold(model: ModelSpec, rule: _Rule, a: np.ndarray, b: np.ndarray,
     Rounding.  Each piece of the bound, and the rule's value at a grid
     point as `_kernel` computes it, is a sum of at most S^2 + S + 1 terms,
     each made by at most 3 S + T + 8 operations (T the terms of xi), every
-    one of them within an ulp (numpy's pow, log1p and arithmetic): fewer
+    one of them within an ulp (numpy's pow, log1p and arithmetic); the
+    corner values of xi are `_kernel`'s, at most 2 S + T operations each
+    (S powers, S - 1 products, the coefficient and T - 1 sums): fewer
     than S^2 + 4 S + T + 10 roundings of relative size eps, and a further
     eps / (1 - r^2) where 1 - r^2 is formed.  Twice that count covers the
     products of errors, so on the box computed and exact values differ by
@@ -444,10 +454,11 @@ def _may_hold(model: ModelSpec, rule: _Rule, a: np.ndarray, b: np.ndarray,
     per = max(1, _SLAB_POINTS // (S**3 * max(terms, 1)))
     for lo in range(0, K, per):
         box = slice(lo, lo + per)
-        e = _enclose(model, a[box], b[box])
-        # the energy's gradient at c, and its part of U
-        rise = w * _partials(form, e.xi_c, 0.0)[0][..., None] * e.grad_c
-        curve = w * _partials(form, e.xi_a, 0.0)[0][..., None, None] * e.hess_b
+        e = _enclose(model, a[box], b[box], xi_a[box], xi_b[box])
+        # the energy and its gradient at c, and its part of U
+        centre, slope, _ = _partials(form, e.xi_c, 0.0)
+        rise = w * slope[..., None] * e.grad_c
+        curve = w * _partials(form, e.xi_a, 0.0)[1][..., None, None] * e.hess_b
         g = np.abs(rise - e.dcost_c)  # |g_s|
         # the energy's part of U_su h_s h_u, summed over every pair and over
         # the diagonal, and -U_ss h_s
@@ -457,7 +468,7 @@ def _may_hold(model: ModelSpec, rule: _Rule, a: np.ndarray, b: np.ndarray,
         inner = g < drop
         peak = np.where(inner, 0.5 * g * g / np.where(inner, drop, 1.0) * e.h,
                         (g - 0.5 * drop) * e.h)
-        centre = w * _value(form, e.xi_c, 0.0)
+        centre = w * centre
         bound = centre - e.cost_c + peak.sum(-1) + 0.5 * (pairs - diagonal)
         size = (w * _value(form, e.xi_b, 0.0) + lam.sum() + abs(t) + centre + e.cost_c
                 + ((rise + e.dcost_c - e.curv_a * e.h) * e.h).sum(-1) + pairs)
@@ -532,7 +543,8 @@ def _grid_start(model: ModelSpec, rule: _Rule, cost, axis: np.ndarray,
         keep = ~(bound < _cut(best))  # a NaN bound is kept
         if cost is _entropy:
             kept = keep.nonzero()[0]
-            keep[kept] = _may_hold(model, rule, axis[lo[kept]], axis[hi[kept]], _cut(best))
+            keep[kept] = _may_hold(model, rule, axis[lo[kept]], axis[hi[kept]], xi_lo[kept],
+                                   xi_hi[kept], _cut(best))
             evals += len(kept)
         lo, bound = lo[keep], bound[keep]
     order = np.argsort(-bound, kind="stable")
@@ -597,11 +609,10 @@ def _starts(model: ModelSpec, rules, cost) -> list[tuple[np.ndarray, int]]:
 def _ascend(evaluate, X0):
     """Maximize from every row of X0 at once over [0, 1 - DOMAIN_CLAMP]^S.
 
-    evaluate(X, rows) maps a (K, S) batch of points, the current points of
-    the starts from rows `rows` of X0 (ascending), to their K values and a
-    function gradient(j) that gives the (len(j), S) gradients at rows j of
-    the batch (ascending), from the pieces the values were computed from;
-    each row is computed independently of the others.
+    evaluate(X, rows) maps a (K, S) batch of points, the current trial
+    points of the starts from rows `rows` of X0 (ascending), to their K
+    values and their (K, S) gradients; each row is computed independently
+    of the others.
 
     The ascent moves in u = artanh(r), on the box [0, artanh(1 -
     DOMAIN_CLAMP)]^S, where the entropy's barrier -1/2 log(1 - r^2) is
@@ -617,16 +628,18 @@ def _ascend(evaluate, X0):
     plain projected gradient step (Bertsekas's active set, eps the size of
     the projected gradient, at most _EPS_ACTIVE), and the others follow the
     start's own S x S BFGS inverse Hessian, restricted to them.  An Armijo
-    backtracking search runs along the projection arc.  The first step is
-    scaled to move no u-coordinate by more than 1.  After a step that gives
-    a curvature pair the next search begins at 1 if the step was its
-    search's first trial and not the start's first pair, else at _GROW
-    times the step, at most 1; after a step along which the value is not
-    concave, at _GROW times it.
+    backtracking search runs along the projection arc.  After a step that
+    gives a curvature pair the next search begins at 1 if the step was its
+    search's first trial or the start's first pair, else at _GROW times the
+    step, at most 1; after a step along which the value is not concave, at
+    _GROW times it.  Every search, the first included, begins at most at
+    1 / max|d| along its direction d, so no trial moves a u-coordinate by
+    more than 1: a full quasi-Newton step near the origin would otherwise
+    reach the clamp corner and backtrack from there.
 
-    Each round evaluates the value once, at every live start's current
-    trial point, and the gradient at the trials accepted, from the same
-    evaluation; a start is never held back by the others.  Starts leave the
+    Each round evaluates the value and the gradient once, at every live
+    start's current trial point, and keeps the gradients of the trials
+    accepted; a start is never held back by the others.  Starts leave the
     batch as they stop, so a row's path is the one it takes alone, bit for
     bit, whatever the other rows are.
 
@@ -651,13 +664,15 @@ def _ascend(evaluate, X0):
 
     def direction(u, g, H):
         """The projected gradient's sup norm, the search direction, its slope
-        on the free coordinates and the gradient on the held ones."""
+        on the free coordinates, the gradient on the held ones and the
+        longest step along it that moves no coordinate by more than 1."""
         pg = np.maximum.reduce(np.abs(np.minimum(np.maximum(u + g, 0.0), top) - u), 0)
         eps = np.minimum(pg, _EPS_ACTIVE)
         free = ((u > eps) | (g >= 0.0)) & ((u < top - eps) | (g <= 0.0))
         gf = np.where(free, g, 0.0)
         d = np.where(free, total(H * gf, 1), g)
-        return pg, d, total(gf * d, 0), g - gf
+        reach = 1.0 / np.maximum(np.maximum.reduce(np.abs(d), 0), tiny)
+        return pg, d, total(gf * d, 0), g - gf, reach
 
     # the state is species-major, a column per start, so that each operation
     # runs along the starts; every sum over species is over at most six
@@ -668,12 +683,12 @@ def _ascend(evaluate, X0):
     X, F, converged = x.T.copy(), np.empty(K), np.zeros(K, dtype=bool)
     rows = np.arange(K)             # the row of X0 each live start came from
     evals = np.ones(K, dtype=np.int64)
-    f, gradient = evaluate(x.T, rows)
+    f, grad = evaluate(x.T, rows)
     # f and the u-gradient are updated in place
-    f, g = np.array(f, dtype=float), gradient(rows).T * (1.0 - x * x)
+    f, g = np.array(f, dtype=float), grad.T * (1.0 - x * x)
     H = np.eye(S)[:, :, None] * np.ones(K)
-    pg, d, gd, ga = direction(u, g, H)
-    alpha = 1.0 / np.maximum(np.abs(d).max(0), 1.0)  # the current trial step
+    pg, d, gd, ga, reach = direction(u, g, H)
+    alpha = np.minimum(1.0, reach)  # the current trial step
     fresh = np.ones(K, dtype=bool)  # no curvature pair yet: H is the identity
     tries = np.zeros(K, dtype=int)  # trials of the current line search
     done = ok = pg <= _GTOL
@@ -690,7 +705,7 @@ def _ascend(evaluate, X0):
             break
         ut = np.minimum(np.maximum(u + alpha * d, 0.0), top)
         xt = np.minimum(np.tanh(ut), hi)
-        ft, gradient = evaluate(xt.T, rows)
+        ft, grad = evaluate(xt.T, rows)
         tries += 1
         # Bertsekas's predicted gain: the slope on the free coordinates, the
         # projected move on the held ones
@@ -712,7 +727,7 @@ def _ascend(evaluate, X0):
         j = (moved & ~flat).nonzero()[0]
         if j.size:
             xj, uj = xt.take(j, 1), ut.take(j, 1)  # the starts' new points
-            g_new = gradient(j).T * (1.0 - xj * xj)
+            g_new = grad.take(j, 0).T * (1.0 - xj * xj)
             s = uj - u.take(j, 1)
             y = g.take(j, 1) - g_new  # the change in the gradient of -f
             g[:, j] = g_new
@@ -732,12 +747,11 @@ def _ascend(evaluate, X0):
             Hc += s[:, None, :] * v
             H[:, :, c] = Hc
             grown = _GROW * alpha[j]
-            alpha[j] = np.where(~curved, grown, np.where((tries[j] == 1) & ~fresh[j], 1.0,
-                                                         np.minimum(1.0, grown)))
-            alpha[c[fresh[c]]] = 1.0
+            pg_j, d[:, j], gd[j], ga[:, j], reach = direction(uj, g_new, H.take(j, 2))
+            alpha[j] = np.minimum(reach, np.where(~curved, grown, np.where(
+                (tries[j] == 1) | fresh[j], 1.0, np.minimum(1.0, grown))))
             fresh[c] = False
             tries[j] = 0
-            pg_j, d[:, j], gd[j], ga[:, j] = direction(uj, g_new, H.take(j, 2))
             ok[j] = pg_j <= _GTOL
         np.copyto(x, xt, where=moved)
         np.copyto(u, ut, where=moved)
@@ -768,22 +782,21 @@ def _search(model: ModelSpec, rules, cost, dcost) -> list[MaximizeResult]:
     gives each rule's starts, from one pass over the grid for one or two
     species, and one `_ascend` moves the starts of every rule at once, in
     u = artanh(r), in as many rounds as its slowest start takes.  Each round
-    computes xi (`Mixture.eval`, one power table per point) and the summed
-    cost once for the whole batch, then every row's value in one
-    expression, each row holding its rule's fields (`_value`); at the trial
-    points accepted it computes grad xi and the cost's gradient, the
-    partials from the xi and c already found (`_partials`), and the gradient
-    by the chain rule, dvalue/dx grad xi + dvalue/dc grad c.  A rule's rows
-    take the path they take in a search of that rule alone, so its result
-    is that search's, bit for bit.  The result is the best polished start,
-    ties going to the smallest norm, then the coordinates.  For |S| <= 3
-    the grid's best point is one start and no run ends below its start, so
-    the result is never below the best grid point: it is grid-certified.
-    fun_evals counts the rule's values computed: those on the grid (every
-    grid point for one or two species; for three, the corners, bounds,
-    centres and boxes of `_grid_start`, a few thousand of the grid's 8.1M
-    points for the package's rules), then the ascent's at the rule's
-    starts.
+    computes xi and grad xi from one power table per point (the mixture's
+    table of the derivative orders 0 and 1) and the summed cost and its
+    gradient once for the whole batch, then every row's value and partials
+    in one expression, each row holding its rule's fields (`_partials`), and
+    the gradient by the chain rule, dvalue/dx grad xi + dvalue/dc grad c.  A
+    rule's rows take the path they take in a search of that rule alone, so
+    its result is that search's, bit for bit.  The result is the best
+    polished start, ties going to the smallest norm, then the coordinates.
+    For |S| <= 3 the grid's best point is one start and no run ends below
+    its start, so the result is never below the best grid point: it is
+    grid-certified.  fun_evals counts the rule's values computed: those on
+    the grid (every grid point for one or two species; for three, the
+    corners, bounds, centres and boxes of `_grid_start`, a few thousand of
+    the grid's 8.1M points for the package's rules), then the ascent's at
+    the rule's starts.
     """
     if model.n_species > 6:
         raise ValueError("the landscape search supports at most 6 species")
@@ -797,15 +810,10 @@ def _search(model: ModelSpec, rules, cost, dcost) -> list[MaximizeResult]:
     mix, lam = model.mixture, model.species.lam
 
     def evaluate(X, rows):
-        xi, c = mix.eval(X), np.add.reduce(cost(lam, X), -1)
-        rule = _take(batch, rows) if rowwise else batch
-
-        def gradient(j):
-            Xj = X.take(j, 0)
-            dx, dc = _partials(_take(rule, j) if rowwise else rule, xi.take(j), c.take(j))
-            return (dx * mix.grad(Xj).T + dc * dcost(lam, Xj).T).T
-
-        return _value(rule, xi, c), gradient
+        jet = mix._partials(X, (0, 1))  # xi, then its gradient
+        value, dx, dc = _partials(_take(batch, rows) if rowwise else batch, jet[:, 0],
+                                  np.add.reduce(cost(lam, X), -1))
+        return value, (dx * jet[:, 1:].T + dc * dcost(lam, X).T).T
 
     X, F, ok, evals = _ascend(evaluate, np.concatenate(starts))
     norms = np.sqrt((X * X).sum(-1))

@@ -353,8 +353,9 @@ def test_rules_are_bit_for_bit_the_literal_expressions(sk, two_quad):
             rule = landscape._energy(model, 1.0 if ratio else 0.9, objective)[0]
             rule = rule._replace(ratio=True) if ratio else rule
             rules.append(rule)
+            # _partials gives the value too, then the partials
             got = (landscape._value(rule, x, c), *landscape._partials(rule, x, c))
-            for a, b in zip(got, want):
+            for a, b in zip(got, (want[0], *want), strict=True):
                 assert np.broadcast_to(a, x.shape).tobytes() == np.broadcast_to(b, x.shape).tobytes()
         # a batch of one kind: rule k on rows k, k + R, k + 2R, ..., a field
         # the rules share, the kind always, one value as in _search
@@ -413,8 +414,9 @@ def test_ascent_rows_do_not_depend_on_the_batch(monkeypatch):
 
 
 def _joint(fun, grad):
-    # _ascend's evaluate from a value function and a gradient function
-    return lambda X, rows: (fun(X), lambda j: grad(X[j]))
+    # _ascend's evaluate from a value function and a gradient function: the
+    # values and the gradients at every point of the batch
+    return lambda X, rows: (fun(X), grad(X))
 
 
 def test_ascent_convergence_flag_names_its_stop(monkeypatch):
@@ -734,7 +736,8 @@ def test_enclosures_hold_every_point_of_their_boxes(name, request, monkeypatch):
     b = np.minimum(a + (hi - a) * rng.choice([0.0, 0.01, 0.1, 1.0], (K, 3)), hi)
     b[:20] = hi
     r = np.clip(a + (b - a) * rng.uniform(size=(K, 3)), a, b)
-    e = landscape._enclose(model, a, b)
+    xi_a, xi_b = mix.eval(a), mix.eval(b)
+    e = landscape._enclose(model, a, b, xi_a, xi_b)
     d = r - e.c
     assert (np.abs(d) <= e.h).all()
     xi, grad, hess = mix.eval(r), mix.grad(r), mix._partials(r, 2).reshape(K, 3, 3)
@@ -751,7 +754,8 @@ def test_enclosures_hold_every_point_of_their_boxes(name, request, monkeypatch):
         at = lambda r: landscape._value(rule, mix.eval(r), cost(lam, r).sum(-1))
         levels = np.maximum(np.maximum(at(r), at(a)), at(b))
         for k in range(0, K, 3):
-            assert landscape._may_hold(model, rule, a[k:k + 1], b[k:k + 1], float(levels[k]))[0]
+            assert landscape._may_hold(model, rule, a[k:k + 1], b[k:k + 1], xi_a[k:k + 1],
+                                       xi_b[k:k + 1], float(levels[k]))[0]
 
 
 def test_enclosures_are_computed_in_chunks_within_a_slab(three_species_equal, monkeypatch):
@@ -763,7 +767,7 @@ def test_enclosures_are_computed_in_chunks_within_a_slab(three_species_equal, mo
     whole = _start_of(model, rule, cost)
     enclose, sizes = landscape._enclose, []
     monkeypatch.setattr(landscape, "_enclose",
-                        lambda m, a, b: sizes.append(len(a)) or enclose(m, a, b))
+                        lambda m, a, b, *xi: sizes.append(len(a)) or enclose(m, a, b, *xi))
     monkeypatch.setattr(landscape, "_SLAB_POINTS", 2**12)
     assert _start_of(model, rule, cost) == whole
     per = 2**12 // (27 * model.mixture.n_terms)
@@ -859,6 +863,38 @@ def test_six_species_scan_row_takes_at_most_half_the_r_space_rounds(monkeypatch)
     results = landscape.maximize_each(model, 0.6, ("plain", "tilde"))
     assert all(res.converged for res in results)
     assert len(rounds) <= 163 // 2
+
+
+@pytest.mark.parametrize("S", [2, 3, 4, 5, 6])
+def test_no_trial_moves_a_start_by_more_than_one_in_u(S, monkeypatch):
+    # every trial point lies within 1 in sup norm, in u = artanh(r), of the
+    # start's current point, which is a point the start evaluated before, so
+    # every evaluated point after the first is within 1 (plus the rounding
+    # of artanh near the clamp) of an earlier one of its start; on the scan
+    # rows of seeded models at beta 0.6 and 1.2.  Unbounded quasi-Newton
+    # steps took starts on every one of these scans to trials at or next to
+    # the clamp corner, 8.8-9.5 away
+    ascend, worst = landscape._ascend, []
+
+    def bounded(evaluate, X0):
+        seen = {}
+
+        def each(X, rows):
+            U = np.arctanh(X)
+            for u, row in zip(U, rows.tolist()):
+                if row in seen:
+                    worst.append(np.abs(np.array(seen[row]) - u).max(-1).min())
+                seen.setdefault(row, []).append(u)
+            return evaluate(X, rows)
+
+        return ascend(each, X0)
+
+    monkeypatch.setattr(landscape, "_ascend", bounded)
+    for seed in (0, 1):
+        model = loads_model(json.dumps(load_script("output_digest").random_model(seed, S)))
+        for beta in (0.6, 1.2):
+            landscape.maximize_each(model, beta, ("plain", "tilde"))
+    assert worst and max(worst) <= 1.0 + 1e-6
 
 
 def test_search_is_never_below_the_brute_force_grid_optimum(sk, pure3, pure4, two_quad):

@@ -22,7 +22,7 @@ from spinmix import (
 )
 from spinmix import mixture as mixture_module
 
-from conftest import random_mixture
+from conftest import load_script, random_mixture
 from oracles import (degree2_matrix_by_hand, fd_gradient, fd_hessian, recentred_coefficients,
                      rel_close)
 
@@ -220,6 +220,39 @@ def test_power_table_kernel_is_the_pow_per_entry_expression_bitwise():
             assert (m.coeffs * falling).tobytes() == weights.tobytes(), m
             got = mixture_module._power_products(x, degrees, factors)
             assert got.shape == mono.shape and got.tobytes() == mono.tobytes(), (m, x)
+
+
+def test_the_fused_table_is_eval_and_grad_bitwise():
+    # the table of orders (0, 1), the search's one power table per point,
+    # gives xi and the gradient bit for bit as eval and grad do wherever each
+    # order's own table holds more than one distinct exponent: on
+    # two_species_quadratic and seeded two- to six-species mixtures, on
+    # batches with coordinates at 0 and at the search's clamp
+    rng = np.random.default_rng(17)
+    digest = load_script("output_digest")
+    mixtures = [two_species_quadratic_model().mixture] + [
+        loads_model(json.dumps(digest.random_model(seed, S))).mixture
+        for S in range(2, 7) for seed in (0, 1)]
+    for m in mixtures:
+        assert all(m._table(order)[1].shape[1] > 1 for order in (0, 1))
+        X = rng.uniform(0.0, 1.0, size=(500, m.n_species))
+        X[rng.random(X.shape) < 0.1] = 0.0
+        X[rng.random(X.shape) < 0.1] = 1.0 - 1e-8
+        jet = m._partials(X, (0, 1))
+        assert jet[:, 0].tobytes() == m.eval(X).tobytes()
+        assert jet[:, 1:].tobytes() == m.grad(X).tobytes()
+    # the one exception: a table whose only exponent is 2, xi of sk, squares
+    # by numpy's x*x (its exponent array has one element), while the fused
+    # table's exponents 1 and 2 take numpy's pow, which may round x^2
+    # differently, by CPU and numpy build (54,044 of 10^6 uniform squares
+    # differ with numpy 2.4.6 on an AVX-512 Xeon)
+    m = sk_mixture()
+    assert m._table(0)[1].tolist() == [[2]] and m._table((0, 1))[1].tolist() == [[1, 2]]
+    x = rng.uniform(0.0, 1.0, size=(1000, 1))
+    jet = m._partials(x, (0, 1))
+    assert m.eval(x).tobytes() == (x * x)[:, 0].tobytes()
+    assert jet[:, 0].tobytes() == (x[..., None] ** np.array([[1, 2]]))[:, 0, 1].tobytes()
+    assert jet[:, 1].tobytes() == m.grad(x)[:, 0].tobytes() == (2.0 * x[:, 0]).tobytes()
 
 
 def test_mixtures_of_one_form_share_the_kernel_layout():

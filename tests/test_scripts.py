@@ -1,6 +1,7 @@
 """Smoke tests of the example scripts under scripts/: each run() exits 0 and
 writes what its docstring promises."""
 
+import json
 import math
 import os
 
@@ -108,6 +109,45 @@ def test_output_digest_compare_sizes_the_numeric_differences(tmp_path, capsys):
         f"extra.csv  only in {new}",
         "scan.csv  max abs 5.000e-01  max rel 3.333e-01  2 of 3 numbers differ",
         "1 of 4 files identical"]
+
+
+def test_search_gate_records_two_models_and_compares_them(tmp_path, capsys):
+    # --out writes one file per model named; --compare of a copy whose
+    # verdict, thresholds, one maximum and two convergence flags were edited
+    # prints each change, with the model and the search it occurs on
+    gate = load_script("search_gate")
+    old, new = tmp_path / "old", tmp_path / "new"
+    assert gate.run(["--out", str(old), "--models", "sk", "random2_0"]) == 0
+    assert sorted(p.name for p in old.iterdir()) == ["random2_0.json", "sk.json"]
+    sk = json.loads((old / "sk.json").read_text())
+    assert sk["verdict"] == "EQUAL" and sk["beta_m"] == pytest.approx(math.sqrt(0.5))
+    assert list(sk["searches"]) == ["certificate", "ratio"] + [
+        f"{o} {beta}" for beta in (0.3, 0.6, 0.9, 1.2) for o in ("plain", "tilde")]
+    new.mkdir()
+    (new / "sk.json").write_text((old / "sk.json").read_text())
+    doc = json.loads((old / "random2_0.json").read_text())
+    was, searches = doc["verdict"], doc["searches"]
+    doc["verdict"] = "INCONCLUSIVE" if was != "INCONCLUSIVE" else "EQUAL"
+    doc["beta_m"] += 1e-6
+    searches["plain 1.2"]["value"] -= 0.5 * max(1.0, abs(searches["plain 1.2"]["value"]))
+    for search in ("certificate", "tilde 0.3"):
+        searches[search]["converged"] = not searches[search]["converged"]
+    (new / "random2_0.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert gate.run(["--compare", str(old), str(new)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    flips = ["gained" if searches[s]["converged"] else "lost"
+             for s in ("certificate", "tilde 0.3")]
+    assert lines[0] == "2 models in both, 0 in one only"
+    assert lines[1] == "verdict changes: 1"
+    assert lines[2].startswith("largest |delta beta_m|: 1.000e-06 (random2_0)")
+    assert lines[3] == "largest |delta beta_m_tilde|: 0.000e+00 (-)"
+    assert lines[4] == ("worst drop of a maximum or the certificate, relative: 5.000e-01 "
+                        "(random2_0 plain 1.2)")
+    assert lines[5:] == ["convergence changes: 2",
+                         f"verdict random2_0: {was} -> {doc['verdict']}",
+                         f"{flips[0]} convergence random2_0 certificate",
+                         f"{flips[1]} convergence random2_0 tilde 0.3"]
 
 
 def test_ab_compare_prints_one_row_per_job(tmp_path, capsys):
