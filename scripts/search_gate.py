@@ -8,9 +8,8 @@ compare two such records: the gate of a change to the landscape search.
 
 The models are the four fixtures under models/ and the benchmark's seeded
 random models, ``bench/workloads.random_model(default_rng(seed), S)`` for
-S = 1-6 and seeds 0-14, named ``random<S>_<seed>``: 94 in all.  ``--models
-NAME ...`` keeps only the models named.  ``bench/`` is imported as it is and
-nothing is written there.
+S = 1-6 and seeds 0-14, named ``random<S>_<seed>``: 94 in all.  ``bench/`` is
+imported as it is and nothing is written there.
 
 ``--out DIR`` writes ``DIR/<model>.json`` for each model: the ``verdict``
 (the verdict, ``beta_m``, ``beta_m_tilde``, the certificate's value and
@@ -54,20 +53,14 @@ def _random_models() -> dict:
             for S in SPECIES for seed in SEEDS}
 
 
-def models(names=None) -> dict:
-    """Every model of the set by name, or those named, as ``ModelSpec``."""
+def models() -> dict:
+    """Every model of the set by name, as ``ModelSpec``."""
     from spinmix import load_model, loads_model
 
     found = {name: load_model(ROOT / "models" / f"{name}.json") for name in FIXTURES}
-    if names is None or any(name not in found for name in names):
-        found.update((name, loads_model(json.dumps(doc)))
-                     for name, doc in _random_models().items())
-    if names is None:
-        return found
-    unknown = [name for name in names if name not in found]
-    if unknown:
-        raise SystemExit(f"unknown models: {' '.join(unknown)}")
-    return {name: found[name] for name in names}
+    found.update((name, loads_model(json.dumps(doc)))
+                 for name, doc in _random_models().items())
+    return found
 
 
 def record(model) -> dict:
@@ -129,13 +122,12 @@ def run(argv=None):
     task.add_argument("--out", type=Path, help="directory for one JSON file per model")
     task.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), type=Path,
                       help="compare two directories written by --out")
-    ap.add_argument("--models", nargs="+", metavar="NAME", help="only these models")
     args = ap.parse_args(argv)
     if args.compare:
         print("\n".join(compare(*args.compare)))
         return 0
     args.out.mkdir(parents=True, exist_ok=True)
-    for name, model in models(args.models).items():
+    for name, model in models().items():
         (args.out / f"{name}.json").write_text(json.dumps(record(model), indent=1) + "\n")
     return 0
 

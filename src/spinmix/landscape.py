@@ -48,7 +48,11 @@ evaluated on batches of points r, elementwise and without BLAS: each round
 reads xi and grad xi at every trial from one power table per point.  A
 batch takes as many rounds as its slowest start, and each rule's result is
 the one it reaches alone, bit for bit.  No run ends below its start, so a
-gridded result is never below the grid's best point.
+gridded result is never below the search's value at the grid's best point,
+bit for bit, nor below the grid's value there (`_kernel`'s) by more than
+the rounding of xi's powers, which numpy may form otherwise in the grid's
+table than in the search's: sk's one square, x*x in the grid, is numpy's
+pow in the search's table of the exponents 1 and 2.
 `maximize_f` is one search of one rule; `maximize_each` searches f and its
 truncated twin at a beta as one batch (`spinmix scan`).
 
@@ -62,11 +66,11 @@ species.  For three species the search's grid of 8.1M points is searched by
 branch and bound (`_grid_start`): xi and every cost are nondecreasing in
 each coordinate, so the corners of a box of grid points bound the rule on
 it, and a rule whose cost is the entropy, E(xi) minus the entropy with E
-concave and nondecreasing, is also bounded to second order from one
-box-enclosure layer, `_enclose`: xi at the box's corners, which the kernel
-has computed for the corner bound, and at its centre, grad xi at the
-centre, hess xi at the upper corner, which bounds it entrywise, and the
-entropy's value, gradient and least curvature.  f, its truncated twin
+concave and nondecreasing, is also bounded to second order from xi at the
+box's corners, which the kernel has computed for the corner bound, and one
+box-enclosure layer, `_enclose`: xi and grad xi at the centre, hess xi at
+the upper corner, which bounds it entrywise, and the entropy's value,
+gradient and least curvature.  f, its truncated twin
 and minus both threshold ratios (by Dinkelbach's parametrization) are all
 such rules.  Only the boxes that may hold the greatest value are evaluated,
 whole; the best point and its value are the whole grid's, bit for bit.
@@ -361,8 +365,6 @@ class _Enclosure(NamedTuple):
 
     c: np.ndarray       # (K, S) centres
     h: np.ndarray       # (K, S) half-widths: |r - c| <= h on the box
-    xi_a: np.ndarray    # (K,) xi at a, its least value on the box
-    xi_b: np.ndarray    # (K,) xi at b, its greatest
     xi_c: np.ndarray    # (K,) xi at c
     grad_c: np.ndarray  # (K, S) grad xi at c
     hess_b: np.ndarray  # (K, S, S) hess xi at b, entrywise its greatest
@@ -372,11 +374,10 @@ class _Enclosure(NamedTuple):
     #                     on the box of minus the entropy's second derivative
 
 
-def _enclose(model: ModelSpec, a: np.ndarray, b: np.ndarray, xi_a: np.ndarray,
-             xi_b: np.ndarray) -> _Enclosure:
+def _enclose(model: ModelSpec, a: np.ndarray, b: np.ndarray) -> _Enclosure:
     """The enclosures of xi and of the entropy -1/2 sum_s lam_s log(1 - r_s^2)
-    on a (K, S) batch of boxes [a, b] in [0, 1)^S, one row per box, given xi
-    at the corners, xi_a and xi_b, (K,) each.
+    on a (K, S) batch of boxes [a, b] in [0, 1)^S, one row per box, but for
+    xi's bounds at the corners, which the caller has.
 
     Every coefficient is nonnegative, so xi and each of its partial
     derivatives is nondecreasing in each coordinate: on a box xi lies in
@@ -390,7 +391,7 @@ def _enclose(model: ModelSpec, a: np.ndarray, b: np.ndarray, xi_a: np.ndarray,
     h = np.nextafter(np.maximum(b - c, c - a), np.inf)
     aa = a * a
     return _Enclosure(
-        c, h, xi_a, xi_b, mix.eval(c), mix.grad(c),
+        c, h, mix.eval(c), mix.grad(c),
         mix._partials(b, 2).reshape(b.shape + b.shape[-1:]),
         np.add.reduce(_entropy(lam, c), -1), _entropy_grad(lam, c),
         -lam * (1.0 + aa) / (1.0 - aa) ** 2)
@@ -454,11 +455,11 @@ def _may_hold(model: ModelSpec, rule: _Rule, a: np.ndarray, b: np.ndarray, xi_a:
     per = max(1, _SLAB_POINTS // (S**3 * max(terms, 1)))
     for lo in range(0, K, per):
         box = slice(lo, lo + per)
-        e = _enclose(model, a[box], b[box], xi_a[box], xi_b[box])
+        e = _enclose(model, a[box], b[box])
         # the energy and its gradient at c, and its part of U
         centre, slope, _ = _partials(form, e.xi_c, 0.0)
         rise = w * slope[..., None] * e.grad_c
-        curve = w * _partials(form, e.xi_a, 0.0)[1][..., None, None] * e.hess_b
+        curve = w * _partials(form, xi_a[box], 0.0)[1][..., None, None] * e.hess_b
         g = np.abs(rise - e.dcost_c)  # |g_s|
         # the energy's part of U_su h_s h_u, summed over every pair and over
         # the diagonal, and -U_ss h_s
@@ -470,7 +471,7 @@ def _may_hold(model: ModelSpec, rule: _Rule, a: np.ndarray, b: np.ndarray, xi_a:
                         (g - 0.5 * drop) * e.h)
         centre = w * centre
         bound = centre - e.cost_c + peak.sum(-1) + 0.5 * (pairs - diagonal)
-        size = (w * _value(form, e.xi_b, 0.0) + lam.sum() + abs(t) + centre + e.cost_c
+        size = (w * _value(form, xi_b[box], 0.0) + lam.sum() + abs(t) + centre + e.cost_c
                 + ((rise + e.dcost_c - e.curv_a * e.h) * e.h).sum(-1) + pairs)
         margin = units * size / (1.0 - b[box] * b[box]).min(-1)
         keep[box] = ~(bound + margin < t)
@@ -791,8 +792,11 @@ def _search(model: ModelSpec, rules, cost, dcost) -> list[MaximizeResult]:
     its result is that search's, bit for bit.  The result is the best
     polished start, ties going to the smallest norm, then the coordinates.
     For |S| <= 3 the grid's best point is one start and no run ends below
-    its start, so the result is never below the best grid point: it is
-    grid-certified.  fun_evals counts the rule's values computed: those on
+    its start, so the result is never below the search's value at the best
+    grid point, bit for bit: it is grid-certified.  That value may differ
+    from the grid's, `_kernel`'s, by the rounding of xi's powers (one ulp of
+    xi at some points of sk's grid, whose square the grid forms as x*x and
+    the search's table by numpy's pow).  fun_evals counts the rule's values computed: those on
     the grid (every grid point for one or two species; for three, the
     corners, bounds, centres and boxes of `_grid_start`, a few thousand of
     the grid's 8.1M points for the package's rules), then the ascent's at

@@ -548,6 +548,22 @@ def test_search_starts_from_the_grid_argmax(sk, pure3, cubic_two_species, monkey
                     ref.fun_evals, ref.starts_used, ref.converged)
 
 
+def test_the_grid_and_the_search_compute_xi_within_an_ulp(sk, pure3, two_quad):
+    # a gridded result is never below the search's value at the grid's best
+    # point, bit for bit (above), and that value differs from the grid's,
+    # `_kernel`'s, by the rounding of xi's powers only: at every point of the
+    # one- and two-species grids the search's xi is within one ulp of the
+    # grid's.  sk's square is x*x on the grid and numpy's pow in the search's
+    # table of the exponents 1 and 2, which may round it otherwise
+    for model in (sk, pure3, two_quad):
+        S = model.n_species
+        axis = landscape._box_axis(4001 if S == 1 else 201)
+        index = np.indices((len(axis),) * S).reshape(S, -1)
+        grid = landscape._kernel(model, axis, None)(index)
+        search = model.mixture._partials(axis[index.T], (0, 1))[:, 0]
+        assert (np.abs(search - grid) <= np.spacing(grid)).all()
+
+
 def _rules(model, betas, monkeypatch):
     # (rule, cost) of maximize_f's f and truncated twin at each beta, then of
     # the plain and truncated ratio searches, in the order of _grid_rules
@@ -727,7 +743,9 @@ def test_enclosures_hold_every_point_of_their_boxes(name, request, monkeypatch):
     # xi(b)] and grad xi within hess xi(b) |r - c| of grad xi(c); the entropy
     # lies above its quadratic lower bound from c; and the second-order bound
     # of every rule lets each box through at the level of its value at r and
-    # at the box's corners
+    # at the box's corners.  So it does for boxes of the search's grid, whose
+    # corner values of xi and of the rule are `_kernel`'s, as `_grid_start`
+    # passes them, at the level of the rule's value at a grid point of the box
     model = _model(name, request)
     mix, lam = model.mixture, model.species.lam
     rng = np.random.default_rng(11)
@@ -737,12 +755,12 @@ def test_enclosures_hold_every_point_of_their_boxes(name, request, monkeypatch):
     b[:20] = hi
     r = np.clip(a + (b - a) * rng.uniform(size=(K, 3)), a, b)
     xi_a, xi_b = mix.eval(a), mix.eval(b)
-    e = landscape._enclose(model, a, b, xi_a, xi_b)
+    e = landscape._enclose(model, a, b)
     d = r - e.c
     assert (np.abs(d) <= e.h).all()
     xi, grad, hess = mix.eval(r), mix.grad(r), mix._partials(r, 2).reshape(K, 3, 3)
     tol = 1e-12
-    assert (e.xi_a <= xi * (1 + tol)).all() and (xi <= e.xi_b * (1 + tol)).all()
+    assert (xi_a <= xi * (1 + tol)).all() and (xi <= xi_b * (1 + tol)).all()
     assert (hess >= 0.0).all() and (hess <= e.hess_b * (1 + tol)).all()
     reach = (e.hess_b @ np.abs(d)[..., None])[..., 0]
     assert (np.abs(grad - e.grad_c) <= reach * (1 + tol) + tol * np.abs(grad)).all()
@@ -756,6 +774,20 @@ def test_enclosures_hold_every_point_of_their_boxes(name, request, monkeypatch):
         for k in range(0, K, 3):
             assert landscape._may_hold(model, rule, a[k:k + 1], b[k:k + 1], xi_a[k:k + 1],
                                        xi_b[k:k + 1], float(levels[k]))[0]
+    # boxes of grid points, of sides 1 to 201, some of them of one point or
+    # reaching the last one
+    axis = landscape._box_axis(201)
+    lo = rng.integers(0, 201, (K, 3)) * rng.choice([0, 1, 1], (K, 3))
+    up = np.minimum(lo + rng.choice([0, 1, 3, 15, 200], (K, 3)), 200)
+    up[:20] = 200
+    inside = np.minimum(lo + ((up - lo + 1) * rng.uniform(size=(K, 3))).astype(np.intp), up)
+    xi_lo, xi_up = (landscape._kernel(model, axis, None)(i.T) for i in (lo, up))
+    for rule, cost in _rules(model, _betas(model), monkeypatch):
+        at = landscape._kernel(model, axis, cost)
+        levels = np.maximum.reduce([landscape._value(rule, *at(i.T)) for i in (lo, up, inside)])
+        for k in range(0, K, 3):
+            assert landscape._may_hold(model, rule, axis[lo[k:k + 1]], axis[up[k:k + 1]],
+                                       xi_lo[k:k + 1], xi_up[k:k + 1], float(levels[k]))[0]
 
 
 def test_enclosures_are_computed_in_chunks_within_a_slab(three_species_equal, monkeypatch):
@@ -767,7 +799,7 @@ def test_enclosures_are_computed_in_chunks_within_a_slab(three_species_equal, mo
     whole = _start_of(model, rule, cost)
     enclose, sizes = landscape._enclose, []
     monkeypatch.setattr(landscape, "_enclose",
-                        lambda m, a, b, *xi: sizes.append(len(a)) or enclose(m, a, b, *xi))
+                        lambda m, a, b: sizes.append(len(a)) or enclose(m, a, b))
     monkeypatch.setattr(landscape, "_SLAB_POINTS", 2**12)
     assert _start_of(model, rule, cost) == whole
     per = 2**12 // (27 * model.mixture.n_terms)

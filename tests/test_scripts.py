@@ -112,13 +112,16 @@ def test_output_digest_compare_sizes_the_numeric_differences(tmp_path, capsys):
 
 
 def test_search_gate_records_two_models_and_compares_them(tmp_path, capsys):
-    # --out writes one file per model named; --compare of a copy whose
-    # verdict, thresholds, one maximum and two convergence flags were edited
-    # prints each change, with the model and the search it occurs on
+    # the records of two models of the set, and --compare of a copy whose
+    # verdict, thresholds, one maximum and two convergence flags were edited,
+    # which prints each change with the model and the search it occurs on
     gate = load_script("search_gate")
     old, new = tmp_path / "old", tmp_path / "new"
-    assert gate.run(["--out", str(old), "--models", "sk", "random2_0"]) == 0
-    assert sorted(p.name for p in old.iterdir()) == ["random2_0.json", "sk.json"]
+    old.mkdir()
+    models = gate.models()
+    assert len(models) == 94
+    for name in ("sk", "random2_0"):
+        (old / f"{name}.json").write_text(json.dumps(gate.record(models[name])))
     sk = json.loads((old / "sk.json").read_text())
     assert sk["verdict"] == "EQUAL" and sk["beta_m"] == pytest.approx(math.sqrt(0.5))
     assert list(sk["searches"]) == ["certificate", "ratio"] + [
