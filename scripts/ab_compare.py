@@ -25,8 +25,8 @@ the substrings given.  The jobs, fixed:
   Carlo loop is bound by its matrix products, and band_probe on sk at N = 40
   with 2500 samples at beta 0.1, 0.2, 0.3 and 0.4, where it is bound by its
   draws;
-  run_verify, the battery ``spinmix verify`` runs on two threads, on sk and
-  on two_species_quadratic at N = 40 with 10,000 samples;
+  run_verify, the battery ``spinmix verify`` runs, on sk and on
+  two_species_quadratic at N = 40 with 10,000 samples;
   log_E_Z2_exact on two_species_quadratic at N = 400 and on the seeded
   three-species model, a chain, at N = 3200;
   the six log_E_Z2_exact calls of verify's second-moment checks on sk: N = 50,
@@ -57,11 +57,12 @@ each side's peak traced allocation in MB, and whether the two sides'
 results were bitwise equal in every pair.  The peak is of one untimed run
 on one thread, after a full garbage collection: with the side's spare-core
 slot held, so that no Monte Carlo helper starts, and with every thread pool
-the run makes replaced by one that runs each task as it is submitted, so
-that verify's covariance worker runs before its estimates, in the serial
-order.  Threads overlap their intermediates by schedule: a helper's moved
-the traced peak of one package from 1.12 to 1.26 MB from run to run, and
-verify's worker moved it by up to 0.5 MB.
+the run makes replaced by one that runs each task as it is submitted.
+verify runs on one thread, but packages before that ran its covariance
+checks on a worker thread from a pool; inline, that worker runs before the
+estimates, in the serial order.  Threads overlap their intermediates by
+schedule: a helper's moved the traced peak of one package from 1.12 to
+1.26 MB from run to run, and verify's worker moved it by up to 0.5 MB.
 """
 
 import argparse
@@ -219,7 +220,7 @@ def bits(result):
 
 class Inline(concurrent.futures.Executor):
     """A thread pool that runs each task on the calling thread as it is
-    submitted."""
+    submitted: verify's covariance worker, in packages that start one."""
 
     def __init__(self, max_workers=None):
         pass
@@ -233,6 +234,19 @@ class Inline(concurrent.futures.Executor):
         return future
 
 
+@contextlib.contextmanager
+def spare_slot_held(pkg):
+    """Hold the package's spare-core slot while the block runs, if it has
+    one and it is free, so that no Monte Carlo helper thread starts."""
+    slot = getattr(pkg.montecarlo, "_SPARE", None)
+    taken = slot is not None and slot.acquire(blocking=False)
+    try:
+        yield
+    finally:
+        if taken:
+            slot.release()
+
+
 def peak_mb(job, pkg) -> float:
     """The peak memory traced during one run of a job, in MB, with the
     package's spare-core slot held, if it has one, and its thread pools
@@ -241,7 +255,7 @@ def peak_mb(job, pkg) -> float:
     garbage of earlier runs was collected moved verify's peak over 0.022 MB
     (1.643 to 1.666 MB on two_species_quadratic)."""
     gc.collect()
-    with (getattr(pkg.montecarlo, "_holding_spare", contextlib.nullcontext)(),
+    with (spare_slot_held(pkg),
           mock.patch.object(concurrent.futures, "ThreadPoolExecutor", Inline)):
         tracemalloc.start()
         try:

@@ -38,7 +38,7 @@ most two are live at once (4 MB at most), whatever the batch size.  The
 bound is per thread: with ``_hamiltonians``'s helper it is 8 MB.  A
 smaller bound would re-read J_a, which for pure p = 4 at N = 50 is 50 MB,
 more often per row.  A chunk of disorder draws holds at most _DRAW_BUDGET
-scalars of tensors (512 KB), or one draw when a single draw is larger.
+scalars of tensors (64 KB), or one draw when a single draw is larger.
 
 Sampling.  Every estimator draws and contracts in one loop,
 ``_hamiltonians``, over one stream per (seed, role) read in order:
@@ -74,10 +74,9 @@ outside the lock into its own slice of H.  Every chunk's product is the
 same BLAS call on the same rows whichever thread makes it, so H is the same
 to the bit.  The spare core is the process's CPUs less the threads OpenBLAS
 runs its products on (``_spare_cores``), at most one, held in the semaphore
-``_SPARE`` and taken without waiting through ``_holding_spare``, which
-``verify``'s covariance worker uses too.  With OpenBLAS on every CPU, its
-default, no helper starts: a split then ran slower (by 3-22% on pure p = 3
-and 6-49% on SK at N = 40, on 2 vCPUs).  A process cannot see its
+``_SPARE``, which the loop takes without waiting.  With OpenBLAS on every
+CPU, its default, no helper starts: a split then ran slower (by 3-22% on
+pure p = 3 and 6-49% on SK at N = 40, on 2 vCPUs).  A process cannot see its
 neighbours, so BLAS pinned to one thread in each of several processes
 that share the CPUs (``xargs -P``, a job array without a cpuset) lets each
 of them add a helper; two such processes on 2 vCPUs did the same work about
@@ -89,7 +88,6 @@ tracer may wrap.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import os
@@ -135,8 +133,9 @@ _COVARIANCE_RTOL = 1e-10
 # scalars in one row chunk of a contraction: rows * max(left, right) stays
 # within this bound (see the module docstring)
 _CONTRACT_BUDGET = 2**18
-# scalars of stacked disorder tensors per chunk of draws (512 KB)
-_DRAW_BUDGET = 2**16
+# scalars of stacked disorder tensors per chunk of draws (64 KB): small enough
+# that verify's covariance check holds less than its estimates do
+_DRAW_BUDGET = 2**13
 
 
 class BudgetError(RuntimeError):
@@ -532,23 +531,11 @@ def _spare_cores(environ, cpus: int) -> int:
     return 0
 
 
-# the one spare-core slot of the process, taken by ``_holding_spare``
+# the one spare-core slot of the process: ``_hamiltonians`` takes it, without
+# waiting, for its helper thread
 _SPARE = threading.Semaphore(_spare_cores(
     os.environ, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
     else os.cpu_count() or 1))
-
-
-@contextlib.contextmanager
-def _holding_spare():
-    """Take the spare-core slot if it is free, without waiting; yield whether
-    it was taken, and give it back on exit.  Whoever adds a thread holds it
-    first: ``_hamiltonians`` for its helper, ``verify`` for its worker."""
-    taken = _SPARE.acquire(blocking=False)
-    try:
-        yield taken
-    finally:
-        if taken:
-            _SPARE.release()
 
 
 def _hamiltonians(disorder: DisorderSample, rng: np.random.Generator, n_samples: int,
@@ -586,13 +573,17 @@ def _hamiltonians(disorder: DisorderSample, rng: np.random.Generator, n_samples:
         except BaseException as exc:
             errors.append((start, exc))
 
-    with _holding_spare() if n_samples > _CHUNK else contextlib.nullcontext() as spare:
+    spare = n_samples > _CHUNK and _SPARE.acquire(blocking=False)
+    try:
         helper = threading.Thread(target=run, name="spinmix-chunks") if spare else None
         if helper:
             helper.start()
         run()  # which raises nothing: errors are kept
         if helper:
             helper.join()
+    finally:
+        if spare:
+            _SPARE.release()
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
     return h

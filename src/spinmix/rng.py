@@ -5,9 +5,9 @@ each keyed by what numpy's ``SeedSequence((seed, *tags))`` generates and
 read in order from counter 0.  A consumer takes a stream's draws one after
 another, so draw i of (seed, role) depends only on (seed, role, i): not on
 how many draws follow, how they are batched, or what any other stream
-draws.  Monte Carlo configuration i is normals [i N, (i + 1) N) of its
-estimator's stream, and disorder draw i of the empirical covariance is the
-i-th tensor of each term's stream.
+draws.  Configuration i of a Monte Carlo estimator, or of the empirical
+covariance, is normals [i N, (i + 1) N) of its stream, and disorder draw i
+of the empirical covariance is the i-th tensor of each term's stream.
 """
 
 from __future__ import annotations
@@ -25,12 +25,13 @@ UNIFORM = 2
 LEVELSET = 3
 BAND = 4
 SPOT_CHECKS = 101           # verify: random instances of the two-route covariance check
-EMPIRICAL_COVARIANCE = 102  # verify: the configuration pair of the disorder average
+EMPIRICAL_COVARIANCE = 102  # verify: the configurations of the empirical covariance
 VERIFY_CENTER = 103         # verify: the center of the band check
 PROBE_CENTER = 104          # band-probe: the center of the band
-# verify: the disorder draws of the empirical covariance, one stream per term
-# (not EMPIRICAL_COVARIANCE's: SeedSequence pads its entropy with zero words,
-# so (seed, EMPIRICAL_COVARIANCE, 0) has the key of (seed, EMPIRICAL_COVARIANCE))
+# verify: the disorder draws the empirical covariance contracts every
+# configuration under, one stream per term (not EMPIRICAL_COVARIANCE's:
+# SeedSequence pads its entropy with zero words, so (seed,
+# EMPIRICAL_COVARIANCE, 0) has the key of (seed, EMPIRICAL_COVARIANCE))
 COVARIANCE_DISORDER = 105
 
 

@@ -9,43 +9,35 @@ quadrature (zero at beta = 0, residual shrinking with N).  The three
 estimates meet their predictions in one comparison, which writes both the
 check and its table row.  Everything is driven by a single seed through
 counter-based streams, so repeated runs produce byte-identical output.
+The stages run one after another on the calling thread; only an
+estimate's contractions may add the helper thread of
+``montecarlo._hamiltonians``.
 
-The two covariance checks use neither beta nor the drawn disorder, so one
-worker thread (never more) runs them while the calling thread runs the
-rest, and numpy's normal generation and BLAS products release the GIL for
-the overlap.  Each check reads only its own streams (``SPOT_CHECKS``,
-``EMPIRICAL_COVARIANCE``, ``COVARIANCE_DISORDER``) and the results are
-joined in the serial order, so no output bit depends on the schedule.  The
-quadrature and every estimator that can warn stay on the calling thread,
-which keeps the warnings' order and leaves allocation tracing
-(``tracemalloc``) to one thread.  The worker holds the spare-core slot of
-``montecarlo`` while its checks run, when the slot is free, and the
-estimates start only once it has tried to take it, so the estimates beside
-it contract on the calling thread alone and the battery never runs three
-threads on two cores.  Once the worker is done, and
-outside ``verify``, an estimate's contractions may run on the helper thread
-of ``montecarlo._hamiltonians``, which calls no public function.
-
-The worker starts whatever the spare cores, unlike that helper, which
-splits one estimate's chunks into products that OpenBLAS spreads over
-every CPU by default.  The worker's checks are whole stages that share
-nothing with the rest until the join.  In ``scripts/ab_compare.py`` (2
-vCPUs, N = 40, 10,000 samples, two runs of 31 pairs against a serial copy,
-BLAS thread variables unset), two_species_quadratic took 93.5 and 91.4 ms
-with the worker against 110.3 and 112.7 ms serial (the worker faster in 25
-and 26 of 31 pairs), and SK 61.0 and 56.9 ms against 57.1 and 52.5 ms
-(faster in 9 and 4): the overlap saves 17-21 ms where the estimates are
-long and costs SK about 4 ms.  The slot is held because an estimate's
-helper beside the worker makes three threads on two cores: with
-OPENBLAS_NUM_THREADS=1, a copy whose worker leaves the slot free took
-42.7 and 42.0 ms on SK against 38.5 and 37.8 ms held, and 91.2 and 87.8
-ms on two_species_quadratic against 78.2 and 74.8 ms.
+The empirical covariance is a test of E H H^T = S, S_ij = N xi(R_ij), on
+K uniform configurations at N = 9, each contracted under D disorder draws
+(``_empirical_covariance``).  Given the configurations, the D vectors of
+Hamiltonians are i.i.d. N(0, S) exactly, since H is linear in the Gaussian
+disorder.  On the range of S, of rank r (eigenvalues below _RANK_RTOL of
+the largest are its null space), they are whitened to i.i.d. N(0, I_r),
+and their scatter A (r x r) is Wishart with D degrees of freedom.  The
+statistic of a symmetric B >= 0 is <B, A> / (D tr B), a variance ratio
+of mean 1: for B = I it is chi^2 with r D degrees of freedom over r D,
+exactly; for B = W S_t W^T, term t's share of S in whitened coordinates,
+it is a weighted sum of chi^2_1 variables, read as a scaled chi^2 with
+D (tr B)^2 / <B, B> degrees of freedom (Satterthwaite), which matches its
+first two moments.  Each ratio is standardized by the Wilson-Hilferty cube
+root.  A wrong overall variance moves the first, a dropped term or a term
+contracted on the wrong species block moves its term's, and with more
+than one term the check bounds all 1 + T of them (one-term models have
+one).  The bound of 5 on every |z| gives a false alarm of 2 Phi(-5) =
+5.7e-7 per statistic, at most (1 + T) 5.7e-7 per run by the union bound.
+At K = 40 and D = 1600 a full-rank S gives r D = 64,000 degrees of
+freedom, where a 5% variance error moves the first z by 8.8.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +50,16 @@ from .rng import COVARIANCE_DISORDER, EMPIRICAL_COVARIANCE, SPOT_CHECKS, VERIFY_
 __all__ = ["CheckResult", "VerifyRun", "run_verify"]
 
 _SPOT_INSTANCES = 10      # random instances of the two-route covariance check
-_COVARIANCE_DRAWS = 2000  # disorder draws of the empirical covariance check
-_COVARIANCE_N = 24        # the size at which they are drawn
+# the empirical covariance check: K configurations at N, each contracted under
+# D disorder draws, and its bound on every standardized statistic
+_COVARIANCE_N = 9
+_COVARIANCE_CONFIGS = 40
+_COVARIANCE_DRAWS = 1600
+_COVARIANCE_Z = 5.0
+# eigenvalues of S below this share of the largest are its null space: far
+# above the rounding of S's entries (about K eps of the largest), so that no
+# direction rounding alone made is whitened
+_RANK_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -126,73 +126,65 @@ def _covariance_spot_checks(seed: int) -> CheckResult:
                        f"{_SPOT_INSTANCES} random instances")
 
 
+def _gram_z(fm: montecarlo.FiniteModel, sigmas: np.ndarray,
+            h: np.ndarray) -> tuple[list[float], int]:
+    """The standardized statistics of the Hamiltonians ``h`` (draws, K) at
+    the configurations ``sigmas`` (K, N) against S_ij = N xi(R_ij): the
+    whole variance first, then each term's when there are several (see the
+    module docstring), and the rank of S."""
+    mix, D = fm.model.mixture, len(h)
+    R = np.stack([sigmas[:, sl] @ sigmas[:, sl].T / n
+                  for sl, n in zip(fm.block_slices, fm.block_sizes)], axis=-1)
+    grams = [fm.N * Mixture.from_terms(mix.species, {p: c}).eval(R)
+             for p, c in mix.terms().items()]
+    lam, U = np.linalg.eigh(sum(grams))
+    keep = lam > _RANK_RTOL * lam[-1]
+    W = U[:, keep] / np.sqrt(lam[keep])
+    A = W.T @ (h.T @ h) @ W / D  # the whitened scatter, of mean I_r
+    zs = []
+    for B in [np.eye(len(A))] + [W.T @ P @ W for P in grams if len(grams) > 1]:
+        ratio, dof = np.vdot(B, A) / np.trace(B), D * np.trace(B) ** 2 / np.vdot(B, B)
+        zs.append((np.cbrt(ratio) - 1.0 + 2.0 / (9.0 * dof)) / math.sqrt(2.0 / (9.0 * dof)))
+    return zs, len(A)
+
+
 def _empirical_covariance(model: ModelSpec, seed: int) -> CheckResult:
     fm = montecarlo.build_finite_model(model, _COVARIANCE_N)
-    rng = stream(seed, EMPIRICAL_COVARIANCE)
-    a = montecarlo.sample_uniform(fm, rng)
-    b = montecarlo.sample_uniform(fm, rng)
-    exact = montecarlo.covariance_exact(fm, a, b)
-    h = montecarlo._disorder_hamiltonians(fm, seed, COVARIANCE_DISORDER, _COVARIANCE_DRAWS,
-                                          np.stack([a, b]))
-    prods = h[:, 0] * h[:, 1]
-    se = float(prods.std(ddof=1)) / math.sqrt(_COVARIANCE_DRAWS)
-    dev = abs(float(prods.mean()) - exact)
-    return CheckResult("empirical-covariance", dev <= 5.0 * se, dev, 5.0 * se,
-                       f"{_COVARIANCE_DRAWS} disorder draws at N={_COVARIANCE_N}")
+    sigmas = stream(seed, EMPIRICAL_COVARIANCE).standard_normal((_COVARIANCE_CONFIGS, fm.N))
+    montecarlo._place(sigmas, montecarlo._blocks(fm))
+    h = montecarlo._disorder_hamiltonians(fm, seed, COVARIANCE_DISORDER, _COVARIANCE_DRAWS, sigmas)
+    zs, rank = _gram_z(fm, sigmas, h)
+    worst = max(abs(z) for z in zs)
+    return CheckResult("empirical-covariance", worst <= _COVARIANCE_Z, worst, _COVARIANCE_Z,
+                       f"{_COVARIANCE_CONFIGS} configurations x {_COVARIANCE_DRAWS} draws at "
+                       f"N={_COVARIANCE_N}, rank {rank}: z {' '.join(f'{z:.2f}' for z in zs)}")
 
 
 def run_verify(model: ModelSpec, *, N: int, n_samples: int, seed: int) -> VerifyRun:
-    """Run the full battery.  Before any check runs it raises ValueError when
-    N or the model are out of range for the quadrature, or the sample count
-    or the seed is out of the estimators' range, and BudgetError when the
-    disorder tensors at N, or at the empirical covariance's N = 24, exceed
-    the tensor budget.  The covariance checks run on one worker thread,
-    which holds the spare-core slot while they run; when they and a later
-    stage both raise, theirs is the exception raised, as in the serial
-    order."""
-    # imported here, on first use, so that a process that never verifies
-    # never loads it
-    from concurrent.futures import ThreadPoolExecutor
-
+    """Run the full battery on the calling thread.  Before any check runs it
+    raises ValueError when N or the model are out of range for the
+    quadrature, or the sample count or the seed is out of the estimators'
+    range, and BudgetError when the disorder tensors at N, or the empirical
+    covariance's draws at its N together, exceed the tensor budget."""
     if model.n_species > 3:
         raise ValueError("verification battery supports at most 3 species")
     montecarlo._check_samples(n_samples)
     fm = montecarlo.build_finite_model(model, N)
+    per_draw = sum(_COVARIANCE_N ** int(k) for k in model.mixture.exponents.sum(1))
+    if _COVARIANCE_DRAWS * per_draw > montecarlo.TENSOR_BUDGET:
+        raise montecarlo.BudgetError(f"empirical covariance at N={_COVARIANCE_N}: "
+                                     f"{_COVARIANCE_DRAWS} draws of {per_draw} scalars exceed "
+                                     "the tensor budget")
     disorder = montecarlo.sample_disorder(fm, seed=seed)
-    try:
-        montecarlo._tensor_shapes(montecarlo.build_finite_model(model, _COVARIANCE_N))
-    except montecarlo.BudgetError as exc:
-        raise montecarlo.BudgetError(f"empirical covariance at N={_COVARIANCE_N}: {exc}") from None
-    slot_tried = threading.Event()
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        covariance = worker.submit(_covariance_checks, model, seed, slot_tried)
-        # the estimates start once the worker has tried the spare-core slot,
-        # so that it, not an estimate's helper, holds the slot when it is free
-        slot_tried.wait()
-        try:
-            checks, table, records = _estimates(disorder, n_samples, seed)
-        finally:
-            covariance = covariance.result()
+    covariance = [_covariance_spot_checks(seed), _empirical_covariance(model, seed)]
+    checks, table, records = _estimates(disorder, n_samples, seed)
     return VerifyRun(tuple(covariance + checks), tuple(table), records)
-
-
-def _covariance_checks(model: ModelSpec, seed: int,
-                       slot_tried: threading.Event) -> list[CheckResult]:
-    """The worker's share, in order: the covariance spot checks and the
-    empirical covariance.  It holds the spare-core slot of ``montecarlo``
-    while they run, when the slot is free, and sets ``slot_tried`` once it
-    has tried to take it."""
-    with montecarlo._holding_spare():
-        slot_tried.set()
-        return [_covariance_spot_checks(seed), _empirical_covariance(model, seed)]
 
 
 def _estimates(disorder: montecarlo.DisorderSample, n_samples: int,
                seed: int) -> tuple[list[CheckResult], list[tuple], tuple]:
     """The battery after the covariance checks, in order: the estimates at
-    beta = beta_m / 2, the quadrature ladder and the determinism re-estimate.
-    This is the calling thread's share, which holds every quadrature and
-    every estimator that can warn."""
+    beta = beta_m / 2, the quadrature ladder and the determinism re-estimate."""
     fm = disorder.fm
     model, N = fm.model, fm.N
     checks: list[CheckResult] = []

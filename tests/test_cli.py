@@ -260,9 +260,8 @@ def test_verify_checks_the_sample_count_before_any_check(samples, message, capsy
     ("20000", "error: term (2,) pushes tensor budget to 400000000 > 100000000 scalars\n"),
 ], ids=["N=2", "over-budget"])
 def test_verify_checks_N_before_any_check(N, message, capsys, monkeypatch):
-    # the finite model is built and the disorder drawn before the worker
-    # thread starts: a refused N runs neither covariance check (recorded as
-    # well as raised, since a worker's exception is only seen when joined)
+    # the finite model is built and the disorder drawn before any check
+    # runs: a refused N runs neither covariance check
     calls = []
 
     def reached(*args):
@@ -277,9 +276,9 @@ def test_verify_checks_N_before_any_check(N, message, capsys, monkeypatch):
 
 
 def test_verify_checks_the_covariance_budget_before_any_check(tmp_path, capsys, monkeypatch):
-    # pure p = 6 fits the tensor budget at N = 12 (12^6 scalars) but not at
-    # the empirical covariance's N = 24 (24^6): refused before any check or
-    # estimate runs
+    # pure p = 6 fits the tensor budget at N = 12 (12^6 scalars), but the
+    # empirical covariance's 1600 draws at N = 9 (9^6 scalars each) do not:
+    # refused before any check or estimate runs
     model = tmp_path / "pure6.json"
     model.write_text(json.dumps({"species": [{"name": "a", "lambda": 1.0}],
                                  "terms": [{"degrees": {"a": 6}, "delta_sq": 1.0}]}))
@@ -292,8 +291,8 @@ def test_verify_checks_the_covariance_budget_before_any_check(tmp_path, capsys, 
     for name in ("_covariance_spot_checks", "_empirical_covariance", "_estimates"):
         monkeypatch.setattr(verify_mod, name, reached)
     assert main(["verify", "--model", str(model), "--N", "12", "--samples", "1000"]) == 1
-    assert capsys.readouterr().err == ("error: empirical covariance at N=24: term (6,) pushes "
-                                       "tensor budget to 191102976 > 100000000 scalars\n")
+    assert capsys.readouterr().err == ("error: empirical covariance at N=9: 1600 draws of "
+                                       "531441 scalars exceed the tensor budget\n")
     assert calls == []
 
 

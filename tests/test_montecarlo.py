@@ -35,7 +35,7 @@ from spinmix import (
     sample_on_band,
     sample_uniform,
 )
-from spinmix import montecarlo, quadrature
+from spinmix import montecarlo, quadrature, verify
 from spinmix.rng import BAND, PROBE_CENTER, UNIFORM, stream
 
 from conftest import random_model, watched
@@ -394,20 +394,19 @@ def test_covariance_catches_tampered_prefactor(cubic_two_species, monkeypatch):
 
 
 def test_empirical_covariance_matches_exact(cubic_two_species):
-    fm = build_finite_model(cubic_two_species, 24)
+    # verify's Gram-matrix statistics on the public path: 48 configurations
+    # contracted by evaluate_H_batch under 300 draws of sample_disorder
+    # (14,400 degrees of freedom), against N xi(R); the same Hamiltonians
+    # scaled by sqrt(1.1), a 10% variance error, move the whole variance's z
+    # by 8.2 and fail
+    fm = build_finite_model(cubic_two_species, 12)
     rng = stream(14)
-    a = sample_uniform(fm, rng)
-    b = sample_uniform(fm, rng)
-    exact = covariance_exact(fm, a, b)
-    pair = np.stack([a, b])
-    prods = np.array(
-        [
-            np.prod(evaluate_H_batch(sample_disorder(fm, seed=s), pair))
-            for s in range(2000)
-        ]
-    )
-    se = prods.std(ddof=1) / math.sqrt(len(prods))
-    assert abs(prods.mean() - exact) <= 5.0 * se
+    sigmas = np.stack([sample_uniform(fm, rng) for _ in range(48)])
+    h = np.stack([evaluate_H_batch(sample_disorder(fm, seed=s), sigmas) for s in range(300)])
+    zs, rank = verify._gram_z(fm, sigmas, h)
+    assert rank == 48 and len(zs) == 1 + cubic_two_species.mixture.n_terms
+    assert max(map(abs, zs)) <= verify._COVARIANCE_Z
+    assert verify._gram_z(fm, sigmas, math.sqrt(1.1) * h)[0][0] > verify._COVARIANCE_Z
 
 
 def _block_by_block(rng, fm, center=None, r=None) -> np.ndarray:
@@ -753,14 +752,32 @@ def test_spare_cores_follow_openblas_thread_count(environ, cpus, spare):
 
 
 @pytest.mark.parametrize("free", [True, False], ids=["slot-free", "slot-taken"])
-def test_holding_spare_takes_a_free_slot_and_gives_it_back(free, monkeypatch):
+def test_holding_spare_takes_a_free_slot_and_gives_it_back(free, cubic_two_species,
+                                                           monkeypatch):
+    # a loop of several chunks takes a free slot without waiting and holds it
+    # while it contracts; a loop of one chunk leaves it; either gives back
+    # only what it took
     _slot(monkeypatch, free)
-    with pytest.raises(RuntimeError):
-        with montecarlo._holding_spare() as taken:
-            assert taken == free
-            assert not montecarlo._SPARE.acquire(blocking=False)
-            raise RuntimeError
-    assert montecarlo._SPARE.acquire(blocking=False) == free
+    monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+    fm = build_finite_model(cubic_two_species, 18)
+    d = sample_disorder(fm, seed=41)
+    contract, slot_free = montecarlo._contract, []
+
+    def probe(*args):
+        taken = montecarlo._SPARE.acquire(blocking=False)
+        if taken:
+            montecarlo._SPARE.release()
+        slot_free.append(taken)
+        return contract(*args)
+
+    monkeypatch.setattr(montecarlo, "_contract", probe)
+    for n, free_while in ((4 * 64, False), (64, free)):
+        slot_free.clear()
+        montecarlo._hamiltonians(d, stream(42, UNIFORM), n, montecarlo._blocks(fm))
+        assert set(slot_free) == {free_while}
+        assert montecarlo._SPARE.acquire(blocking=False) == free
+        if free:
+            montecarlo._SPARE.release()
 
 
 _HELPER_RUN = """
