@@ -56,17 +56,12 @@ timed.  For each job it prints the median wall time of each side, their ratio
 each side's peak traced allocation in MB, and whether the two sides'
 results were bitwise equal in every pair.  The peak is of one untimed run
 on one thread, after a full garbage collection: with the side's spare-core
-slot held, so that no Monte Carlo helper starts, and with every thread pool
-the run makes replaced by one that runs each task as it is submitted.
-verify runs on one thread, but packages before that ran its covariance
-checks on a worker thread from a pool; inline, that worker runs before the
-estimates, in the serial order.  Threads overlap their intermediates by
-schedule: a helper's moved the traced peak of one package from 1.12 to
-1.26 MB from run to run, and verify's worker moved it by up to 0.5 MB.
+slot held, so that no Monte Carlo helper starts.  Threads overlap their
+intermediates by schedule: a helper's moved the traced peak of one package
+from 1.12 to 1.26 MB from run to run.
 """
 
 import argparse
-import concurrent.futures
 import contextlib
 import dataclasses
 import enum
@@ -83,7 +78,6 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 # imported here, before any traced run, so that neither side is billed for them
@@ -218,22 +212,6 @@ def bits(result):
     return result
 
 
-class Inline(concurrent.futures.Executor):
-    """A thread pool that runs each task on the calling thread as it is
-    submitted: verify's covariance worker, in packages that start one."""
-
-    def __init__(self, max_workers=None):
-        pass
-
-    def submit(self, fn, /, *args, **kwargs):
-        future = concurrent.futures.Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-
 @contextlib.contextmanager
 def spare_slot_held(pkg):
     """Hold the package's spare-core slot while the block runs, if it has
@@ -249,14 +227,13 @@ def spare_slot_held(pkg):
 
 def peak_mb(job, pkg) -> float:
     """The peak memory traced during one run of a job, in MB, with the
-    package's spare-core slot held, if it has one, and its thread pools
-    inline (`Inline`): the run is then on one thread, and no schedule moves
-    its peak.  A full garbage collection runs first: without it, when the
-    garbage of earlier runs was collected moved verify's peak over 0.022 MB
-    (1.643 to 1.666 MB on two_species_quadratic)."""
+    package's spare-core slot held, if it has one: the run is then on one
+    thread, and no schedule moves its peak.  A full garbage collection runs
+    first: without it, when the garbage of earlier runs was collected moved
+    verify's peak over 0.022 MB (1.643 to 1.666 MB on
+    two_species_quadratic)."""
     gc.collect()
-    with (spare_slot_held(pkg),
-          mock.patch.object(concurrent.futures, "ThreadPoolExecutor", Inline)):
+    with spare_slot_held(pkg):
         tracemalloc.start()
         try:
             job()

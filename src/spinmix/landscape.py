@@ -30,10 +30,12 @@ level for the second-order bound (`_may_hold`), each branching once on the
 kind.  A batch is one rule whose fields hold one entry per row, which one
 expression evaluates; the rules of one search share their kind
 (`maximize_f` searches f, `criticality` the ratios), so the kind is never
-per row.  `_search` evaluates the rule on the certification grid and at
-the points of its local phase, and takes the gradient by the chain rule,
-dvalue/dx grad xi + dvalue/dc grad c; the pointwise functions evaluate the
-rule at one point, so each objective is written once.  `_starts` alone
+per row.  `_search` evaluates the rule on the certification grid and, by
+`_evaluate`, at the points of its local phase: the values and the gradient
+by the chain rule, dvalue/dx grad xi + dvalue/dc grad c, from one pass of
+xi's table of the orders 0 and 1.  The pointwise functions are `_evaluate`
+on a batch of one, so each objective is written once, and a maximum is its
+functional at its argmax, bit for bit.  `_starts` alone
 holds the per-S policy (`_GRIDS`): the grid (4001 points for one
 species, 201 per axis for two or three, none for four to six), whose best
 point is one start, and the fixed starts; a grid
@@ -225,36 +227,44 @@ def _take(rule: _Rule, index) -> _Rule:
     return _Rule(*(f.take(index) if isinstance(f, np.ndarray) else f for f in rule))
 
 
-def _at(model: ModelSpec, beta: float, objective: str, r) -> float:
-    """The objective at the point r: its rule's value at xi(r) and the sum
-    over s of cost(lam_s, r(s))."""
-    rule, cost, _ = _energy(model, beta, objective)
-    r = _coerce_r(model.n_species, r)
-    return float(_value(rule, model.mixture.eval(r), cost(model.species.lam, r).sum(-1)))
+def _evaluate(model: ModelSpec, rule: _Rule, cost, dcost, X):
+    """The rule's values at xi(r) and the sum over s of cost(lam_s, r(s)),
+    and their r-gradients, at the (K, S) batch X: xi and grad xi from one
+    pass of the mixture's table of the orders 0 and 1, the gradient by the
+    chain rule, dvalue/dx grad xi + dvalue/dc grad c.  A rule's field may
+    hold one entry per row (`_search`)."""
+    lam = model.species.lam
+    jet = model.mixture._partials(X, (0, 1))  # xi, then its gradient
+    value, dx, dc = _partials(rule, jet[:, 0], np.add.reduce(cost(lam, X), -1))
+    return value, (dx * jet[:, 1:].T + dc * dcost(lam, X).T).T
+
+
+def _at(model: ModelSpec, beta: float, objective: str, r):
+    """The objective's value and r-gradient at the point r: the search's
+    evaluation (`_evaluate`) on a batch of one."""
+    value, grad = _evaluate(model, *_energy(model, beta, objective),
+                            _coerce_r(model.n_species, r)[None])
+    return float(value[0]), grad[0]
 
 
 def f_beta(model: ModelSpec, beta: float, r) -> float:
     """Entropy-plus-energy functional; equals 0 at r = 0."""
-    return _at(model, beta, "plain", r)
+    return _at(model, beta, "plain", r)[0]
 
 
 def f_tilde_beta(model: ModelSpec, beta: float, r) -> float:
     """Truncated variant with energy beta^2 xi(1) xi(r) / (xi(1) + xi(r))."""
-    return _at(model, beta, "tilde", r)
+    return _at(model, beta, "tilde", r)[0]
 
 
 def g_beta(model: ModelSpec, beta: float, r: float) -> float:
     """Single-species criterion log(1-r) + r + beta^2 xi(r)."""
-    return _at(model, beta, "talagrand", r)
+    return _at(model, beta, "talagrand", r)[0]
 
 
 def f_grad(model: ModelSpec, beta: float, r) -> np.ndarray:
     """Analytic gradient: -lam*r/(1-r^2) + beta^2 * grad xi."""
-    r = _coerce_r(model.n_species, r)
-    rule, cost, dcost = _energy(model, beta, "plain")
-    mix, lam = model.mixture, model.species.lam
-    _, dx, dc = _partials(rule, mix.eval(r), cost(lam, r).sum(-1))
-    return dx * mix.grad(r) + dc * dcost(lam, r)
+    return _at(model, beta, "plain", r)[1]
 
 
 def f_hessian(model: ModelSpec, beta: float, r) -> np.ndarray:
@@ -390,8 +400,9 @@ def _enclose(model: ModelSpec, a: np.ndarray, b: np.ndarray) -> _Enclosure:
     # one ulp above the rounded distances, each within half an ulp
     h = np.nextafter(np.maximum(b - c, c - a), np.inf)
     aa = a * a
+    jet = mix._partials(c, (0, 1))  # xi, then its gradient
     return _Enclosure(
-        c, h, mix.eval(c), mix.grad(c),
+        c, h, jet[:, 0], jet[:, 1:],
         mix._partials(b, 2).reshape(b.shape + b.shape[-1:]),
         np.add.reduce(_entropy(lam, c), -1), _entropy_grad(lam, c),
         -lam * (1.0 + aa) / (1.0 - aa) ** 2)
@@ -783,13 +794,13 @@ def _search(model: ModelSpec, rules, cost, dcost) -> list[MaximizeResult]:
     gives each rule's starts, from one pass over the grid for one or two
     species, and one `_ascend` moves the starts of every rule at once, in
     u = artanh(r), in as many rounds as its slowest start takes.  Each round
-    computes xi and grad xi from one power table per point (the mixture's
-    table of the derivative orders 0 and 1) and the summed cost and its
-    gradient once for the whole batch, then every row's value and partials
-    in one expression, each row holding its rule's fields (`_partials`), and
-    the gradient by the chain rule, dvalue/dx grad xi + dvalue/dc grad c.  A
-    rule's rows take the path they take in a search of that rule alone, so
-    its result is that search's, bit for bit.  The result is the best
+    is one `_evaluate` of the batch's trials, each row holding its rule's
+    fields: xi and grad xi from one power table per point, the summed cost
+    and its gradient, every row's value and partials in one expression
+    (`_partials`) and the gradient by the chain rule.  A rule's rows take
+    the path they take in a search of that rule alone, so its result is
+    that search's, bit for bit, and its value is the rule's pointwise
+    function at its argmax, bit for bit.  The result is the best
     polished start, ties going to the smallest norm, then the coordinates.
     For |S| <= 3 the grid's best point is one start and no run ends below
     its start, so the result is never below the search's value at the best
@@ -811,13 +822,9 @@ def _search(model: ModelSpec, rules, cost, dcost) -> list[MaximizeResult]:
     batch = _Rule(*(v[0] if len(set(v)) == 1 else np.repeat(v, np.diff(bounds))
                     for v in zip(*rules)))
     rowwise = any(isinstance(f, np.ndarray) for f in batch)
-    mix, lam = model.mixture, model.species.lam
 
     def evaluate(X, rows):
-        jet = mix._partials(X, (0, 1))  # xi, then its gradient
-        value, dx, dc = _partials(_take(batch, rows) if rowwise else batch, jet[:, 0],
-                                  np.add.reduce(cost(lam, X), -1))
-        return value, (dx * jet[:, 1:].T + dc * dcost(lam, X).T).T
+        return _evaluate(model, _take(batch, rows) if rowwise else batch, cost, dcost, X)
 
     X, F, ok, evals = _ascend(evaluate, np.concatenate(starts))
     norms = np.sqrt((X * X).sum(-1))

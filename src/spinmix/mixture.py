@@ -21,7 +21,9 @@ table reads a power table, x(s)^d for the distinct lowered exponents d of
 the tuple, one numpy power for all of them, and each monomial is the
 product of its nonzero-exponent factors in species order
 (`_power_products`); the bits are those of one power per (point,
-multi-index, term, species) entry.  The band recentering transform
+multi-index, term, species) entry.  Every order, xi's included, sums a
+single point as it sums a row of a batch, elementwise and without BLAS, so
+a point's value is its row's in any batch.  The band recentering transform
 
     xi_r(x) = xi((1 - r^2) x + r^2) - xi(r^2)      (elementwise in r)
 
@@ -265,15 +267,12 @@ class Mixture:
     def eval(self, x) -> float | np.ndarray:
         """Evaluate xi at x; scalars broadcast to the constant vector.
 
-        Supports batched input with species on the last axis.
+        Supports batched input with species on the last axis.  xi is the
+        partials' order 0 (`_partials`): a point is summed as a batch's row
+        is, without BLAS, so its value is its row's in any batch.
         """
-        x = self._coerce_point(x)
-        monomials = _power_products(x, *self._table(0)[1:])
-        if x.ndim == 1:
-            return float(monomials[0] @ self.coeffs)
-        # a batch is summed row by row, without BLAS, so that no row's value
-        # depends on the rows beside it
-        return np.add.reduce(self.coeffs * monomials, -1)[..., 0]
+        xi = self._partials(x, 0)[..., 0]
+        return float(xi) if xi.ndim == 0 else xi
 
     @cached_property
     def _tables(self) -> dict:

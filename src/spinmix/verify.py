@@ -170,7 +170,8 @@ def run_verify(model: ModelSpec, *, N: int, n_samples: int, seed: int) -> Verify
         raise ValueError("verification battery supports at most 3 species")
     montecarlo._check_samples(n_samples)
     fm = montecarlo.build_finite_model(model, N)
-    per_draw = sum(_COVARIANCE_N ** int(k) for k in model.mixture.exponents.sum(1))
+    per_draw = sum(map(math.prod, montecarlo._tensor_shapes(
+        montecarlo.build_finite_model(model, _COVARIANCE_N))))
     if _COVARIANCE_DRAWS * per_draw > montecarlo.TENSOR_BUDGET:
         raise montecarlo.BudgetError(f"empirical covariance at N={_COVARIANCE_N}: "
                                      f"{_COVARIANCE_DRAWS} draws of {per_draw} scalars exceed "

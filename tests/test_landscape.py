@@ -967,3 +967,26 @@ def test_import_leaves_scipy_unloaded():
         "assert not scipy_loaded(), scipy_loaded()",
     ])
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_every_maximum_is_its_functional_at_its_argmax_bitwise(sk, pure3, pure4, two_quad):
+    # the search and the public functionals evaluate one expression, so a
+    # reported maximum is f_beta or f_tilde_beta at its own argmax, bit for
+    # bit, and so is the verdict's certificate at beta_m: on the fixtures and
+    # seeded one- to six-species models, at betas where most maxima are
+    # nonzero
+    digest = load_script("output_digest")
+    models = [sk, pure3, pure4, two_quad] + [loads_model(json.dumps(digest.random_model(seed, S)))
+                                             for S in range(1, 7) for seed in (0, 1)]
+    functionals = {"plain": f_beta, "tilde": f_tilde_beta}
+    for model in models:
+        for beta in (0.3, 0.6, 0.9, 1.2):
+            results = landscape.maximize_each(model, beta, functionals)
+            results.append(maximize_f(model, beta))
+            for res, f in zip(results, [*functionals.values(), f_beta]):
+                if res.value != 0.0:
+                    assert res.value == f(model, beta, res.argmax), (model, beta, f)
+        report = criticality.verdict(model)
+        cert = report.witnesses
+        assert cert["value_certificate"] == f_beta(model, report.beta_m,
+                                                   np.array(cert["argmax_certificate"])), model

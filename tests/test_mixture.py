@@ -207,9 +207,9 @@ def test_power_table_kernel_is_the_pow_per_entry_expression_bitwise():
                 for got, want in zip((m.eval(Y), m.grad(Y), m._partials(Y, 2)), wants):
                     assert got.shape == want.shape and got.tobytes() == want.tobytes(), (m, K, layout)
             for x in X[:3]:
-                (_, mono), *partials = (_pow_per_entry(m, x, a) for a in orders)
-                grad, hess = ((w * mono).sum(-1) for w, mono in partials)
-                assert m.eval(x) == float(mono[0] @ m.coeffs)
+                xi, grad, hess = ((w * mono).sum(-1) for w, mono in
+                                  (_pow_per_entry(m, x, a) for a in orders))
+                assert m.eval(x) == float(xi[0])
                 assert m.grad(x).tobytes() == grad.tobytes()
                 assert m.hessian(x).tobytes() == hess.reshape(S, S).tobytes()
         under = _under_terms(m)
