@@ -48,17 +48,29 @@ and one such rule is computed, and each side's command line prints its
 help, which builds its argument parser and with it argparse's first
 instances of its classes.
 
-The header names the BLAS thread variables and each side's spare cores,
-the cores its Monte Carlo loop may add a helper thread on (none for a
-package without that rule), so that every comparison states which path it
-timed.  For each job it prints the median wall time of each side, their ratio
-(change over parent), the share of pairs in which the change was faster,
-each side's peak traced allocation in MB, and whether the two sides'
-results were bitwise equal in every pair.  The peak is of one untimed run
-on one thread, after a full garbage collection: with the side's spare-core
-slot held, so that no Monte Carlo helper starts.  Threads overlap their
-intermediates by schedule: a helper's moved the traced peak of one package
-from 1.12 to 1.26 MB from run to run.
+The header names the BLAS thread variables and each side's helper
+decision, under "spare cores": 1 where its Monte Carlo loop starts a helper
+thread beside the calling one on an estimate of more than one chunk, 0
+where it does not (as in a package without that rule), so that every
+comparison states which path it timed.  For each job it prints the median
+wall time of each side, their ratio (change over parent), the share of
+pairs in which the change was faster, each side's peak traced allocation
+in MB, and whether the two sides' results were bitwise equal in every
+pair.  The peak is of one untimed run on one thread, after a full garbage
+collection: with the side's helper switched off (``no_helper``; in a
+package from before that switch, its spare-core slot held).  Threads
+overlap their intermediates by schedule: a helper's moved the traced peak
+of one package from 1.12 to 1.26 MB from run to run.
+
+Time a change to the helper itself with ``bench/run.py`` pairs, one fresh
+process per run, not here.  In one process the helper is misread: on
+estimate_free_energy on pure3 (N = 40, 4096 samples, BLAS pinned, 2 vCPUs)
+it read 15.3 against 14.5 ms with the helper switched off in alternate
+rounds, faster in 8 of 60 rounds, while ``bench/run.py``'s mc_contraction
+read 0.0231 with it against 0.0331 reference s without; the benchmark's own
+jobs, run in one process in four blocks of 80, read 14.93 ms with the
+helper, 14.20 without, then 11.01 with it and 14.93 without, as the second
+vCPU delivered only later in the process.
 """
 
 import argparse
@@ -94,6 +106,12 @@ RECENTRE_R = 0.4
 VERIFY_FIXTURES = ("sk", "two_species_quadratic")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
+# the seeded model generator, loaded from its file beside this one
+_spec = importlib.util.spec_from_file_location(
+    "output_digest", Path(__file__).resolve().with_name("output_digest.py"))
+output_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(output_digest)
+
 
 def load(src: str, name: str):
     """The package under ``src/spinmix``, imported as ``name``, after its
@@ -111,17 +129,10 @@ def load(src: str, name: str):
 
 
 def random_model(seed: int, S: int) -> str:
-    """A model document: per species one pure term of degree 2-4, neighbours
-    coupled by x_s x_{s+1}, proportions drawn."""
-    rng = np.random.default_rng(seed)
-    names = "abcdef"[:S]
-    lam = rng.uniform(0.5, 1.5, size=S)
-    lam /= lam.sum()
-    lam[-1] = 1.0 - lam[:-1].sum()
-    terms = [({names[s]: int(rng.integers(2, 5))}, rng.uniform(0.5, 1.5)) for s in range(S)]
-    terms += [({names[s]: 1, names[s + 1]: 1}, rng.uniform(0.3, 1.0)) for s in range(S - 1)]
-    return json.dumps({"species": [{"name": n, "lambda": float(v)} for n, v in zip(names, lam)],
-                       "terms": [{"degrees": d, "delta_sq": float(c)} for d, c in terms]})
+    """``output_digest``'s seeded model document, as JSON: per species one
+    pure term of degree 2-4, neighbours coupled by x_s x_{s+1}, proportions
+    drawn."""
+    return json.dumps(output_digest.random_model(seed, S))
 
 
 def command(pkg, argv: list[str], out: Path):
@@ -212,28 +223,44 @@ def bits(result):
     return result
 
 
+def helper_starts(pkg, cpus: int) -> bool:
+    """Whether the package's Monte Carlo loop starts a helper thread on an
+    estimate of several chunks: its ``_HELPER``, or, in a package from before
+    that switch, whether it has a spare core (none without that rule)."""
+    mc = pkg.montecarlo
+    if hasattr(mc, "_HELPER"):
+        return mc._HELPER
+    return hasattr(mc, "_spare_cores") and mc._spare_cores(os.environ, cpus) > 0
+
+
 @contextlib.contextmanager
-def spare_slot_held(pkg):
-    """Hold the package's spare-core slot while the block runs, if it has
-    one and it is free, so that no Monte Carlo helper thread starts."""
-    slot = getattr(pkg.montecarlo, "_SPARE", None)
+def no_helper(pkg):
+    """Keep the package's Monte Carlo loop on one thread while the block runs:
+    its ``_HELPER`` set to false, or, in a package from before that switch,
+    its spare-core slot ``_SPARE`` held if it is free."""
+    mc = pkg.montecarlo
+    slot, helper = getattr(mc, "_SPARE", None), getattr(mc, "_HELPER", False)
     taken = slot is not None and slot.acquire(blocking=False)
+    if helper:
+        mc._HELPER = False
     try:
         yield
     finally:
         if taken:
             slot.release()
+        if helper:
+            mc._HELPER = True
 
 
 def peak_mb(job, pkg) -> float:
     """The peak memory traced during one run of a job, in MB, with the
-    package's spare-core slot held, if it has one: the run is then on one
-    thread, and no schedule moves its peak.  A full garbage collection runs
-    first: without it, when the garbage of earlier runs was collected moved
-    verify's peak over 0.022 MB (1.643 to 1.666 MB on
+    package's Monte Carlo helper switched off (``no_helper``): the run is
+    then on one thread, and no schedule moves its peak.  A full garbage
+    collection runs first: without it, when the garbage of earlier runs was
+    collected moved verify's peak over 0.022 MB (1.643 to 1.666 MB on
     two_species_quadratic)."""
     gc.collect()
-    with spare_slot_held(pkg):
+    with no_helper(pkg):
         tracemalloc.start()
         try:
             job()
@@ -278,10 +305,9 @@ def run(argv=None):
                     (parent, change)[side].append(time.perf_counter() - start)
                 same[name] &= bits(results[0]) == bits(results[1])
     cpus = len(os.sched_getaffinity(0))
-    spare = [side.montecarlo._spare_cores(os.environ, cpus)
-             if hasattr(side.montecarlo, "_spare_cores") else 0 for side in packages]
+    helper = [int(helper_starts(side, cpus)) for side in packages]
     print(" ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS)
-          + f"; {cpus} CPUs; spare cores: parent {spare[0]}, change {spare[1]}")
+          + f"; {cpus} CPUs; spare cores: parent {helper[0]}, change {helper[1]}")
     print(f"{args.pairs} pairs; medians in ms; ratio = change / parent; "
           "peak traced MB of one untimed run on one thread")
     print(f"{'job':46} {'parent':>9} {'change':>9} {'ratio':>7} {'change wins':>12} "

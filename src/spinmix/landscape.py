@@ -51,10 +51,15 @@ reads xi and grad xi at every trial from one power table per point.  A
 batch takes as many rounds as its slowest start, and each rule's result is
 the one it reaches alone, bit for bit.  No run ends below its start, so a
 gridded result is never below the search's value at the grid's best point,
-bit for bit, nor below the grid's value there (`_kernel`'s) by more than
+bit for bit.  The grid's value there (`_kernel`'s) may differ from it by
 the rounding of xi's powers, which numpy may form otherwise in the grid's
-table than in the search's: sk's one square, x*x in the grid, is numpy's
-pow in the search's table of the exponents 1 and 2.
+table than in the search's (sk's one square, x*x in the grid, is numpy's
+pow in the search's table of the exponents 1 and 2), and, from 8 terms on,
+of xi's sum: numpy then sums the search's terms pairwise, where the grid
+adds them one by one, and the two differ by a few ulps of xi at many
+points, at most 2 gamma_n xi with gamma_n = n u / (1 - n u), u = 2^-53,
+n = T - 1 + 3 k for T terms of at most k factors of nonzero exponent,
+while numpy's pow is within an ulp.
 `maximize_f` is one search of one rule; `maximize_each` searches f and its
 truncated twin at a beta as one batch (`spinmix scan`).
 
@@ -807,7 +812,10 @@ def _search(model: ModelSpec, rules, cost, dcost) -> list[MaximizeResult]:
     grid point, bit for bit: it is grid-certified.  That value may differ
     from the grid's, `_kernel`'s, by the rounding of xi's powers (one ulp of
     xi at some points of sk's grid, whose square the grid forms as x*x and
-    the search's table by numpy's pow).  fun_evals counts the rule's values computed: those on
+    the search's table by numpy's pow) and, from 8 terms on, of xi's sum,
+    which numpy forms pairwise in the search and the grid term by term (a
+    few ulps; the module docstring bounds it).  fun_evals counts the rule's
+    values computed: those on
     the grid (every grid point for one or two species; for three, the
     corners, bounds, centres and boxes of `_grid_start`, a few thousand of
     the grid's 8.1M points for the package's rules), then the ascent's at

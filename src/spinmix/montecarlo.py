@@ -35,10 +35,12 @@ modes: J_a's single row meets each row's block directly.
 Memory bound.  The row chunk is _CONTRACT_BUDGET // (draws * max(left,
 right)), so no intermediate holds more than _CONTRACT_BUDGET scalars and at
 most two are live at once (4 MB at most), whatever the batch size.  The
-bound is per thread: with ``_hamiltonians``'s helper it is 8 MB.  A
-smaller bound would re-read J_a, which for pure p = 4 at N = 50 is 50 MB,
-more often per row.  A chunk of disorder draws holds at most _DRAW_BUDGET
-scalars of tensors (64 KB), or one draw when a single draw is larger.
+bound is per estimate: 8 MB with ``_hamiltonians``'s helper, whose two
+threads each hold their own intermediates, and each of several estimates
+run at once holds its own.  A smaller bound would re-read J_a, which for
+pure p = 4 at N = 50 is 50 MB, more often per row.  A chunk of disorder
+draws holds at most _DRAW_BUDGET scalars of tensors (64 KB), or one draw
+when a single draw is larger.
 
 Sampling.  Every estimator draws and contracts in one loop,
 ``_hamiltonians``, over one stream per (seed, role) read in order:
@@ -66,24 +68,26 @@ log-mean-exp tail; H does not depend on beta, so ``band_probe``, behind
 both ``verify``'s band check and ``band-probe``, draws and contracts one
 band for its whole beta grid.
 
-Threads.  The calling thread runs the loop and, when the process has a
-spare core, one helper runs it beside it.  Each thread takes the next chunk
-and draws its rows under one lock, so chunks are drawn in order and
-configuration i keeps its normals; it then places and contracts them
-outside the lock into its own slice of H.  Every chunk's product is the
-same BLAS call on the same rows whichever thread makes it, so H is the same
-to the bit.  The spare core is the process's CPUs less the threads OpenBLAS
-runs its products on (``_spare_cores``), at most one, held in the semaphore
-``_SPARE``, which the loop takes without waiting.  With OpenBLAS on every
-CPU, its default, no helper starts: a split then ran slower (by 3-22% on
-pure p = 3 and 6-49% on SK at N = 40, on 2 vCPUs).  A process cannot see its
-neighbours, so BLAS pinned to one thread in each of several processes
-that share the CPUs (``xargs -P``, a job array without a cpuset) lets each
-of them add a helper; two such processes on 2 vCPUs did the same work about
-3% slower than without helpers.  A process given one CPU of its own
-(``taskset``, a cpuset) has no spare core and starts none.  The helper
-calls only private functions and numpy, never a public function, which a
-tracer may wrap.
+Threads.  The calling thread runs the loop and, when ``_HELPER`` is set
+and the estimate has more than one chunk, one helper runs it beside it: one
+helper per estimate, with no slot shared across the process.  Each thread
+takes the next chunk and draws its rows under one lock, so chunks are drawn
+in order and configuration i keeps its normals; it then places and
+contracts them outside the lock into its own slice of H, and a thread that
+finishes early takes the next free chunk, so the two share the load.  Every
+chunk's product is the same BLAS call on the same rows whichever thread
+makes it, so H is the same to the bit.  ``_HELPER`` is set once, on
+import, when the process has a spare core: its CPUs less the threads
+OpenBLAS runs its products on (``_spare_cores``).  With OpenBLAS on every CPU, its
+default, no helper starts: a split then ran slower (by 3-22% on pure p = 3
+and 6-49% on SK at N = 40, on 2 vCPUs).  A process cannot see its
+neighbours, nor whether its spare core delivers: BLAS pinned to one thread
+in each of several processes that share the CPUs (``xargs -P``, a job array
+without a cpuset) lets each of them add a helper; two such processes on 2
+vCPUs did the same work about 3% slower than without helpers.  A process
+given one CPU of its own (``taskset``, a cpuset) has no spare core and
+starts none.  The helper calls only private functions and numpy, never a
+public function, which a tracer may wrap.
 """
 
 from __future__ import annotations
@@ -531,11 +535,10 @@ def _spare_cores(environ, cpus: int) -> int:
     return 0
 
 
-# the one spare-core slot of the process: ``_hamiltonians`` takes it, without
-# waiting, for its helper thread
-_SPARE = threading.Semaphore(_spare_cores(
+# whether ``_hamiltonians`` starts a helper thread beside the calling one
+_HELPER = _spare_cores(
     os.environ, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-    else os.cpu_count() or 1))
+    else os.cpu_count() or 1) > 0
 
 
 def _hamiltonians(disorder: DisorderSample, rng: np.random.Generator, n_samples: int,
@@ -544,11 +547,12 @@ def _hamiltonians(disorder: DisorderSample, rng: np.random.Generator, n_samples:
     read in order a chunk of rows at a time and put in place by ``_place``
     with ``blocks``.
 
-    The calling thread and, when it takes the spare-core slot, one helper
-    run the same loop: draw the next chunk under a lock, then place and
-    contract it outside the lock into its own slice of H.  A thread stops at
-    its first error, the other once it sees one; the error of the earliest
-    chunk is raised, as a serial loop would raise it.
+    The calling thread and, when ``_HELPER`` is set and there is more than
+    one chunk, one helper of this call run the same loop: draw the next
+    chunk under a lock, then place and contract it outside the lock into
+    its own slice of H.  A thread stops at its first error, the other once
+    it sees one; the error of the earliest chunk is raised, as a serial
+    loop would raise it.
     """
     fm = disorder.fm
     tensors = tuple(J[None] for J in disorder.tensors)
@@ -573,17 +577,12 @@ def _hamiltonians(disorder: DisorderSample, rng: np.random.Generator, n_samples:
         except BaseException as exc:
             errors.append((start, exc))
 
-    spare = n_samples > _CHUNK and _SPARE.acquire(blocking=False)
-    try:
-        helper = threading.Thread(target=run, name="spinmix-chunks") if spare else None
-        if helper:
-            helper.start()
-        run()  # which raises nothing: errors are kept
-        if helper:
-            helper.join()
-    finally:
-        if spare:
-            _SPARE.release()
+    helper = _HELPER and n_samples > _CHUNK and threading.Thread(target=run, name="spinmix-chunks")
+    if helper:
+        helper.start()
+    run()  # which raises nothing: errors are kept
+    if helper:
+        helper.join()
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
     return h

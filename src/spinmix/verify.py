@@ -10,8 +10,9 @@ estimates meet their predictions in one comparison, which writes both the
 check and its table row.  Everything is driven by a single seed through
 counter-based streams, so repeated runs produce byte-identical output.
 The stages run one after another on the calling thread; only an
-estimate's contractions may add the helper thread of
-``montecarlo._hamiltonians``.
+estimate's contractions may add a thread, the helper of that estimate's
+``montecarlo._hamiltonians``, which the estimate joins before it returns,
+so the battery runs at most two threads at once.
 
 The empirical covariance is a test of E H H^T = S, S_ij = N xi(R_ij), on
 K uniform configurations at N = 9, each contracted under D disorder draws

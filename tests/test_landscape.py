@@ -564,6 +564,50 @@ def test_the_grid_and_the_search_compute_xi_within_an_ulp(sk, pure3, two_quad):
         assert (np.abs(search - grid) <= np.spacing(grid)).all()
 
 
+def _pure_2_3_4(seed, S):
+    # every species' pure terms of degrees 2, 3 and 4 and neighbours coupled
+    # by x_s x_{s+1}, two species by one more mixed term of degree 3 or 4: 8
+    # terms for two species and 11 for three, the shape of the benchmark's
+    # random models of degrees (2, 3, 4)
+    rng = np.random.default_rng(seed)
+    names = ("a", "b", "c")[:S]
+    terms = {}
+    for s in range(S):
+        for d in (2, 3, 4):
+            terms[tuple(d * (t == s) for t in range(S))] = rng.uniform(0.5, 1.5)
+    for s in range(S - 1):
+        terms[tuple(int(t in (s, s + 1)) for t in range(S))] = rng.uniform(0.3, 1.0)
+    if S == 2:
+        terms[[(2, 1), (1, 2), (2, 2), (3, 1), (1, 3)][int(rng.integers(0, 5))]] = \
+            rng.uniform(0.3, 1.0)
+    return ModelSpec(SpeciesSet(names, np.full(S, 1.0 / S)), Mixture.from_terms(names, terms))
+
+
+@pytest.mark.parametrize("S, seed", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1)])
+def test_the_grid_and_the_search_compute_xi_within_a_bound_from_its_terms(S, seed):
+    # from 8 terms on numpy sums the search's terms pairwise, while the grid
+    # adds them one by one, so at many grid points the two differ by more
+    # than an ulp.  Each is within gamma_n = n u / (1 - n u) of the exact xi,
+    # relative, n = (T - 1) + 3 k, with T terms and at most k factors of
+    # nonzero exponent in a term: any order of summing T nonnegative terms is
+    # within gamma_(T-1) of their sum, and a term is k powers, each within an
+    # ulp (2 u) when numpy's pow is faithful, times k - 1 products of factors
+    # and one by its coefficient.  So the two differ by at most 2 gamma_n xi,
+    # and xi is at most the grid's value over 1 - gamma_n
+    model = _pure_2_3_4(seed, S)
+    mix = model.mixture
+    T, k = len(mix.coeffs), int((mix.exponents > 0).sum(1).max())
+    assert T == {2: 8, 3: 11}[S]
+    u = 2.0**-53
+    gamma = (T - 1 + 3 * k) * u / (1.0 - (T - 1 + 3 * k) * u)
+    # the whole grid of two species, every fifth point per axis of three
+    axis = landscape._box_axis(201)[:: 1 if S == 2 else 5]
+    index = np.indices((len(axis),) * S).reshape(S, -1)
+    grid = landscape._kernel(model, axis, None)(index)
+    search = mix._partials(axis[index.T], (0, 1))[:, 0]
+    assert (np.abs(search - grid) <= 2.0 * gamma * grid / (1.0 - gamma)).all()
+
+
 def _rules(model, betas, monkeypatch):
     # (rule, cost) of maximize_f's f and truncated twin at each beta, then of
     # the plain and truncated ratio searches, in the order of _grid_rules

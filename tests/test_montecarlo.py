@@ -514,9 +514,9 @@ def test_a_zero_block_is_an_error(band, sk, cubic_two_species, monkeypatch):
 # the chunk loop shared by the calling thread and a helper
 
 
-def _slot(monkeypatch, free: bool) -> None:
-    """Force the spare-core slot free (a helper may start) or taken."""
-    monkeypatch.setattr(montecarlo, "_SPARE", threading.Semaphore(int(free)))
+def _helper(monkeypatch, on: bool) -> None:
+    """Let an estimate of several chunks start its helper, or not."""
+    monkeypatch.setattr(montecarlo, "_HELPER", on)
 
 
 def _loop_case(case, band, sk, cubic_two_species):
@@ -535,17 +535,17 @@ def test_the_helper_changes_no_bit_of_H(case, band, sk, cubic_two_species, monke
 
     def both(n):
         h = []
-        for free in (True, False):
-            _slot(monkeypatch, free)
+        for on in (True, False):
+            _helper(monkeypatch, on)
             h.append(montecarlo._hamiltonians(d, stream(42, role), n, blocks))
         return h
 
     for n in (100, 1024, 1025, 2500, 4096):
-        free, taken = both(n)
-        assert free.tobytes() == taken.tobytes()
+        helped, alone = both(n)
+        assert helped.tobytes() == alone.tobytes()
     monkeypatch.setattr(montecarlo, "_CHUNK", 7)
-    free, taken = both(1025)
-    assert free.tobytes() == taken.tobytes()
+    helped, alone = both(1025)
+    assert helped.tobytes() == alone.tobytes()
 
 
 class _Jittered:
@@ -562,16 +562,16 @@ class _Jittered:
 
 
 def test_the_loop_agrees_under_frequent_switches(cubic_two_species, monkeypatch):
-    # three callers and one spare-core slot, a hundred chunks each: the
-    # caller that takes the slot shares its chunks with a helper, and a lost
-    # update of the chunk order or of the stream would change H
+    # three callers, a hundred chunks each, each sharing its chunks with a
+    # helper of its own: a lost update of the chunk order or of the stream
+    # would change H
     fm = build_finite_model(cubic_two_species, 18)
     d = sample_disorder(fm, seed=41)
     blocks = montecarlo._blocks(fm)
     monkeypatch.setattr(montecarlo, "_CHUNK", 7)
-    _slot(monkeypatch, False)
+    _helper(monkeypatch, False)
     expected = montecarlo._hamiltonians(d, stream(42, UNIFORM), 700, blocks)
-    _slot(monkeypatch, True)
+    _helper(monkeypatch, True)
     results = [None] * 3
 
     def run(i):
@@ -602,10 +602,10 @@ def test_the_helper_changes_no_estimate(cubic_two_species, monkeypatch):
                 estimate_band_free_energy(fm, d, center, 0.2, 0.4, 2500, seed=5),
                 montecarlo.band_probe(d, 5, PROBE_CENTER, [0.1, 0.3], 2500))
 
-    _slot(monkeypatch, True)
-    free = estimates()
-    _slot(monkeypatch, False)
-    assert estimates() == free
+    _helper(monkeypatch, True)
+    helped = estimates()
+    _helper(monkeypatch, False)
+    assert estimates() == helped
 
 
 class _Chunks:
@@ -626,10 +626,11 @@ class _Chunks:
         self.drawn += 1
 
 
-@pytest.mark.parametrize("free", [True, False], ids=["slot-free", "slot-taken"])
+# "slot-free": a helper starts; "slot-taken": the loop runs on one thread
+@pytest.mark.parametrize("on", [True, False], ids=["slot-free", "slot-taken"])
 def test_the_earliest_chunk_error_is_raised_and_nothing_after_it_contracted(
-        free, cubic_two_species, monkeypatch):
-    _slot(monkeypatch, free)
+        on, cubic_two_species, monkeypatch):
+    _helper(monkeypatch, on)
     monkeypatch.setattr(montecarlo, "_CHUNK", 64)
     fm = build_finite_model(cubic_two_species, 18)
     d = sample_disorder(fm, seed=41)
@@ -657,15 +658,13 @@ def test_the_earliest_chunk_error_is_raised_and_nothing_after_it_contracted(
     assert sorted(contracted) == list(range(k))
     assert rng.drawn <= k + 2
     assert threading.active_count() == before
-    # the slot is given back
-    assert montecarlo._SPARE.acquire(blocking=False) == free
 
 
-@pytest.mark.parametrize("free", [True, False], ids=["slot-free", "slot-taken"])
-def test_a_chunk_error_stops_the_other_thread(free, cubic_two_species, monkeypatch):
+@pytest.mark.parametrize("on", [True, False], ids=["slot-free", "slot-taken"])
+def test_a_chunk_error_stops_the_other_thread(on, cubic_two_species, monkeypatch):
     # only chunk k fails, and chunk k+1's contraction is slow, so the error
     # is kept before the thread holding chunk k+1 looks for its next chunk
-    _slot(monkeypatch, free)
+    _helper(monkeypatch, on)
     monkeypatch.setattr(montecarlo, "_CHUNK", 64)
     fm = build_finite_model(cubic_two_species, 18)
     d = sample_disorder(fm, seed=41)
@@ -692,7 +691,7 @@ def test_the_helper_calls_no_public_function(sk, monkeypatch):
     # methods, and a traced span must not open on a second thread
     from spinmix import rng as rng_module
 
-    _slot(monkeypatch, True)
+    _helper(monkeypatch, True)
     fm = build_finite_model(sk, 18)
     d = sample_disorder(fm, seed=41)
     center = sample_uniform(fm, stream(43))
@@ -751,33 +750,55 @@ def test_spare_cores_follow_openblas_thread_count(environ, cpus, spare):
     assert montecarlo._spare_cores(environ, cpus) == spare
 
 
-@pytest.mark.parametrize("free", [True, False], ids=["slot-free", "slot-taken"])
-def test_holding_spare_takes_a_free_slot_and_gives_it_back(free, cubic_two_species,
-                                                           monkeypatch):
-    # a loop of several chunks takes a free slot without waiting and holds it
-    # while it contracts; a loop of one chunk leaves it; either gives back
-    # only what it took
-    _slot(monkeypatch, free)
-    monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+def test_concurrent_estimates_each_start_their_own_helper(cubic_two_species, monkeypatch):
+    # three callers of several chunks each are inside the loop at once:
+    # each starts a helper of its own, none waits for another's, and each
+    # gets the bits of the one-thread loop
     fm = build_finite_model(cubic_two_species, 18)
     d = sample_disorder(fm, seed=41)
-    contract, slot_free = montecarlo._contract, []
+    blocks = montecarlo._blocks(fm)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+    _helper(monkeypatch, False)
+    expected = montecarlo._hamiltonians(d, stream(42, UNIFORM), 70, blocks)
+    _helper(monkeypatch, True)
+    results, callers, waiting = [None] * 3, [None] * 3, set()
+    # each caller's first contraction waits for the other callers', and a
+    # helper contracts only once all three have met, so no helper takes
+    # every chunk of its caller and the three loops overlap
+    meet, met = threading.Barrier(len(results), timeout=30), threading.Event()
+    contract = montecarlo._contract
 
-    def probe(*args):
-        taken = montecarlo._SPARE.acquire(blocking=False)
-        if taken:
-            montecarlo._SPARE.release()
-        slot_free.append(taken)
-        return contract(*args)
+    def contract_when_met(fm, tensors, sigmas):
+        if threading.get_ident() in waiting:
+            waiting.discard(threading.get_ident())
+            meet.wait()
+            met.set()
+        assert met.wait(timeout=30)
+        return contract(fm, tensors, sigmas)
 
-    monkeypatch.setattr(montecarlo, "_contract", probe)
-    for n, free_while in ((4 * 64, False), (64, free)):
-        slot_free.clear()
-        montecarlo._hamiltonians(d, stream(42, UNIFORM), n, montecarlo._blocks(fm))
-        assert set(slot_free) == {free_while}
-        assert montecarlo._SPARE.acquire(blocking=False) == free
-        if free:
-            montecarlo._SPARE.release()
+    monkeypatch.setattr(montecarlo, "_contract", contract_when_met)
+    helpers, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: (
+        helpers.append(threading.get_ident()) if self.name == "spinmix-chunks" else None,
+        start(self))[1])
+
+    def run(i):
+        callers[i] = threading.get_ident()
+        waiting.add(callers[i])
+        results[i] = montecarlo._hamiltonians(d, stream(42, UNIFORM), 70, blocks)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(helpers) == sorted(callers)
+    assert [h.tobytes() for h in results] == [expected.tobytes()] * len(results)
+    # an estimate of one chunk starts none
+    helpers.clear()
+    montecarlo._hamiltonians(d, stream(42, UNIFORM), montecarlo._CHUNK, blocks)
+    assert helpers == []
 
 
 _HELPER_RUN = """

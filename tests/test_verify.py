@@ -95,9 +95,9 @@ def test_traced_and_warning_code_stays_on_the_calling_thread(model, monkeypatch)
 
 
 def test_the_battery_starts_no_thread_but_an_estimates_helper(monkeypatch):
-    # with the spare-core slot free and estimates of several chunks, the only
+    # with the helper switched on and estimates of several chunks, the only
     # thread started is the helper of montecarlo._hamiltonians
-    monkeypatch.setattr(montecarlo, "_SPARE", threading.Semaphore(1))
+    monkeypatch.setattr(montecarlo, "_HELPER", True)
     monkeypatch.setattr(montecarlo, "_CHUNK", 64)
     started, start = [], threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start",
