@@ -51,22 +51,15 @@ reads xi and grad xi at every trial from one power table per point.  A
 batch takes as many rounds as its slowest start, and each rule's result is
 the one it reaches alone, bit for bit.  No run ends below its start, so a
 gridded result is never below the search's value at the grid's best point,
-bit for bit.  The grid's value there (`_kernel`'s) may differ from it by
-the rounding of xi's powers, which numpy may form otherwise in the grid's
-table than in the search's (sk's one square, x*x in the grid, is numpy's
-pow in the search's table of the exponents 1 and 2), and, from 8 terms on,
-of xi's sum: numpy then sums the search's terms pairwise, where the grid
-adds them one by one, and the two differ by a few ulps of xi at many
-points, at most 2 gamma_n xi with gamma_n = n u / (1 - n u), u = 2^-53,
-n = T - 1 + 3 k for T terms of at most k factors of nonzero exponent,
-while numpy's pow is within an ulp.
+bit for bit.  xi's terms are added in term order, on the grid as in the
+search, so a grid point's xi is the search's, bit for bit (`mixture`).
 `maximize_f` is one search of one rule; `maximize_each` searches f and its
 truncated twin at a beta as one batch (`spinmix scan`).
 
-The tensor-product kernel `_kernel` (a sum of xi's terms and a separable
-per-axis sum at points of the grid axis^k, over some or all species) is
-written once.  `_grid` runs it on the whole grid in slabs of about
-_SLAB_POINTS points, each consumer reducing slab by slab (an argmax, a
+The tensor-product kernel `_kernel` (the mixture's xi, `Mixture._on_grid`,
+and a separable per-axis sum at points of the grid axis^k, over some or all
+species) is written once.  `_grid` runs it on the whole grid in slabs of
+about _SLAB_POINTS points, each consumer reducing slab by slab (an argmax, a
 logsumexp), so memory stays bounded at any grid size: the search's grid of
 one or two species, and `quadrature`'s blocks over which it eliminates
 species.  For three species the search's grid of 8.1M points is searched by
@@ -318,7 +311,7 @@ def _on(i: int, dims: int, k=slice(None)) -> tuple:
     return tuple(k if a == i else None for a in range(dims))
 
 
-def _kernel(model: ModelSpec, axis: np.ndarray, per_axis, axes=None, terms=None):
+def _kernel(model: ModelSpec, axis: np.ndarray, per_axis, axes=None, terms=slice(None)):
     """The tensor-product kernel on the grid axis^len(axes), species axes[i]
     along grid axis i (every species by default): a function of one index
     per grid axis, each an integer array or slices and new axes (`_on`),
@@ -326,33 +319,26 @@ def _kernel(model: ModelSpec, axis: np.ndarray, per_axis, axes=None, terms=None)
     per_axis(lam[axes[i]], axis)[index[i]]) at those grid points, lam the
     species' proportions, or xi alone when per_axis is None.
 
-    xi is the sum of the mixture's `terms` (every term by default), in the
-    order given, each the product of its per-axis powers in axes order times
-    its coefficient; factors x**0 = 1 are skipped, which is exact.  The cost
-    is summed from grid axis 0 on.  Each point's bits depend on its indices
-    only, never on the other points evaluated with it.
+    xi is the mixture's, the sum of its `terms` (every term by default) on
+    the grid (`Mixture._on_grid`).  The cost is summed from grid axis 0 on.
+    Each point's bits depend on its indices only, never on the other points
+    evaluated with it.
     """
-    mix = model.mixture
     axes = range(model.n_species) if axes is None else axes
-    terms = range(len(mix.coeffs)) if terms is None else terms
-    pows = [axis ** mix.exponents[terms, s][:, None] for s in axes]  # row j: terms[j]
-    costs = None if per_axis is None else [per_axis(model.species.lam[s], axis) for s in axes]
+    xi = model.mixture._on_grid(axis, axes, terms)
+    if per_axis is None:
+        return xi
+    costs = [per_axis(model.species.lam[s], axis) for s in axes]
 
     def at(index):
-        parts = [(axis if costs is None else costs[i])[index[i]] for i in range(len(axes))]
-        xi = np.zeros(np.broadcast(*parts).shape)
-        for j, t in enumerate(terms):
-            factors = (pows[i][j][index[i]] for i, s in enumerate(axes) if mix.exponents[t, s])
-            xi += math.prod(factors) * mix.coeffs[t]
-        if costs is None:
-            return xi
+        parts = [costs[i][index[i]] for i in range(len(axes))]
         # the per-axis sum, unnamed so that the caller holds its only reference
-        return xi, sum(parts[1:], parts[0])
+        return xi(index), sum(parts[1:], parts[0])
 
     return at
 
 
-def _grid(model: ModelSpec, axis: np.ndarray, per_axis, axes=None, terms=None):
+def _grid(model: ModelSpec, axis: np.ndarray, per_axis, axes=None, terms=slice(None)):
     """Yield `_kernel`'s (xi, summed cost), or xi alone when per_axis is
     None, on the whole grid axis^len(axes), slab by slab.
 
@@ -416,9 +402,10 @@ def _enclose(model: ModelSpec, a: np.ndarray, b: np.ndarray) -> _Enclosure:
 def _may_hold(model: ModelSpec, rule: _Rule, a: np.ndarray, b: np.ndarray, xi_a: np.ndarray,
               xi_b: np.ndarray, level: float) -> np.ndarray:
     """Whether each box [a, b] of a (K, S) batch, with xi at its corners
-    xi_a and xi_b as `_kernel` computes them, may hold a point where the
-    rule, with the entropy as its cost, is at least `level`, as `_kernel`
-    computes it: False only where the second-order bound rules it out.
+    xi_a and xi_b, may hold a point where the rule, with the entropy as its
+    cost, is at least `level`, xi computed as the grid and the search
+    compute it, bit for bit alike (`Mixture._on_grid`): False only where the
+    second-order bound rules it out.
 
     The rule's level (w, t) is (1, level) for E(xi) - c, and (-level,
     TOL_ZERO) for minus a ratio (Dinkelbach's parametrization: at level < 0,
@@ -439,11 +426,11 @@ def _may_hold(model: ModelSpec, rule: _Rule, a: np.ndarray, b: np.ndarray, xi_a:
     -U_ss h_s, else |g_s| h_s + U_ss h_s^2 / 2.
 
     Rounding.  Each piece of the bound, and the rule's value at a grid
-    point as `_kernel` computes it, is a sum of at most S^2 + S + 1 terms,
-    each made by at most 3 S + T + 8 operations (T the terms of xi), every
-    one of them within an ulp (numpy's pow, log1p and arithmetic); the
-    corner values of xi are `_kernel`'s, at most 2 S + T operations each
-    (S powers, S - 1 products, the coefficient and T - 1 sums): fewer
+    point, is a sum of at most S^2 + S + 1 terms, each made by at most 3 S +
+    T + 8 operations (T the terms of xi), every one of them within an ulp
+    (numpy's pow, log1p and arithmetic); the corner values of xi are the
+    grid's, at most 2 S + T operations each (S powers, S - 1 products, the
+    coefficient and T - 1 sums): fewer
     than S^2 + 4 S + T + 10 roundings of relative size eps, and a further
     eps / (1 - r^2) where 1 - r^2 is formed.  Twice that count covers the
     products of errors, so on the box computed and exact values differ by
@@ -809,17 +796,12 @@ def _search(model: ModelSpec, rules, cost, dcost) -> list[MaximizeResult]:
     polished start, ties going to the smallest norm, then the coordinates.
     For |S| <= 3 the grid's best point is one start and no run ends below
     its start, so the result is never below the search's value at the best
-    grid point, bit for bit: it is grid-certified.  That value may differ
-    from the grid's, `_kernel`'s, by the rounding of xi's powers (one ulp of
-    xi at some points of sk's grid, whose square the grid forms as x*x and
-    the search's table by numpy's pow) and, from 8 terms on, of xi's sum,
-    which numpy forms pairwise in the search and the grid term by term (a
-    few ulps; the module docstring bounds it).  fun_evals counts the rule's
-    values computed: those on
-    the grid (every grid point for one or two species; for three, the
-    corners, bounds, centres and boxes of `_grid_start`, a few thousand of
-    the grid's 8.1M points for the package's rules), then the ascent's at
-    the rule's starts.
+    grid point, bit for bit: it is grid-certified.  xi's terms are added in
+    term order, so that value is the grid's, bit for bit.  fun_evals counts
+    the rule's values computed: those on the grid (every grid point for one
+    or two species; for three, the corners, bounds, centres and boxes of
+    `_grid_start`, a few thousand of the grid's 8.1M points for the
+    package's rules), then the ascent's at the rule's starts.
     """
     if model.n_species > 6:
         raise ValueError("the landscape search supports at most 6 species")

@@ -21,9 +21,13 @@ table reads a power table, x(s)^d for the distinct lowered exponents d of
 the tuple, one numpy power for all of them, and each monomial is the
 product of its nonzero-exponent factors in species order
 (`_power_products`); the bits are those of one power per (point,
-multi-index, term, species) entry.  Every order, xi's included, sums a
-single point as it sums a row of a batch, elementwise and without BLAS, so
-a point's value is its row's in any batch.  The band recentering transform
+multi-index, term, species) entry.  The tables are terms first, and every
+sum of xi's terms adds them in term order: every order, xi's included,
+sums a single point as it sums a row of a batch, elementwise and without
+BLAS, so a point's value is its row's in any batch, and xi on a
+tensor-product grid (`Mixture._on_grid`, the landscape's grids and the
+quadrature's) is the search's table of the orders (0, 1), bit for bit.
+The band recentering transform
 
     xi_r(x) = xi((1 - r^2) x + r^2) - xi(r^2)      (elementwise in r)
 
@@ -36,6 +40,7 @@ directional derivative at r = 0.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -118,25 +123,26 @@ def _layout(shape: tuple[int, int], data: bytes, alphas: tuple):
     made once per process for every mixture of that form, read-only, on
     first use (the 64 used last are kept).
 
-    falling[a, p] is prod_s (p(s))_a(s), with (n)_a the falling factorial,
-    so 0 where a(s) > p(s) for some s: integers, held as floats, exact below
-    2^53.  degrees is an (S, n) array whose every row holds the n distinct
-    lowered exponents max(p - a, 0) of the tuple, 0 first when it occurs.
-    factors[:, a, p] are the columns of the flattened power table
-    (`_power_products`) that hold x(s)^max(p(s) - a(s), 0) for each species
-    s where that exponent is nonzero, in species order, padded with column
-    0, species 0's x^0 = 1; a monomial with fewer factors than another has a
-    zero exponent, so 0 is a degree.
+    Each table is terms first, one row per term p, one column per
+    multi-index a.  falling[p, a] is prod_s (p(s))_a(s), with (n)_a the
+    falling factorial, so 0 where a(s) > p(s) for some s: integers, held as
+    floats, exact below 2^53.  degrees is an (S, n) array whose every row
+    holds the n distinct lowered exponents max(p - a, 0) of the tuple, 0
+    first when it occurs.  factors[:, p, a] are the columns of the flattened
+    power table (`_power_products`) that hold x(s)^max(p(s) - a(s), 0) for
+    each species s where that exponent is nonzero, in species order, padded
+    with column 0, species 0's x^0 = 1; a monomial with fewer factors than
+    another has a zero exponent, so 0 is a degree.
     """
     S = shape[1]
-    p = np.frombuffer(data, dtype=np.int64).reshape(shape)
-    alphas = np.array(alphas, dtype=np.int64).reshape(-1, 1, S)
-    falling = np.ones((len(alphas),) + shape)
+    p = np.frombuffer(data, dtype=np.int64).reshape(shape)[:, None]
+    alphas = np.array(alphas, dtype=np.int64).reshape(-1, S)
+    lowered = np.maximum(p - alphas, 0)
+    falling = np.ones(lowered.shape)
     for k in range(int(alphas.max(initial=0))):
         # clipped at 0: past a factor p(s) - p(s) = 0 a negative one would make -0
         falling *= np.where(alphas > k, np.maximum(p - k, 0), 1)
     falling = falling.prod(-1)
-    lowered = np.maximum(p - alphas, 0)
     present = np.bincount(lowered.ravel()) > 0
     degrees = present.nonzero()[0]
     n = len(degrees)
@@ -154,9 +160,8 @@ def _layout(shape: tuple[int, int], data: bytes, alphas: tuple):
 
 
 def _power_products(x, degrees, factors) -> np.ndarray:
-    """x^max(p - a, 0) for every multi-index a and term p of a layout
-    (`_layout`), on the last two axes, at x (species on the last axis), in C
-    order.
+    """x^max(p - a, 0) for every term p and multi-index a of a layout
+    (`_layout`), terms first: shape (T, A) and then x's batch axes, reversed.
 
     One power table per point holds x(s)^d for each distinct lowered
     exponent d of the layout, one numpy power for the whole table; each
@@ -171,12 +176,10 @@ def _power_products(x, degrees, factors) -> np.ndarray:
     may round x^2 otherwise than x*x (54,044 of 10^6 uniform squares with
     numpy 2.4.6 on an AVX-512 Xeon): these bits hold per numpy build and
     CPU, and a table of several exponents, as of the orders (0, 1), may
-    differ in the last bit from one whose only exponent is 2.  The result is
-    in C order, as the per-entry form's, since numpy's order of summation
-    over terms depends on the layout.
+    differ in the last bit from one whose only exponent is 2.
     """
     table = (x[..., None] ** degrees).reshape(x.shape[:-1] + (-1,))
-    return np.multiply.reduce(table.take(factors, -1), -3)
+    return np.multiply.reduce(table.T.take(factors, 0), 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,17 +292,51 @@ class Mixture:
         if table is None:
             falling, degrees, factors = _layout(self.exponents.shape, self.exponents.tobytes(),
                                                 _multi_indices(self.n_species, order))
-            table = self._tables[order] = (self.coeffs * falling, degrees, factors)
+            table = self._tables[order] = (self.coeffs[:, None] * falling, degrees, factors)
         return table
 
     def _partials(self, x, order) -> np.ndarray:
         """Every partial derivative of xi of the given order, or tuple of
         orders, at x, one per multi-index on the last axis, sum_p weight *
-        x^(lowered p); a batch of points has species on the last axis and gets
-        the same expression and reduction order row by row.  The orders (0,
-        1) give xi and its gradient from one power table per point."""
+        x^(lowered p) with the terms added in term order; a batch of points
+        has species on the last axis and gets the same expression row by
+        row.  The orders (0, 1) give xi and its gradient from one power table
+        per point.
+
+        The products are terms first in memory, so numpy's reduction adds
+        row after row, but where the terms are all there is, one
+        multi-index at one point: numpy would sum that lone axis pairwise
+        from 8 terms on, so its running sum is read."""
         weights, degrees, factors = self._table(order)
-        return np.add.reduce(weights * _power_products(self._coerce_point(x), degrees, factors), -1)
+        terms = weights.T * _power_products(self._coerce_point(x), degrees, factors).T
+        if 0 < terms.size == terms.shape[-1]:
+            return np.add.accumulate(terms, -1)[..., -1]
+        return np.add.reduce(terms, -1)
+
+    def _on_grid(self, axis: np.ndarray, axes, terms=slice(None)):
+        """xi on the grid axis^len(axes), species axes[i] along grid axis i,
+        summed over `terms` (every term by default), each of which has its
+        nonzero exponents on those species: a function of one index per grid
+        axis, each an integer array or slices and new axes, whose results
+        broadcast together.
+
+        Each power is numpy's pow of the axis with the exponent held per
+        point, each term the product of its nonzero-exponent factors in
+        species order times its coefficient, and the terms are added in term
+        order, as `_partials` makes them: over every term, a grid point's xi
+        is `_partials(x, (0, 1))`'s, bit for bit.  Each point's bits depend
+        on its indices only.
+        """
+        exps, coeffs = self.exponents[terms], self.coeffs[terms]
+        powers = {d: axis ** np.full(axis.shape, d) for d in set(exps.ravel().tolist()) if d}
+
+        def at(index):
+            xi = np.zeros(np.broadcast(*(axis[i] for i in index)).shape)
+            for p, c in zip(exps.tolist(), coeffs):
+                xi += math.prod(powers[d][index[axes.index(s)]] for s, d in enumerate(p) if d) * c
+            return xi
+
+        return at
 
     def grad(self, x) -> np.ndarray:
         """Gradient of xi at x; a batch of points gives one row per point."""
@@ -344,8 +381,8 @@ class Mixture:
         falling, degrees, factors = _layout(self.exponents.shape, self.exponents.tobytes(), alphas)
         under = np.array(alphas, dtype=np.int64).reshape(-1, self.n_species)
         factorials = np.cumprod(np.maximum(np.arange(under.max(initial=0) + 1), 1.0))
-        weights = self.coeffs * np.rint(falling / factorials[under].prod(-1)[:, None])
-        coeffs = (np.add.reduce(weights * _power_products(r2, degrees, factors), -1)
+        weights = self.coeffs[:, None] * np.rint(falling / factorials[under].prod(-1))
+        coeffs = (np.add.reduce(weights * _power_products(r2, degrees, factors), 0)
                   * ((1.0 - r2) ** under).prod(-1))
         keep = coeffs >= _COEFF_FLOOR
         return Mixture(self.species, under[keep], coeffs[keep])
@@ -372,11 +409,6 @@ class Mixture:
         coefficient: a vector supported on one species kills every mixed
         monomial.
         """
-        has_pure = [False] * self.n_species
-        for row, c in zip(self.exponents, self.coeffs):
-            if c <= 0.0:
-                continue
-            nz = np.nonzero(row)[0]
-            if len(nz) == 1:
-                has_pure[int(nz[0])] = True
-        return all(has_pure)
+        pure = {s for p, c in zip(self.exponents.tolist(), self.coeffs) if c > 0.0
+                for s, d in enumerate(p) if d == sum(p)}
+        return len(pure) == self.n_species

@@ -548,22 +548,6 @@ def test_search_starts_from_the_grid_argmax(sk, pure3, cubic_two_species, monkey
                     ref.fun_evals, ref.starts_used, ref.converged)
 
 
-def test_the_grid_and_the_search_compute_xi_within_an_ulp(sk, pure3, two_quad):
-    # a gridded result is never below the search's value at the grid's best
-    # point, bit for bit (above), and that value differs from the grid's,
-    # `_kernel`'s, by the rounding of xi's powers only: at every point of the
-    # one- and two-species grids the search's xi is within one ulp of the
-    # grid's.  sk's square is x*x on the grid and numpy's pow in the search's
-    # table of the exponents 1 and 2, which may round it otherwise
-    for model in (sk, pure3, two_quad):
-        S = model.n_species
-        axis = landscape._box_axis(4001 if S == 1 else 201)
-        index = np.indices((len(axis),) * S).reshape(S, -1)
-        grid = landscape._kernel(model, axis, None)(index)
-        search = model.mixture._partials(axis[index.T], (0, 1))[:, 0]
-        assert (np.abs(search - grid) <= np.spacing(grid)).all()
-
-
 def _pure_2_3_4(seed, S):
     # every species' pure terms of degrees 2, 3 and 4 and neighbours coupled
     # by x_s x_{s+1}, two species by one more mixed term of degree 3 or 4: 8
@@ -583,29 +567,35 @@ def _pure_2_3_4(seed, S):
     return ModelSpec(SpeciesSet(names, np.full(S, 1.0 / S)), Mixture.from_terms(names, terms))
 
 
-@pytest.mark.parametrize("S, seed", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1)])
-def test_the_grid_and_the_search_compute_xi_within_a_bound_from_its_terms(S, seed):
-    # from 8 terms on numpy sums the search's terms pairwise, while the grid
-    # adds them one by one, so at many grid points the two differ by more
-    # than an ulp.  Each is within gamma_n = n u / (1 - n u) of the exact xi,
-    # relative, n = (T - 1) + 3 k, with T terms and at most k factors of
-    # nonzero exponent in a term: any order of summing T nonnegative terms is
-    # within gamma_(T-1) of their sum, and a term is k powers, each within an
-    # ulp (2 u) when numpy's pow is faithful, times k - 1 products of factors
-    # and one by its coefficient.  So the two differ by at most 2 gamma_n xi,
-    # and xi is at most the grid's value over 1 - gamma_n
-    model = _pure_2_3_4(seed, S)
-    mix = model.mixture
-    T, k = len(mix.coeffs), int((mix.exponents > 0).sum(1).max())
-    assert T == {2: 8, 3: 11}[S]
-    u = 2.0**-53
-    gamma = (T - 1 + 3 * k) * u / (1.0 - (T - 1 + 3 * k) * u)
-    # the whole grid of two species, every fifth point per axis of three
-    axis = landscape._box_axis(201)[:: 1 if S == 2 else 5]
-    index = np.indices((len(axis),) * S).reshape(S, -1)
-    grid = landscape._kernel(model, axis, None)(index)
-    search = mix._partials(axis[index.T], (0, 1))[:, 0]
-    assert (np.abs(search - grid) <= 2.0 * gamma * grid / (1.0 - gamma)).all()
+def test_the_grid_and_the_search_compute_xi_bit_for_bit(sk, pure3, pure4, two_quad):
+    # a gridded result is never below the search's value at the grid's best
+    # point, bit for bit (above), and that value is the grid's: the grid's xi
+    # (`Mixture._on_grid`) adds the terms in term order, as the search's table
+    # of the orders 0 and 1 does, and forms each power by numpy's pow with
+    # the exponent held per point, sk's square included.  On the whole one-
+    # and two-species grids, every fifth point per axis of three, of the
+    # fixtures, of 8- and 11-term mixtures (which numpy's .sum would add
+    # pairwise) and of a recentred mixture with degree-1 terms; and at the
+    # integer-index corners `_grid_start` passes, with the summed cost
+    recentred = two_quad.mixture.tilde_transform([0.3, 0.6])
+    assert recentred.exponents.sum(1).min() == 1
+    models = [sk, pure3, pure4, two_quad] + [_pure_2_3_4(seed, S)
+                                             for S, seed in [(2, 0), (2, 1), (3, 0), (3, 1)]]
+    for model, mix in [(m, m.mixture) for m in models] + [(None, recentred)]:
+        S = mix.n_species
+        axis = landscape._box_axis(landscape._GRIDS[S][0])[:: 1 if S < 3 else 5]
+        index = np.indices((len(axis),) * S).reshape(S, -1)
+        grid = (mix._on_grid(axis, range(S)) if model is None
+                else landscape._kernel(model, axis, None))(index)
+        assert grid.tobytes() == mix._partials(axis[index.T], (0, 1))[:, 0].tobytes()
+    rng = np.random.default_rng(3)
+    axis = landscape._box_axis(201)
+    for model in models[-2:]:
+        lo = rng.integers(0, 201, (500, 3)) * rng.choice([0, 1, 1], (500, 3))
+        xi, c = landscape._kernel(model, axis, landscape._entropy)(lo.T)
+        assert xi.tobytes() == model.mixture._partials(axis[lo], (0, 1))[:, 0].tobytes()
+        assert c.tobytes() == np.add.reduce(landscape._entropy(model.species.lam, axis[lo]),
+                                            -1).tobytes()
 
 
 def _rules(model, betas, monkeypatch):

@@ -135,12 +135,21 @@ def test_hessian_matches_finite_differences(m, data):
 
 
 def _pow_per_entry(m, x, alphas):
-    # the reference: for every multi-index a of the tuple and every term p,
+    # the reference: for every term p and every multi-index a of the tuple,
     # the weight c_p * prod_s (p(s))_a(s) and the monomial x^max(p - a, 0),
-    # with one numpy power per (point, multi-index, term, species) entry
-    falling = [[math.prod(map(math.perm, p, a)) for p in m.exponents.tolist()] for a in alphas]
-    lowered = np.maximum(m.exponents - np.array(alphas, dtype=np.int64)[:, None, :], 0)
-    return m.coeffs * np.array(falling, dtype=float), (x[..., None, None, :] ** lowered).prod(-1)
+    # with one numpy power per (point, term, multi-index, species) entry
+    falling = [[math.prod(map(math.perm, p, a)) for a in alphas] for p in m.exponents.tolist()]
+    lowered = np.maximum(m.exponents[:, None, :] - np.array(alphas, dtype=np.int64), 0)
+    return m.coeffs[:, None] * np.array(falling, dtype=float), (x[..., None, None, :] ** lowered).prod(-1)
+
+
+def _in_term_order(terms):
+    # the reference sum over the terms axis (-2): a running sum, term after
+    # term, where numpy's .sum would add 8 or more terms pairwise
+    total = terms[..., 0, :]
+    for t in range(1, terms.shape[-2]):
+        total = total + terms[..., t, :]
+    return total
 
 
 def _orders(S):
@@ -158,8 +167,13 @@ def _under_terms(m):
 def _kernel_mixtures():
     # one-term one-species mixtures (numpy squares their one-element exponent
     # array as x*x), a one-term two-species one, recentred mixtures with
-    # degree-1 terms, and seeded mixtures of one to six species
+    # degree-1 terms, one- and two-species mixtures of 9 and 8 terms, which
+    # numpy's .sum would add pairwise, and seeded mixtures of one to six
+    # species
     yield from (sk_mixture(), pure_model(3).mixture, pure_model(4).mixture,
+                Mixture.from_terms(("a",), {(d,): 1.0 / d for d in range(2, 11)}),
+                Mixture.from_terms(("a", "b"), {(2, 0): 1.1, (3, 0): 0.7, (4, 0): 0.9, (0, 2): 1.3,
+                                                (0, 3): 0.6, (0, 4): 1.2, (1, 1): 0.4, (2, 2): 0.8}),
                 Mixture.from_terms(("a",), {(2,): 1.0, (4,): 0.5}),
                 Mixture.from_terms(("a", "b"), {(2, 0): 1.5}),
                 Mixture.from_terms(("a", "b"), {(2, 2): 0.7}),
@@ -201,13 +215,13 @@ def test_power_table_kernel_is_the_pow_per_entry_expression_bitwise():
             X = rng.uniform(0.0, 1.0, size=(K, S))
             X[rng.random((K, S)) < 0.2] = 0.0
             X[rng.random((K, S)) < 0.2] = 1.0 - 1e-8
-            wants = [(w * mono).sum(-1) for w, mono in (_pow_per_entry(m, X, a) for a in orders)]
+            wants = [_in_term_order(w * mono) for w, mono in (_pow_per_entry(m, X, a) for a in orders)]
             wants[0] = wants[0][..., 0]
             for layout, Y in enumerate(_layouts(X)):
                 for got, want in zip((m.eval(Y), m.grad(Y), m._partials(Y, 2)), wants):
                     assert got.shape == want.shape and got.tobytes() == want.tobytes(), (m, K, layout)
             for x in X[:3]:
-                xi, grad, hess = ((w * mono).sum(-1) for w, mono in
+                xi, grad, hess = (_in_term_order(w * mono) for w, mono in
                                   (_pow_per_entry(m, x, a) for a in orders))
                 assert m.eval(x) == float(xi[0])
                 assert m.grad(x).tobytes() == grad.tobytes()
@@ -217,9 +231,10 @@ def test_power_table_kernel_is_the_pow_per_entry_expression_bitwise():
                                                            m.exponents.tobytes(), under)
         for x in (*X[:3], X[:3]):
             weights, mono = _pow_per_entry(m, x, under)
-            assert (m.coeffs * falling).tobytes() == weights.tobytes(), m
-            got = mixture_module._power_products(x, degrees, factors)
-            assert got.shape == mono.shape and got.tobytes() == mono.tobytes(), (m, x)
+            assert (m.coeffs[:, None] * falling).tobytes() == weights.tobytes(), m
+            # terms first, then the multi-indices, then the batch
+            got, want = mixture_module._power_products(x, degrees, factors), mono.T.swapaxes(0, 1)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (m, x)
 
 
 def test_the_fused_table_is_eval_and_grad_bitwise():

@@ -4,6 +4,8 @@ writes what its docstring promises."""
 import json
 import math
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -216,3 +218,54 @@ def test_code_lines_leaves_out_docstrings_comments_and_blank_lines(tmp_path, cap
     assert load_script("code_lines").run([str(tmp_path)]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["module", "lines", "code"], ["small", "11", "5"], ["total", "11", "5"]]
+
+
+def test_bench_pairs_alternates_the_sides_and_summarises_each_metric(tmp_path, monkeypatch,
+                                                                     capsys):
+    # no benchmark is launched: each run writes a synthetic result file,
+    # wall_s 1.0 + seed / 100 for the parent and 0.9 + seed / 100 for the
+    # change, but for the change's seed-3 run, which writes none, and the
+    # parent's seed-2 run, one of whose jobs fails
+    bench_pairs = load_script("bench_pairs")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    calls = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        seed = int(cmd[cmd.index("--seed") + 1])
+        workload = cmd[cmd.index("--workload") + 1]
+        calls.append((Path(cwd).name, seed, workload))
+        assert cmd[cmd.index("--trace") + 1] == "0" and cmd[cmd.index("--seconds") + 1] == "2.0"
+        if (Path(cwd), seed) == (change, 3):
+            return
+        base = 1.0 if Path(cwd) == parent else 0.9
+        metrics = {"setup_s": 0.5, "wall_s": base + seed / 100, "job_p50_s": base / 10,
+                   "peak_rss_mb": 90.0 + (Path(cwd) == change)}
+        out = bench_pairs.result_path(cwd, workload, seed)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(json.dumps({"metrics": metrics, "attempted": 4,
+                                   "failed": int((Path(cwd), seed) == (parent, 2))}))
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for d in (parent, change):  # a stale result of an earlier run is not read
+        stale = bench_pairs.result_path(d, "second_moment", 3)
+        stale.parent.mkdir(parents=True)
+        stale.write_text("{}")
+    shutil.copy(bench_pairs.ROOT / "BENCHMARK.json", change)  # the metrics summarised
+    out = tmp_path / "bench.json"
+    assert bench_pairs.run([str(parent), str(change), "--workload", "second_moment", "--pairs",
+                            "4", "--seconds", "2", "--out", str(out)]) == 0
+    assert calls == [("change", 1, "second_moment"), ("parent", 1, "second_moment"),
+                     ("parent", 2, "second_moment"), ("change", 2, "second_moment"),
+                     ("change", 3, "second_moment"), ("parent", 3, "second_moment"),
+                     ("parent", 4, "second_moment"), ("change", 4, "second_moment")]
+    rec = json.loads(out.read_text())["workloads"]["second_moment"]
+    assert rec["seeds"] == [1, 2, 3, 4] and (rec["pairs"], rec["pairs_complete"]) == (4, 3)
+    assert rec["parent"] == {"runs_incomplete": 0, "failed": 1, "attempted": 16}
+    assert rec["change"] == {"runs_incomplete": 1, "failed": 0, "attempted": 12}
+    wall = rec["metrics"]["wall_s"]
+    assert wall["parent_median"] == pytest.approx(1.02) and wall["change_median"] == pytest.approx(0.92)
+    assert (wall["parent_q1"], wall["parent_q3"]) == pytest.approx((1.015, 1.03))
+    assert wall["wins"] == 3 and wall["better"] == "lower"
+    assert rec["metrics"]["peak_rss_mb"]["wins"] == 0 and rec["metrics"]["setup_s"]["wins"] == 0
+    assert set(rec["metrics"]) == {"setup_s", "wall_s", "job_p50_s", "peak_rss_mb"}
+    assert "change better in 3 of 3" in capsys.readouterr().out
