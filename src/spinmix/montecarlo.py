@@ -64,9 +64,14 @@ stream per term, a chunk of draws in one ``standard_normal`` per term.
 Inputs are checked once, on entry, before any draw: ``fm`` is the
 disorder's own (by value), the sample count (100 to TENSOR_BUDGET), every
 beta, the band's center and overlap.  ``_free_energy`` is the shared
-log-mean-exp tail; H does not depend on beta, so ``band_probe``, behind
-both ``verify``'s band check and ``band-probe``, draws and contracts one
-band for its whole beta grid.
+log-mean-exp tail and ``_level_set`` the level set's hit count.  H does not
+depend on beta, so ``band_probe``, behind both ``verify``'s band check and
+``band-probe``, draws and contracts one band for its whole beta grid; nor
+on the statistic that reads it, so ``verify`` draws and contracts one
+uniform sample, on ``stream(seed, UNIFORM)``, for both its free-energy and
+its level-set check, and its determinism check re-draws that one sample
+and compares both results.  ``estimate_level_set`` keeps its own stream,
+``stream(seed, LEVELSET)``.
 
 Threads.  The calling thread runs the loop and, when ``_HELPER`` is set
 and the estimate has more than one chunk, one helper runs it beside it: one
@@ -612,6 +617,20 @@ def _free_energy(fm: FiniteModel, beta: float, h: np.ndarray, seed: int) -> Esti
     return EstimatorResult(lme / fm.N, se / fm.N, len(h), int(seed), ess)
 
 
+def _level_set(fm: FiniteModel, beta: float, epsilon: float, h: np.ndarray,
+               seed: int) -> EstimatorResult:
+    """(1/N) log of the share of the Hamiltonian values ``h`` with
+    |H/N - beta*xi(1)| < epsilon, -inf when none is."""
+    n_samples = len(h)
+    hits = int(np.count_nonzero(np.abs(h / fm.N - beta * fm.model.xi1()) < epsilon))
+    if hits == 0:
+        return EstimatorResult(float("-inf"), float("inf"), n_samples, int(seed), 0.0, n_hits=0)
+    p = hits / n_samples
+    se = math.sqrt((1.0 - p) / (p * n_samples)) / fm.N
+    return EstimatorResult(math.log(p) / fm.N, se, n_samples, int(seed), float(hits),
+                           n_hits=hits)
+
+
 def estimate_free_energy(
     fm: FiniteModel, disorder: DisorderSample, beta: float, n_samples: int, seed: int
 ) -> EstimatorResult:
@@ -634,19 +653,16 @@ def estimate_level_set(
     n_samples: int,
     seed: int,
 ) -> EstimatorResult:
-    """(1/N) log of the uniform measure of {|H/N - beta*xi(1)| < epsilon}."""
+    """(1/N) log of the uniform measure of {|H/N - beta*xi(1)| < epsilon}:
+    ``_level_set`` of a uniform sample drawn from its own stream,
+    ``stream(seed, LEVELSET)``, independent of ``estimate_free_energy``'s.
+    ``verify``'s level-set check reads ``_level_set`` of the free-energy
+    check's sample instead (``stream(seed, UNIFORM)``)."""
     _check(fm, disorder, n_samples, beta)
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     h = _hamiltonians(disorder, stream(seed, LEVELSET), n_samples, _blocks(fm))
-    target = beta * fm.model.xi1()
-    hits = int(np.count_nonzero(np.abs(h / fm.N - target) < epsilon))
-    if hits == 0:
-        return EstimatorResult(float("-inf"), float("inf"), n_samples, int(seed), 0.0, n_hits=0)
-    p = hits / n_samples
-    se = math.sqrt((1.0 - p) / (p * n_samples)) / fm.N
-    return EstimatorResult(math.log(p) / fm.N, se, n_samples, int(seed), float(hits),
-                           n_hits=hits)
+    return _level_set(fm, beta, epsilon, h, seed)
 
 
 def estimate_band_free_energy(

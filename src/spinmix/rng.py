@@ -21,8 +21,8 @@ __all__ = [
 
 # role tags keep streams for different purposes disjoint
 DISORDER = 1
-UNIFORM = 2
-LEVELSET = 3
+UNIFORM = 2   # estimate_free_energy, and verify's free-energy and level-set checks
+LEVELSET = 3  # estimate_level_set (verify's level-set check reads UNIFORM's sample)
 BAND = 4
 SPOT_CHECKS = 101           # verify: random instances of the two-route covariance check
 EMPIRICAL_COVARIANCE = 102  # verify: the configurations of the empirical covariance

@@ -50,6 +50,21 @@ def test_critical_missing_lambda(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+def test_critical_refuses_a_model_whose_xi1_overflows(tmp_path, capsys):
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps({
+        "species": [{"name": "a", "lambda": 1.0}],
+        "terms": [{"degrees": {"a": 2}, "delta_sq": 1e308},
+                  {"degrees": {"a": 3}, "delta_sq": 1e308}],
+    }))
+    out = tmp_path / "r.json"
+    code = main(["critical", "--model", str(bad), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: model file: terms: xi(1) = inf is not finite: the coefficients' sum overflows\n")
+    assert not out.exists()
+
+
 def test_scan_refuses_nan_lambda(tmp_path, capsys):
     bad = tmp_path / "nan.json"
     bad.write_text(json.dumps({

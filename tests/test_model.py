@@ -94,6 +94,17 @@ def test_duplicate_terms_accumulate():
     assert model.mixture.terms() == {(2,): 1.0}
 
 
+def test_a_model_whose_xi1_overflows_is_refused():
+    # each coefficient is finite, their sum is not
+    doc = {
+        "species": [{"name": "a", "lambda": 1.0}],
+        "terms": [{"degrees": {"a": 2}, "delta_sq": 1e308},
+                  {"degrees": {"a": 3}, "delta_sq": 1e308}],
+    }
+    with pytest.raises(ModelFormatError, match=r"terms: xi\(1\) = inf is not finite"):
+        loads_model(json.dumps(doc))
+
+
 def test_invalid_json_reported():
     with pytest.raises(ModelFormatError, match="invalid JSON"):
         loads_model("{not json")

@@ -12,6 +12,7 @@ import pytest
 from spinmix import Mixture, ModelSpec, SpeciesSet, load_model, montecarlo
 from spinmix import pure_model, quadrature, sk_model
 from spinmix import verify
+from spinmix.rng import LEVELSET, UNIFORM, stream
 
 from conftest import MODELS_DIR, watched
 
@@ -104,6 +105,49 @@ def test_the_battery_starts_no_thread_but_an_estimates_helper(monkeypatch):
                         lambda self: (started.append(self.name), start(self))[1])
     verify.run_verify(sk_model(), **_ARGS)
     assert started and set(started) == {"spinmix-chunks"}
+
+
+def test_one_uniform_sample_serves_the_free_energy_and_level_set_checks():
+    model, seed, n = sk_model(), _ARGS["seed"], _ARGS["n_samples"]
+    run = verify.run_verify(model, **_ARGS)
+    fm = montecarlo.build_finite_model(model, _ARGS["N"])
+    disorder = montecarlo.sample_disorder(fm, seed=seed)
+    beta, blocks = run.table[0][0], montecarlo._blocks(fm)
+    h = montecarlo._hamiltonians(disorder, stream(seed, UNIFORM), n, blocks)
+    fe = montecarlo._free_energy(fm, beta, h, seed)
+    ls = montecarlo._level_set(fm, beta, 0.05, h, seed)
+    assert run.records[:2] == tuple(montecarlo.estimator_record(fm, r) for r in (fe, ls))
+    assert fe == montecarlo.estimate_free_energy(fm, disorder, beta, n, seed)
+    # the public level-set estimator keeps its own stream
+    h_own = montecarlo._hamiltonians(disorder, stream(seed, LEVELSET), n, blocks)
+    assert (montecarlo.estimate_level_set(fm, disorder, beta, 0.05, n, seed)
+            == montecarlo._level_set(fm, beta, 0.05, h_own, seed))
+
+
+def test_the_determinism_check_fails_when_the_redrawn_sample_moves(monkeypatch):
+    # the largest H of the battery's second uniform pass one ulp up: the
+    # re-drawn results differ, and no other check, row or record moves
+    expected = verify.run_verify(sk_model(), **_ARGS)
+    hamiltonians, uniform_passes = montecarlo._hamiltonians, []
+
+    def perturbed(disorder, rng, n_samples, blocks):
+        h = hamiltonians(disorder, rng, n_samples, blocks)
+        if blocks[0][3] is None:  # a uniform pass, not the band's
+            uniform_passes.append(h)
+            if len(uniform_passes) == 2:
+                i = int(np.argmax(h))
+                h[i] = np.nextafter(h[i], np.inf)
+        return h
+
+    monkeypatch.setattr(montecarlo, "_hamiltonians", perturbed)
+    run = verify.run_verify(sk_model(), **_ARGS)
+    assert len(uniform_passes) == 2
+    *others, determinism = run.checks
+    assert determinism.name == "determinism"
+    assert not determinism.passed and determinism.observed >= 1
+    assert not run.all_passed
+    assert others == list(expected.checks[:-1]) and expected.checks[-1].passed
+    assert run.table == expected.table and run.records == expected.records
 
 
 _FIXTURES = ["sk", "pure3", "pure4", "two_species_quadratic"]
