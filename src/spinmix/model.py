@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +49,8 @@ class ModelSpec:
 
     The models studied carry no external field, so every term of a base
     mixture has degree >= 2; this is the one place that rule is stated.
-    xi(1), the sum of the coefficients, is computed once, on construction,
-    and must be finite: every threshold and estimate scales with it.
+    xi(1), the sum of the coefficients, must be finite: every threshold and
+    estimate scales with it.
     """
 
     species: SpeciesSet
@@ -65,11 +66,10 @@ class ModelSpec:
         if len(low):
             raise ValueError(f"term {tuple(low[0].tolist())} has degree below 2: "
                              "base models carry no external field")
-        with np.errstate(over="ignore"):
-            xi1 = float(self.mixture.eval(1.0))
+        # added in term order, as Mixture.eval adds them at 1
+        xi1 = sum(self.mixture.coeffs.tolist())
         if not math.isfinite(xi1):
             raise ValueError(f"xi(1) = {xi1!r} is not finite: the coefficients' sum overflows")
-        object.__setattr__(self, "_xi1", xi1)
 
     @property
     def n_species(self) -> int:
@@ -77,6 +77,11 @@ class ModelSpec:
 
     def xi1(self) -> float:
         return self._xi1
+
+    @cached_property
+    def _xi1(self) -> float:
+        """xi(1), computed on first use and kept with the model."""
+        return float(self.mixture.eval(1.0))
 
 
 def _require(doc: dict, key: str, where: str):

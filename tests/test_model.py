@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinmix import (
+    Mixture,
     ModelFormatError,
     ModelSpec,
     SpeciesSet,
@@ -103,6 +104,15 @@ def test_a_model_whose_xi1_overflows_is_refused():
     }
     with pytest.raises(ModelFormatError, match=r"terms: xi\(1\) = inf is not finite"):
         loads_model(json.dumps(doc))
+
+
+def test_xi1_is_the_coefficients_sum_the_check_reads():
+    # in term order, bit for bit, also past the 8 terms from which numpy
+    # would sum one axis pairwise
+    coeffs = np.random.default_rng(0).uniform(0.1, 3.0, 10)
+    model = ModelSpec(SpeciesSet(("a",), np.array([1.0])), Mixture.from_terms(
+        ("a",), {(p,): float(c) for p, c in zip(range(2, 12), coeffs)}))
+    assert model.xi1() == sum(model.mixture.coeffs.tolist())
 
 
 def test_invalid_json_reported():
